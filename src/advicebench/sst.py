@@ -47,6 +47,7 @@ class Substitution:
 
     def __init__(self, mapping):
         self.mapping = {name: tuple(tokens) for name, tokens in dict(mapping).items()}
+        self._plan = tuple(_plan_entry(name, tokens) for name, tokens in self.mapping.items())
 
     def rhs(self, name):
         return self.mapping[name]
@@ -118,6 +119,112 @@ def ground(tokens, values) -> list:
         else:
             acc.append(tok)
     return acc
+
+
+class _Rope:
+    """Letters of a register: ``reversed(left)`` then ``right``.
+
+    Items are letters or child ropes. Letters put in front of a register go
+    on ``left`` and letters put behind it on ``right``, so either costs one
+    list append, and a register built letter by letter holds one list slot
+    per letter.
+    """
+
+    __slots__ = ("left", "right", "size")
+
+    def __init__(self):
+        self.left: list = []
+        self.right: list = []
+        self.size = 0
+
+
+def _plan_entry(name, tokens):
+    """(target, first register or None, tokens before it reversed, tokens after it)."""
+    for i, tok in enumerate(tokens):
+        if isinstance(tok, Reg):
+            return name, tok.name, tuple(reversed(tokens[:i])), tokens[i + 1:]
+    return name, None, (), tokens
+
+
+def _attach(items: list, tokens, old: dict) -> int:
+    """Append letters and the ropes of old registers to items; returns the letters added."""
+    added = 0
+    for tok in tokens:
+        if type(tok) is Reg:
+            child = old[tok.name]
+            if child.size:
+                items.append(child)
+                added += child.size
+        else:
+            items.append(tok)
+            added += 1
+    return added
+
+
+def _flatten(rope: _Rope, out: list) -> None:
+    """Append the letters of a rope to out.
+
+    Iterative: ropes nest as deep as the number of updates that built them,
+    far beyond the recursion limit.
+    """
+    stack = [iter(rope.right)]
+    it = reversed(rope.left)
+    while True:
+        for x in it:
+            if type(x) is _Rope:
+                stack.append(it)
+                stack.append(iter(x.right))
+                it = reversed(x.left)
+                break
+            out.append(x)
+        else:
+            if not stack:
+                return
+            it = stack.pop()
+
+
+class _Registers:
+    """Register contents of a run under copyless updates.
+
+    Each register occurs at most once across an update's right-hand sides,
+    so every rope has a single owner (a register or one enclosing rope). An
+    update therefore extends the rope of the first register of each
+    right-hand side in place and nests the others, instead of copying
+    them: it costs O(|rhs|). Letters are flattened out of a rope only when
+    they are streamed.
+    """
+
+    def __init__(self, names):
+        self.ropes = {name: _Rope() for name in names}
+
+    def update(self, sub: Substitution) -> None:
+        old = self.ropes
+        ropes = {}
+        for name, base, before, after in sub._plan:
+            rope = _Rope() if base is None else old[base]
+            if before:
+                rope.size += _attach(rope.left, before, old)
+            if after:
+                rope.size += _attach(rope.right, after, old)
+            ropes[name] = rope
+        self.ropes = ropes
+
+    def nonempty(self) -> frozenset:
+        return frozenset(name for name, rope in self.ropes.items() if rope.size)
+
+    def drain(self, name):
+        """The letters of a register; its rope is emptied, its length kept.
+
+        Only for a register whose contents never flow into another one
+        afterwards, such as a streamed output register.
+        """
+        rope = self.ropes[name]
+        if not (rope.left or rope.right):
+            return ()
+        letters: list = []
+        _flatten(rope, letters)
+        rope.left, rope.right = [], []
+        return letters
 
 
 class Sst:
@@ -193,7 +300,7 @@ class _SimpleSstEngine:
         self.pos = 0
         self.step_count = 0
         self.out: list = []
-        self.values = {name: [] for name in s.registers if name != s.out}
+        self.registers = _Registers(s.registers)
         self.visits: dict = {}
         self.trace: list = []
 
@@ -202,10 +309,8 @@ class _SimpleSstEngine:
         key = (self.state, a)
         if key not in self.s.transitions:
             raise UndefinedTransition(self.pos, self.step_count, key)
-        sub = self.s.updates[key]
-        increment = ground(sub.rhs(self.s.out)[1:], self.values)
-        self.values = {name: ground(sub.rhs(name), self.values) for name in self.values}
-        self.out.extend(increment)
+        self.registers.update(self.s.updates[key])
+        self.out.extend(self.registers.drain(self.s.out))
         self.state = self.s.transitions[key]
         self.pos += 1
         self.step_count += 1
@@ -231,28 +336,17 @@ class _GeneralSstEngine:
         self.trace: list = []
         self._pad = False
 
-        seq, cycle_start, cycle_len = _lasso_run(s, source)
-        recurring = frozenset(seq[cycle_start:])
+        seq, recurring, cycle_len, entry, registers = _recurrence_entry(s, source)
         if recurring not in s.output_function:
             raise NoOutputFunction(recurring)
         regs = s.output_function[recurring]
-        entry = cycle_start
-        while entry > 0 and seq[entry - 1] in recurring:
-            entry -= 1
-
-        values = {name: [] for name in s.registers}
-        state = s.initial
-        for i in range(entry):
-            sub = s.updates[(state, source.letter(i))]
-            values = {name: ground(sub.rhs(name), values) for name in s.registers}
-            state = s.transitions[(state, source.letter(i))]
+        # from the entry on, the output registers only grow at the end of
+        # the last one, so they are streamed now and their ropes dropped
+        for name in regs:
+            self.out.extend(registers.drain(name))
         self._last = regs[-1] if regs else None
-        for name in regs[:-1]:
-            self.out.extend(values[name])
-        if self._last is not None:
-            self.out.extend(values[self._last])
-        self.values = values
-        self.state = state
+        self.registers = registers
+        self.state = seq[entry]
         self.pos = entry
 
         if self._last is None or self._limit_is_finite(cycle_len):
@@ -264,7 +358,7 @@ class _GeneralSstEngine:
         seen: dict = {}
         emissions: list = []
         while True:
-            support = frozenset(n for n in self.s.registers if self.values[n])
+            support = self.registers.nonempty()
             if support in seen:
                 return not any(emissions[seen[support]:])
             seen[support] = len(emissions)
@@ -274,13 +368,13 @@ class _GeneralSstEngine:
             emissions.append(emitted > 0)
 
     def _advance(self) -> int:
-        sub = self.s.updates[(self.state, self.source.letter(self.pos))]
-        old_len = len(self.values[self._last])
-        self.values = {name: ground(sub.rhs(name), self.values) for name in self.s.registers}
-        self.out.extend(self.values[self._last][old_len:])
-        self.state = self.s.transitions[(self.state, self.source.letter(self.pos))]
+        key = (self.state, self.source.letter(self.pos))
+        self.registers.update(self.s.updates[key])
+        grown = self.registers.drain(self._last)
+        self.out.extend(grown)
+        self.state = self.s.transitions[key]
         self.pos += 1
-        return len(self.values[self._last]) - old_len
+        return len(grown)
 
     def step(self):
         if self._pad:
@@ -311,6 +405,27 @@ def _lasso_run(s: Sst, source: LassoWord):
         n += 1
 
 
+def _recurrence_entry(s: Sst, source: LassoWord):
+    """Run s on the lasso up to its entry into the recurring states.
+
+    Returns the state sequence of ``_lasso_run``, the recurring states, the
+    cycle length, the entry position and the registers there. From the
+    entry on, every step stays inside the recurring states.
+    """
+    seq, cycle_start, cycle_len = _lasso_run(s, source)
+    recurring = frozenset(seq[cycle_start:])
+    entry = cycle_start
+    while entry > 0 and seq[entry - 1] in recurring:
+        entry -= 1
+    registers = _Registers(s.registers)
+    state = s.initial
+    for i in range(entry):
+        key = (state, source.letter(i))
+        registers.update(s.updates[key])
+        state = s.transitions[key]
+    return seq, recurring, cycle_len, entry, registers
+
+
 def run_sst(s: Sst, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
     """Run a register transducer; general (non-simple) machines need a lasso input."""
     if isinstance(s, SimpleSst):
@@ -330,24 +445,14 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("simplification is relative to an ultimately periodic input")
-    seq, cycle_start, cycle_len = _lasso_run(s, source)
-    recurring = frozenset(seq[cycle_start:])
+    seq, recurring, _cycle_len, entry, registers = _recurrence_entry(s, source)
     if isinstance(s, SimpleSst):
         regs = (s.out,)
     elif recurring in s.output_function:
         regs = s.output_function[recurring]
     else:
         raise NoOutputFunction(recurring)
-    entry = cycle_start
-    while entry > 0 and seq[entry - 1] in recurring:
-        entry -= 1
-
-    values = {name: [] for name in s.registers}
-    state = s.initial
-    for i in range(entry):
-        sub = s.updates[(state, source.letter(i))]
-        values = {name: ground(sub.rhs(name), values) for name in s.registers}
-        state = s.transitions[(state, source.letter(i))]
+    values = {name: registers.drain(name) for name in s.registers}
 
     out_name = "out"
     while out_name in s.registers:

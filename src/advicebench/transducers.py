@@ -14,6 +14,7 @@ from .errors import (
     MovedLeftOfEndmarker,
     NonProductive,
     UndefinedTransition,
+    ValidationFailed,
 )
 from .words import (
     Alphabet,
@@ -91,6 +92,8 @@ class LookbehindTransducer:
         self.output_alphabet = output_alphabet
         self.transitions = {}
         for (q, a, s), (out, move, q2) in dict(transitions).items():
+            if q not in self.states or q2 not in self.states:
+                raise ValueError("transition leaves the state set")
             if move not in (LEFT, RIGHT):
                 raise ValueError(f"bad move {move!r}")
             self.transitions[(q, a, s)] = (tuple(out), move, q2)
@@ -122,12 +125,14 @@ class RunOutcome:
     def visit_counts(self):
         return dict(self._engine.visits)
 
-    def letter(self, n):
-        return self.letters(n + 1)[n]
+    def _produce(self, n):
+        """The engine's output list, stepped until it holds n letters.
 
-    def letters(self, n):
-        """First n output letters; raises if the machine halts or stalls first."""
-        out = self._engine.out
+        Spends at most ``budget`` steps between consecutive letters; raises
+        the halt condition, or BudgetExceeded, if the machine stops first.
+        """
+        engine = self._engine
+        out = engine.out
         while len(out) < n:
             if self._halt is not None:
                 raise self._halt
@@ -135,21 +140,39 @@ class RunOutcome:
             spent = 0
             while len(out) == produced:
                 if spent >= self.budget:
-                    raise BudgetExceeded(self._engine.step_count)
+                    raise BudgetExceeded(engine.step_count)
                 try:
-                    self._engine.step()
+                    engine.step()
                 except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
                     self._halt = exc
                     raise
                 spent += 1
-        return list(out[:n])
+        return out
+
+    def letter(self, n):
+        if n < 0:
+            raise IndexError("letter index must be nonnegative")
+        out = self._engine.out
+        if n >= len(out):
+            try:
+                self._produce(n + 1)
+            except MovedLeftOfEndmarker:
+                # the halting step emits its letters before its move fails,
+                # and try_letters counts them as output
+                if n >= len(out):
+                    raise
+        return out[n]
+
+    def letters(self, n):
+        """First n output letters; raises if the machine halts or stalls first."""
+        return self._produce(n)[:n]
 
     def try_letters(self, n):
         """(letters produced, halt-or-None), never raising."""
         try:
             return self.letters(n), None
         except (UndefinedTransition, MovedLeftOfEndmarker, BudgetExceeded, NonProductive) as exc:
-            return list(self._engine.out[:n]), exc
+            return self._engine.out[:n], exc
 
     def prefix_str(self, n):
         from .words import render_letter
@@ -162,14 +185,14 @@ class RunOutcome:
 
 
 class _OutcomeWord(InfiniteWord):
+    """View of a run's output as a word; letters come from the outcome's
+    own output list, so the view shares the outcome's single consumer."""
+
     def __init__(self, outcome: RunOutcome):
         super().__init__(outcome._engine.output_alphabet)
         self.outcome = outcome
 
     def letter(self, n):
-        return self.outcome.letter(n)
-
-    def _compute(self, n):
         return self.outcome.letter(n)
 
 
@@ -425,6 +448,9 @@ def analyze_on_constant(t: TwoWayTransducer, c, budget=DEFAULT_BUDGET) -> LassoW
                 if q0 == state:
                     return finish(cut, len(out))
             stack.append((pos, state, len(out)))
+        else:
+            # an endmarker visit undercuts every position; no earlier entry may match
+            stack.clear()
         a = ENDMARKER if pos == 0 else c
         hit = t.transitions.get((state, a))
         if hit is None:
@@ -503,7 +529,7 @@ def remove_endmarker(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_B
     want, _ = run_2wft(t, source).try_letters(probe)
     for i, (x, y) in enumerate(zip(got, want)):
         if x != y:
-            from .errors import ValidationFailed
-
             raise ValidationFailed(i, "endmarker removal changed the output")
+    if len(got) != len(want):
+        raise ValidationFailed(min(len(got), len(want)), "endmarker removal changed the output length")
     return result

@@ -420,19 +420,21 @@ class BlockMirrorWord(InfiniteWord):
         self._pending: list = []
 
     def _compute(self, n):
+        # _pending holds the marker then the block in reading order, so
+        # popping from the end yields the block reversed, then the marker
         if not self._pending:
-            block = []
+            pending = [BLOCK_MARK]
             start = self._scan
             while True:
                 a = self.base.letter(self._scan)
                 self._scan += 1
                 if a == BLOCK_MARK:
                     break
-                block.append(a)
-                if len(block) > self.block_budget:
+                pending.append(a)
+                if len(pending) > self.block_budget + 1:
                     raise BlockBudgetExceeded(start, self.block_budget)
-            self._pending = list(reversed(block)) + [BLOCK_MARK]
-        return self._pending.pop(0)
+            self._pending = pending
+        return self._pending.pop()
 
 
 def block_mirror(w: InfiniteWord, block_budget: int = 10 ** 6) -> InfiniteWord:

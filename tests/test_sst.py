@@ -56,6 +56,21 @@ def test_run_mirror_sst():
     assert prefix_equiv(got, block_mirror(source), 500) == Equal(500)
 
 
+def test_run_sst_streams_a_deeply_nested_register():
+    # x ↦ z·a·x with z emptied on every step nests x one level deeper per
+    # letter: a 6000-letter block goes far past the recursion limit
+    full = Alphabet.of("ab#")
+    updates = {
+        ("q", a): Substitution({"z": (), "x": (Reg("z"), a, Reg("x")), "out": (Reg("out"),)})
+        for a in "ab"
+    }
+    updates[("q", "#")] = Substitution({"z": (), "x": (), "out": (Reg("out"), Reg("x"), "#")})
+    machine = SimpleSst({"q"}, "q", full, full, ("z", "x", "out"),
+                        {key: "q" for key in updates}, updates)
+    source = lasso("", "aab" * 2000 + "#")
+    assert prefix_equiv(run_sst(machine, source), block_mirror(source), 12002) == Equal(12002)
+
+
 def test_run_identity_sst():
     source = lasso("", "01")
     got = run_sst(corpus.identity_sst(), source)

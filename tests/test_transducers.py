@@ -11,11 +11,14 @@ from advicebench.errors import (
     MovedLeftOfEndmarker,
     NonProductive,
     UndefinedTransition,
+    ValidationFailed,
 )
+from advicebench.advice import Dfa
 from advicebench.transducers import (
     ENDMARKER,
     LEFT,
     RIGHT,
+    LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
     analyze_on_constant,
@@ -29,6 +32,7 @@ from advicebench.transducers import (
     writer_2wft,
 )
 from advicebench.words import (
+    PAD,
     Alphabet,
     ConstantWord,
     block_mirror,
@@ -221,6 +225,52 @@ def test_analyze_budget():
         analyze_on_constant(machine, "a", budget=2)
 
 
+def test_analyze_clears_configurations_on_endmarker_visits():
+    # a configuration before an endmarker visit must not close a loop with
+    # one after it: the raw run is bbbbabbbaabaab..., not (bbbbab)^ω
+    tr = {
+        (0, ENDMARKER): ((), RIGHT, 3), (0, PAD): (("a", "b"), RIGHT, 3),
+        (1, ENDMARKER): (("a",), RIGHT, 3), (1, PAD): (("a", "b"), RIGHT, 2),
+        (2, ENDMARKER): (("b", "b"), RIGHT, 0), (2, PAD): (("a",), RIGHT, 1),
+        (3, ENDMARKER): ((), RIGHT, 1), (3, PAD): (("b", "b"), LEFT, 2),
+    }
+    machine = TwoWayTransducer(range(4), 0, Alphabet.of("x"), AB, tr)
+    found = analyze_on_constant(machine, PAD)
+    raw = run_2wft(machine, ConstantWord(PAD, Alphabet.of("x")))
+    assert raw.prefix_str(14) == "bbbbabbbaabaab"
+    assert prefix_equiv(found, raw, 500) == Equal(500)
+
+
+def random_constant_reader(rng, size):
+    """Random 2wft over one input letter, x, with up to two output letters per step."""
+    tr = {}
+    for q in range(size):
+        for a in (ENDMARKER, "x"):
+            out = tuple(rng.choice("ab") for _ in range(rng.randrange(3)))
+            move = LEFT if rng.random() < (0.05 if a is ENDMARKER else 0.5) else RIGHT
+            tr[(q, a)] = (out, move, rng.randrange(size))
+    return TwoWayTransducer(range(size), 0, Alphabet.of("x"), AB, tr)
+
+
+def test_analyze_on_constant_matches_raw_runs():
+    rng = random.Random(1801)
+    for _ in range(400):
+        machine = random_constant_reader(rng, rng.randint(3, 8))
+        raw = run_2wft(machine, ConstantWord("x"), budget=2000)
+        try:
+            found = analyze_on_constant(machine, "x")
+        except NonProductive as exc:
+            # the raw run emits exactly the prefix, then stalls
+            got, halt = raw.try_letters(len(exc.prefix) + 1)
+            assert got == list(exc.prefix) and isinstance(halt, BudgetExceeded)
+            continue
+        except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
+            _got, halt = raw.try_letters(5000)
+            assert type(halt) is type(exc)
+            continue
+        assert raw.letters(200) == [found.letter(i) for i in range(200)]
+
+
 def test_remove_endmarker_simple_prologue():
     # touches the marker only on its first step
     tr = {("p", ENDMARKER): (("x",), RIGHT, "q")}
@@ -248,6 +298,41 @@ def test_remove_endmarker_rejects_bouncer():
         remove_endmarker(corpus.endmarker_bouncer_2wft(), lasso("", "ab"))
     assert err.value.loop is not None
     assert err.value.loop.v.to_str() == "a"
+
+
+def far_return_2wft():
+    """Scans c's to the first a and emits it, walks back to the endmarker
+    and emits x, then copies the c's forward, then the rest of the input."""
+    abc = Alphabet.of("abc")
+    tr = {("scan", ENDMARKER): ((), RIGHT, "scan"), ("scan", "c"): ((), RIGHT, "scan"),
+          ("scan", "a"): (("a",), LEFT, "back"), ("back", "c"): ((), LEFT, "back"),
+          ("back", ENDMARKER): (("x",), RIGHT, "copy")}
+    for a in abc.letters:
+        tr[("copy", a)] = ((a,), RIGHT, "copy")
+    return TwoWayTransducer({"scan", "back", "copy"}, "scan", abc, Alphabet.of("abcx"), tr)
+
+
+def test_remove_endmarker_rejects_a_result_that_halts_early():
+    # within a budget of 1000 steps the run has not come back to the
+    # endmarker, so the folded machine halts after 'a' where the original
+    # goes on with x c c c ...
+    machine = far_return_2wft()
+    w = lasso("c" * 2000 + "ab", "a")
+    assert run_2wft(machine, w).prefix_str(5) == "axccc"
+    with pytest.raises(ValidationFailed):
+        remove_endmarker(machine, w, budget=1000)
+    trimmed = remove_endmarker(machine, w, budget=5000)
+    assert prefix_equiv(run_2wft(trimmed, w), run_2wft(machine, w), 500) == Equal(500)
+
+
+def test_lookbehind_transducer_rejects_undeclared_states():
+    oracle = Dfa({"z"}, "z", frozenset(), AB, {("z", a): "z" for a in AB.letters})
+    into = {("p", "a", "z"): ((), RIGHT, "elsewhere")}
+    with pytest.raises(ValueError):
+        LookbehindTransducer({"p"}, "p", AB, AB, into, oracle)
+    out_of = {("elsewhere", "a", "z"): ((), RIGHT, "p")}
+    with pytest.raises(ValueError):
+        LookbehindTransducer({"p"}, "p", AB, AB, out_of, oracle)
 
 
 def test_mu_round_trip():

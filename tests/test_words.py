@@ -125,6 +125,10 @@ def test_block_mirror_budget():
     no_marks = lasso("", "ab")
     with pytest.raises(BlockBudgetExceeded):
         block_mirror(no_marks, block_budget=50).letter(0)
+    # a block of exactly the budget still comes out, reversed
+    assert block_mirror(lasso("", "abc" * 10 + "#"), block_budget=30).prefix_str(31) == "cba" * 10 + "#"
+    with pytest.raises(BlockBudgetExceeded):
+        block_mirror(lasso("", "abc" * 10 + "a#"), block_budget=30).letter(0)
 
 
 def primitive(letters):
