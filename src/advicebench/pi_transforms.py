@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     InvariantViolation,
@@ -24,6 +25,7 @@ from .transducers import (
     RIGHT,
     OneWayTransducer,
     TwoWayTransducer,
+    _walk,
     compose_1wft,
     run_1wft,
     run_2wft,
@@ -178,26 +180,11 @@ def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
 
 
 def _simulate_two_way(t, source, max_steps, stop_pos=None):
-    """Run t on the endmarked tape, recording per-step state/position/output."""
-    states = [t.initial]
-    positions = [0]
-    outlens = [0]
+    """Run t on the endmarked tape for at most max_steps steps, or until the
+    head reaches stop_pos, recording per-configuration state/position/output."""
+    states, positions, outlens = [], [], []
     out: list = []
-    state, pos = t.initial, 0
-    for step in range(max_steps):
-        a = ENDMARKER if pos == 0 else source.letter(pos - 1)
-        hit = t.transitions.get((state, a))
-        if hit is None:
-            from .errors import UndefinedTransition
-
-            raise UndefinedTransition(pos, step, (state, a))
-        emitted, move, state = hit
-        out.extend(emitted)
-        pos += 1 if move == RIGHT else -1
-        if pos < 0:
-            from .errors import MovedLeftOfEndmarker
-
-            raise MovedLeftOfEndmarker(step)
+    for state, pos in islice(_walk(t, source, out), max_steps + 1):
         states.append(state)
         positions.append(pos)
         outlens.append(len(out))

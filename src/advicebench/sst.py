@@ -9,13 +9,13 @@ the input, consulting the machine's own run as a lookbehind oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .advice import Dfa
 from .errors import (
     AdviceNotLasso,
     BudgetExceeded,
     MalformedSimpleSst,
-    MovedLeftOfEndmarker,
     NoOutputFunction,
     UndefinedTransition,
     ValidationFailed,
@@ -28,10 +28,12 @@ from .transducers import (
     LookbehindTransducer,
     RunOutcome,
     TwoWayTransducer,
+    _loop_lasso,
+    _walk,
     run_2wft,
     run_2wft_b,
 )
-from .words import FiniteWord, InfiniteWord, LassoWord, PAD, canonical_lasso
+from .words import InfiniteWord, LassoWord, PAD
 
 
 @dataclass(frozen=True)
@@ -608,41 +610,25 @@ def eliminate_lookbehind_lasso(
         n += 1
     table = [zstate(ell + r) for r in range(period)]
 
-    state, pos = t.initial, 0
     out: list = []
     low_cfgs: dict = {}
     handoff = None
+    was_low = False
     settle = ell + 2 + period + 2 * len(t.states)
-    for step in range(budget):
-        if pos <= ell:
-            cfg = (state, pos)
+    for step, cfg in enumerate(islice(_walk(t, source, out, t.oracle), budget + 1)):
+        state, pos = cfg
+        if was_low:
+            handoff = (state, pos, len(out))
+        if pos > settle:
+            break
+        was_low = pos <= ell
+        if was_low:
             if cfg in low_cfgs:
                 cut = low_cfgs[cfg]
-                loop = None
-                if len(out) > cut:
-                    loop = canonical_lasso(
-                        FiniteWord(tuple(out[:cut]), t.output_alphabet),
-                        FiniteWord(tuple(out[cut:]), t.output_alphabet),
-                    )
+                loop = _loop_lasso(t, out, cut) if len(out) > cut else None
                 raise BudgetExceeded(step, loop=loop,
                                      message="head keeps returning into the oracle preperiod")
             low_cfgs[cfg] = len(out)
-        a = ENDMARKER if pos == 0 else source.letter(pos - 1)
-        z = t.oracle.initial if pos == 0 else zstate(pos - 1)
-        hit = t.transitions.get((state, a, z))
-        if hit is None:
-            raise UndefinedTransition(pos, step, (state, a, z))
-        emitted, move, q2 = hit
-        out.extend(emitted)
-        was_low = pos <= ell
-        pos += 1 if move == RIGHT else -1
-        if pos < 0:
-            raise MovedLeftOfEndmarker(step)
-        if was_low:
-            handoff = (q2, pos, len(out))
-        state = q2
-        if pos > settle:
-            break
     if handoff is None or handoff[1] != ell + 1:
         raise BudgetExceeded(budget, message="head never settled beyond the oracle preperiod")
     q_target, target_pos, emitted_len = handoff

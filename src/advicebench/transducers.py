@@ -8,6 +8,8 @@ endmarker followed by the input word.
 """
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import (
     BudgetExceeded,
     AlphabetMismatch,
@@ -18,6 +20,7 @@ from .errors import (
 )
 from .words import (
     Alphabet,
+    ConstantWord,
     FiniteWord,
     InfiniteWord,
     LassoWord,
@@ -130,6 +133,7 @@ class RunOutcome:
 
         Spends at most ``budget`` steps between consecutive letters; raises
         the halt condition, or BudgetExceeded, if the machine stops first.
+        A halting step's letters count: they are output before its move fails.
         """
         engine = self._engine
         out = engine.out
@@ -145,6 +149,8 @@ class RunOutcome:
                     engine.step()
                 except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
                     self._halt = exc
+                    if len(out) >= n:
+                        return out
                     raise
                 spent += 1
         return out
@@ -154,13 +160,7 @@ class RunOutcome:
             raise IndexError("letter index must be nonnegative")
         out = self._engine.out
         if n >= len(out):
-            try:
-                self._produce(n + 1)
-            except MovedLeftOfEndmarker:
-                # the halting step emits its letters before its move fails,
-                # and try_letters counts them as output
-                if n >= len(out):
-                    raise
+            self._produce(n + 1)
         return out[n]
 
     def letters(self, n):
@@ -226,15 +226,52 @@ class _OneWayEngine:
         self.step_count += 1
 
 
+def _walk(t, source, out, oracle=None):
+    """Run t on the tape ENDMARKER·source, one step per resumption.
+
+    Yields (state, pos) before every step, the initial configuration first,
+    and appends each step's letters to ``out``. With an ``oracle``, a
+    transition also sees the oracle's state after the input prefix left of
+    the head. Raises UndefinedTransition when no transition applies, and
+    MovedLeftOfEndmarker after the letters of a step that leaves the tape.
+    A caller bounds a run with ``islice(_walk(...), n + 1)``: the loop sees
+    every configuration of at most n steps, and islice asks for no more,
+    so the walk never takes a step past them.
+    """
+    lookup, read, emit = t.transitions.get, source.letter, out.extend
+    state, pos, step = t.initial, 0, 0
+    if oracle is not None:
+        zstates = [oracle.initial]  # oracle state after reading n input letters
+    while True:
+        yield state, pos
+        a = ENDMARKER if pos == 0 else read(pos - 1)
+        if oracle is None:
+            key = (state, a)
+        else:
+            n = pos - 1 if pos else 0
+            while len(zstates) <= n:
+                k = len(zstates) - 1
+                zstates.append(oracle.transitions[(zstates[k], read(k))])
+            key = (state, a, zstates[n])
+        hit = lookup(key)
+        if hit is None:
+            raise UndefinedTransition(pos, step, key)
+        emitted, move, state = hit
+        emit(emitted)
+        if move == RIGHT:
+            pos += 1
+        elif pos == 0:
+            raise MovedLeftOfEndmarker(step)
+        else:
+            pos -= 1
+        step += 1
+
+
 class _TwoWayEngine:
     """Tape is ENDMARKER followed by the input word; head starts on the marker."""
 
     def __init__(self, t, source: InfiniteWord, visit_window=512, trace_limit=4096, oracle=None):
-        self.t = t
-        self.source = source
         self.output_alphabet = t.output_alphabet
-        self.state = t.initial
-        self.pos = 0
         self.step_count = 0
         self.out: list = []
         self.visits: dict = {}
@@ -242,46 +279,17 @@ class _TwoWayEngine:
         self._visit_window = visit_window
         self._trace_limit = trace_limit
         self.oracle = oracle
-        if oracle is not None:
-            self._zstates = [oracle.initial]  # state after reading n input letters
-
-    def _tape(self, pos):
-        return ENDMARKER if pos == 0 else self.source.letter(pos - 1)
-
-    def _lookbehind(self, pos):
-        # at tape position p the oracle has read the input prefix of length p-1
-        n = max(pos - 1, 0)
-        zs = self._zstates
-        while len(zs) <= n:
-            k = len(zs) - 1
-            zs.append(self.oracle.transitions[(zs[k], self.source.letter(k))])
-        return zs[n]
+        self._walk = _walk(t, source, self.out, oracle)
+        self.state, self.pos = next(self._walk)
 
     def step(self):
-        a = self._tape(self.pos)
-        if self.oracle is None:
-            hit = self.t.transitions.get((self.state, a))
-            detail = (self.state, a)
-        else:
-            s = self._lookbehind(self.pos)
-            hit = self.t.transitions.get((self.state, a, s))
-            detail = (self.state, a, s)
-        if hit is None:
-            raise UndefinedTransition(self.pos, self.step_count, detail)
-        out, move, q2 = hit
-        if self.pos < self._visit_window:
-            self.visits[self.pos] = self.visits.get(self.pos, 0) + 1
+        pos = self.pos
+        if pos < self._visit_window:
+            self.visits[pos] = self.visits.get(pos, 0) + 1
         if len(self.trace) < self._trace_limit:
-            self.trace.append((self.state, self.pos, len(self.out)))
-        self.out.extend(out)
-        self.state = q2
+            self.trace.append((self.state, pos, len(self.out)))
+        self.state, self.pos = next(self._walk)
         self.step_count += 1
-        if move == RIGHT:
-            self.pos += 1
-        else:
-            if self.pos == 0:
-                raise MovedLeftOfEndmarker(self.step_count - 1)
-            self.pos -= 1
 
 
 def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
@@ -420,49 +428,30 @@ def analyze_on_constant(t: TwoWayTransducer, c, budget=DEFAULT_BUDGET) -> LassoW
     states whose positions are never undercut in between (the tape right of
     the endmarker is uniform, so the move sequence then repeats shifted).
     """
-    state = t.initial
-    pos = 0
     out: list = []
     seen_cfg: dict = {}
     stack: list = []  # (pos, state, out_len), positions nondecreasing
 
-    def finish(cut, upto):
-        u = out[:cut]
-        v = out[cut:upto]
-        if not v:
-            raise NonProductive(u)
-        return canonical_lasso(
-            FiniteWord(tuple(u), t.output_alphabet),
-            FiniteWord(tuple(v), t.output_alphabet),
-        )
+    def finish(cut):
+        if len(out) == cut:
+            raise NonProductive(out[:cut])
+        return _loop_lasso(t, out, cut)
 
-    for step in range(budget):
-        cfg = (state, pos)
+    for cfg in islice(_walk(t, ConstantWord(c, t.input_alphabet), out), budget + 1):
         if cfg in seen_cfg:
-            return finish(seen_cfg[cfg], len(out))
+            return finish(seen_cfg[cfg])
         seen_cfg[cfg] = len(out)
+        state, pos = cfg
         if pos >= 1:
             while stack and stack[-1][0] > pos:
                 stack.pop()
             for p0, q0, cut in stack:
                 if q0 == state:
-                    return finish(cut, len(out))
+                    return finish(cut)
             stack.append((pos, state, len(out)))
         else:
             # an endmarker visit undercuts every position; no earlier entry may match
             stack.clear()
-        a = ENDMARKER if pos == 0 else c
-        hit = t.transitions.get((state, a))
-        if hit is None:
-            raise UndefinedTransition(pos, step, (state, a))
-        emitted, move, state = hit
-        out.extend(emitted)
-        if move == RIGHT:
-            pos += 1
-        else:
-            if pos == 0:
-                raise MovedLeftOfEndmarker(step)
-            pos -= 1
     raise BudgetExceeded(budget, message="no configuration loop found within budget")
 
 
@@ -479,14 +468,15 @@ def remove_endmarker(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_B
     The run of t on the input must eventually stop visiting the endmarker;
     a machine bouncing on it forever is rejected with the detected loop.
     """
-    state = t.initial
-    pos = 0
     out: list = []
     zero_cfgs: dict = {}
-    last_zero = None
     handoff = None
-    for step in range(budget):
-        if pos == 0:
+    was_zero = False
+    for step, (state, pos) in enumerate(islice(_walk(t, source, out), budget + 1)):
+        if was_zero:
+            handoff = (state, len(out))
+        was_zero = pos == 0
+        if was_zero:
             if state in zero_cfgs:
                 cut = zero_cfgs[state]
                 loop = _loop_lasso(t, out, cut) if len(out) > cut else None
@@ -496,20 +486,7 @@ def remove_endmarker(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_B
                     message="the endmarker is revisited forever",
                 )
             zero_cfgs[state] = len(out)
-            last_zero = step
-        a = ENDMARKER if pos == 0 else source.letter(pos - 1)
-        hit = t.transitions.get((state, a))
-        if hit is None:
-            raise UndefinedTransition(pos, step, (state, a))
-        emitted, move, q2 = hit
-        out.extend(emitted)
-        if pos == 0:
-            handoff = (q2, len(out))
-        state = q2
-        pos += 1 if move == RIGHT else -1
-        if pos < 0:
-            raise MovedLeftOfEndmarker(step)
-    if last_zero is None or handoff is None:
+    if handoff is None:
         raise BudgetExceeded(budget, message="endmarker never read within budget")
 
     q_target, emitted_len = handoff

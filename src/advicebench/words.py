@@ -186,11 +186,15 @@ class LassoWord(InfiniteWord):
         super().__init__(alphabet)
         self.u = u
         self.v = v
+        self._pre = u.letters
+        self._per = v.letters
 
     def letter(self, n: int):
-        if n < len(self.u):
-            return self.u[n]
-        return self.v[(n - len(self.u)) % len(self.v)]
+        pre = self._pre
+        if n < len(pre):
+            return pre[n]
+        per = self._per
+        return per[(n - len(pre)) % len(per)]
 
     def _compute(self, n):  # letter() overridden; kept for interface symmetry
         return self.letter(n)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advicebench.errors import BudgetExceeded, UndefinedTransition
+from advicebench import corpus
+from advicebench.errors import (
+    BudgetExceeded,
+    MovedLeftOfEndmarker,
+    UndefinedTransition,
+    ValidationFailed,
+)
 from advicebench.sst import Reg, SimpleSst, Substitution, run_sst
 from advicebench.transducers import (
     ENDMARKER,
@@ -13,8 +19,10 @@ from advicebench.transducers import (
     RIGHT,
     OneWayTransducer,
     TwoWayTransducer,
+    remove_endmarker,
     run_1wft,
     run_2wft,
+    run_2wft_b,
 )
 from advicebench.words import Alphabet, lasso
 
@@ -108,13 +116,14 @@ def one_way_machines(draw):
 
 
 @st.composite
-def two_way_machines(draw):
+def two_way_machines(draw, marker_moves=(LEFT, RIGHT)):
+    """Random 2wft; ``marker_moves`` are the moves allowed on the endmarker."""
     states = range(draw(st.integers(1, 3)))
     tr = {}
     for q in states:
         for a in AB.letters + (ENDMARKER,):
             if defined(draw):
-                move = draw(st.sampled_from((LEFT, RIGHT)))
+                move = draw(st.sampled_from(marker_moves if a is ENDMARKER else (LEFT, RIGHT)))
                 tr[(q, a)] = (tuple(draw(outputs)), move, draw(st.sampled_from(states)))
     return TwoWayTransducer(states, 0, AB, AB, tr)
 
@@ -130,3 +139,52 @@ def test_outcome_word_reads_like_try_letters(machine, w):
         with pytest.raises(type(halt)) as err:
             view.letter(len(want))
         assert err.value.args == halt.args
+
+
+@st.composite
+def endmarker_bouncers(draw):
+    """A random 2wft entered through up to three bounces off the endmarker,
+    so that its run reads the endmarker several times before it leaves."""
+    base = draw(two_way_machines(marker_moves=(RIGHT,)))
+    bounces = draw(st.integers(0, 3))
+    tr = dict(base.transitions)
+    for i in range(bounces):
+        back = ("back", i + 1) if i + 1 < bounces else base.initial
+        tr[(("back", i), ENDMARKER)] = (tuple(draw(outputs)), RIGHT, ("turn", i))
+        for a in AB.letters:
+            tr[(("turn", i), a)] = (tuple(draw(outputs)), LEFT, back)
+    states = set(base.states) | {q for q, _a in tr}
+    initial = ("back", 0) if bounces else base.initial
+    return TwoWayTransducer(states, initial, AB, AB, tr)
+
+
+def halt_kind(halt):
+    return None if halt is None else type(halt)
+
+
+@settings(PROPERTY, max_examples=100)  # a stalling run costs remove_endmarker's validation 10^5 steps
+@given(machine=endmarker_bouncers(), w=lassos)
+def test_remove_endmarker_refuses_or_keeps_the_output(machine, w):
+    try:
+        trimmed = remove_endmarker(machine, w, budget=2000, probe=LETTERS)
+    except (BudgetExceeded, UndefinedTransition, MovedLeftOfEndmarker, ValidationFailed):
+        return
+    want, halt = run_2wft(machine, w, budget=2000).try_letters(LETTERS)
+    got, trimmed_halt = run_2wft(trimmed, w, budget=2000).try_letters(LETTERS)
+    assert got == want
+    assert halt_kind(trimmed_halt) is halt_kind(halt)
+
+
+@PROPERTY
+@given(machine=two_way_machines(), w=lassos)
+def test_trivial_lookbehind_runs_like_the_plain_machine(machine, w):
+    want, halt = run_2wft(machine, w, budget=BUDGET).try_letters(LETTERS)
+    wrapped = corpus.with_trivial_lookbehind(machine)
+    got, got_halt = run_2wft_b(wrapped, w, budget=BUDGET).try_letters(LETTERS)
+    assert got == want
+    assert halt_kind(got_halt) is halt_kind(halt)
+    if halt is not None:
+        assert got_halt.step == halt.step
+    if isinstance(halt, UndefinedTransition):
+        assert got_halt.position == halt.position
+        assert got_halt.detail == halt.detail + ("z",)  # the oracle's one state

@@ -14,6 +14,7 @@ from advicebench.errors import (
     ValidationFailed,
 )
 from advicebench.advice import Dfa
+from advicebench.pi_transforms import _simulate_two_way
 from advicebench.transducers import (
     ENDMARKER,
     LEFT,
@@ -28,6 +29,7 @@ from advicebench.transducers import (
     remove_endmarker,
     run_1wft,
     run_2wft,
+    run_2wft_b,
     visit_bound_check,
     writer_2wft,
 )
@@ -362,3 +364,58 @@ def test_prefix_equiv_stall_is_inconclusive():
     assert isinstance(verdict, Inconclusive)
     assert verdict.index == 1
     assert isinstance(verdict.status, BudgetExceeded)
+
+
+def undefined_on_return_2wft():
+    """Emits a, b, a over ⊢aa, turns back and finds no transition at position 1."""
+    tr = {("p", ENDMARKER): (("a",), RIGHT, "q"), ("q", "a"): (("b",), RIGHT, "r"),
+          ("r", "a"): (("a",), LEFT, "s")}
+    return TwoWayTransducer({"p", "q", "r", "s"}, "p", Alphabet.of("a"), AB, tr)
+
+
+def left_of_endmarker_2wft():
+    """Emits a, b, turns back to the endmarker, emits a and moves left of it."""
+    tr = {("p", ENDMARKER): (("a",), RIGHT, "q"), ("q", "a"): (("b",), LEFT, "r"),
+          ("r", ENDMARKER): (("a",), LEFT, "p")}
+    return TwoWayTransducer({"p", "q", "r"}, "p", Alphabet.of("a"), AB, tr)
+
+
+def halt_fields(exc):
+    detail = getattr(exc, "detail", None)
+    return type(exc), getattr(exc, "position", None), exc.step, detail
+
+
+@pytest.mark.parametrize("machine, want", [
+    (undefined_on_return_2wft(), (UndefinedTransition, 1, 3, ("s", "a"))),
+    (left_of_endmarker_2wft(), (MovedLeftOfEndmarker, None, 2, None)),
+])
+def test_two_way_halts_agree_across_runs_and_constructions(machine, want):
+    source = ConstantWord("a", Alphabet.of("a"))
+    _got, halt = run_2wft(machine, source).try_letters(10)
+    assert halt_fields(halt) == want
+    _got, halt = run_2wft_b(corpus.with_trivial_lookbehind(machine), source).try_letters(10)
+    kind, position, step, detail = halt_fields(halt)
+    # the lookbehind run also names the oracle state it looked up
+    assert (kind, position, step) == want[:3]
+    assert detail == (None if want[3] is None else want[3] + ("z",))
+    constructions = [
+        lambda: remove_endmarker(machine, source),
+        lambda: analyze_on_constant(machine, "a"),
+        lambda: _simulate_two_way(machine, source, 100),
+    ]
+    for construct in constructions:
+        with pytest.raises(want[0]) as err:
+            construct()
+        assert halt_fields(err.value) == want
+
+
+def test_letters_counts_the_halting_steps_letters_on_the_first_call():
+    # the only step emits 'a' and then moves left of the endmarker
+    machine = TwoWayTransducer({"q"}, "q", Alphabet.of("a"), Alphabet.of("a"),
+                               {("q", ENDMARKER): (("a",), LEFT, "q")})
+    outcome = run_2wft(machine, lasso("", "a"))
+    assert outcome.letters(1) == ["a"]
+    assert outcome.letters(1) == ["a"]
+    with pytest.raises(MovedLeftOfEndmarker):
+        outcome.letters(2)
+    assert outcome.letter(0) == "a"
