@@ -61,7 +61,10 @@ def parse_word_literal(text: str):
             break
     if not period:
         return None
-    return lasso(prefix, period)
+    try:
+        return lasso(prefix, period)
+    except ValueError as exc:
+        raise ParseError(f"word literal {text!r}: {exc}") from exc
 
 
 class Workspace:
@@ -82,7 +85,12 @@ class Workspace:
 
     def machine(self, spec: str):
         if spec == "-":
-            data = json.load(sys.stdin)
+            try:
+                data = json.load(sys.stdin)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"standard input: {exc.msg}", line=exc.lineno) from exc
+            if not isinstance(data, dict):
+                raise ParseError("standard input: a machine document must be an object")
             return machine_from_doc(data)
         if self.document and spec in self.document.machines:
             return self.document.machines[spec]
@@ -227,6 +235,16 @@ def cmd_check(ws: Workspace, args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _letter_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"a letter count is a nonnegative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="advicebench",
@@ -244,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="print output letters of a machine on a word")
     p_run.add_argument("machine")
     p_run.add_argument("word")
-    p_run.add_argument("-n", "--letters", type=int, default=40)
+    p_run.add_argument("-n", "--letters", type=_letter_count, default=40)
 
     p_cmp = sub.add_parser("compare", help="letterwise comparison of two words")
     p_cmp.add_argument("left")
     p_cmp.add_argument("right")
-    p_cmp.add_argument("-n", "--letters", type=int, default=100)
+    p_cmp.add_argument("-n", "--letters", type=_letter_count, default=100)
     p_cmp.add_argument("--word", help="input word when comparing machine runs")
 
     p_conv = sub.add_parser("convert", help="emit a converted machine document")

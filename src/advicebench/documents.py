@@ -12,6 +12,7 @@ import json
 from .advice import BuchiAutomaton, Dfa
 from .errors import (
     AdviceBenchError,
+    EmptyPeriod,
     InvariantViolation,
     NotDeterministic,
     ParseError,
@@ -101,6 +102,15 @@ def word_to_doc(w) -> dict:
 
 
 def word_from_doc(doc, named=None) -> InfiniteWord:
+    try:
+        return _word_from_doc(doc, named)
+    except KeyError as exc:
+        raise ParseError(f"word document {doc!r} lacks the field {exc}") from exc
+    except (TypeError, ValueError, EmptyPeriod) as exc:
+        raise ParseError(f"malformed word document {doc!r}: {exc}") from exc
+
+
+def _word_from_doc(doc, named) -> InfiniteWord:
     if not isinstance(doc, dict):
         raise ParseError(f"word document must be an object, got {doc!r}")
     if "ref" in doc:

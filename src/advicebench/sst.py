@@ -29,6 +29,7 @@ from .transducers import (
     RunOutcome,
     TwoWayTransducer,
     _loop_lasso,
+    _settle_test,
     _walk,
     run_2wft,
     run_2wft_b,
@@ -586,6 +587,10 @@ def eliminate_lookbehind_lasso(
     the head permanently stays beyond the preperiod, the oracle state is a
     function of the position residue. Everything before that is hardcoded,
     and a machine that keeps returning is rejected with the detected loop.
+    The run is walked until it provably stays beyond the preperiod (see
+    transducers._settle_test); a run that halts before that raises its
+    halt, UndefinedTransition or MovedLeftOfEndmarker, and one that does
+    not settle within ``budget`` steps raises BudgetExceeded.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("lookbehind elimination is relative to a lasso input")
@@ -614,12 +619,13 @@ def eliminate_lookbehind_lasso(
     low_cfgs: dict = {}
     handoff = None
     was_low = False
-    settle = ell + 2 + period + 2 * len(t.states)
+    # from tape position ell + 1 on, letter and oracle state repeat every period
+    settled = _settle_test(ell + 1, period, out)
     for step, cfg in enumerate(islice(_walk(t, source, out, t.oracle), budget + 1)):
         state, pos = cfg
         if was_low:
             handoff = (state, pos, len(out))
-        if pos > settle:
+        if settled(state, pos) is not None:
             break
         was_low = pos <= ell
         if was_low:
@@ -629,7 +635,7 @@ def eliminate_lookbehind_lasso(
                 raise BudgetExceeded(step, loop=loop,
                                      message="head keeps returning into the oracle preperiod")
             low_cfgs[cfg] = len(out)
-    if handoff is None or handoff[1] != ell + 1:
+    else:
         raise BudgetExceeded(budget, message="head never settled beyond the oracle preperiod")
     q_target, target_pos, emitted_len = handoff
 

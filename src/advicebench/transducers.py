@@ -430,7 +430,7 @@ def analyze_on_constant(t: TwoWayTransducer, c, budget=DEFAULT_BUDGET) -> LassoW
     """
     out: list = []
     seen_cfg: dict = {}
-    stack: list = []  # (pos, state, out_len), positions nondecreasing
+    settled = _settle_test(1, 1, out)
 
     def finish(cut):
         if len(out) == cut:
@@ -441,18 +441,48 @@ def analyze_on_constant(t: TwoWayTransducer, c, budget=DEFAULT_BUDGET) -> LassoW
         if cfg in seen_cfg:
             return finish(seen_cfg[cfg])
         seen_cfg[cfg] = len(out)
-        state, pos = cfg
-        if pos >= 1:
-            while stack and stack[-1][0] > pos:
-                stack.pop()
-            for p0, q0, cut in stack:
-                if q0 == state:
-                    return finish(cut)
-            stack.append((pos, state, len(out)))
-        else:
-            # an endmarker visit undercuts every position; no earlier entry may match
-            stack.clear()
+        cut = settled(*cfg)
+        if cut is not None:
+            return finish(cut)
     raise BudgetExceeded(budget, message="no configuration loop found within budget")
+
+
+def _settle_test(low, per, out):
+    """Settle test for a two-way run on a tape periodic from ``low`` on.
+
+    The tape letter (and any lookbehind state) at a position p >= low is
+    that at p + per. Feed it every (state, pos) of the run, in order; it
+    returns None until the run has settled, then ``cut``, the length ``out``
+    had at the configuration that the current one repeats. Settled means:
+    the run went from (q, p) to (q, p') with p' ≡ p (mod per), p >= low
+    and no position below p in between. From there the run repeats that
+    stretch shifted by p' - p forever, each time emitting the letters out
+    gained since cut: it never halts and never returns below p.
+
+    Keeps the stack of configurations whose position the run has not gone
+    below since; positions along it never decrease, and it holds at most
+    one configuration per (state, residue), since a second would have
+    matched the first.
+    """
+    stack: list = []  # (pos, key), positions nondecreasing
+    pushed: dict = {}  # key -> len(out) when it was pushed
+
+    def settled(state, pos):
+        if pos < low:
+            if stack:
+                stack.clear()
+                pushed.clear()
+            return None
+        while stack and stack[-1][0] > pos:
+            del pushed[stack.pop()[1]]
+        key = (state, (pos - low) % per)
+        cut = pushed.get(key)
+        if cut is None:
+            stack.append((pos, key))
+            pushed[key] = len(out)
+        return cut
+
+    return settled
 
 
 def _loop_lasso(t, out, cut):
@@ -467,14 +497,22 @@ def remove_endmarker(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_B
 
     The run of t on the input must eventually stop visiting the endmarker;
     a machine bouncing on it forever is rejected with the detected loop.
+    On a lasso input the walk stops once the run settles in the period
+    (see _settle_test), since it can no longer come back; on any other
+    input it takes the whole budget.
     """
     out: list = []
     zero_cfgs: dict = {}
     handoff = None
     was_zero = False
+    settled = None
+    if isinstance(source, LassoWord):
+        settled = _settle_test(len(source.u) + 1, len(source.v), out)
     for step, (state, pos) in enumerate(islice(_walk(t, source, out), budget + 1)):
         if was_zero:
             handoff = (state, len(out))
+        if settled is not None and settled(state, pos) is not None:
+            break
         was_zero = pos == 0
         if was_zero:
             if state in zero_cfgs:

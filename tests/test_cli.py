@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from advicebench.cli import main, parse_word_literal
 from advicebench.documents import dumps, machine_to_doc
 from advicebench.transducers import mirror_blocks_2wft
@@ -168,3 +170,27 @@ def test_stalling_run_exits_nonzero(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "stalled" in captured.err
+
+
+@pytest.mark.parametrize("argv, words, stdin", [
+    (["run", "mirror2wft", "(a_#)^ω"], None, None),
+    (["run", "mirror2wft", "w"], {"w": {"kind": "pi", "k": 0}}, None),
+    (["run", "mirror2wft", "w"], {"w": {"kind": "constant", "letter": "_"}}, None),
+    (["run", "mirror2wft", "w"], {"w": {"kind": "lasso", "u": "ab"}}, None),
+    (["run", "-", "(ab#)^ω"], None, "not json"),
+    (["run", "-", "(ab#)^ω"], None, "[1, 2]"),
+    (["run", "mirror2wft", "(ab#)^ω", "-n", "-3"], None, None),
+    (["compare", "pi", "pi", "-n", "many"], None, None),
+], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
+        "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n"])
+def test_malformed_inputs_are_usage_errors(argv, words, stdin, tmp_path, capsys, monkeypatch):
+    if words is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"words": words}))
+        argv = ["-f", str(path)] + argv
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error: " in err and "Traceback" not in err
+    assert out == ""

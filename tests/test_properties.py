@@ -1,6 +1,8 @@
 """Property tests: run engines against naive references on random machines."""
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,13 +14,22 @@ from advicebench.errors import (
     UndefinedTransition,
     ValidationFailed,
 )
-from advicebench.sst import Reg, SimpleSst, Substitution, run_sst
+from advicebench.sst import (
+    Reg,
+    SimpleSst,
+    Substitution,
+    compile_sst_to_2wftb,
+    eliminate_lookbehind_lasso,
+    run_sst,
+)
 from advicebench.transducers import (
     ENDMARKER,
     LEFT,
     RIGHT,
     OneWayTransducer,
     TwoWayTransducer,
+    _settle_test,
+    _walk,
     remove_endmarker,
     run_1wft,
     run_2wft,
@@ -188,3 +199,47 @@ def test_trivial_lookbehind_runs_like_the_plain_machine(machine, w):
     if isinstance(halt, UndefinedTransition):
         assert got_halt.position == halt.position
         assert got_halt.detail == halt.detail + ("z",)  # the oracle's one state
+
+
+@settings(PROPERTY, max_examples=300)
+@given(machine=two_way_machines(marker_moves=(RIGHT,)), w=lassos)  # more runs get past the marker
+def test_a_settled_run_never_halts_and_never_returns(machine, w):
+    out: list = []
+    low, per = len(w.u) + 1, len(w.v)
+    settled = _settle_test(low, per, out)
+    walk = _walk(machine, w, out)
+    seen = []  # (state, pos, letters so far) of every step
+    try:
+        for state, pos in islice(walk, 500):
+            seen.append((state, pos, len(out)))
+            cut = settled(state, pos)
+            if cut is not None:
+                break
+        else:
+            return
+    except (UndefinedTransition, MovedLeftOfEndmarker):
+        return
+    # the loop closed is one of the definition: from (state, p) with p >= low
+    # to (state, pos), pos ≡ p (mod per), and no position below p in between
+    assert any(q == state and p >= low and (pos - p) % per == 0 and n == cut
+               and all(later >= p for _q, later, _n in seen[i + 1:])
+               for i, (q, p, n) in enumerate(seen[:-1]))
+    # from here on the run repeats that loop, shifted
+    loop = out[cut:]
+    for _state, pos in islice(walk, 3000):
+        assert pos >= low
+    if loop:
+        assert out[cut:] == (loop * (len(out) // len(loop) + 1))[:len(out) - cut]
+    else:
+        assert len(out) == cut
+
+
+@settings(PROPERTY, max_examples=12)  # a stalling run costs the validation 2·10^5 steps
+@given(s=simple_ssts(), w=lassos)
+def test_unlookbehind_of_a_compiled_sst_refuses_or_runs_like_the_sst(s, w):
+    try:
+        plain = eliminate_lookbehind_lasso(compile_sst_to_2wftb(s), w, probe=LETTERS)
+    except (BudgetExceeded, UndefinedTransition, MovedLeftOfEndmarker, ValidationFailed):
+        return
+    got = run_2wft(plain, w, budget=5000).try_letters(LETTERS)[0]
+    assert got == run_sst(s, w, budget=5000).try_letters(LETTERS)[0]

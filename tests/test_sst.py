@@ -6,11 +6,13 @@ import pytest
 
 from advicebench import corpus
 from advicebench.analysis import Equal, prefix_equiv
+from advicebench.advice import Dfa
 from advicebench.errors import (
     AdviceNotLasso,
     BudgetExceeded,
     MalformedSimpleSst,
     NoOutputFunction,
+    UndefinedTransition,
 )
 from advicebench.sst import (
     Reg,
@@ -25,7 +27,14 @@ from advicebench.sst import (
     simplify_to_simple_sst,
     validate_copyless,
 )
-from advicebench.transducers import run_2wft, run_2wft_b
+from advicebench.transducers import (
+    ENDMARKER,
+    LEFT,
+    RIGHT,
+    LookbehindTransducer,
+    run_2wft,
+    run_2wft_b,
+)
 from advicebench.words import PAD, Alphabet, block_mirror, lasso, pi_word
 
 AB = Alphabet.of("ab")
@@ -301,6 +310,49 @@ def test_eliminate_lookbehind_rejects_pinned_machine():
     with pytest.raises(BudgetExceeded) as err:
         eliminate_lookbehind_lasso(corpus.pinned_lookbehind_2wftb(), lasso("", "ab"))
     assert err.value.loop is not None
+
+
+def far_return_2wftb():
+    """On b·(aaaa#)^ω: walks right to the fifth '#', emits 600 x's, walks
+    back to the b, which only the oracle state of the first position lets
+    it read, emits y and then copies c's forward forever."""
+    abh = Alphabet.of("ab#")
+    oracle = Dfa({"z0", "z1"}, "z0", frozenset(), abh,
+                 {("z0", "a"): "z0", ("z0", "#"): "z0", ("z0", "b"): "z1",
+                  **{("z1", a): "z1" for a in abh.letters}})
+    tr = {("s", ENDMARKER, "z0"): ((), RIGHT, ("go", 0))}
+    for z in ("z0", "z1"):
+        for i in range(5):
+            tr[(("go", i), "a", z)] = tr[(("go", i), "b", z)] = ((), RIGHT, ("go", i))
+            tr[(("go", i), "#", z)] = ((), RIGHT, ("go", i + 1)) if i < 4 else (("x",) * 600, LEFT, "back")
+        tr[("back", "a", z)] = tr[("back", "#", z)] = ((), LEFT, "back")
+        for a in abh.letters:
+            tr[("copy", a, z)] = (("c",), RIGHT, "copy")
+    tr[("back", "b", "z0")] = (("y",), RIGHT, "copy")
+    states = {"s", "back", "copy"} | {("go", i) for i in range(5)}
+    return LookbehindTransducer(states, "s", abh, Alphabet.of("xyc"), tr, oracle)
+
+
+def test_eliminate_lookbehind_waits_for_a_far_return():
+    # the run comes back to the preperiod only after 600 letters, past the
+    # 500-letter validation probe; the result must still equal the original
+    machine, source = far_return_2wftb(), lasso("b", "aaaa#")
+    want = run_2wft_b(machine, source).prefix_str(700)
+    assert want == "x" * 600 + "y" + "c" * 99
+    plain = eliminate_lookbehind_lasso(machine, source)
+    assert run_2wft(plain, source).prefix_str(700) == want
+
+
+def test_eliminate_lookbehind_raises_a_halt_before_settling():
+    machine, source = far_return_2wftb(), lasso("b", "aaaa#")
+    broken = LookbehindTransducer(
+        machine.states, machine.initial, machine.input_alphabet, machine.output_alphabet,
+        {k: v for k, v in machine.transitions.items() if k != ("back", "b", "z0")},
+        machine.oracle,
+    )
+    with pytest.raises(UndefinedTransition) as err:
+        eliminate_lookbehind_lasso(broken, source)
+    assert err.value.position == 1
 
 
 def test_eliminate_needs_lasso():
