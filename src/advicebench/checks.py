@@ -175,7 +175,8 @@ def suite_pi_constructions() -> list[CheckResult]:
         sim = one_way_simulation_on_pi(machine, c_max=4, probe_range=300)
         ok, detail = _equal(run_1wft(sim.transducer, pi), run_2wft(machine, pi), 300)
         results.append(CheckResult(
-            f"one-way replay of {name} (window {sim.window}, {sim.copies} copies)", ok, detail
+            f"one-way replay of {name} (window {sim.window}, {sim.copies} copies, {sim.steps} steps)",
+            ok, detail,
         ))
     return results
 

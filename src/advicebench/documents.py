@@ -453,8 +453,10 @@ def machine_from_doc(doc):
         raise
     except AdviceBenchError as exc:
         raise InvariantViolation(f"machine document violates an invariant: {exc}") from exc
-    except (KeyError, ValueError) as exc:
-        raise InvariantViolation(f"malformed machine document: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"machine document lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed machine document: {exc}") from exc
     raise ParseError(f"unknown machine type {kind!r}")
 
 

@@ -15,7 +15,9 @@ from itertools import islice
 
 from .errors import (
     InvariantViolation,
+    MovedLeftOfEndmarker,
     NoWindowBound,
+    UndefinedTransition,
     UnstableClassification,
     ValidationFailed,
 )
@@ -320,14 +322,14 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300, sim_
     return result
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Traversal:
     delta: int  # crossed block index minus the segment index
     entry: object
     arrival: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Segment:
     sigma: object  # state at the final visit of the segment's left 1
     traversals: tuple
@@ -339,6 +341,99 @@ class PiOneWayResult:
     over_copies: OneWayTransducer  # reads the k-fold repetition
     window: int
     copies: int
+    steps: int  # two-way steps walked until the segment pattern provably repeated
+
+
+def _zero_period(t: TwoWayTransducer) -> int:
+    """lcm of the cycle lengths of the '0'-successor map.
+
+    A block of length L >= |Q| is crossed into a state fixed by the entry
+    state and L modulo this number.
+    """
+    zero_next = {q: t.transitions[(q, "0")][2] for q in t.states if (q, "0") in t.transitions}
+    period_base = 1
+    for q in zero_next:
+        seen = {}
+        i = 0
+        while q in zero_next:
+            if q in seen:
+                length = i - seen[q]
+                period_base = period_base * length // math.gcd(period_base, length)
+                break
+            seen[q] = i
+            q = zero_next[q]
+            i += 1
+    return period_base
+
+
+def _onepos(j):
+    """Tape position of the 1 ending block j of the block word (0 is the endmarker)."""
+    return (j * j + 3 * j) // 2 + 1
+
+
+def _walk_to_repeat(t: TwoWayTransducer, period_base: int, budget: int):
+    """Walk t on the block word until its run provably repeats at the 1s.
+
+    Returns (visits, out, steps, n1, n2). ``visits`` lists (j, state,
+    len(out)) for each visit of 1 number j, in run order, up to the proving
+    one at step ``steps``: 1 number n2 in the same state as 1 number n1 at an
+    earlier visit, with n1 >= |Q|, n2 - n1 ≡ 0 (mod period_base) and the head
+    strictly right of 1 number n1 in between. Blocks right of 1 number n1
+    are at least |Q| long, so each is crossed into a state fixed by its
+    length modulo period_base, and the run from n2 on repeats the stretch
+    from n1 shifted by n2 - n1 forever: both visits are last visits, and
+    every 1 below n2 has had its last visit among ``visits``.
+
+    Stacks the visits at 1s the head has stayed strictly right of since, at
+    most one per (state, j mod period_base), as _settle_test does for
+    lassos. Refuses a run that halts, that revisits a 1 in the same state
+    (it loops there forever), or that finds no repeat within ``budget`` steps.
+    """
+    low = len(t.states)
+    out: list = []
+    visits: list = []
+    seen: set = set()
+    stack: list = []  # (j, key), j increasing
+    pushed: dict = {}  # key -> j
+    ones: dict = {}  # tape position -> j, for the 1s the head has reached
+    next_one = _onepos(0)
+    try:
+        for step, (state, pos) in enumerate(islice(_walk(t, pi_word(1), out), budget + 1)):
+            if pos == next_one:
+                ones[pos] = len(ones)
+                next_one = _onepos(len(ones))
+            j = ones.get(pos)
+            if j is None:
+                continue
+            if (state, j) in seen:
+                raise UnstableClassification("the run loops between the same 1s forever")
+            seen.add((state, j))
+            visits.append((j, state, len(out)))
+            while stack and stack[-1][0] >= j:
+                del pushed[stack.pop()[1]]
+            if j >= low:
+                key = (state, j % period_base)
+                if key in pushed:
+                    return visits, out, step, pushed[key], j
+                stack.append((j, key))
+                pushed[key] = j
+    except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
+        raise UnstableClassification(f"the run halts on the block word: {exc}") from exc
+    raise UnstableClassification("no repeating segment pattern within the horizon")
+
+
+def _primitive_root_length(seq) -> int:
+    """Length of the shortest r with seq = r^k, from the longest border."""
+    border = [0] * len(seq)
+    k = 0
+    for i in range(1, len(seq)):
+        while k and seq[i] != seq[k]:
+            k = border[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        border[i] = k
+    p = len(seq) - border[-1]
+    return p if len(seq) % p == 0 else len(seq)
 
 
 def one_way_simulation_on_pi(
@@ -352,102 +447,59 @@ def one_way_simulation_on_pi(
     The run is cut into segments between last visits of consecutive 1s.
     Each segment's block traversals are mapped onto consecutive copies
     inside the repeated super-block, with the few extra cells of longer
-    blocks simulated in finite control. The per-segment programs repeat
-    with a bounded period, found by search and checked on every observed
-    segment; composing with the block expander gives a one-way machine
-    over the original word.
+    blocks simulated in finite control. Composing with the block expander
+    gives a one-way machine over the original word.
+
+    The walk stops as soon as the segment sequence provably repeats: at 1
+    number n2 in the state the run had at 1 number n1 >= |Q|, with n2 - n1
+    a multiple of the period of the '0'-steps and the head strictly right
+    of 1 number n1 in between (the block form of the crossing-sequence
+    argument; see _walk_to_repeat). Every segment is then known exactly,
+    1…n1-1 as a prefix and n1…n2-1 as a cycle, and the programs use the
+    least preperiod and period of that sequence. ``sim_budget`` only caps
+    the walk: a run that has not repeated by then is refused.
     """
     if direction_partition(t) is None:
         raise InvariantViolation("input machine must be direction-normalized first")
     pi = pi_word(1)
     n_states = len(t.states)
-    states_seq, pos_seq, outlen_seq, out = _simulate_two_way(t, pi, sim_budget)
-    steps = len(pos_seq)
-
-    def onepos(j):
-        return (j * j + 3 * j) // 2 + 1
-
-    max_pos = max(pos_seq)
-    ones = {}
-    j = 0
-    while onepos(j) <= max_pos:
-        ones[onepos(j)] = j
-        j += 1
-
-    futmin = [0] * (steps + 1)
-    futmin[steps] = max_pos + 1
-    for s in range(steps - 1, -1, -1):
-        futmin[s] = min(pos_seq[s], futmin[s + 1])
-    lastvis: dict = {}
-    for s, p in enumerate(pos_seq):
-        if p in ones and futmin[s + 1] > p:
-            lastvis[ones[p]] = s
-
-    sealed = sorted(n for n in lastvis if n + 1 in lastvis and n >= 1)
-    if len(sealed) < 4:
-        raise UnstableClassification("too few sealed segments to detect a pattern")
+    period_base = _zero_period(t)
+    visits, out, steps, n1, n2 = _walk_to_repeat(t, period_base, sim_budget)
+    lastvis = {j: i for i, (j, _state, _outlen) in enumerate(visits)}
 
     def segment(n) -> _Segment:
-        s0, s1 = lastvis[n], lastvis[n + 1]
-        anchors = [s0] + [s for s in range(s0 + 1, s1 + 1) if pos_seq[s] in ones]
+        a, b = lastvis[n], lastvis[n + 1]
         travs = []
-        for a, b in zip(anchors, anchors[1:]):
-            j1, j2 = ones[pos_seq[a]], ones[pos_seq[b]]
+        for (j1, q1, _), (j2, q2, _) in zip(visits[a:b], visits[a + 1: b + 1]):
             if abs(j1 - j2) != 1:
                 raise UnstableClassification("partial block traversal observed")
-            crossed = max(j1, j2)
-            delta = crossed - n
+            delta = max(j1, j2) - n
             if delta < 1:
                 raise UnstableClassification("segment crosses into sealed territory")
-            travs.append(_Traversal(delta, states_seq[a + 1], states_seq[b]))
-        return _Segment(states_seq[s0], tuple(travs))
+            travs.append(_Traversal(delta, t.transitions[(q1, "1")][2], q2))
+        return _Segment(visits[a][1], tuple(travs))
 
-    segments = {n: segment(n) for n in sealed}
-    c = max(tr.delta for seg in segments.values() for tr in seg.traversals)
+    segments = [None] + [segment(n) for n in range(1, n2)]
+    c = max(tr.delta for seg in segments[1:] for tr in seg.traversals)
     if c > c_max:
         raise NoWindowBound(f"segments need a window of {c} blocks, cap is {c_max}")
 
-    zero_next = {q: t.transitions[(q, "0")][2] for q in t.states if (q, "0") in t.transitions}
-    cycle_lengths = set()
-    for q in zero_next:
-        slow = fast = q
-        seen = {}
-        i = 0
-        while slow in zero_next:
-            if slow in seen:
-                cycle_lengths.add(i - seen[slow])
-                break
-            seen[slow] = i
-            slow = zero_next[slow]
-            i += 1
-    period_base = 1
-    for length in cycle_lengths:
-        period_base = period_base * length // math.gcd(period_base, length)
-
-    found = None
-    for n1 in sealed:
-        if found:
-            break
-        for n2 in sealed:
-            if n2 <= n1 or (n2 - n1) % period_base != 0:
-                continue
-            if segments[n1] != segments[n2]:
-                continue
-            period = n2 - n1
-            tail = [n for n in sealed if n >= n1]
-            if all(segments[n] == segments[n1 + (n - n1) % period] for n in tail):
-                found = (n1, period)
-                break
-    if found is None:
-        raise UnstableClassification("no repeating segment pattern within the horizon")
-    n1, period = found
-    programs = [segments[n1 + phi] for phi in range(period)]
+    # least preperiod and period (a multiple of period_base) of the
+    # sequence segments[1:n1] + segments[n1:n2]^ω
+    ids: dict = {}
+    code = [ids.setdefault(seg, len(ids)) for seg in segments]
+    root = _primitive_root_length(code[n1:n2])
+    period = root * period_base // math.gcd(root, period_base)
+    while n1 > 1 and code[n1 - 1] == code[n1 - 1 + period]:
+        n1 -= 1
+    programs = segments[n1: n1 + period]
 
     copies = c * n_states
     if any(len(p.traversals) > copies for p in programs):
         raise NoWindowBound("a segment has more traversals than available copies")
 
-    pre_out = tuple(out[: outlen_seq[lastvis[n1] + 1]])
+    _j, sigma, outlen = visits[lastvis[n1]]
+    pre_out = tuple(out[: outlen + len(t.transitions[(sigma, "1")][0])])
     pre_ones = n1 * copies
 
     def advance(q, times):
@@ -532,4 +584,4 @@ def one_way_simulation_on_pi(
     for i in range(probe_range):
         if i >= len(got) or got[i] != want[i]:
             raise ValidationFailed(i, "one-way replay changed the output")
-    return PiOneWayResult(composed, sim_machine, c, copies)
+    return PiOneWayResult(composed, sim_machine, c, copies, steps)

@@ -196,9 +196,6 @@ class LassoWord(InfiniteWord):
         per = self._per
         return per[(n - len(pre)) % len(per)]
 
-    def _compute(self, n):  # letter() overridden; kept for interface symmetry
-        return self.letter(n)
-
     def canonical(self) -> "LassoWord":
         return canonical_lasso(self.u, self.v)
 
@@ -397,17 +394,6 @@ def pi_word(k: int = 1) -> PiWord:
     if k < 1:
         raise ValueError("k must be >= 1")
     return PiWord(k)
-
-
-class GeneratorWord(InfiniteWord):
-    """Infinite word backed by a letter iterator; letters are cached as pulled."""
-
-    def __init__(self, factory, alphabet: Alphabet):
-        super().__init__(alphabet)
-        self._it = iter(factory())
-
-    def _compute(self, n):
-        return next(self._it)
 
 
 class BlockMirrorWord(InfiniteWord):

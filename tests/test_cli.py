@@ -181,8 +181,10 @@ def test_stalling_run_exits_nonzero(capsys):
     (["run", "-", "(ab#)^ω"], None, "[1, 2]"),
     (["run", "mirror2wft", "(ab#)^ω", "-n", "-3"], None, None),
     (["compare", "pi", "pi", "-n", "many"], None, None),
+    (["run", "-", "(ab)^ω"], None, '{"type": "2wft", "initial": "q"}'),
 ], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
-        "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n"])
+        "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n",
+        "machine-without-fields"])
 def test_malformed_inputs_are_usage_errors(argv, words, stdin, tmp_path, capsys, monkeypatch):
     if words is not None:
         path = tmp_path / "doc.json"

@@ -4,15 +4,20 @@ import pytest
 
 from advicebench import corpus
 from advicebench.analysis import Equal, prefix_equiv
-from advicebench.errors import InvariantViolation, NoWindowBound, UndefinedTransition
+from advicebench.errors import (
+    InvariantViolation,
+    NoWindowBound,
+    UndefinedTransition,
+    UnstableClassification,
+)
 from advicebench.pi_transforms import (
     direction_partition,
     normalize_directions_on_pi,
     one_way_simulation_on_pi,
     pi_k_expander_1wft,
 )
-from advicebench.transducers import run_1wft, run_2wft
-from advicebench.words import lasso, pi_word
+from advicebench.transducers import ENDMARKER, LEFT, RIGHT, TwoWayTransducer, run_1wft, run_2wft
+from advicebench.words import BINARY, Alphabet, lasso, pi_word
 
 PI = pi_word(1)
 
@@ -114,3 +119,58 @@ def test_simulation_over_copies_reads_the_expanded_word():
     result = one_way_simulation_on_pi(machine, c_max=4, probe_range=200)
     over_copies = run_1wft(result.over_copies, pi_word(result.copies))
     assert prefix_equiv(over_copies, run_2wft(machine, PI), 200) == Equal(200)
+
+
+@pytest.mark.parametrize("build, window, copies, states", [
+    (corpus.bounce_probe_2wft, 1, 7, 161),
+    (corpus.stutter_cross_2wft, 1, 5, 85),
+    (corpus.alternating_cross_2wft, 1, 7, 301),
+    (corpus.revisit_probe_2wft, 2, 8, 128),
+], ids=["bounce-probe", "stutter-cross", "alternating-cross", "revisit-probe"])
+def test_one_way_simulation_stops_once_the_pattern_repeats(build, window, copies, states):
+    # revisit-probe is already normalized and passes through unchanged
+    result = one_way_simulation_on_pi(normalize_directions_on_pi(build()))
+    assert (result.window, result.copies, len(result.transducer.states)) == (window, copies, states)
+    assert result.steps < 1000
+
+
+def test_one_way_simulation_does_not_depend_on_the_budget():
+    # a 1 last visited near the end of a fixed horizon once passed for sealed,
+    # so revisit-probe was refused at some budgets and accepted at others
+    machine = corpus.revisit_probe_2wft()
+    default = one_way_simulation_on_pi(machine)
+    want = run_1wft(default.transducer, PI).letters(2000)
+    for budget in (25_000, 200_000):
+        result = one_way_simulation_on_pi(machine, sim_budget=budget)
+        assert (result.window, result.copies) == (default.window, default.copies)
+        assert run_1wft(result.transducer, PI).letters(2000) == want
+
+
+def test_one_way_simulation_budget_is_a_cap():
+    machine = corpus.revisit_probe_2wft()
+    steps = one_way_simulation_on_pi(machine).steps
+    assert one_way_simulation_on_pi(machine, sim_budget=steps).steps == steps
+    with pytest.raises(UnstableClassification):
+        one_way_simulation_on_pi(machine, sim_budget=steps - 1)
+
+
+def test_one_way_simulation_refuses_runs_that_never_repeat():
+    probe = corpus.revisit_probe_2wft()
+    halting = dict(probe.transitions)
+    del halting[("cr2", "0")]
+    # the head passes the first 1, then shuttles between the next two forever
+    shuttle = {
+        ("r0", ENDMARKER): ((), RIGHT, "r0"),
+        ("r0", "1"): (("b",), RIGHT, "r"),
+        ("r", "0"): (("a",), RIGHT, "r"),
+        ("r", "1"): (("b",), LEFT, "l"),
+        ("l", "0"): (("a",), LEFT, "l"),
+        ("l", "1"): (("b",), RIGHT, "r"),
+    }
+    for machine, why in (
+        (TwoWayTransducer(probe.states, probe.initial, BINARY, BINARY, halting), "halts"),
+        (TwoWayTransducer({"r0", "r", "l"}, "r0", BINARY, Alphabet.of("ab"), shuttle), "loops"),
+    ):
+        assert direction_partition(machine) is not None
+        with pytest.raises(UnstableClassification, match=why):
+            one_way_simulation_on_pi(machine)

@@ -11,9 +11,12 @@ from advicebench import corpus
 from advicebench.errors import (
     BudgetExceeded,
     MovedLeftOfEndmarker,
+    NoWindowBound,
     UndefinedTransition,
+    UnstableClassification,
     ValidationFailed,
 )
+from advicebench.pi_transforms import direction_partition, one_way_simulation_on_pi
 from advicebench.sst import (
     Reg,
     SimpleSst,
@@ -35,7 +38,7 @@ from advicebench.transducers import (
     run_2wft,
     run_2wft_b,
 )
-from advicebench.words import Alphabet, lasso
+from advicebench.words import BINARY, Alphabet, lasso, pi_word
 
 AB = Alphabet.of("ab")
 LETTERS = 300
@@ -243,3 +246,39 @@ def test_unlookbehind_of_a_compiled_sst_refuses_or_runs_like_the_sst(s, w):
         return
     got = run_2wft(plain, w, budget=5000).try_letters(LETTERS)[0]
     assert got == run_sst(s, w, budget=5000).try_letters(LETTERS)[0]
+
+
+@st.composite
+def normalized_pi_machines(draw):
+    """Random direction-normalized 2wft on the block word: each state moves
+    one way, '0' steps keep that way and every move enters a state of its
+    own direction. '0' steps are always defined and emit, so that a run
+    crossing blocks yields 1000 letters within the first few dozen."""
+    moves = draw(st.lists(st.sampled_from((RIGHT, LEFT)), min_size=1, max_size=4))
+    movers = {m: [q for q, mq in enumerate(moves) if mq == m] for m in (LEFT, RIGHT)}
+    turns = [m for m in (RIGHT, LEFT) if movers[m]]
+    tr = {}
+    for q, mq in enumerate(moves):
+        tr[(q, "0")] = (tuple(draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=2))),
+                        mq, draw(st.sampled_from(movers[mq])))
+        if defined(draw):
+            move = draw(st.sampled_from(turns))
+            tr[(q, "1")] = (tuple(draw(outputs)), move, draw(st.sampled_from(movers[move])))
+        if movers[RIGHT] and defined(draw):
+            tr[(q, ENDMARKER)] = (tuple(draw(outputs)), RIGHT, draw(st.sampled_from(movers[RIGHT])))
+    return TwoWayTransducer(range(len(moves)), 0, BINARY, AB, tr)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(machine=normalized_pi_machines())
+def test_one_way_simulation_on_pi_refuses_or_runs_like_the_machine(machine):
+    assert direction_partition(machine) is not None
+    try:
+        result = one_way_simulation_on_pi(machine)
+    except (UnstableClassification, NoWindowBound, ValidationFailed):
+        return
+    pi = pi_word(1)
+    want, halt = run_2wft(machine, pi).try_letters(1000)
+    got, got_halt = run_1wft(result.transducer, pi).try_letters(1000)
+    assert got == want
+    assert halt_kind(got_halt) is halt_kind(halt)
