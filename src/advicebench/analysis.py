@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapTooSmall
+from .errors import CapTooSmall, UnstableClassification, ValidationFailed
 from .ltl import GEliminationReport, eliminate_g_subformulas, eval_lasso, finite_prefix_eval, nnf, size
-from .transducers import RunOutcome
+from .transducers import DEFAULT_BUDGET, RunOutcome, lasso_image
 from .words import FiniteWord, InfiniteWord, LassoWord
 
 
@@ -130,6 +130,38 @@ def prefix_equiv(a, b, n: int):
         i = min(len(la), len(lb))
         return Inconclusive(i, ha if len(la) <= len(lb) else hb)
     return Equal(n)
+
+
+def _validate_prefix(result: RunOutcome, original: RunOutcome, n: int, what: str, complete=False):
+    """Refuse a construction whose run differs from the original's within n letters.
+
+    Lengths count. Pass runs with the default budget, not the construction's
+    own: with a small one a run that comes back late looks stalled. With
+    ``complete``, an original shorter than n raises UnstableClassification.
+    """
+    verdict = prefix_equiv(result, original, n)
+    if isinstance(verdict, Equal):
+        return
+    got, want = min(result.produced, n), min(original.produced, n)
+    if complete and want < n:
+        raise UnstableClassification("original output too short to validate")
+    if isinstance(verdict, Diverges):
+        raise ValidationFailed(verdict.index, f"{what} changed the output")
+    if got != want:
+        raise ValidationFailed(min(got, want), f"{what} changed the output length")
+
+
+def _validate_image(result, original, w: LassoWord, budget, what: str):
+    """Refuse a construction whose exact image on the lasso w differs from the
+    original's: other canonical letters, or finite letters ending another way."""
+    budget = max(budget, DEFAULT_BUDGET)
+    images = [lasso_image(machine, w, budget) for machine in (result, original)]
+    keys = [(x.u.letters, x.v.letters, None) if isinstance(x, LassoWord)
+            else (x.word.letters, (), type(x.reason)) for x in images]
+    if keys[0] != keys[1]:
+        n = 1 + sum(len(pre) + len(per) for pre, per, _end in keys)  # a difference shows by n (Fine–Wilf)
+        words = [x if isinstance(x, LassoWord) else x.word for x in images]
+        raise ValidationFailed(prefix_equiv(*words, n).index, f"{what} changed the output")
 
 
 #: Table entry marking positions where the predicate is false.

@@ -350,13 +350,13 @@ def suite_endmarker() -> list[CheckResult]:
     results = []
     source = lasso("", "ab#baa#")
     mirror = mirror_blocks_2wft(Alphabet.of("ab"))
-    trimmed = remove_endmarker(mirror, source, probe=500)
+    trimmed = remove_endmarker(mirror, source)
     ok, detail = _equal(run_2wft(trimmed, source), run_2wft(mirror, source), 500)
     results.append(CheckResult("endmarker removal preserves the mirror machine", ok, detail))
 
     toucher = corpus.endmarker_toucher_2wft()
     source2 = lasso("", "ab")
-    trimmed2 = remove_endmarker(toucher, source2, probe=500)
+    trimmed2 = remove_endmarker(toucher, source2)
     ok, detail = _equal(run_2wft(trimmed2, source2), run_2wft(toucher, source2), 500)
     results.append(CheckResult("endmarker removal preserves a marker-touching machine", ok, detail))
 

@@ -160,25 +160,26 @@ def cmd_compare(ws: Workspace, args) -> int:
     return 0 if isinstance(verdict, Equal) else 1
 
 
+# conversion -> (the machine class it takes, the conversion)
+CONVERSIONS = {
+    "sst2wftb": (SimpleSst, lambda m, ws, args: compile_sst_to_2wftb(m)),
+    "simplify": (Sst, lambda m, ws, args: simplify_to_simple_sst(m, _lasso_arg(ws, args))),
+    "unlookbehind": (LookbehindTransducer, lambda m, ws, args: eliminate_lookbehind_lasso(
+        m, _lasso_arg(ws, args), budget=args.budget)),
+    "normalize-pi": (TwoWayTransducer, lambda m, ws, args: normalize_directions_on_pi(m)),
+    "oneway-pi": (TwoWayTransducer, lambda m, ws, args: one_way_simulation_on_pi(
+        m, c_max=args.cmax).transducer),
+    "remove-endmarker": (TwoWayTransducer, lambda m, ws, args: remove_endmarker(
+        m, ws.word(args.input) if args.input else lasso("", "ab"), budget=args.budget)),
+}
+
+
 def cmd_convert(ws: Workspace, args) -> int:
     machine = ws.machine(args.machine)
-    kind = args.kind
-    if kind == "sst2wftb":
-        result = compile_sst_to_2wftb(machine)
-    elif kind == "simplify":
-        result = simplify_to_simple_sst(machine, _lasso_arg(ws, args))
-    elif kind == "unlookbehind":
-        result = eliminate_lookbehind_lasso(machine, _lasso_arg(ws, args), budget=args.budget)
-    elif kind == "normalize-pi":
-        result = normalize_directions_on_pi(machine)
-    elif kind == "oneway-pi":
-        result = one_way_simulation_on_pi(machine, c_max=args.cmax).transducer
-    elif kind == "remove-endmarker":
-        source = ws.word(args.input) if args.input else lasso("", "ab")
-        result = remove_endmarker(machine, source, budget=args.budget)
-    else:
-        raise UsageError(f"unknown conversion {kind!r}")
-    print(dumps(machine_to_doc(result)))
+    takes, convert = CONVERSIONS[args.kind]
+    if not isinstance(machine, takes):
+        raise UsageError(f"{args.kind} needs a {takes.__name__}, not a {type(machine).__name__}")
+    print(dumps(machine_to_doc(convert(machine, ws, args))))
     return 0
 
 
@@ -207,6 +208,8 @@ def cmd_analyze(ws: Workspace, args) -> int:
                 print(f"{k}\t{profile.counts[k]}\t{profile.exact[k]}\t{profile.stable[k]}")
         return 0
     if args.what == "padding":
+        if args.word is None:
+            raise UsageError("padding analysis needs an advice word")
         formula = ws.formula(args.subject)
         advice = ws.word(args.word)
         if not isinstance(advice, LassoWord):
@@ -235,14 +238,10 @@ def cmd_check(ws: Workspace, args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _letter_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"a letter count is a nonnegative integer, got {text!r}")
-    return n
+def _positive(text: str) -> int:
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="run, convert, compare and analyze automata over infinite words",
     )
     parser.add_argument("-f", "--file", help="JSON document with named words/machines/formulas")
-    parser.add_argument("--budget", type=int,
-                        default=int(os.environ.get("ADVICEBENCH_BUDGET", DEFAULT_BUDGET)),
+    # a string default goes through ``type`` too, so a bad environment value is a usage error
+    parser.add_argument("--budget", type=_positive,
+                        default=os.environ.get("ADVICEBENCH_BUDGET", str(DEFAULT_BUDGET)),
                         help="step budget per requested output letter")
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,28 +262,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="print output letters of a machine on a word")
     p_run.add_argument("machine")
     p_run.add_argument("word")
-    p_run.add_argument("-n", "--letters", type=_letter_count, default=40)
+    p_run.add_argument("-n", "--letters", type=_positive, default=40)
 
     p_cmp = sub.add_parser("compare", help="letterwise comparison of two words")
     p_cmp.add_argument("left")
     p_cmp.add_argument("right")
-    p_cmp.add_argument("-n", "--letters", type=_letter_count, default=100)
+    p_cmp.add_argument("-n", "--letters", type=_positive, default=100)
     p_cmp.add_argument("--word", help="input word when comparing machine runs")
 
     p_conv = sub.add_parser("convert", help="emit a converted machine document")
-    p_conv.add_argument("kind", choices=["sst2wftb", "simplify", "unlookbehind",
-                                         "normalize-pi", "oneway-pi", "remove-endmarker"])
+    p_conv.add_argument("kind", choices=list(CONVERSIONS))
     p_conv.add_argument("machine")
     p_conv.add_argument("--input", help="input word for input-relative conversions")
-    p_conv.add_argument("--cmax", type=int, default=4)
+    p_conv.add_argument("--cmax", type=_positive, default=4)
 
     p_an = sub.add_parser("analyze", help="word measurements")
     p_an.add_argument("what", choices=["complexity", "padding"])
     p_an.add_argument("subject", help="word name (complexity) or formula (padding)")
     p_an.add_argument("word", nargs="?", help="advice word for padding analysis")
-    p_an.add_argument("--kmax", type=int, default=6)
-    p_an.add_argument("--window", type=int, default=2048)
-    p_an.add_argument("--range", type=int, default=30)
+    p_an.add_argument("--kmax", type=_positive, default=6)
+    p_an.add_argument("--window", type=_positive, default=2048)
+    p_an.add_argument("--range", type=_positive, default=30)
 
     p_chk = sub.add_parser("check", help="run a named check suite")
     p_chk.add_argument("suite")

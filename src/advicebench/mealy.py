@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .advice import Dfa
 from .errors import AlphabetMismatch, ExtractionFailed, NotProductAlphabet, UndefinedTransition
+from .transducers import _lasso_cycle
 from .words import Alphabet, FiniteWord, InfiniteWord, LassoWord
 
 
@@ -181,24 +182,16 @@ def extract_mealy_from_pref_dfa(a: Dfa, advice: InfiniteWord, probe: int = 500) 
 
 def mealy_image_lasso(m: MealyMachine, beta: LassoWord) -> LassoWord:
     """Exact lasso form of m's output on an ultimately periodic input."""
-    pre = len(beta.u)
-    per = len(beta.v)
-    outputs = []
-    q = m.initial
-    seen: dict = {}
-    n = 0
-    while True:
-        if n >= pre:
-            key = (q, (n - pre) % per)
-            if key in seen:
-                start = seen[key]
-                u = FiniteWord(tuple(outputs[:start]), m.output_alphabet)
-                v = FiniteWord(tuple(outputs[start:]), m.output_alphabet)
-                return LassoWord(u, v)
-            seen[key] = n
+    outputs: list = []
+
+    def step(q, n):
         hit = m.step(q, beta.letter(n))
         if hit is None:
             raise UndefinedTransition(n, detail=(q, beta.letter(n)))
-        out, q = hit
-        outputs.append(out)
-        n += 1
+        outputs.append(hit[0])
+        return hit[1]
+
+    _states, start, _length = _lasso_cycle(step, m.initial, beta)
+    u = FiniteWord(tuple(outputs[:start]), m.output_alphabet)
+    v = FiniteWord(tuple(outputs[start:]), m.output_alphabet)
+    return LassoWord(u, v)

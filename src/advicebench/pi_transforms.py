@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
+from .analysis import _validate_prefix
 from .errors import (
     InvariantViolation,
     MovedLeftOfEndmarker,
     NoWindowBound,
     UndefinedTransition,
     UnstableClassification,
-    ValidationFailed,
 )
 from .transducers import (
     ENDMARKER,
@@ -27,12 +27,13 @@ from .transducers import (
     RIGHT,
     OneWayTransducer,
     TwoWayTransducer,
+    _lasso_cycle,
     _walk,
     compose_1wft,
     run_1wft,
     run_2wft,
 )
-from .words import BINARY, pi_word
+from .words import BINARY, lasso, pi_word
 
 
 def pi_k_expander_1wft(k: int, strict: bool = False) -> OneWayTransducer:
@@ -312,13 +313,8 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300, sim_
     states = {src for (src, _a) in tr} | {q2 for (_o, _m, q2) in tr.values()}
     result = TwoWayTransducer(states, ("p", 0), t.input_alphabet, t.output_alphabet, tr)
 
-    got, ghalt = run_2wft(result, pi).try_letters(probe_range)
-    want, whalt = run_2wft(t, pi).try_letters(probe_range)
-    if len(want) < probe_range:
-        raise UnstableClassification("original output too short to validate")
-    for i in range(probe_range):
-        if i >= len(got) or got[i] != want[i]:
-            raise ValidationFailed(i, "direction normalization changed the output")
+    _validate_prefix(run_2wft(result, pi), run_2wft(t, pi), probe_range,
+                     "direction normalization", complete=True)
     return result
 
 
@@ -351,18 +347,14 @@ def _zero_period(t: TwoWayTransducer) -> int:
     state and L modulo this number.
     """
     zero_next = {q: t.transitions[(q, "0")][2] for q in t.states if (q, "0") in t.transitions}
+    zeros = lasso("", "0", BINARY)
     period_base = 1
     for q in zero_next:
-        seen = {}
-        i = 0
-        while q in zero_next:
-            if q in seen:
-                length = i - seen[q]
-                period_base = period_base * length // math.gcd(period_base, length)
-                break
-            seen[q] = i
-            q = zero_next[q]
-            i += 1
+        try:
+            _states, _start, length = _lasso_cycle(lambda p, _n: zero_next[p], q, zeros)
+        except KeyError:  # the '0'-steps from q reach a state without one
+            continue
+        period_base = math.lcm(period_base, length)
     return period_base
 
 
@@ -577,11 +569,6 @@ def one_way_simulation_on_pi(
     expander = pi_k_expander_1wft(copies)
     composed = compose_1wft(sim_machine, expander)
 
-    got, _ = run_1wft(composed, pi).try_letters(probe_range)
-    want, _ = run_2wft(t, pi).try_letters(probe_range)
-    if len(want) < probe_range:
-        raise UnstableClassification("original output too short to validate")
-    for i in range(probe_range):
-        if i >= len(got) or got[i] != want[i]:
-            raise ValidationFailed(i, "one-way replay changed the output")
+    _validate_prefix(run_1wft(composed, pi), run_2wft(t, pi), probe_range,
+                     "one-way replay", complete=True)
     return PiOneWayResult(composed, sim_machine, c, copies, steps)

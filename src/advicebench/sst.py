@@ -9,16 +9,15 @@ the input, consulting the machine's own run as a lookbehind oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .advice import Dfa
+from .analysis import _validate_image
 from .errors import (
     AdviceNotLasso,
     BudgetExceeded,
     MalformedSimpleSst,
     NoOutputFunction,
     UndefinedTransition,
-    ValidationFailed,
 )
 from .transducers import (
     ENDMARKER,
@@ -28,11 +27,10 @@ from .transducers import (
     LookbehindTransducer,
     RunOutcome,
     TwoWayTransducer,
+    _lasso_cycle,
     _loop_lasso,
-    _settle_test,
-    _walk,
-    run_2wft,
-    run_2wft_b,
+    _oracle_cycle,
+    _walk_to_image,
 )
 from .words import InfiniteWord, LassoWord, PAD
 
@@ -387,35 +385,20 @@ class _GeneralSstEngine:
         self.step_count += 1
 
 
-def _lasso_run(s: Sst, source: LassoWord):
-    """State sequence of s on the lasso until a (state, period position) repeat."""
-    pre, per = len(source.u), len(source.v)
-    state = s.initial
-    seen: dict = {}
-    seq = [state]
-    n = 0
-    while True:
-        if n >= pre:
-            key = (state, (n - pre) % per)
-            if key in seen:
-                return seq, seen[key], n - seen[key]
-            seen[key] = n
-        k = (state, source.letter(n))
-        if k not in s.transitions:
-            raise UndefinedTransition(n, n, k)
-        state = s.transitions[k]
-        seq.append(state)
-        n += 1
-
-
 def _recurrence_entry(s: Sst, source: LassoWord):
     """Run s on the lasso up to its entry into the recurring states.
 
-    Returns the state sequence of ``_lasso_run``, the recurring states, the
-    cycle length, the entry position and the registers there. From the
+    Returns the states of transducers._lasso_cycle, the recurring states,
+    the cycle length, the entry position and the registers there. From the
     entry on, every step stays inside the recurring states.
     """
-    seq, cycle_start, cycle_len = _lasso_run(s, source)
+    def step(state, n):
+        key = (state, source.letter(n))
+        if key not in s.transitions:
+            raise UndefinedTransition(n, n, key)
+        return s.transitions[key]
+
+    seq, cycle_start, cycle_len = _lasso_cycle(step, s.initial, source)
     recurring = frozenset(seq[cycle_start:])
     entry = cycle_start
     while entry > 0 and seq[entry - 1] in recurring:
@@ -579,7 +562,7 @@ def compile_sst_to_2wftb(s: SimpleSst) -> LookbehindTransducer:
 
 
 def eliminate_lookbehind_lasso(
-    t: LookbehindTransducer, source: LassoWord, budget=DEFAULT_BUDGET, probe=500
+    t: LookbehindTransducer, source: LassoWord, budget=DEFAULT_BUDGET
 ) -> TwoWayTransducer:
     """Replace the lookbehind by a position counter modulo the oracle period.
 
@@ -588,54 +571,20 @@ def eliminate_lookbehind_lasso(
     function of the position residue. Everything before that is hardcoded,
     and a machine that keeps returning is rejected with the detected loop.
     The run is walked until it provably stays beyond the preperiod (see
-    transducers._settle_test); a run that halts before that raises its
-    halt, UndefinedTransition or MovedLeftOfEndmarker, and one that does
-    not settle within ``budget`` steps raises BudgetExceeded.
+    transducers._walk_to_image); a run that halts before that raises its
+    halt, and one that does not settle within ``budget`` steps raises
+    BudgetExceeded. The result must have the original's exact image.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("lookbehind elimination is relative to a lasso input")
-    pre, per = len(source.u), len(source.v)
-    zstates = [t.oracle.initial]
-
-    def zstate(n):
-        while len(zstates) <= n:
-            k = len(zstates) - 1
-            zstates.append(t.oracle.transitions[(zstates[k], source.letter(k))])
-        return zstates[n]
-
-    seen: dict = {}
-    n = 0
-    while True:
-        if n >= pre:
-            key = (zstate(n), (n - pre) % per)
-            if key in seen:
-                ell, period = seen[key], n - seen[key]
-                break
-            seen[key] = n
-        n += 1
-    table = [zstate(ell + r) for r in range(period)]
-
+    zstates, ell, period = _oracle_cycle(t.oracle, source)
+    table = zstates[ell:ell + period]
     out: list = []
-    low_cfgs: dict = {}
-    handoff = None
-    was_low = False
-    # from tape position ell + 1 on, letter and oracle state repeat every period
-    settled = _settle_test(ell + 1, period, out)
-    for step, cfg in enumerate(islice(_walk(t, source, out, t.oracle), budget + 1)):
-        state, pos = cfg
-        if was_low:
-            handoff = (state, pos, len(out))
-        if settled(state, pos) is not None:
-            break
-        was_low = pos <= ell
-        if was_low:
-            if cfg in low_cfgs:
-                cut = low_cfgs[cfg]
-                loop = _loop_lasso(t, out, cut) if len(out) > cut else None
-                raise BudgetExceeded(step, loop=loop,
-                                     message="head keeps returning into the oracle preperiod")
-            low_cfgs[cfg] = len(out)
-    else:
+    step, cut, below, handoff = _walk_to_image(t, source, out, budget)
+    if below:
+        loop = _loop_lasso(t, out, cut) if len(out) > cut else None
+        raise BudgetExceeded(step, loop=loop, message="head keeps returning into the oracle preperiod")
+    if cut is None:
         raise BudgetExceeded(budget, message="head never settled beyond the oracle preperiod")
     q_target, target_pos, emitted_len = handoff
 
@@ -656,11 +605,5 @@ def eliminate_lookbehind_lasso(
     states = {src for (src, _a) in tr} | {v[2] for v in tr.values()}
     result = TwoWayTransducer(states, ("walk", 0), t.input_alphabet, t.output_alphabet, tr)
 
-    got, _ = run_2wft(result, source).try_letters(probe)
-    want, _ = run_2wft_b(t, source).try_letters(probe)
-    for i, (x, y) in enumerate(zip(got, want)):
-        if x != y:
-            raise ValidationFailed(i, "lookbehind elimination changed the output")
-    if len(got) < len(want):
-        raise ValidationFailed(len(got), "lookbehind elimination lost output letters")
+    _validate_image(result, t, source, budget, "lookbehind elimination")
     return result

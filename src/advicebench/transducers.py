@@ -8,19 +8,19 @@ endmarker followed by the input word.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import islice
 
 from .errors import (
+    AdviceNotLasso,
     BudgetExceeded,
     AlphabetMismatch,
     MovedLeftOfEndmarker,
     NonProductive,
     UndefinedTransition,
-    ValidationFailed,
 )
 from .words import (
     Alphabet,
-    ConstantWord,
     FiniteWord,
     InfiniteWord,
     LassoWord,
@@ -127,6 +127,11 @@ class RunOutcome:
     @property
     def visit_counts(self):
         return dict(self._engine.visits)
+
+    @property
+    def produced(self):
+        """Letters output so far; a step may output several at once."""
+        return len(self._engine.out)
 
     def _produce(self, n):
         """The engine's output list, stepped until it holds n letters.
@@ -422,29 +427,13 @@ def visit_bound_check(outcome: RunOutcome, window: int) -> int:
 
 
 def analyze_on_constant(t: TwoWayTransducer, c, budget=DEFAULT_BUDGET) -> LassoWord:
-    """Exact ultimately periodic output of t on the constant word c^ω.
-
-    Detects either an exact configuration repeat, or two steps with equal
-    states whose positions are never undercut in between (the tape right of
-    the endmarker is uniform, so the move sequence then repeats shifted).
-    """
-    out: list = []
-    seen_cfg: dict = {}
-    settled = _settle_test(1, 1, out)
-
-    def finish(cut):
-        if len(out) == cut:
-            raise NonProductive(out[:cut])
-        return _loop_lasso(t, out, cut)
-
-    for cfg in islice(_walk(t, ConstantWord(c, t.input_alphabet), out), budget + 1):
-        if cfg in seen_cfg:
-            return finish(seen_cfg[cfg])
-        seen_cfg[cfg] = len(out)
-        cut = settled(*cfg)
-        if cut is not None:
-            return finish(cut)
-    raise BudgetExceeded(budget, message="no configuration loop found within budget")
+    """Exact ultimately periodic output of t on c^ω; a finite output raises
+    its reason, NonProductive or the halt (see lasso_image)."""
+    alphabet = t.input_alphabet
+    image = lasso_image(t, LassoWord(FiniteWord((), alphabet), FiniteWord((c,), alphabet)), budget)
+    if isinstance(image, FiniteImage):
+        raise image.reason
+    return image
 
 
 def _settle_test(low, per, out):
@@ -492,42 +481,110 @@ def _loop_lasso(t, out, cut):
     )
 
 
+def _lasso_cycle(step, initial, w: LassoWord):
+    """(states, start, length): a one-way run on the lasso w, whose state
+    after letter n is ``step(state, n)``, repeats states[start:start +
+    length] forever. A one-way run is a two-way run that never turns back,
+    so _settle_test finds its first (state, letter residue) repeat."""
+    states: list = []  # its length is the index of the next letter
+    settled = _settle_test(len(w.u), len(w.v), states)
+    state = initial
+    while True:
+        n = len(states)
+        start = settled(state, n)
+        states.append(state)
+        if start is not None:
+            return states, start, n - start
+        state = step(state, n)
+
+
+def _oracle_cycle(oracle, w: LassoWord):
+    """_lasso_cycle of a lookbehind oracle on w: from letter ``start`` on,
+    letters and oracle states repeat every ``length``."""
+    return _lasso_cycle(lambda z, n: oracle.transitions[(z, w.letter(n))], oracle.initial, w)
+
+
+def _walk_to_image(t, source, out, budget, mark=None):
+    """Walk a 2wft or 2wftb until its whole output is known.
+
+    On a lasso u·v^ω the tape (and lookbehind state) repeats every ``per``
+    from position ``low`` on: |v| and |u| + 1, or the oracle's cycle. So the
+    run halts (raised), repeats one of the configurations below ``mark``
+    (default low), or settles (see _settle_test); other inputs get only the
+    repeat test. Returns (step, cut, below, handoff): the output is
+    out[:cut]·out[cut:]^ω (cut None: no verdict in ``budget`` steps), below
+    tells a repeat below mark, handoff is (state, pos, len(out)) after the
+    last configuration below mark."""
+    oracle, settled = getattr(t, "oracle", None), None
+    if isinstance(source, LassoWord):
+        if oracle is None:
+            low, per = len(source.u) + 1, len(source.v)
+        else:
+            _states, ell, per = _oracle_cycle(oracle, source)
+            low = ell + 1
+        settled = _settle_test(low, per, out)
+        mark = low if mark is None else mark
+    memo: dict = {}  # configuration below mark -> len(out) there
+    handoff, was_low = None, False
+    for step, cfg in enumerate(islice(_walk(t, source, out, oracle), budget + 1)):
+        if was_low:
+            handoff = cfg + (len(out),)
+        cut = None if settled is None else settled(*cfg)
+        was_low = cfg[1] < mark
+        if was_low:
+            cut = memo.get(cfg)
+            if cut is None:
+                memo[cfg] = len(out)
+        if cut is not None:
+            return step, cut, was_low, handoff
+    return budget, None, False, handoff
+
+
+@dataclass(frozen=True)
+class FiniteImage:
+    """Whole output of a run that ends; ``reason`` is NonProductive or the halt."""
+
+    word: FiniteWord
+    reason: Exception
+
+
+def lasso_image(t, w: LassoWord, budget=DEFAULT_BUDGET):
+    """Exact output of a 2wft or 2wftb on the lasso w (see _walk_to_image):
+    the canonical LassoWord, or a FiniteImage when the run halts or loops
+    without output. Raises BudgetExceeded when neither shows in ``budget`` steps."""
+    if not isinstance(w, LassoWord):
+        raise AdviceNotLasso("an exact image needs an ultimately periodic input")
+    out: list = []
+    try:
+        _step, cut, _below, _handoff = _walk_to_image(t, w, out, budget)
+    except (UndefinedTransition, MovedLeftOfEndmarker) as halt:
+        return FiniteImage(FiniteWord(tuple(out), t.output_alphabet), halt)
+    if cut is None:
+        raise BudgetExceeded(budget, message="the run neither ended nor settled within budget")
+    if cut < len(out):
+        return _loop_lasso(t, out, cut)
+    word = FiniteWord(tuple(out), t.output_alphabet)
+    return FiniteImage(word, NonProductive(word.letters))
+
+
 def remove_endmarker(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET, probe=500) -> TwoWayTransducer:
     """Fold everything up to the last endmarker visit into a one-step prologue.
 
     The run of t on the input must eventually stop visiting the endmarker;
     a machine bouncing on it forever is rejected with the detected loop.
-    On a lasso input the walk stops once the run settles in the period
-    (see _settle_test), since it can no longer come back; on any other
-    input it takes the whole budget.
+    On a lasso input the walk stops once the run settles (see
+    _walk_to_image) and the result must have the original's exact image;
+    on other inputs it takes the whole budget and checks ``probe`` letters.
     """
     out: list = []
-    zero_cfgs: dict = {}
-    handoff = None
-    was_zero = False
-    settled = None
-    if isinstance(source, LassoWord):
-        settled = _settle_test(len(source.u) + 1, len(source.v), out)
-    for step, (state, pos) in enumerate(islice(_walk(t, source, out), budget + 1)):
-        if was_zero:
-            handoff = (state, len(out))
-        if settled is not None and settled(state, pos) is not None:
-            break
-        was_zero = pos == 0
-        if was_zero:
-            if state in zero_cfgs:
-                cut = zero_cfgs[state]
-                loop = _loop_lasso(t, out, cut) if len(out) > cut else None
-                raise BudgetExceeded(
-                    step,
-                    loop=loop,
-                    message="the endmarker is revisited forever",
-                )
-            zero_cfgs[state] = len(out)
+    step, cut, below, handoff = _walk_to_image(t, source, out, budget, mark=1)
+    if below:
+        loop = _loop_lasso(t, out, cut) if len(out) > cut else None
+        raise BudgetExceeded(step, loop=loop, message="the endmarker is revisited forever")
     if handoff is None:
         raise BudgetExceeded(budget, message="endmarker never read within budget")
 
-    q_target, emitted_len = handoff
+    q_target, _pos, emitted_len = handoff
     prologue_out = tuple(out[:emitted_len])
     boot = ("boot", 0)
     while boot in t.states:
@@ -540,11 +597,10 @@ def remove_endmarker(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_B
         set(t.states) | {boot}, boot, t.input_alphabet, t.output_alphabet, transitions
     )
 
-    got, _ = run_2wft(result, source).try_letters(probe)
-    want, _ = run_2wft(t, source).try_letters(probe)
-    for i, (x, y) in enumerate(zip(got, want)):
-        if x != y:
-            raise ValidationFailed(i, "endmarker removal changed the output")
-    if len(got) != len(want):
-        raise ValidationFailed(min(len(got), len(want)), "endmarker removal changed the output length")
+    from .analysis import _validate_image, _validate_prefix
+
+    if isinstance(source, LassoWord):
+        _validate_image(result, t, source, budget, "endmarker removal")
+    else:
+        _validate_prefix(run_2wft(result, source), run_2wft(t, source), probe, "endmarker removal")
     return result

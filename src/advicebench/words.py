@@ -236,9 +236,6 @@ class ConstantWord(InfiniteWord):
     def letter(self, n: int):
         return self._letter
 
-    def _compute(self, n):
-        return self._letter
-
     def __repr__(self):
         return f"({render_letter(self._letter)})^ω"
 
@@ -251,9 +248,6 @@ class ShiftWord(InfiniteWord):
 
     def letter(self, k: int):
         return self.base.letter(self.n + k)
-
-    def _compute(self, k):
-        return self.letter(k)
 
 
 def shift(w: InfiniteWord, n: int) -> InfiniteWord:
@@ -277,9 +271,6 @@ class DuplicateWord(InfiniteWord):
     def letter(self, k: int):
         return self.base.letter(k // self.n)
 
-    def _compute(self, k):
-        return self.letter(k)
-
 
 def duplicate(w: InfiniteWord, n: int) -> InfiniteWord:
     if n < 1:
@@ -302,9 +293,6 @@ class ConvolutionWord(InfiniteWord):
             else:
                 out.append(op.letter(n))
         return tuple(out)
-
-    def _compute(self, n):
-        return self.letter(n)
 
 
 def convolve(ws):
@@ -382,9 +370,6 @@ class PiWord(InfiniteWord):
             b += 1
         r = n - k * b * (b + 1) // 2
         return "1" if r % (b + 1) == b else "0"
-
-    def _compute(self, n):
-        return self.letter(n)
 
     def __repr__(self):
         return "π" if self.k == 1 else f"π^{self.k}"

@@ -172,26 +172,42 @@ def test_stalling_run_exits_nonzero(capsys):
     assert "stalled" in captured.err
 
 
-@pytest.mark.parametrize("argv, words, stdin", [
-    (["run", "mirror2wft", "(a_#)^ω"], None, None),
-    (["run", "mirror2wft", "w"], {"w": {"kind": "pi", "k": 0}}, None),
-    (["run", "mirror2wft", "w"], {"w": {"kind": "constant", "letter": "_"}}, None),
-    (["run", "mirror2wft", "w"], {"w": {"kind": "lasso", "u": "ab"}}, None),
-    (["run", "-", "(ab#)^ω"], None, "not json"),
-    (["run", "-", "(ab#)^ω"], None, "[1, 2]"),
-    (["run", "mirror2wft", "(ab#)^ω", "-n", "-3"], None, None),
-    (["compare", "pi", "pi", "-n", "many"], None, None),
-    (["run", "-", "(ab)^ω"], None, '{"type": "2wft", "initial": "q"}'),
+@pytest.mark.parametrize("argv, words, stdin, env", [
+    (["run", "mirror2wft", "(a_#)^ω"], None, None, None),
+    (["run", "mirror2wft", "w"], {"w": {"kind": "pi", "k": 0}}, None, None),
+    (["run", "mirror2wft", "w"], {"w": {"kind": "constant", "letter": "_"}}, None, None),
+    (["run", "mirror2wft", "w"], {"w": {"kind": "lasso", "u": "ab"}}, None, None),
+    (["run", "-", "(ab#)^ω"], None, "not json", None),
+    (["run", "-", "(ab#)^ω"], None, "[1, 2]", None),
+    (["run", "mirror2wft", "(ab#)^ω", "-n", "-3"], None, None, None),
+    (["compare", "pi", "pi", "-n", "many"], None, None, None),
+    (["run", "-", "(ab)^ω"], None, '{"type": "2wft", "initial": "q"}', None),
+    (["convert", "sst2wftb", "mirror2wft"], None, None, None),
+    (["convert", "unlookbehind", "mirror_sst", "--input", "(ab#)^ω"], None, None, None),
+    (["convert", "normalize-pi", "mirror_sst"], None, None, None),
+    (["convert", "oneway-pi", "mirror_sst"], None, None, None),
+    (["compare", "pi", "pi", "-n", "0"], None, None, None),
+    (["analyze", "complexity", "pi", "--kmax", "0"], None, None, None),
+    (["analyze", "padding", "F a"], None, None, None),
+    (["words"], None, None, "x"),
+    (["--budget", "-5", "run", "mirror2wft", "(ab#)^ω"], None, None, None),
+    (["analyze", "complexity", "pi", "--window", "-3"], None, None, None),
+    (["analyze", "padding", "F a", "(ab)^ω", "--range", "-1"], None, None, None),
 ], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
         "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n",
-        "machine-without-fields"])
-def test_malformed_inputs_are_usage_errors(argv, words, stdin, tmp_path, capsys, monkeypatch):
+        "machine-without-fields", "sst2wftb-of-a-2wft", "unlookbehind-of-an-sst",
+        "normalize-pi-of-an-sst", "oneway-pi-of-an-sst", "zero-n", "zero-kmax",
+        "padding-without-advice", "budget-environment", "negative-budget",
+        "negative-window", "negative-range"])
+def test_malformed_inputs_are_usage_errors(argv, words, stdin, env, tmp_path, capsys, monkeypatch):
     if words is not None:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"words": words}))
         argv = ["-f", str(path)] + argv
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    if env is not None:
+        monkeypatch.setenv("ADVICEBENCH_BUDGET", env)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error: " in err and "Traceback" not in err

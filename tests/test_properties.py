@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advicebench import corpus
+from advicebench.advice import Dfa
 from advicebench.errors import (
     BudgetExceeded,
     MovedLeftOfEndmarker,
+    NonProductive,
     NoWindowBound,
     UndefinedTransition,
     UnstableClassification,
@@ -29,16 +31,19 @@ from advicebench.transducers import (
     ENDMARKER,
     LEFT,
     RIGHT,
+    FiniteImage,
+    LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
     _settle_test,
     _walk,
+    lasso_image,
     remove_endmarker,
     run_1wft,
     run_2wft,
     run_2wft_b,
 )
-from advicebench.words import BINARY, Alphabet, lasso, pi_word
+from advicebench.words import BINARY, Alphabet, LassoWord, lasso, pi_word
 
 AB = Alphabet.of("ab")
 LETTERS = 300
@@ -176,11 +181,11 @@ def halt_kind(halt):
     return None if halt is None else type(halt)
 
 
-@settings(PROPERTY, max_examples=100)  # a stalling run costs remove_endmarker's validation 10^5 steps
+@PROPERTY
 @given(machine=endmarker_bouncers(), w=lassos)
 def test_remove_endmarker_refuses_or_keeps_the_output(machine, w):
     try:
-        trimmed = remove_endmarker(machine, w, budget=2000, probe=LETTERS)
+        trimmed = remove_endmarker(machine, w, budget=2000)
     except (BudgetExceeded, UndefinedTransition, MovedLeftOfEndmarker, ValidationFailed):
         return
     want, halt = run_2wft(machine, w, budget=2000).try_letters(LETTERS)
@@ -202,6 +207,46 @@ def test_trivial_lookbehind_runs_like_the_plain_machine(machine, w):
     if isinstance(halt, UndefinedTransition):
         assert got_halt.position == halt.position
         assert got_halt.detail == halt.detail + ("z",)  # the oracle's one state
+
+
+SWAP = {"a": "b", "b": "a"}
+
+
+def with_parity_lookbehind(t):
+    """t as a lookbehind machine whose oracle counts a's modulo 2; after an
+    odd count it swaps the letters it outputs. Its run is periodic with the
+    oracle's cycle, which can be twice the input's period."""
+    oracle = Dfa({0, 1}, 0, frozenset(), AB, {(z, a): (z + (a == "a")) % 2 for z in (0, 1) for a in "ab"})
+    tr = {}
+    for (q, a), (out, move, q2) in t.transitions.items():
+        tr[(q, a, 0)] = (out, move, q2)
+        tr[(q, a, 1)] = (tuple(SWAP[x] for x in out), move, q2)
+    return LookbehindTransducer(t.states, t.initial, AB, AB, tr, oracle)
+
+
+def assert_image_is_the_run(image, run, n=500):
+    got, halt = run.try_letters(n)
+    if isinstance(image, LassoWord):
+        assert (got, halt) == ([image.letter(i) for i in range(n)], None)
+        return
+    assert isinstance(image, FiniteImage)
+    assert got == list(image.word.letters[:n])
+    if len(image.word) >= n:
+        assert halt is None
+    elif isinstance(image.reason, NonProductive):
+        assert isinstance(halt, BudgetExceeded) and image.reason.prefix == image.word.letters
+    else:
+        assert type(halt) is type(image.reason) and halt.args == image.reason.args
+
+
+@settings(PROPERTY, max_examples=400)
+@given(machine=st.one_of(two_way_machines(), two_way_machines(marker_moves=(RIGHT,))), w=lassos)
+def test_lasso_image_is_the_raw_run(machine, w):
+    # the raw runs get a budget far above any gap between letters of a
+    # settled run of these machines, so a BudgetExceeded there is a stall
+    assert_image_is_the_run(lasso_image(machine, w), run_2wft(machine, w, budget=2000))
+    for wrapped in (corpus.with_trivial_lookbehind(machine), with_parity_lookbehind(machine)):
+        assert_image_is_the_run(lasso_image(wrapped, w), run_2wft_b(wrapped, w, budget=2000))
 
 
 @settings(PROPERTY, max_examples=300)
@@ -237,11 +282,11 @@ def test_a_settled_run_never_halts_and_never_returns(machine, w):
         assert len(out) == cut
 
 
-@settings(PROPERTY, max_examples=12)  # a stalling run costs the validation 2·10^5 steps
+@settings(PROPERTY, max_examples=40)
 @given(s=simple_ssts(), w=lassos)
 def test_unlookbehind_of_a_compiled_sst_refuses_or_runs_like_the_sst(s, w):
     try:
-        plain = eliminate_lookbehind_lasso(compile_sst_to_2wftb(s), w, probe=LETTERS)
+        plain = eliminate_lookbehind_lasso(compile_sst_to_2wftb(s), w)
     except (BudgetExceeded, UndefinedTransition, MovedLeftOfEndmarker, ValidationFailed):
         return
     got = run_2wft(plain, w, budget=5000).try_letters(LETTERS)[0]

@@ -7,6 +7,7 @@ import pytest
 from advicebench.analysis import Equal, Inconclusive, prefix_equiv
 from advicebench import corpus
 from advicebench.errors import (
+    AdviceNotLasso,
     BudgetExceeded,
     MovedLeftOfEndmarker,
     NonProductive,
@@ -19,11 +20,13 @@ from advicebench.transducers import (
     ENDMARKER,
     LEFT,
     RIGHT,
+    FiniteImage,
     LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
     analyze_on_constant,
     compose_1wft,
+    lasso_image,
     mirror_blocks_2wft,
     mu_transducers,
     remove_endmarker,
@@ -325,6 +328,30 @@ def test_remove_endmarker_rejects_a_result_that_halts_early():
         remove_endmarker(machine, w, budget=1000)
     trimmed = remove_endmarker(machine, w, budget=5000)
     assert prefix_equiv(run_2wft(trimmed, w), run_2wft(machine, w), 500) == Equal(500)
+
+
+def test_lasso_image_of_a_far_return():
+    # the run comes back to the endmarker after 2000 c's, then copies forward
+    image = lasso_image(far_return_2wft(), lasso("c" * 2000 + "ab", "a"))
+    assert image.u.to_str() == "ax" + "c" * 2000 + "ab" and image.v.to_str() == "a"
+
+
+def test_lasso_image_reports_a_stall_and_a_halt():
+    tr = {("q", a): ((), RIGHT, "q") for a in list(AB.letters) + [ENDMARKER]}
+    stall = lasso_image(TwoWayTransducer({"q"}, "q", AB, AB, tr), lasso("a", "b"))
+    assert isinstance(stall, FiniteImage) and stall.word.letters == ()
+    assert isinstance(stall.reason, NonProductive)
+    tr[("q", "b")] = (("a",), LEFT, "p")
+    halt = lasso_image(TwoWayTransducer({"p", "q"}, "q", AB, AB, tr), lasso("a", "b"))
+    assert halt.word.to_str() == "a"
+    assert isinstance(halt.reason, UndefinedTransition) and halt.reason.detail == ("p", "a")
+
+
+def test_lasso_image_needs_a_lasso_and_keeps_its_budget():
+    with pytest.raises(AdviceNotLasso):
+        lasso_image(corpus.drifter_2wft(), ConstantWord("a"))
+    with pytest.raises(BudgetExceeded):
+        lasso_image(far_return_2wft(), lasso("c" * 2000 + "ab", "a"), budget=1000)
 
 
 def test_lookbehind_transducer_rejects_undeclared_states():
