@@ -18,7 +18,6 @@ from .checks import SUITES, run_suite
 from .documents import dumps, load_document, machine_from_doc, machine_to_doc
 from .errors import AdviceBenchError, ParseError, UnresolvedReference
 from .ltl import parse_formula
-from .mealy import MealyMachine, run_mealy
 from .pi_transforms import normalize_directions_on_pi, one_way_simulation_on_pi
 from .sst import Sst, SimpleSst, compile_sst_to_2wftb, eliminate_lookbehind_lasso, run_sst, simplify_to_simple_sst
 from .transducers import (
@@ -89,8 +88,6 @@ class Workspace:
                 data = json.load(sys.stdin)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"standard input: {exc.msg}", line=exc.lineno) from exc
-            if not isinstance(data, dict):
-                raise ParseError("standard input: a machine document must be an object")
             return machine_from_doc(data)
         if self.document and spec in self.document.machines:
             return self.document.machines[spec]
@@ -105,8 +102,6 @@ class Workspace:
 
 
 def _run_machine(machine, source, budget):
-    if isinstance(machine, MealyMachine):
-        return run_mealy(machine, source)
     if isinstance(machine, SimpleSst) or isinstance(machine, Sst):
         return run_sst(machine, source, budget)
     if isinstance(machine, OneWayTransducer):
@@ -131,10 +126,7 @@ def cmd_run(ws: Workspace, args) -> int:
     machine = ws.machine(args.machine)
     source = ws.word(args.word)
     stream = _run_machine(machine, source, args.budget)
-    if hasattr(stream, "try_letters"):
-        letters, halt = stream.try_letters(args.letters)
-    else:
-        letters, halt = [stream.letter(i) for i in range(args.letters)], None
+    letters, halt = stream.try_letters(args.letters)
     print("".join(render_letter(a) for a in letters))
     if halt is not None:
         print(f"stalled: {halt}", file=sys.stderr)

@@ -86,6 +86,8 @@ def word_to_doc(w) -> dict:
         ShiftWord,
     )
 
+    if isinstance(w, ConstantWord):  # a LassoWord, so first
+        return {"kind": "constant", "letter": render_letter(w.letter(0))}
     if isinstance(w, LassoWord):
         return {"kind": "lasso", "u": w.u.to_str(), "v": w.v.to_str()}
     if isinstance(w, PiWord):
@@ -96,8 +98,6 @@ def word_to_doc(w) -> dict:
         return {"kind": "mu", "base": word_to_doc(w.base), "n": w.n}
     if isinstance(w, BlockMirrorWord):
         return {"kind": "mirror", "base": word_to_doc(w.base)}
-    if isinstance(w, ConstantWord):
-        return {"kind": "constant", "letter": render_letter(w.letter(0))}
     raise ParseError(f"word of kind {type(w).__name__} has no document form")
 
 
@@ -106,7 +106,7 @@ def word_from_doc(doc, named=None) -> InfiniteWord:
         return _word_from_doc(doc, named)
     except KeyError as exc:
         raise ParseError(f"word document {doc!r} lacks the field {exc}") from exc
-    except (TypeError, ValueError, EmptyPeriod) as exc:
+    except (TypeError, ValueError, IndexError, EmptyPeriod) as exc:
         raise ParseError(f"malformed word document {doc!r}: {exc}") from exc
 
 
@@ -132,7 +132,10 @@ def _word_from_doc(doc, named) -> InfiniteWord:
     if kind == "constant":
         from .words import ConstantWord
 
-        return ConstantWord(doc["letter"])
+        letter = doc["letter"]
+        if not (isinstance(letter, str) and len(letter) == 1):
+            raise ParseError(f"constant letter {letter!r} must be a single character")
+        return ConstantWord(letter)
     raise ParseError(f"unknown word kind {kind!r}")
 
 
@@ -211,7 +214,7 @@ def mealy_to_doc(m: MealyMachine) -> dict:
         "transitions": sorted(
             (
                 {"from": names[q], "in": a, "out": out, "to": names[q2]}
-                for (q, a), (out, q2) in m.transitions.items()
+                for (q, a), ((out,), q2) in m.transitions.items()
             ),
             key=lambda t: (t["from"], t["in"]),
         ),
@@ -437,6 +440,8 @@ def machine_to_doc(m) -> dict:
 
 
 def machine_from_doc(doc):
+    if not isinstance(doc, dict):
+        raise ParseError(f"machine document must be an object, got {doc!r}")
     kind = doc.get("type")
     try:
         if kind == "dfa":
@@ -474,6 +479,9 @@ class SpecDocument:
 def document_from_data(data) -> SpecDocument:
     if not isinstance(data, dict):
         raise ParseError("document root must be an object")
+    for section in ("words", "machines", "formulas"):
+        if not isinstance(data.get(section, {}), dict):
+            raise ParseError(f"document field {section!r} must be an object")
     words: dict = {}
     pending = dict(data.get("words", {}))
     # resolve references among named words, order independent
@@ -495,13 +503,18 @@ def document_from_data(data) -> SpecDocument:
         machines[name] = machine_from_doc(doc)
     formulas = {}
     for name, text in data.get("formulas", {}).items():
+        if not isinstance(text, str):
+            raise ParseError(f"formula {name!r} must be a string, got {text!r}")
         formulas[name] = parse_formula(text)
     return SpecDocument(words, machines, formulas)
 
 
 def load_document(path: str) -> SpecDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

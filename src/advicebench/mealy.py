@@ -1,59 +1,31 @@
 """Deterministic Mealy machines: letter-to-letter transducers on infinite words.
 
-Includes the extraction of a Mealy machine from a deterministic automaton
-that recognizes the prefixes of some word relative to a fixed advice, the
-delay machine that rebuilds a word from its shift, and composition.
+A Mealy machine is a one-way transducer that emits one letter per step, so
+runs, composition (``compose_1wft``) and lasso images (``lasso_image``) are
+those of transducers. This module adds the extraction of a Mealy machine
+from a deterministic automaton that recognizes the prefixes of some word
+relative to a fixed advice, and the delay machine that rebuilds a word from
+its shift.
 """
 from __future__ import annotations
 
 from .advice import Dfa
-from .errors import AlphabetMismatch, ExtractionFailed, NotProductAlphabet, UndefinedTransition
-from .transducers import _lasso_cycle
-from .words import Alphabet, FiniteWord, InfiniteWord, LassoWord
+from .errors import ExtractionFailed, NotProductAlphabet
+from .transducers import FiniteImage, OneWayTransducer, RunOutcome, lasso_image, run_1wft
+from .words import Alphabet, InfiniteWord, LassoWord
 
 
-class MealyMachine:
+class MealyMachine(OneWayTransducer):
+    """A 1wft whose every transition emits exactly one letter."""
+
     def __init__(self, states, initial, input_alphabet: Alphabet, output_alphabet: Alphabet, transitions):
         """transitions: dict mapping (state, input letter) -> (output letter, next state)."""
-        self.states = frozenset(states)
-        if initial not in self.states:
-            raise ValueError("initial state not in state set")
-        self.initial = initial
-        self.input_alphabet = input_alphabet
-        self.output_alphabet = output_alphabet
-        self.transitions = dict(transitions)
-        for (q, a), (out, q2) in self.transitions.items():
-            if q not in self.states or q2 not in self.states:
-                raise ValueError("transition leaves the state set")
-            if a not in input_alphabet:
-                raise ValueError(f"input letter {a!r} not in the input alphabet")
-            if out not in output_alphabet:
-                raise ValueError(f"output letter {out!r} not in the output alphabet")
-
-    def step(self, q, a):
-        return self.transitions.get((q, a))
+        super().__init__(states, initial, input_alphabet, output_alphabet,
+                         {key: ((out,), q2) for key, (out, q2) in dict(transitions).items()})
 
 
-class MealyOutputWord(InfiniteWord):
-    """Lazy output stream of a Mealy machine run."""
-
-    def __init__(self, machine: MealyMachine, source: InfiniteWord):
-        super().__init__(machine.output_alphabet)
-        self.machine = machine
-        self.source = source
-        self._state = machine.initial
-
-    def _compute(self, n):
-        a = self.source.letter(n)
-        hit = self.machine.step(self._state, a)
-        if hit is None:
-            raise UndefinedTransition(n, detail=(self._state, a))
-        out, self._state = hit
-        return out
-
-
-def run_mealy(m: MealyMachine, source: InfiniteWord) -> InfiniteWord:
-    return MealyOutputWord(m, source)
+def run_mealy(m: MealyMachine, source: InfiniteWord) -> RunOutcome:
+    return run_1wft(m, source)
 
 
 def delay_mealy(first, gamma: Alphabet) -> MealyMachine:
@@ -72,34 +44,6 @@ def delay_mealy(first, gamma: Alphabet) -> MealyMachine:
     return MealyMachine(states, start, gamma, gamma, transitions)
 
 
-def compose_mealy(outer: MealyMachine, inner: MealyMachine) -> MealyMachine:
-    """Machine computing outer(inner(·)) via the product of state spaces."""
-    if not set(inner.output_alphabet.letters) <= set(outer.input_alphabet.letters):
-        raise AlphabetMismatch("outer machine cannot read the inner machine's output")
-    transitions = {}
-    states = set()
-    initial = (inner.initial, outer.initial)
-    frontier = [initial]
-    states.add(initial)
-    while frontier:
-        qi, qo = frontier.pop()
-        for a in inner.input_alphabet.letters:
-            hit = inner.step(qi, a)
-            if hit is None:
-                continue
-            mid, qi2 = hit
-            hit2 = outer.step(qo, mid)
-            if hit2 is None:
-                continue
-            out, qo2 = hit2
-            nxt = (qi2, qo2)
-            transitions[((qi, qo), a)] = (out, nxt)
-            if nxt not in states:
-                states.add(nxt)
-                frontier.append(nxt)
-    return MealyMachine(states, initial, inner.input_alphabet, outer.output_alphabet, transitions)
-
-
 def pref_graph_dfa(m: MealyMachine) -> Dfa:
     """DFA over output×input pairs tracing m's runs; all states accepting.
 
@@ -108,7 +52,7 @@ def pref_graph_dfa(m: MealyMachine) -> Dfa:
     """
     alphabet = Alphabet.product(m.output_alphabet, m.input_alphabet, pad=False)
     transitions = {}
-    for (q, a), (out, q2) in m.transitions.items():
+    for (q, a), ((out,), q2) in m.transitions.items():
         transitions[(q, (out, a))] = q2
     return Dfa(m.states, m.initial, m.states, alphabet, transitions)
 
@@ -119,8 +63,9 @@ def extract_mealy_from_pref_dfa(a: Dfa, advice: InfiniteWord, probe: int = 500) 
     Steps: trim to accepting states that are reachable within accepting
     states and have an accepting continuation; drop all transitions that
     disagree on the output letter for the same state and advice letter;
-    reinterpret what is left as a Mealy machine. The result is validated by
-    running it on the advice for ``probe`` letters.
+    reinterpret what is left as a Mealy machine. The result must stay defined
+    along the advice: exactly on a lasso (its lasso image), on other advice
+    for ``probe`` letters.
     """
     parts = a.alphabet.parts
     if parts is None or len(parts) != 2:
@@ -158,40 +103,27 @@ def extract_mealy_from_pref_dfa(a: Dfa, advice: InfiniteWord, probe: int = 500) 
             continue
         out, adv = letter
         grouped.setdefault((q, adv), []).append((out, q2))
-    transitions = {}
-    for (q, adv), arrows in grouped.items():
-        if len(arrows) != 1:
-            continue
-        out, q2 = arrows[0]
-        transitions[((q, adv))] = (out, q2)
-    mealy_transitions = {(q_adv[0], q_adv[1]): v for q_adv, v in transitions.items()}
+    transitions = {key: arrows[0] for key, arrows in grouped.items() if len(arrows) == 1}
 
     if a.initial not in reach:
         raise ExtractionFailed(0, "initial state does not survive trimming")
-    machine = MealyMachine(reach, a.initial, delta, gamma, mealy_transitions)
+    machine = MealyMachine(reach, a.initial, delta, gamma, transitions)
 
-    # validation probe: the machine must stay defined along the advice
-    q = machine.initial
-    for n in range(probe):
-        hit = machine.step(q, advice.letter(n))
-        if hit is None:
-            raise ExtractionFailed(n)
-        _, q = hit
+    # validation: the machine must stay defined along the advice
+    if isinstance(advice, LassoWord):
+        image = lasso_image(machine, advice)
+        halt = image.reason if isinstance(image, FiniteImage) else None
+    else:
+        _letters, halt = run_1wft(machine, advice).try_letters(probe)
+    if halt is not None:
+        raise ExtractionFailed(halt.position)
     return machine
 
 
 def mealy_image_lasso(m: MealyMachine, beta: LassoWord) -> LassoWord:
-    """Exact lasso form of m's output on an ultimately periodic input."""
-    outputs: list = []
-
-    def step(q, n):
-        hit = m.step(q, beta.letter(n))
-        if hit is None:
-            raise UndefinedTransition(n, detail=(q, beta.letter(n)))
-        outputs.append(hit[0])
-        return hit[1]
-
-    _states, start, _length = _lasso_cycle(step, m.initial, beta)
-    u = FiniteWord(tuple(outputs[:start]), m.output_alphabet)
-    v = FiniteWord(tuple(outputs[start:]), m.output_alphabet)
-    return LassoWord(u, v)
+    """Exact canonical lasso form of m's output on an ultimately periodic
+    input; raises the halt of a run that stops."""
+    image = lasso_image(m, beta)
+    if isinstance(image, FiniteImage):
+        raise image.reason
+    return image

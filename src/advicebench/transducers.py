@@ -20,7 +20,9 @@ from .errors import (
     UndefinedTransition,
 )
 from .words import (
+    PAD,
     Alphabet,
+    ConstantWord,
     FiniteWord,
     InfiniteWord,
     LassoWord,
@@ -48,58 +50,69 @@ ENDMARKER = _EndMarker()
 DEFAULT_BUDGET = 10 ** 5
 
 
-class OneWayTransducer:
+class _Transducer:
+    """The constructor every transducer kind shares.
+
+    transitions: dict key -> (output tuple, *move, next state); a key starts
+    (state, read letter). It checks the states, the moves, that a read
+    letter is in the input alphabet (or PAD, or a kind's extra reads) and
+    that every emitted letter is in the output alphabet.
+    """
+
+    #: letters a transition may read besides the input alphabet's
+    extra_reads = (PAD,)
+    #: the allowed moves, as the part of a value between output and next state
+    moves = ((),)
+
     def __init__(self, states, initial, input_alphabet: Alphabet, output_alphabet: Alphabet, transitions):
-        """transitions: dict (state, letter) -> (output tuple, next state)."""
-        self.states = frozenset(states)
-        if initial not in self.states:
+        self.states = states = frozenset(states)
+        if initial not in states:
             raise ValueError("initial state not in state set")
         self.initial = initial
         self.input_alphabet = input_alphabet
         self.output_alphabet = output_alphabet
-        self.transitions = {}
-        for (q, a), (out, q2) in dict(transitions).items():
-            if q not in self.states or q2 not in self.states:
+        reads = set(input_alphabet.letters).union(self.extra_reads)
+        emits = set(output_alphabet.letters)
+        self.transitions = table = {}
+        for key, value in dict(transitions).items():
+            out, move, q2 = value[0], value[1:-1], value[-1]
+            if type(value) is not tuple or type(out) is not tuple:
+                out, move = tuple(out), tuple(move)
+                value = (out,) + move + (q2,)
+            if key[0] not in states or q2 not in states:
                 raise ValueError("transition leaves the state set")
-            self.transitions[(q, a)] = (tuple(out), q2)
-
-
-class TwoWayTransducer:
-    def __init__(self, states, initial, input_alphabet: Alphabet, output_alphabet: Alphabet, transitions):
-        """transitions: dict (state, letter-or-ENDMARKER) -> (output tuple, move, next state)."""
-        self.states = frozenset(states)
-        if initial not in self.states:
-            raise ValueError("initial state not in state set")
-        self.initial = initial
-        self.input_alphabet = input_alphabet
-        self.output_alphabet = output_alphabet
-        self.transitions = {}
-        for (q, a), (out, move, q2) in dict(transitions).items():
-            if q not in self.states or q2 not in self.states:
-                raise ValueError("transition leaves the state set")
-            if move not in (LEFT, RIGHT):
+            if key[1] not in reads:
+                raise ValueError(f"read letter {key[1]!r} not in the input alphabet")
+            if move not in self.moves:
                 raise ValueError(f"bad move {move!r}")
-            self.transitions[(q, a)] = (tuple(out), move, q2)
+            if not emits.issuperset(out):
+                raise ValueError(f"output {out!r} not in the output alphabet")
+            table[key] = value
 
 
-class LookbehindTransducer:
+class OneWayTransducer(_Transducer):
+    """transitions: dict (state, letter) -> (output tuple, next state)."""
+
+
+class TwoWayTransducer(_Transducer):
+    """transitions: dict (state, letter-or-ENDMARKER) -> (output tuple, move, next state)."""
+
+    extra_reads = (PAD, ENDMARKER)
+    moves = ((LEFT,), (RIGHT,))
+
+
+class LookbehindTransducer(_Transducer):
     """Two-way transducer whose transitions also see the state of a total
-    deterministic automaton run over the input prefix left of the head."""
+    deterministic automaton run over the input prefix left of the head.
+
+    transitions: dict (state, letter-or-ENDMARKER, oracle state) -> (output
+    tuple, move, next state)."""
+
+    extra_reads = TwoWayTransducer.extra_reads
+    moves = TwoWayTransducer.moves
 
     def __init__(self, states, initial, input_alphabet, output_alphabet, transitions, oracle):
-        self.states = frozenset(states)
-        if initial not in self.states:
-            raise ValueError("initial state not in state set")
-        self.initial = initial
-        self.input_alphabet = input_alphabet
-        self.output_alphabet = output_alphabet
-        self.transitions = {}
-        for (q, a, s), (out, move, q2) in dict(transitions).items():
-            if q not in self.states or q2 not in self.states:
-                raise ValueError("transition leaves the state set")
-            if move not in (LEFT, RIGHT):
-                raise ValueError(f"bad move {move!r}")
-            self.transitions[(q, a, s)] = (tuple(out), move, q2)
+        super().__init__(states, initial, input_alphabet, output_alphabet, transitions)
         self.oracle = oracle
         for s in oracle.states:
             for a in input_alphabet.letters:
@@ -402,7 +415,7 @@ def writer_2wft(u: FiniteWord, v: FiniteWord, delta: Alphabet) -> TwoWayTransduc
     """Machine ignoring its input and writing u then v forever."""
     if len(v) == 0:
         raise ValueError("period must be nonempty")
-    out_alpha = v.alphabet
+    out_alpha = Alphabet(dict.fromkeys(v.alphabet.letters + u.alphabet.letters))
     states = {("u", i) for i in range(len(u))} | {("v", i) for i in range(len(v))}
     initial = ("u", 0) if len(u) else ("v", 0)
     tr = {}
@@ -429,8 +442,7 @@ def visit_bound_check(outcome: RunOutcome, window: int) -> int:
 def analyze_on_constant(t: TwoWayTransducer, c, budget=DEFAULT_BUDGET) -> LassoWord:
     """Exact ultimately periodic output of t on c^ω; a finite output raises
     its reason, NonProductive or the halt (see lasso_image)."""
-    alphabet = t.input_alphabet
-    image = lasso_image(t, LassoWord(FiniteWord((), alphabet), FiniteWord((c,), alphabet)), budget)
+    image = lasso_image(t, ConstantWord(c, t.input_alphabet), budget)
     if isinstance(image, FiniteImage):
         raise image.reason
     return image
@@ -548,15 +560,39 @@ class FiniteImage:
     reason: Exception
 
 
+def _one_way_cut(t, w: LassoWord, out):
+    """Run a 1wft on the lasso w until _lasso_cycle closes its cycle, within
+    |u| + |Q|·|v| letters; return the output length where the cycle starts.
+    The letters go to ``out``; a halt is raised as run_1wft raises it."""
+    lookup, read, emit = t.transitions.get, w.letter, out.extend
+    marks: list = []  # len(out) before each letter
+
+    def step(q, n):
+        a = read(n)
+        hit = lookup((q, a))
+        if hit is None:
+            raise UndefinedTransition(n, n, (q, a))
+        marks.append(len(out))
+        emit(hit[0])
+        return hit[1]
+
+    _states, start, _length = _lasso_cycle(step, t.initial, w)
+    return marks[start]
+
+
 def lasso_image(t, w: LassoWord, budget=DEFAULT_BUDGET):
-    """Exact output of a 2wft or 2wftb on the lasso w (see _walk_to_image):
-    the canonical LassoWord, or a FiniteImage when the run halts or loops
-    without output. Raises BudgetExceeded when neither shows in ``budget`` steps."""
+    """Exact output of a 1wft, 2wft or 2wftb on the lasso w: the canonical
+    LassoWord, or a FiniteImage when the run halts or loops without output.
+    A one-way run needs no budget (see _one_way_cut); a two-way run raises
+    BudgetExceeded when neither shows in ``budget`` steps (see _walk_to_image)."""
     if not isinstance(w, LassoWord):
         raise AdviceNotLasso("an exact image needs an ultimately periodic input")
     out: list = []
     try:
-        _step, cut, _below, _handoff = _walk_to_image(t, w, out, budget)
+        if isinstance(t, OneWayTransducer):
+            cut = _one_way_cut(t, w, out)
+        else:
+            _step, cut, _below, _handoff = _walk_to_image(t, w, out, budget)
     except (UndefinedTransition, MovedLeftOfEndmarker) as halt:
         return FiniteImage(FiniteWord(tuple(out), t.output_alphabet), halt)
     if cut is None:

@@ -1,8 +1,9 @@
 """Finite and infinite words.
 
 Infinite words are immutable values evaluated on demand: ``letter(n)`` is
-total, pure, and memoized through a per-word prefix cache, so every
-downstream check can be phrased as a comparison of finite prefixes.
+total and pure, so every downstream check can be phrased as a comparison
+of finite prefixes. Most words compute a letter from its index; a block
+mirror, whose letters come in order, caches them.
 Letters are single-character strings; product letters are tuples; the
 padding letter is the ``PAD`` sentinel and never belongs to an alphabet.
 """
@@ -143,25 +144,12 @@ def word(text: str, alphabet: Alphabet | None = None) -> FiniteWord:
 
 
 class InfiniteWord:
-    """Base class: subclasses fill the memoized prefix cache one letter at a time."""
+    """Base class: a subclass computes ``letter(n)`` from its parts."""
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._cache: list = []
-        self._lock = threading.Lock()
 
     def letter(self, n: int):
-        if n < 0:
-            raise IndexError("letter index must be nonnegative")
-        cache = self._cache
-        if n < len(cache):
-            return cache[n]
-        with self._lock:
-            while len(self._cache) <= n:
-                self._cache.append(self._compute(len(self._cache)))
-        return self._cache[n]
-
-    def _compute(self, n: int):
         raise NotImplementedError
 
     def prefix(self, n: int) -> FiniteWord:
@@ -228,16 +216,12 @@ def canonical_lasso(u: FiniteWord, v: FiniteWord) -> LassoWord:
     return LassoWord(FiniteWord(tuple(ul), alphabet), FiniteWord(tuple(vl), alphabet))
 
 
-class ConstantWord(InfiniteWord):
+class ConstantWord(LassoWord):
+    """c^ω, the lasso with an empty preperiod and the period c."""
+
     def __init__(self, letter, alphabet: Alphabet | None = None):
-        super().__init__(alphabet or infer_alphabet([letter]))
-        self._letter = letter
-
-    def letter(self, n: int):
-        return self._letter
-
-    def __repr__(self):
-        return f"({render_letter(self._letter)})^ω"
+        alphabet = alphabet or infer_alphabet([letter])
+        super().__init__(FiniteWord((), alphabet), FiniteWord((letter,), alphabet))
 
 
 class ShiftWord(InfiniteWord):
@@ -384,7 +368,8 @@ def pi_word(k: int = 1) -> PiWord:
 class BlockMirrorWord(InfiniteWord):
     """Each maximal '#'-free block of the base reversed; '#' positions kept.
 
-    Lookahead to the next '#' is bounded by ``block_budget``.
+    Lookahead to the next '#' is bounded by ``block_budget``. Its letters
+    come in order, so it caches them, under a lock for concurrent readers.
     """
 
     def __init__(self, base: InfiniteWord, block_budget: int = 10 ** 6):
@@ -393,8 +378,20 @@ class BlockMirrorWord(InfiniteWord):
         self.block_budget = block_budget
         self._scan = 0
         self._pending: list = []
+        self._cache: list = []
+        self._lock = threading.Lock()
 
-    def _compute(self, n):
+    def letter(self, n: int):
+        if n < 0:
+            raise IndexError("letter index must be nonnegative")
+        cache = self._cache
+        if n >= len(cache):
+            with self._lock:
+                while len(cache) <= n:
+                    cache.append(self._next())
+        return cache[n]
+
+    def _next(self):
         # _pending holds the marker then the block in reading order, so
         # popping from the end yields the block reversed, then the marker
         if not self._pending:

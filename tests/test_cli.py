@@ -172,11 +172,26 @@ def test_stalling_run_exits_nonzero(capsys):
     assert "stalled" in captured.err
 
 
-@pytest.mark.parametrize("argv, words, stdin, env", [
+def test_a_halting_mealy_run_prints_its_letters_then_stalls(capsys, monkeypatch):
+    doc = {"type": "mealy", "states": ["q"], "initial": "q", "input_alphabet": ["a", "b"],
+           "output_alphabet": ["x"], "transitions": [{"from": "q", "in": "a", "out": "x", "to": "q"}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "run", "-", "aa·(b)^ω", "-n", "5")
+    assert (code, out) == (1, "xx\n")
+    assert err.startswith("stalled: ")
+
+
+ONE_WAY_EMITTING_ZZ = json.dumps({
+    "type": "1wft", "states": ["q"], "initial": "q", "input_alphabet": ["a", "b"],
+    "output_alphabet": ["y"], "transitions": [{"from": "q", "read": "a", "out": "zz", "to": "q"}],
+})
+
+
+@pytest.mark.parametrize("argv, document, stdin, env", [
     (["run", "mirror2wft", "(a_#)^ω"], None, None, None),
-    (["run", "mirror2wft", "w"], {"w": {"kind": "pi", "k": 0}}, None, None),
-    (["run", "mirror2wft", "w"], {"w": {"kind": "constant", "letter": "_"}}, None, None),
-    (["run", "mirror2wft", "w"], {"w": {"kind": "lasso", "u": "ab"}}, None, None),
+    (["run", "mirror2wft", "w"], {"words": {"w": {"kind": "pi", "k": 0}}}, None, None),
+    (["run", "mirror2wft", "w"], {"words": {"w": {"kind": "constant", "letter": "_"}}}, None, None),
+    (["run", "mirror2wft", "w"], {"words": {"w": {"kind": "lasso", "u": "ab"}}}, None, None),
     (["run", "-", "(ab#)^ω"], None, "not json", None),
     (["run", "-", "(ab#)^ω"], None, "[1, 2]", None),
     (["run", "mirror2wft", "(ab#)^ω", "-n", "-3"], None, None, None),
@@ -193,17 +208,27 @@ def test_stalling_run_exits_nonzero(capsys):
     (["--budget", "-5", "run", "mirror2wft", "(ab#)^ω"], None, None, None),
     (["analyze", "complexity", "pi", "--window", "-3"], None, None, None),
     (["analyze", "padding", "F a", "(ab)^ω", "--range", "-1"], None, None, None),
+    (["-f", "no-such-document.json", "words"], None, None, None),
+    (["words"], {"words": 5}, None, None),
+    (["words"], {"machines": {"m": 3}}, None, None),
+    (["words"], {"formulas": {"f": 5}}, None, None),
+    (["run", "mirror2wft", "w"], {"words": {"w": {"kind": "shift", "base": {"kind": "pi"}, "n": -1}}},
+     None, None),
+    (["run", "mirror2wft", "w"], {"words": {"w": {"kind": "constant", "letter": "ab"}}}, None, None),
+    (["run", "-", "(ab)^ω"], None, ONE_WAY_EMITTING_ZZ, None),
 ], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
         "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n",
         "machine-without-fields", "sst2wftb-of-a-2wft", "unlookbehind-of-an-sst",
         "normalize-pi-of-an-sst", "oneway-pi-of-an-sst", "zero-n", "zero-kmax",
         "padding-without-advice", "budget-environment", "negative-budget",
-        "negative-window", "negative-range"])
-def test_malformed_inputs_are_usage_errors(argv, words, stdin, env, tmp_path, capsys, monkeypatch):
-    if words is not None:
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps({"words": words}))
-        argv = ["-f", str(path)] + argv
+        "negative-window", "negative-range", "missing-document", "words-not-an-object",
+        "machine-not-an-object", "formula-not-a-string", "negative-shift",
+        "constant-of-two-letters", "emits-outside-the-output-alphabet"])
+def test_malformed_inputs_are_usage_errors(argv, document, stdin, env, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if document is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(document))
+        argv = ["-f", "doc.json"] + argv
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     if env is not None:

@@ -9,13 +9,13 @@ from advicebench.analysis import Equal, prefix_equiv
 from advicebench.errors import ExtractionFailed, UndefinedTransition
 from advicebench.mealy import (
     MealyMachine,
-    compose_mealy,
     delay_mealy,
     extract_mealy_from_pref_dfa,
     mealy_image_lasso,
     pref_graph_dfa,
     run_mealy,
 )
+from advicebench.transducers import compose_1wft
 from advicebench.words import Alphabet, lasso, pi_word, shift
 
 AB = Alphabet.of("ab")
@@ -65,7 +65,7 @@ def test_delay_on_constant():
 
 def test_compose_identity_is_neutral():
     m = relabel_machine({"a": "b", "b": "a"}, AB, AB)
-    composed = compose_mealy(identity_machine(AB), m)
+    composed = compose_1wft(identity_machine(AB), m)
     w = lasso("a", "ba")
     assert prefix_equiv(run_mealy(composed, w), run_mealy(m, w), 200) == Equal(200)
 
@@ -73,7 +73,7 @@ def test_compose_identity_is_neutral():
 def test_compose_relabel_round_trip():
     to_ab = relabel_machine({"0": "a", "1": "b"}, BIN, AB)
     to_bin = relabel_machine({"a": "0", "b": "1"}, AB, BIN)
-    composed = compose_mealy(to_bin, to_ab)
+    composed = compose_1wft(to_bin, to_ab)
     w = lasso("", "01")
     assert run_mealy(composed, w).prefix_str(8) == "01010101"
 
@@ -81,7 +81,7 @@ def test_compose_relabel_round_trip():
 def test_compose_double_delay():
     inner = delay_mealy("y", AB.letters and Alphabet.of("abxy"))
     outer = delay_mealy("x", Alphabet.of("abxy"))
-    composed = compose_mealy(outer, inner)
+    composed = compose_1wft(outer, inner)
     w = lasso("", "ab", Alphabet.of("abxy"))
     got = run_mealy(composed, w).prefix_str(200)
     assert got == "xy" + w.prefix_str(198)
@@ -103,8 +103,8 @@ def test_compose_associativity_up_to_output():
         m1 = random_total_mealy(rng, AB)
         m2 = random_total_mealy(rng, AB)
         m3 = random_total_mealy(rng, AB)
-        left = compose_mealy(compose_mealy(m1, m2), m3)
-        right = compose_mealy(m1, compose_mealy(m2, m3))
+        left = compose_1wft(compose_1wft(m1, m2), m3)
+        right = compose_1wft(m1, compose_1wft(m2, m3))
         w = lasso("", "ab")
         assert prefix_equiv(run_mealy(left, w), run_mealy(right, w), 200) == Equal(200)
 
@@ -140,6 +140,21 @@ def test_extract_fails_on_conflicting_outputs():
     with pytest.raises(ExtractionFailed) as err:
         extract_mealy_from_pref_dfa(dfa, advice)
     assert err.value.position == 0
+
+
+def test_extract_refuses_a_machine_that_halts_far_along_lasso_advice():
+    # defined on 'a' only: the first 500 letters of a^600·b^ω do not show it
+    product = Alphabet.product(AB, AB, pad=False)
+    dfa = Dfa({"q"}, "q", {"q"}, product, {("q", ("a", "a")): "q"})
+    with pytest.raises(ExtractionFailed) as err:
+        extract_mealy_from_pref_dfa(dfa, lasso("a" * 600, "b"))
+    assert err.value.position == 600
+    # other advice is checked for ``probe`` letters
+    advice = shift(lasso("a" * 601, "b"), 1)
+    extract_mealy_from_pref_dfa(dfa, advice)
+    with pytest.raises(ExtractionFailed) as err:
+        extract_mealy_from_pref_dfa(dfa, advice, probe=700)
+    assert err.value.position == 600
 
 
 def test_extract_round_trip_random_machines():

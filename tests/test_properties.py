@@ -18,6 +18,7 @@ from advicebench.errors import (
     UnstableClassification,
     ValidationFailed,
 )
+from advicebench.mealy import MealyMachine, mealy_image_lasso, run_mealy
 from advicebench.pi_transforms import direction_partition, one_way_simulation_on_pi
 from advicebench.sst import (
     Reg,
@@ -247,6 +248,31 @@ def test_lasso_image_is_the_raw_run(machine, w):
     assert_image_is_the_run(lasso_image(machine, w), run_2wft(machine, w, budget=2000))
     for wrapped in (corpus.with_trivial_lookbehind(machine), with_parity_lookbehind(machine)):
         assert_image_is_the_run(lasso_image(wrapped, w), run_2wft_b(wrapped, w, budget=2000))
+
+
+@settings(PROPERTY, max_examples=250)
+@given(machine=one_way_machines(), w=lassos)
+def test_one_way_lasso_image_is_the_raw_run(machine, w):
+    # a one-way run on these lassos closes its cycle within 19 letters,
+    # so BUDGET steps without a letter is a stall
+    assert_image_is_the_run(lasso_image(machine, w), run_1wft(machine, w, budget=BUDGET))
+
+
+@st.composite
+def mealy_machines(draw):
+    states = range(draw(st.integers(1, 4)))
+    return MealyMachine(states, 0, AB, AB, {
+        (q, a): (draw(st.sampled_from("ab")), draw(st.sampled_from(states)))
+        for q in states for a in AB.letters})
+
+
+@PROPERTY
+@given(machine=mealy_machines(), w=lassos)
+def test_mealy_image_lasso_is_canonical(machine, w):
+    image = mealy_image_lasso(machine, w)
+    canonical = image.canonical()
+    assert (image.u, image.v) == (canonical.u, canonical.v)
+    assert_image_is_the_run(image, run_mealy(machine, w))
 
 
 @settings(PROPERTY, max_examples=300)

@@ -40,9 +40,11 @@ from advicebench.words import (
     PAD,
     Alphabet,
     ConstantWord,
+    LassoWord,
     block_mirror,
     duplicate,
     lasso,
+    pi_word,
     word,
 )
 
@@ -163,6 +165,12 @@ def test_writer_ignores_input():
         got = run_2wft(machine, w)
         expect = lasso("ab", "ba")
         assert prefix_equiv(got, expect, 300) == Equal(300)
+
+
+def test_writer_output_alphabet_covers_the_preperiod():
+    machine = writer_2wft(word("c"), word("ab"), AB)
+    assert machine.output_alphabet == Alphabet.of("abc")
+    assert run_2wft(machine, lasso("", "a")).prefix_str(5) == "cabab"
 
 
 def test_visit_bounds():
@@ -349,7 +357,7 @@ def test_lasso_image_reports_a_stall_and_a_halt():
 
 def test_lasso_image_needs_a_lasso_and_keeps_its_budget():
     with pytest.raises(AdviceNotLasso):
-        lasso_image(corpus.drifter_2wft(), ConstantWord("a"))
+        lasso_image(corpus.drifter_2wft(), pi_word(1))
     with pytest.raises(BudgetExceeded):
         lasso_image(far_return_2wft(), lasso("c" * 2000 + "ab", "a"), budget=1000)
 
@@ -446,3 +454,46 @@ def test_letters_counts_the_halting_steps_letters_on_the_first_call():
     with pytest.raises(MovedLeftOfEndmarker):
         outcome.letters(2)
     assert outcome.letter(0) == "a"
+
+
+def test_a_constant_word_is_a_lasso():
+    constant, periodic = ConstantWord("a"), lasso("", "a")
+    assert isinstance(constant, LassoWord) and repr(constant) == "(a)^ω"
+    image = lasso_image(corpus.drifter_2wft(), constant)
+    want = lasso_image(corpus.drifter_2wft(), periodic)
+    assert (image.u, image.v) == (want.u, want.v)
+    trimmed = remove_endmarker(corpus.endmarker_toucher_2wft(), constant)
+    want = remove_endmarker(corpus.endmarker_toucher_2wft(), periodic)
+    assert trimmed.transitions == want.transitions
+
+
+@pytest.mark.parametrize("kind, transitions", [
+    (OneWayTransducer, {("q", "c"): ((), "q")}),
+    (OneWayTransducer, {("q", ENDMARKER): ((), "q")}),
+    (OneWayTransducer, {("q", "a"): (("z",), "q")}),
+    (OneWayTransducer, {("q", "a"): ((), RIGHT, "q")}),
+    (TwoWayTransducer, {("q", "c"): ((), RIGHT, "q")}),
+    (TwoWayTransducer, {("q", "a"): (("a", "z"), RIGHT, "q")}),
+    (TwoWayTransducer, {("q", "a"): ((), "up", "q")}),
+    (TwoWayTransducer, {("q", "a"): ((), "q")}),
+], ids=["1wft-read", "1wft-endmarker", "1wft-emit", "1wft-move", "2wft-read", "2wft-emit",
+        "2wft-move", "2wft-no-move"])
+def test_transducers_check_letters_and_moves(kind, transitions):
+    with pytest.raises(ValueError):
+        kind({"q"}, "q", AB, AB, transitions)
+
+
+def test_transducers_read_pad_and_two_way_ones_the_endmarker():
+    OneWayTransducer({"q"}, "q", AB, AB, {("q", PAD): (("a",), "q")})
+    TwoWayTransducer({"q"}, "q", AB, AB, {("q", PAD): (("a",), LEFT, "q"),
+                                          ("q", ENDMARKER): ((), RIGHT, "q")})
+
+
+@pytest.mark.parametrize("key, value", [
+    (("q", "c", "z"), ((), RIGHT, "q")),
+    (("q", "a", "z"), (("c",), RIGHT, "q")),
+], ids=["read", "emit"])
+def test_lookbehind_transducer_checks_letters(key, value):
+    oracle = Dfa({"z"}, "z", frozenset(), AB, {("z", a): "z" for a in AB.letters})
+    with pytest.raises(ValueError):
+        LookbehindTransducer({"q"}, "q", AB, AB, {key: value}, oracle)
