@@ -32,9 +32,11 @@ class Dfa:
             raise ValueError("accepting states not in state set")
         self.alphabet = alphabet
         self.transitions = dict(transitions)
-        for (q, _), q2 in self.transitions.items():
+        for (q, a), q2 in self.transitions.items():
             if q not in self.states or q2 not in self.states:
                 raise ValueError("transition leaves the state set")
+            if a not in alphabet:
+                raise ValueError(f"transition letter {a!r} not in the alphabet")
 
     def step(self, q, letter):
         return self.transitions.get((q, letter))

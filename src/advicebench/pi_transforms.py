@@ -458,6 +458,7 @@ def one_way_simulation_on_pi(
     period_base = _zero_period(t)
     visits, out, steps, n1, n2 = _walk_to_repeat(t, period_base, sim_budget)
     lastvis = {j: i for i, (j, _state, _outlen) in enumerate(visits)}
+    silent = visits[lastvis[n1]][2] == len(out)  # the proven cycle emits nothing: out is all
 
     def segment(n) -> _Segment:
         a, b = lastvis[n], lastvis[n + 1]
@@ -569,6 +570,8 @@ def one_way_simulation_on_pi(
     expander = pi_k_expander_1wft(copies)
     composed = compose_1wft(sim_machine, expander)
 
+    if silent and len(out) < probe_range:
+        raise UnstableClassification("original output too short to validate")
     _validate_prefix(run_1wft(composed, pi), run_2wft(t, pi), probe_range,
                      "one-way replay", complete=True)
     return PiOneWayResult(composed, sim_machine, c, copies, steps)

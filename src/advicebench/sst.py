@@ -27,6 +27,7 @@ from .transducers import (
     LookbehindTransducer,
     RunOutcome,
     TwoWayTransducer,
+    _Engine,
     _lasso_cycle,
     _loop_lasso,
     _oracle_cycle,
@@ -292,105 +293,92 @@ class SimpleSst(Sst):
                     raise MalformedSimpleSst(f"register {name} mentions {out}")
 
 
-class _SimpleSstEngine:
+def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, state, pos):
+    """Run s from ``state`` before letter ``pos`` with ``registers``, one
+    step per resumption, as transducers._walk does: yields (state, pos)
+    before every step and streams register ``name`` into ``out``."""
+    transitions, updates, read = s.transitions, s.updates, source.letter
+    update, drain, emit = registers.update, registers.drain, out.extend
+    while True:
+        yield state, pos
+        key = (state, read(pos))
+        if key not in transitions:
+            raise UndefinedTransition(pos, pos, key)
+        update(updates[key])
+        emit(drain(name))
+        state = transitions[key]
+        pos += 1
+
+
+class _SimpleSstEngine(_Engine):
     def __init__(self, s: SimpleSst, source: InfiniteWord):
-        self.s = s
-        self.source = source
-        self.output_alphabet = s.output_alphabet
-        self.state = s.initial
-        self.pos = 0
-        self.step_count = 0
-        self.out: list = []
-        self.registers = _Registers(s.registers)
-        self.visits: dict = {}
-        self.trace: list = []
-
-    def step(self):
-        a = self.source.letter(self.pos)
-        key = (self.state, a)
-        if key not in self.s.transitions:
-            raise UndefinedTransition(self.pos, self.step_count, key)
-        self.registers.update(self.s.updates[key])
-        self.out.extend(self.registers.drain(self.s.out))
-        self.state = self.s.transitions[key]
-        self.pos += 1
-        self.step_count += 1
+        out: list = []
+        registers = _Registers(s.registers)
+        super().__init__(s, out, _walk_sst(s, source, out, registers, s.out, s.initial, 0))
 
 
-class _GeneralSstEngine:
-    """Streams the limit of the output registers for a lasso input.
+class _GeneralSstEngine(_Engine):
+    def __init__(self, s: Sst, source: LassoWord):
+        out: list = []
+        super().__init__(s, out, _walk_limit(s, source, out))
+
+
+def _walk_limit(s: Sst, source: LassoWord, out):
+    """Stream the limit of the output registers of s on a lasso, one step per
+    resumption after the first, which does all the set-up.
 
     The non-final output registers freeze once the run stays on its
     recurring states; the final one grows at its end. Whether the limit is
     finite is decided exactly: per input cycle, the emptiness pattern of
     the registers follows a deterministic map on a finite set, so once a
-    pattern repeats with no emission in between, nothing ever comes.
+    pattern repeats with no emission in between, nothing ever comes. A
+    finite limit is followed by PADs.
     """
+    seq, recurring, start, cycle_len, entry, registers = _recurrence_entry(s, source)
+    if recurring not in s.output_function:
+        raise NoOutputFunction(recurring)
+    regs = s.output_function[recurring]
+    # from the entry on, the output registers only grow at the end of
+    # the last one, so they are streamed now and their ropes dropped
+    for name in regs:
+        out.extend(registers.drain(name))
+    walk = None
+    if regs:
+        walk = _walk_sst(s, source, out, registers, regs[-1], seq[entry], entry)
+        for _ in range(start - entry + 1):  # up to the first cycle start
+            next(walk)
+        if _limit_is_finite(walk, registers, cycle_len, out):
+            walk = None
+    yield  # set up; from here on each resumption is one step
+    if walk is not None:
+        yield from walk
+    while True:
+        out.append(PAD)
+        yield
 
-    def __init__(self, s: Sst, source: LassoWord):
-        self.s = s
-        self.source = source
-        self.output_alphabet = s.output_alphabet
-        self.out: list = []
-        self.step_count = 0
-        self.visits: dict = {}
-        self.trace: list = []
-        self._pad = False
 
-        seq, recurring, cycle_len, entry, registers = _recurrence_entry(s, source)
-        if recurring not in s.output_function:
-            raise NoOutputFunction(recurring)
-        regs = s.output_function[recurring]
-        # from the entry on, the output registers only grow at the end of
-        # the last one, so they are streamed now and their ropes dropped
-        for name in regs:
-            self.out.extend(registers.drain(name))
-        self._last = regs[-1] if regs else None
-        self.registers = registers
-        self.state = seq[entry]
-        self.pos = entry
-
-        if self._last is None or self._limit_is_finite(cycle_len):
-            self._pad = True
-
-    def _limit_is_finite(self, cycle_len: int) -> bool:
-        # which registers are nonempty at a cycle start determines both the
-        # next such pattern and whether the cycle emits anything
-        seen: dict = {}
-        emissions: list = []
-        while True:
-            support = self.registers.nonempty()
-            if support in seen:
-                return not any(emissions[seen[support]:])
-            seen[support] = len(emissions)
-            emitted = 0
-            for _ in range(cycle_len):
-                emitted += self._advance()
-            emissions.append(emitted > 0)
-
-    def _advance(self) -> int:
-        key = (self.state, self.source.letter(self.pos))
-        self.registers.update(self.s.updates[key])
-        grown = self.registers.drain(self._last)
-        self.out.extend(grown)
-        self.state = self.s.transitions[key]
-        self.pos += 1
-        return len(grown)
-
-    def step(self):
-        if self._pad:
-            self.out.append(PAD)
-        else:
-            self._advance()
-        self.step_count += 1
+def _limit_is_finite(walk, registers: _Registers, cycle_len: int, out) -> bool:
+    """Step ``walk``, at an input cycle start, a cycle at a time until the
+    emptiness pattern of the registers repeats; true if no letter came since
+    the pattern was first seen. That pattern at a cycle start determines
+    both the next one and whether the cycle emits anything."""
+    seen: dict = {}  # pattern -> len(out) at its cycle start
+    while True:
+        support = registers.nonempty()
+        if support in seen:
+            return seen[support] == len(out)
+        seen[support] = len(out)
+        for _ in range(cycle_len):
+            next(walk)
 
 
 def _recurrence_entry(s: Sst, source: LassoWord):
     """Run s on the lasso up to its entry into the recurring states.
 
     Returns the states of transducers._lasso_cycle, the recurring states,
-    the cycle length, the entry position and the registers there. From the
-    entry on, every step stays inside the recurring states.
+    the start and length of the cycle, the entry position and the registers
+    there. From the entry on, every step stays inside the recurring states;
+    from the start on, states and letters repeat every cycle length.
     """
     def step(state, n):
         key = (state, source.letter(n))
@@ -409,7 +397,7 @@ def _recurrence_entry(s: Sst, source: LassoWord):
         key = (state, source.letter(i))
         registers.update(s.updates[key])
         state = s.transitions[key]
-    return seq, recurring, cycle_len, entry, registers
+    return seq, recurring, cycle_start, cycle_len, entry, registers
 
 
 def run_sst(s: Sst, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
@@ -431,7 +419,7 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("simplification is relative to an ultimately periodic input")
-    seq, recurring, _cycle_len, entry, registers = _recurrence_entry(s, source)
+    seq, recurring, _start, _cycle_len, entry, registers = _recurrence_entry(s, source)
     if isinstance(s, SimpleSst):
         regs = (s.out,)
     elif recurring in s.output_function:

@@ -118,6 +118,9 @@ class LookbehindTransducer(_Transducer):
             for a in input_alphabet.letters:
                 if (s, a) not in oracle.transitions:
                     raise ValueError("lookbehind oracle must be total on the input alphabet")
+        for key in self.transitions:
+            if key[2] not in oracle.states:
+                raise ValueError(f"lookbehind state {key[2]!r} not in the oracle")
 
 
 class RunOutcome:
@@ -132,14 +135,6 @@ class RunOutcome:
     def status(self):
         """'producing', or the exception describing why the stream stopped."""
         return self._halt if self._halt is not None else "producing"
-
-    @property
-    def trace(self):
-        return self._engine.trace
-
-    @property
-    def visit_counts(self):
-        return dict(self._engine.visits)
 
     @property
     def produced(self):
@@ -214,34 +209,46 @@ class _OutcomeWord(InfiniteWord):
         return self.outcome.letter(n)
 
 
-class _OneWayEngine:
-    def __init__(self, t: OneWayTransducer, source: InfiniteWord, visit_window=512, trace_limit=4096):
-        self.t = t
-        self.source = source
-        self.output_alphabet = t.output_alphabet
-        self.state = t.initial
-        self.pos = 0
+class _Engine:
+    """A run resumed one step at a time: ``kernel`` is a generator like
+    _walk, which yields before every step and appends each step's letters
+    to ``out``. Its first yield, the initial configuration, is taken here."""
+
+    oracle = None  # the lookbehind oracle, on lookbehind runs only
+
+    def __init__(self, machine, out, kernel):
+        self.output_alphabet = machine.output_alphabet
+        self.out = out
         self.step_count = 0
-        self.out: list = []
-        self.visits: dict = {}
-        self.trace: list = []
-        self._visit_window = visit_window
-        self._trace_limit = trace_limit
+        self._kernel = kernel
+        next(kernel)
 
     def step(self):
-        a = self.source.letter(self.pos)
-        hit = self.t.transitions.get((self.state, a))
-        if hit is None:
-            raise UndefinedTransition(self.pos, self.step_count, (self.state, a))
-        out, q2 = hit
-        if self.pos < self._visit_window:
-            self.visits[self.pos] = self.visits.get(self.pos, 0) + 1
-        if len(self.trace) < self._trace_limit:
-            self.trace.append((self.state, self.pos, len(self.out)))
-        self.out.extend(out)
-        self.state = q2
-        self.pos += 1
+        next(self._kernel)
         self.step_count += 1
+
+
+class _OneWayEngine(_Engine):
+    def __init__(self, t: OneWayTransducer, source: InfiniteWord):
+        out: list = []
+        super().__init__(t, out, _walk_one_way(t, source, out))
+
+
+def _walk_one_way(t, source, out):
+    """Run the 1wft t on source, one step per resumption, as _walk does:
+    yields (state, pos) before every step, pos being the index of the
+    letter the step reads, and raises UndefinedTransition(pos, pos, key)."""
+    lookup, read, emit = t.transitions.get, source.letter, out.extend
+    state, pos = t.initial, 0
+    while True:
+        yield state, pos
+        key = (state, read(pos))
+        hit = lookup(key)
+        if hit is None:
+            raise UndefinedTransition(pos, pos, key)
+        emit(hit[0])
+        state = hit[1]
+        pos += 1
 
 
 def _walk(t, source, out, oracle=None):
@@ -285,43 +292,25 @@ def _walk(t, source, out, oracle=None):
         step += 1
 
 
-class _TwoWayEngine:
+class _TwoWayEngine(_Engine):
     """Tape is ENDMARKER followed by the input word; head starts on the marker."""
 
-    def __init__(self, t, source: InfiniteWord, visit_window=512, trace_limit=4096, oracle=None):
-        self.output_alphabet = t.output_alphabet
-        self.step_count = 0
-        self.out: list = []
-        self.visits: dict = {}
-        self.trace: list = []
-        self._visit_window = visit_window
-        self._trace_limit = trace_limit
+    def __init__(self, t, source: InfiniteWord, oracle=None):
+        out: list = []
         self.oracle = oracle
-        self._walk = _walk(t, source, self.out, oracle)
-        self.state, self.pos = next(self._walk)
-
-    def step(self):
-        pos = self.pos
-        if pos < self._visit_window:
-            self.visits[pos] = self.visits.get(pos, 0) + 1
-        if len(self.trace) < self._trace_limit:
-            self.trace.append((self.state, pos, len(self.out)))
-        self.state, self.pos = next(self._walk)
-        self.step_count += 1
+        super().__init__(t, out, _walk(t, source, out, oracle))
 
 
 def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
     return RunOutcome(_OneWayEngine(t, source), budget)
 
 
-def run_2wft(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET, visit_window=512) -> RunOutcome:
-    return RunOutcome(_TwoWayEngine(t, source, visit_window=visit_window), budget)
+def run_2wft(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
+    return RunOutcome(_TwoWayEngine(t, source), budget)
 
 
-def run_2wft_b(t: LookbehindTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET, visit_window=512) -> RunOutcome:
-    return RunOutcome(
-        _TwoWayEngine(t, source, visit_window=visit_window, oracle=t.oracle), budget
-    )
+def run_2wft_b(t: LookbehindTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
+    return RunOutcome(_TwoWayEngine(t, source, oracle=t.oracle), budget)
 
 
 def compose_1wft(outer: OneWayTransducer, inner: OneWayTransducer) -> OneWayTransducer:
@@ -431,12 +420,6 @@ def writer_2wft(u: FiniteWord, v: FiniteWord, delta: Alphabet) -> TwoWayTransduc
     for i in range(len(v)):
         arrow(("v", i), v[i], ("v", (i + 1) % len(v)))
     return TwoWayTransducer(states, initial, delta, out_alpha, tr)
-
-
-def visit_bound_check(outcome: RunOutcome, window: int) -> int:
-    """Maximum recorded head-visit count over tape positions below ``window``."""
-    counts = [c for pos, c in outcome.visit_counts.items() if pos < window]
-    return max(counts, default=0)
 
 
 def analyze_on_constant(t: TwoWayTransducer, c, budget=DEFAULT_BUDGET) -> LassoWord:
@@ -561,23 +544,14 @@ class FiniteImage:
 
 
 def _one_way_cut(t, w: LassoWord, out):
-    """Run a 1wft on the lasso w until _lasso_cycle closes its cycle, within
-    |u| + |Q|·|v| letters; return the output length where the cycle starts.
-    The letters go to ``out``; a halt is raised as run_1wft raises it."""
-    lookup, read, emit = t.transitions.get, w.letter, out.extend
-    marks: list = []  # len(out) before each letter
-
-    def step(q, n):
-        a = read(n)
-        hit = lookup((q, a))
-        if hit is None:
-            raise UndefinedTransition(n, n, (q, a))
-        marks.append(len(out))
-        emit(hit[0])
-        return hit[1]
-
-    _states, start, _length = _lasso_cycle(step, t.initial, w)
-    return marks[start]
+    """Run a 1wft on the lasso w until its cycle closes (as in _lasso_cycle),
+    within |u| + |Q|·|v| letters; return the output length where the cycle
+    starts. The letters go to ``out``; a halt is raised as run_1wft raises it."""
+    settled = _settle_test(len(w.u), len(w.v), out)
+    for state, pos in _walk_one_way(t, w, out):
+        cut = settled(state, pos)
+        if cut is not None:
+            return cut
 
 
 def lasso_image(t, w: LassoWord, budget=DEFAULT_BUDGET):

@@ -170,7 +170,11 @@ class LassoWord(InfiniteWord):
     def __init__(self, u: FiniteWord, v: FiniteWord):
         if len(v) == 0:
             raise EmptyPeriod("period must be nonempty")
-        alphabet = u.alphabet if len(u.alphabet) >= len(v.alphabet) else v.alphabet
+        alphabet = u.alphabet
+        if not set(v.alphabet.letters) <= set(alphabet.letters):
+            alphabet = v.alphabet
+            if not set(u.alphabet.letters) <= set(alphabet.letters):
+                alphabet = Alphabet(dict.fromkeys(u.alphabet.letters + v.alphabet.letters))
         super().__init__(alphabet)
         self.u = u
         self.v = v

@@ -186,6 +186,16 @@ ONE_WAY_EMITTING_ZZ = json.dumps({
     "output_alphabet": ["y"], "transitions": [{"from": "q", "read": "a", "out": "zz", "to": "q"}],
 })
 
+ONE_STATE_DFA = {"type": "dfa", "states": ["s"], "initial": "s", "accepting": [], "alphabet": ["a"],
+                 "transitions": [{"from": "s", "letter": "a", "to": "s"}]}
+DFA_READING_Z = dict(ONE_STATE_DFA, transitions=ONE_STATE_DFA["transitions"] + [
+    {"from": "s", "letter": "z", "to": "s"}])
+LOOKBEHIND_ON_A_MISSING_STATE = {
+    "type": "2wftb", "states": ["q"], "initial": "q", "input_alphabet": ["a"],
+    "output_alphabet": ["a"], "oracle": ONE_STATE_DFA,
+    "transitions": [{"from": "q", "read": "^", "lookbehind": "nope", "out": "", "move": "R", "to": "q"}],
+}
+
 
 @pytest.mark.parametrize("argv, document, stdin, env", [
     (["run", "mirror2wft", "(a_#)^ω"], None, None, None),
@@ -216,6 +226,8 @@ ONE_WAY_EMITTING_ZZ = json.dumps({
      None, None),
     (["run", "mirror2wft", "w"], {"words": {"w": {"kind": "constant", "letter": "ab"}}}, None, None),
     (["run", "-", "(ab)^ω"], None, ONE_WAY_EMITTING_ZZ, None),
+    (["words"], {"machines": {"m": DFA_READING_Z}}, None, None),
+    (["words"], {"machines": {"m": LOOKBEHIND_ON_A_MISSING_STATE}}, None, None),
 ], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
         "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n",
         "machine-without-fields", "sst2wftb-of-a-2wft", "unlookbehind-of-an-sst",
@@ -223,7 +235,8 @@ ONE_WAY_EMITTING_ZZ = json.dumps({
         "padding-without-advice", "budget-environment", "negative-budget",
         "negative-window", "negative-range", "missing-document", "words-not-an-object",
         "machine-not-an-object", "formula-not-a-string", "negative-shift",
-        "constant-of-two-letters", "emits-outside-the-output-alphabet"])
+        "constant-of-two-letters", "emits-outside-the-output-alphabet",
+        "dfa-reads-outside-its-alphabet", "lookbehind-state-not-in-the-oracle"])
 def test_malformed_inputs_are_usage_errors(argv, document, stdin, env, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if document is not None:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from advicebench import corpus
+from advicebench import corpus, pi_transforms
 from advicebench.analysis import Equal, prefix_equiv
 from advicebench.errors import (
     InvariantViolation,
@@ -174,3 +174,18 @@ def test_one_way_simulation_refuses_runs_that_never_repeat():
         assert direction_partition(machine) is not None
         with pytest.raises(UnstableClassification, match=why):
             one_way_simulation_on_pi(machine)
+
+
+def test_a_replay_whose_cycle_is_silent_is_refused_before_validation(monkeypatch):
+    # one letter on the endmarker, then nothing ever: the 300 letters a
+    # validation needs never come, which the proven cycle already shows
+    tr = {("q", a): ((), RIGHT, "q") for a in BINARY.letters}
+    tr[("q", ENDMARKER)] = (("a",), RIGHT, "q")
+    machine = TwoWayTransducer({"q"}, "q", BINARY, Alphabet.of("a"), tr)
+
+    def validate(*_args, **_kwargs):
+        raise AssertionError("validation ran")
+
+    monkeypatch.setattr(pi_transforms, "_validate_prefix", validate)
+    with pytest.raises(UnstableClassification, match="original output too short to validate"):
+        one_way_simulation_on_pi(machine)

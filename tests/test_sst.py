@@ -32,6 +32,7 @@ from advicebench.transducers import (
     LEFT,
     RIGHT,
     LookbehindTransducer,
+    _walk,
     run_2wft,
     run_2wft_b,
 )
@@ -152,6 +153,24 @@ def test_general_sst_flush_then_silent_pads():
     )
     got = run_sst(machine, lasso("a", "b"))
     assert got.letters(5) == ["a", "b", PAD, PAD, PAD]
+
+
+def test_general_sst_checks_its_limit_from_a_cycle_start():
+    # the run is in its recurring state from letter 0 on, but the input
+    # cycle starts after the preperiod a: the finiteness test must count
+    # whole input cycles from there, where b appends a forever
+    machine = Sst(
+        {"s0"}, "s0", AB, AB, ("y",),
+        {("s0", "a"): "s0", ("s0", "b"): "s0"},
+        {
+            ("s0", "a"): Substitution({"y": (Reg("y"),)}),
+            ("s0", "b"): Substitution({"y": (Reg("y"), "a")}),
+        },
+        {frozenset({"s0"}): ("y",)},
+    )
+    assert run_sst(machine, lasso("a", "b")).prefix_str(6) == "aaaaaa"
+    assert run_sst(machine, lasso("", "b")).prefix_str(6) == "aaaaaa"
+    assert run_sst(machine, lasso("b", "a")).letters(3) == ["a", PAD, PAD]
 
 
 def test_general_sst_no_output_function():
@@ -281,10 +300,14 @@ def test_compiled_walk_back_positions():
     sst = corpus.nested_register_sst()
     compiled = compile_sst_to_2wftb(sst)
     source = lasso("", "c")
-    outcome = run_2wft_b(compiled, source, visit_window=64)
-    letters = outcome.letters(3)
+    letters = run_2wft_b(compiled, source).letters(3)
     assert "".join(letters) == "baa"
-    positions = [pos for (_state, pos, _out) in outcome.trace]
+    out: list = []
+    positions = []
+    for _state, pos in _walk(compiled, source, out, compiled.oracle):
+        if len(out) >= 3:
+            break
+        positions.append(pos)
     flat = ",".join(map(str, positions))
     assert "3,2,1,2,1,0,1,2,3" in flat
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -24,6 +26,8 @@ from advicebench.transducers import (
     LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
+    _walk,
+    _walk_one_way,
     analyze_on_constant,
     compose_1wft,
     lasso_image,
@@ -33,7 +37,6 @@ from advicebench.transducers import (
     run_1wft,
     run_2wft,
     run_2wft_b,
-    visit_bound_check,
     writer_2wft,
 )
 from advicebench.words import (
@@ -155,8 +158,12 @@ def test_run_2wft_deterministic_replay():
     one = run_2wft(machine, w)
     two = run_2wft(machine, w)
     assert one.letters(120) == two.letters(120)
-    assert one.trace[:200] == two.trace[:200]
-    assert one.visit_counts == two.visit_counts
+    traces = []
+    for _ in range(2):
+        out: list = []
+        traces.append([cfg + (len(out),) for cfg in islice(_walk(machine, w, out), 200)])
+    assert traces[0] == traces[1]
+    assert Counter(pos for _q, pos, _n in traces[0]) == Counter(pos for _q, pos, _n in traces[1])
 
 
 def test_writer_ignores_input():
@@ -173,32 +180,41 @@ def test_writer_output_alphabet_covers_the_preperiod():
     assert run_2wft(machine, lasso("", "a")).prefix_str(5) == "cabab"
 
 
+def configurations_until(walk, out, letters):
+    """The configurations of a run before the one at which ``out`` first
+    holds ``letters`` letters."""
+    configurations = []
+    for cfg in walk:
+        if len(out) >= letters:
+            return configurations
+        configurations.append(cfg)
+
+
+def most_visits(configurations, window):
+    counts = Counter(pos for _state, pos in configurations)
+    return max((c for pos, c in counts.items() if pos < window), default=0)
+
+
 def test_visit_bounds():
     w = lasso("", "ab")
-    outcome = run_1wft(letter_copier(AB), w)
-    outcome.letters(300)
-    assert visit_bound_check(outcome, 200) == 1
+    out: list = []
+    copier = configurations_until(_walk_one_way(letter_copier(AB), w, out), out, 300)
+    assert most_visits(copier, 200) == 1
 
-    mirror = mirror_blocks_2wft(AB)
-    outcome = run_2wft(mirror, lasso("", "ab#"))
-    outcome.letters(300)
-    assert visit_bound_check(outcome, 200) <= 3
+    out = []
+    mirror = configurations_until(_walk(mirror_blocks_2wft(AB), lasso("", "ab#"), out), out, 300)
+    assert most_visits(mirror, 200) <= 3
 
 
 def test_visit_bound_overflow_means_loop():
     machine = corpus.zigzag_2wft()
-    outcome = run_2wft(machine, lasso("", "ab"), budget=10_000)
-    letters = outcome.letters(40)
-    assert visit_bound_check(outcome, 10) > len(machine.states)
-    # the trace shows a configuration repeat and the output is periodic
-    seen = set()
-    repeat = False
-    for state, pos, _ in outcome.trace:
-        if (state, pos) in seen:
-            repeat = True
-            break
-        seen.add((state, pos))
-    assert repeat
+    w = lasso("", "ab")
+    letters = run_2wft(machine, w, budget=10_000).letters(40)
+    out: list = []
+    configurations = configurations_until(_walk(machine, w, out), out, 40)
+    assert most_visits(configurations, 10) > len(machine.states)
+    # the run shows a configuration repeat and the output is periodic
+    assert len(set(configurations)) < len(configurations)
     assert "".join(letters) == "ab" * 20
 
 

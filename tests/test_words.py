@@ -10,6 +10,7 @@ from advicebench.words import (
     PAD,
     Alphabet,
     FiniteWord,
+    LassoWord,
     block_mirror,
     canonical_lasso,
     convolve,
@@ -168,6 +169,18 @@ def test_empty_period_rejected():
         canonical_lasso(word("a"), word("", Alphabet.of("a")))
     with pytest.raises(EmptyPeriod):
         lasso("a", "")
+
+
+def test_lasso_alphabet_is_the_union_of_its_parts():
+    w = LassoWord(FiniteWord(("c",), Alphabet.of("c")), FiniteWord(("a", "b"), Alphabet.of("ab")))
+    assert set(w.alphabet.letters) == {"a", "b", "c"}
+    assert w.letter(0) in w.alphabet
+    # an alphabet holding the other's letters is kept, with its product parts
+    product = Alphabet.product(Alphabet.of("a"), Alphabet.of("x"))
+    inner = Alphabet([("a", "x")])
+    for u, v in ((product, inner), (inner, product)):
+        w = LassoWord(FiniteWord((), u), FiniteWord((("a", "x"),), v))
+        assert w.alphabet is product
 
 
 def test_convolve_lassos_exact():
