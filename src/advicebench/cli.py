@@ -16,7 +16,7 @@ from . import corpus
 from .analysis import Equal, padding_check, prefix_equiv, subword_complexity
 from .checks import SUITES, run_suite
 from .documents import dumps, load_document, machine_from_doc, machine_to_doc
-from .errors import AdviceBenchError, ParseError, UnresolvedReference
+from .errors import AdviceBenchError, InvariantViolation, NotDeterministic, ParseError, UnresolvedReference
 from .ltl import parse_formula
 from .pi_transforms import normalize_directions_on_pi, one_way_simulation_on_pi
 from .sst import Sst, SimpleSst, compile_sst_to_2wftb, eliminate_lookbehind_lasso, run_sst, simplify_to_simple_sst
@@ -35,6 +35,15 @@ from .words import LassoWord, lasso, render_letter
 
 class UsageError(Exception):
     pass
+
+
+def _load(source: str, load, arg):
+    """A machine document that repeats a transition or breaks an invariant
+    is malformed input too, like one that does not parse."""
+    try:
+        return load(arg)
+    except (NotDeterministic, InvariantViolation) as exc:
+        raise ParseError(f"{source}: {exc}") from exc
 
 
 def parse_word_literal(text: str):
@@ -88,7 +97,7 @@ class Workspace:
                 data = json.load(sys.stdin)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"standard input: {exc.msg}", line=exc.lineno) from exc
-            return machine_from_doc(data)
+            return _load("standard input", machine_from_doc, data)
         if self.document and spec in self.document.machines:
             return self.document.machines[spec]
         if spec in self.builtin_machines:
@@ -300,7 +309,7 @@ def main(argv=None) -> int:
     document = None
     try:
         if args.file:
-            document = load_document(args.file)
+            document = _load(args.file, load_document, args.file)
         ws = Workspace(document)
         return COMMANDS[args.command](ws, args)
     except UsageError as exc:

@@ -1,13 +1,21 @@
 """JSON wire formats for words, machines, and formula collections.
 
-Letters are single printable characters; '_' stands for the padding
-letter (output only) and '^' for the tape endmarker. Product letters are
-written as strings of their track characters. Machine states serialize
-under stable generated names.
+Letters are single printable characters. '_' is the padding letter
+wherever a letter is read or written (lasso words, transition letters,
+register updates, tracks) and '^' the tape endmarker; product letters are
+written as strings of their track characters. A lasso over a product
+alphabet has no word document.
+
+Machine states serialize under generated names s0, s1, ... with the
+initial state first, so a reloaded machine serializes to the same bytes.
+Every machine kind is a row of ``_KINDS``, read by one ``machine_to_doc``
+and one ``machine_from_doc``.
 """
 from __future__ import annotations
 
 import json
+from functools import partial
+from operator import add, itemgetter
 
 from .advice import BuchiAutomaton, Dfa
 from .errors import (
@@ -24,9 +32,15 @@ from .sst import Reg, SimpleSst, Sst, Substitution
 from .transducers import ENDMARKER, LookbehindTransducer, OneWayTransducer, TwoWayTransducer
 from .words import (
     PAD,
+    RESERVED_RENDER,
     Alphabet,
+    BlockMirrorWord,
+    ConstantWord,
+    DuplicateWord,
     InfiniteWord,
     LassoWord,
+    PiWord,
+    ShiftWord,
     block_mirror,
     duplicate,
     lasso,
@@ -36,22 +50,21 @@ from .words import (
 )
 
 ENDMARKER_CHAR = "^"
+#: the letters written as a text other than themselves, and back
+_TEXT_OF_LETTER = {ENDMARKER: ENDMARKER_CHAR, PAD: RESERVED_RENDER}
+_LETTER_OF_TEXT = {text: letter for letter, text in _TEXT_OF_LETTER.items()}
 
 
-def _letter_to_json(letter) -> str:
-    if letter is ENDMARKER:
-        return ENDMARKER_CHAR
-    return render_letter(letter)
+def _texts(letters: tuple):
+    return map(_TEXT_OF_LETTER.get, letters, letters)
 
 
-def _letter_from_json(text: str, product: bool):
-    if text == ENDMARKER_CHAR:
-        return ENDMARKER
-    if not product:
-        if len(text) != 1:
-            raise ParseError(f"letter {text!r} must be a single character")
-        return text
-    return tuple(PAD if c == "_" else c for c in text)
+def _letters(texts: tuple):
+    return map(_LETTER_OF_TEXT.get, texts, texts)
+
+
+def _track_text(letter):
+    return render_letter(letter) if type(letter) is tuple else _TEXT_OF_LETTER.get(letter, letter)
 
 
 def _alphabet_to_json(alphabet: Alphabet):
@@ -68,24 +81,25 @@ def _alphabet_from_json(doc) -> Alphabet:
     return Alphabet(doc)
 
 
-def _name_states(states, initial):
-    ordered = sorted(states, key=repr)
+def _state_key(q) -> str:
+    """repr order, except that the generated names s<k> order by k, so that
+    a reloaded machine keeps its names."""
+    if type(q) is str and q[1:].isdecimal() and q == f"s{int(q[1:])}":
+        return f"'s{int(q[1:]):012d}'"
+    return repr(q)
+
+
+def _name_states(states, initial) -> dict:
+    ordered = sorted(states, key=_state_key if str in set(map(type, states)) else repr)
     ordered.remove(initial)
-    ordered.insert(0, initial)
-    return {q: f"s{i}" for i, q in enumerate(ordered)}
+    return {q: f"s{i}" for i, q in enumerate([initial] + ordered)}
 
 
 # ---------------------------------------------------------------- words
 
 def word_to_doc(w) -> dict:
-    from .words import (
-        BlockMirrorWord,
-        ConstantWord,
-        DuplicateWord,
-        PiWord,
-        ShiftWord,
-    )
-
+    if isinstance(w, LassoWord) and any(isinstance(a, tuple) for a in w.alphabet.letters):
+        raise ParseError("a lasso over a product alphabet has no document form")
     if isinstance(w, ConstantWord):  # a LassoWord, so first
         return {"kind": "constant", "letter": render_letter(w.letter(0))}
     if isinstance(w, LassoWord):
@@ -130,8 +144,6 @@ def _word_from_doc(doc, named) -> InfiniteWord:
     if kind == "mirror":
         return block_mirror(word_from_doc(doc["base"], named))
     if kind == "constant":
-        from .words import ConstantWord
-
         letter = doc["letter"]
         if not (isinstance(letter, str) and len(letter) == 1):
             raise ParseError(f"constant letter {letter!r} must be a single character")
@@ -139,321 +151,174 @@ def _word_from_doc(doc, named) -> InfiniteWord:
     raise ParseError(f"unknown word kind {kind!r}")
 
 
-# ------------------------------------------------------------- automata
+# ------------------------------------------------------------- machines
+#
+# A transition is a row of cells: its state, its fields between "from" and
+# "to" (key fields first) and its next state. Each column of cells is coded
+# by one function, made once per call; per cell that is a dict lookup for
+# state names and letters. A field without a codec passes as it is.
 
-def dfa_to_doc(a: Dfa) -> dict:
-    names = _name_states(a.states, a.initial)
-    return {
-        "type": "dfa",
-        "states": sorted(names.values()),
-        "initial": names[a.initial],
-        "accepting": sorted(names[q] for q in a.accepting),
-        "alphabet": _alphabet_to_json(a.alphabet),
-        "transitions": sorted(
-            (
-                {"from": names[q], "letter": _letter_to_json(letter), "to": names[q2]}
-                for (q, letter), q2 in a.transitions.items()
-            ),
-            key=lambda t: (t["from"], t["letter"]),
-        ),
-    }
+class _Memo(dict):
+    """A dict that fills itself from ``fn``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def dfa_from_doc(doc) -> Dfa:
-    alphabet = _alphabet_from_json(doc["alphabet"])
-    product = alphabet.parts is not None
-    transitions = {}
-    for t in doc["transitions"]:
-        key = (t["from"], _letter_from_json(t["letter"], product))
-        if key in transitions:
-            raise NotDeterministic(f"duplicate transition from {t['from']} on {t['letter']!r}")
-        transitions[key] = t["to"]
-    return Dfa(doc["states"], doc["initial"], doc.get("accepting", []), alphabet, transitions)
-
-
-def buchi_to_doc(b: BuchiAutomaton) -> dict:
-    anchor = sorted(b.initial, key=repr)[0]
-    names = _name_states(b.states, anchor)
-    transitions = []
-    for (q, letter), qs in b.transitions.items():
-        for q2 in sorted(qs, key=repr):
-            transitions.append(
-                {"from": names[q], "letter": _letter_to_json(letter), "to": names[q2]}
-            )
-    transitions.sort(key=lambda t: (t["from"], t["letter"], t["to"]))
-    return {
-        "type": "buchi",
-        "states": sorted(names.values()),
-        "initial": sorted(names[q] for q in b.initial),
-        "accepting": sorted(names[q] for q in b.accepting),
-        "alphabet": _alphabet_to_json(b.alphabet),
-        "transitions": transitions,
-    }
-
-
-def buchi_from_doc(doc) -> BuchiAutomaton:
-    alphabet = _alphabet_from_json(doc["alphabet"])
-    product = alphabet.parts is not None
-    transitions: dict = {}
-    for t in doc["transitions"]:
-        key = (t["from"], _letter_from_json(t["letter"], product))
-        transitions.setdefault(key, set()).add(t["to"])
-    return BuchiAutomaton(
-        doc["states"], doc["initial"], doc.get("accepting", []), alphabet, transitions
-    )
-
-
-def mealy_to_doc(m: MealyMachine) -> dict:
-    names = _name_states(m.states, m.initial)
-    return {
-        "type": "mealy",
-        "states": sorted(names.values()),
-        "initial": names[m.initial],
-        "input_alphabet": list(m.input_alphabet.letters),
-        "output_alphabet": list(m.output_alphabet.letters),
-        "transitions": sorted(
-            (
-                {"from": names[q], "in": a, "out": out, "to": names[q2]}
-                for (q, a), ((out,), q2) in m.transitions.items()
-            ),
-            key=lambda t: (t["from"], t["in"]),
-        ),
-    }
-
-
-def mealy_from_doc(doc) -> MealyMachine:
-    transitions = {}
-    for t in doc["transitions"]:
-        key = (t["from"], t["in"])
-        if key in transitions:
-            raise NotDeterministic(f"duplicate transition from {t['from']} on {t['in']!r}")
-        transitions[key] = (t["out"], t["to"])
-    return MealyMachine(
-        doc["states"],
-        doc["initial"],
-        Alphabet(doc["input_alphabet"]),
-        Alphabet(doc["output_alphabet"]),
-        transitions,
-    )
-
-
-def transducer_to_doc(t) -> dict:
-    names = _name_states(t.states, t.initial)
-    doc = {
-        "states": sorted(names.values()),
-        "initial": names[t.initial],
-        "input_alphabet": list(t.input_alphabet.letters),
-        "output_alphabet": list(t.output_alphabet.letters),
-    }
-    if isinstance(t, OneWayTransducer):
-        doc["type"] = "1wft"
-        doc["transitions"] = sorted(
-            (
-                {
-                    "from": names[q],
-                    "read": _letter_to_json(a),
-                    "out": "".join(render_letter(x) for x in out),
-                    "to": names[q2],
-                }
-                for (q, a), (out, q2) in t.transitions.items()
-            ),
-            key=lambda x: (x["from"], x["read"]),
-        )
-        return doc
-    if isinstance(t, LookbehindTransducer):
-        oracle_names = _name_states(t.oracle.states, t.oracle.initial)
-        doc["type"] = "2wftb"
-        doc["oracle"] = {
-            "type": "dfa",
-            "states": sorted(oracle_names.values()),
-            "initial": oracle_names[t.oracle.initial],
-            "accepting": [],
-            "alphabet": list(t.input_alphabet.letters),
-            "transitions": sorted(
-                (
-                    {"from": oracle_names[q], "letter": a, "to": oracle_names[q2]}
-                    for (q, a), q2 in t.oracle.transitions.items()
-                ),
-                key=lambda x: (x["from"], x["letter"]),
-            ),
-        }
-        doc["transitions"] = sorted(
-            (
-                {
-                    "from": names[q],
-                    "read": _letter_to_json(a),
-                    "lookbehind": oracle_names[s],
-                    "out": "".join(render_letter(x) for x in out),
-                    "move": move,
-                    "to": names[q2],
-                }
-                for (q, a, s), (out, move, q2) in t.transitions.items()
-            ),
-            key=lambda x: (x["from"], x["read"], x["lookbehind"]),
-        )
-        return doc
-    doc["type"] = "2wft"
-    doc["transitions"] = sorted(
-        (
-            {
-                "from": names[q],
-                "read": _letter_to_json(a),
-                "out": "".join(render_letter(x) for x in out),
-                "move": move,
-                "to": names[q2],
-            }
-            for (q, a), (out, move, q2) in t.transitions.items()
-        ),
-        key=lambda x: (x["from"], x["read"]),
-    )
-    return doc
-
-
-def transducer_from_doc(doc):
-    kind = doc["type"]
-    input_alphabet = Alphabet(doc["input_alphabet"])
-    output_alphabet = Alphabet(doc["output_alphabet"])
-    if kind == "1wft":
-        transitions = {}
-        for t in doc["transitions"]:
-            key = (t["from"], _letter_from_json(t["read"], False))
-            if key in transitions:
-                raise NotDeterministic(f"duplicate transition from {t['from']}")
-            transitions[key] = (tuple(t["out"]), t["to"])
-        return OneWayTransducer(doc["states"], doc["initial"], input_alphabet, output_alphabet, transitions)
-    if kind == "2wft":
-        transitions = {}
-        for t in doc["transitions"]:
-            key = (t["from"], _letter_from_json(t["read"], False))
-            if key in transitions:
-                raise NotDeterministic(f"duplicate transition from {t['from']}")
-            transitions[key] = (tuple(t["out"]), t["move"], t["to"])
-        return TwoWayTransducer(doc["states"], doc["initial"], input_alphabet, output_alphabet, transitions)
-    if kind == "2wftb":
-        oracle = dfa_from_doc(doc["oracle"])
-        transitions = {}
-        for t in doc["transitions"]:
-            key = (t["from"], _letter_from_json(t["read"], False), t["lookbehind"])
-            if key in transitions:
-                raise NotDeterministic(f"duplicate transition from {t['from']}")
-            transitions[key] = (tuple(t["out"]), t["move"], t["to"])
-        return LookbehindTransducer(doc["states"], doc["initial"], input_alphabet, output_alphabet, transitions, oracle)
-    raise ParseError(f"unknown transducer type {kind!r}")
-
-
-def _tokens_to_text(tokens) -> str:
-    return " ".join(tok.name if isinstance(tok, Reg) else tok for tok in tokens)
-
-
-def _tokens_from_text(text: str, registers) -> tuple:
+# str.split and dict.items raise a TypeError on another JSON value, and
+# machine_from_doc reports it as a ParseError.
+def _text_tokens(text, registers) -> tuple:
     tokens = []
-    for piece in text.split():
+    for piece in str.split(text):
         if piece in registers:
             tokens.append(Reg(piece))
         elif len(piece) == 1:
-            tokens.append(piece)
+            tokens.append(_LETTER_OF_TEXT.get(piece, piece))
         else:
             raise ParseError(f"token {piece!r} is neither a register nor a letter")
     return tuple(tokens)
 
 
-def sst_to_doc(s: Sst) -> dict:
-    names = _name_states(s.states, s.initial)
-    simple = isinstance(s, SimpleSst)
-    doc = {
-        "type": "sst",
-        "simple": simple,
-        "registers": list(s.registers),
-        "states": sorted(names.values()),
-        "initial": names[s.initial],
-        "input_alphabet": list(s.input_alphabet.letters),
-        "output_alphabet": list(s.output_alphabet.letters),
-        "transitions": sorted(
-            (
-                {
-                    "from": names[q],
-                    "in": a,
-                    "to": names[s.transitions[(q, a)]],
-                    "update": {
-                        name: _tokens_to_text(sub.rhs(name)) for name in s.registers
-                    },
-                }
-                for (q, a), sub in s.updates.items()
-            ),
-            key=lambda x: (x["from"], x["in"]),
-        ),
-    }
-    if simple:
-        doc["out"] = s.out
-    else:
-        doc["output_function"] = sorted(
-            (
-                {"P": sorted(names[q] for q in pset), "value": " ".join(regs)}
-                for pset, regs in s.output_function.items()
-            ),
-            key=lambda x: x["P"],
-        )
-    return doc
+def _update_decoder(header):
+    registers = header["registers"]
+    return partial(map, lambda update: Substitution(
+        {name: _text_tokens(text, registers) for name, text in dict.items(update)}))
 
 
-def sst_from_doc(doc) -> Sst:
-    registers = list(doc["registers"])
-    transitions = {}
-    updates = {}
-    for t in doc["transitions"]:
-        key = (t["from"], t["in"])
-        if key in transitions:
-            raise NotDeterministic(f"duplicate transition from {t['from']} on {t['in']!r}")
-        transitions[key] = t["to"]
-        updates[key] = Substitution(
-            {name: _tokens_from_text(text, registers) for name, text in t["update"].items()}
-        )
-    input_alphabet = Alphabet(doc["input_alphabet"])
-    output_alphabet = Alphabet(doc["output_alphabet"])
-    if doc.get("simple"):
-        return SimpleSst(
-            doc["states"], doc["initial"], input_alphabet, output_alphabet,
-            registers, transitions, updates, out=doc.get("out", "out"),
-        )
-    output_function = {
-        frozenset(entry["P"]): tuple(entry["value"].split())
-        for entry in doc.get("output_function", [])
-    }
-    return Sst(
-        doc["states"], doc["initial"], input_alphabet, output_alphabet,
-        registers, transitions, updates, output_function,
-    )
+def _update_encoder(m):
+    return partial(map, lambda sub: {name: " ".join(
+        tok.name if isinstance(tok, Reg) else _TEXT_OF_LETTER.get(tok, tok) for tok in sub.rhs(name))
+        for name in m.registers})
+
+
+# A cell codec is two factories of a column's function: the encoder's takes
+# the machine, the decoder's the decoded machine-level fields.
+_LETTER = (lambda m: _texts, lambda header: _letters)
+_TRACKS = (  # an automaton's letters may be product letters, written as their tracks
+    lambda m: partial(map, _track_text) if m.alphabet.parts is not None else _texts,
+    lambda header: partial(map, lambda text: _LETTER_OF_TEXT.get(text) or tuple(_letters(text)))
+    if header["alphabet"].parts is not None else _letters)
+_WORD = (lambda m: partial(map, _Memo(lambda out: "".join(map(render_letter, out))).__getitem__),
+         lambda header: partial(map, tuple))  # a transducer never emits '_' or '^'
+_ONE_LETTER = (lambda m: lambda outs: _texts(tuple(map(itemgetter(0), outs))),
+               lambda header: _letters)  # a Mealy output: the one letter of a word
+_LOOKBEHIND = (lambda m: partial(map, _name_states(m.oracle.states, m.oracle.initial).__getitem__),
+               lambda header: None)
+_UPDATE = (_update_encoder, _update_decoder)
+
+# A machine-level field besides "states" and "initial": (name, encode(machine,
+# state names), decode(document)).
+_AUTOMATON = (
+    ("accepting", lambda m, names: sorted(names[q] for q in m.accepting), lambda doc: doc.get("accepting", [])),
+    ("alphabet", lambda m, names: _alphabet_to_json(m.alphabet), lambda doc: _alphabet_from_json(doc["alphabet"])),
+)
+_TRANSDUCER = (
+    ("input_alphabet", lambda m, names: list(m.input_alphabet.letters), lambda doc: Alphabet(doc["input_alphabet"])),
+    ("output_alphabet", lambda m, names: list(m.output_alphabet.letters), lambda doc: Alphabet(doc["output_alphabet"])),
+)
+_SST = _TRANSDUCER + (("registers", lambda m, names: list(m.registers), lambda doc: list(doc["registers"])),)
+
+
+def _transducer_rows(m):
+    return map(add, m.transitions, m.transitions.values())
+
+
+def _sst_rows(m):
+    return (key + (sub, m.transitions[key]) for key, sub in m.updates.items())
+
+
+def _sst(cls, transitions, **header):
+    """An sst's cells after its key are its update and its next state."""
+    return cls(transitions={key: q2 for key, (_, q2) in transitions.items()},
+               updates={key: sub for key, (sub, _) in transitions.items()}, **header)
+
+
+def _row_dict(*fields):
+    """A transition's dict from its cells: a dict display, several times faster than dict(zip(...))."""
+    x, y, z, w = fields + (None,) * (4 - len(fields))
+    return (lambda q, a, q2: {"from": q, x: a, "to": q2},
+            lambda q, a, b, q2: {"from": q, x: a, y: b, "to": q2},
+            lambda q, a, b, c, q2: {"from": q, x: a, y: b, z: c, "to": q2},
+            lambda q, a, b, c, d, q2: {"from": q, x: a, y: b, z: c, w: d, "to": q2})[len(fields) - 1]
+
+
+class _Kind:
+    """The wire format of one machine class. ``fixed`` is what its documents
+    all say: the type, and for an sst whether it is simple. ``rows`` gives its
+    transitions as rows of cells; ``fields`` are (name, cell codec or None),
+    the first ``keys`` of them key fields; ``header`` are its machine-level
+    fields; ``build`` takes the decoded fields and ``transitions`` as keywords.
+    A Büchi automaton is ``nondeterministic``: it has sets of initial states
+    and of successors."""
+
+    def __init__(self, fixed, cls, rows, fields, keys, header, build=None, nondeterministic=False):
+        self.fixed, self.cls, self.rows, self.header = fixed, cls, rows, header
+        self.codecs = [codec for _, codec in fields]
+        wire = ("from", *(name for name, _ in fields), "to")
+        self.cells = itemgetter(*wire)
+        self.row_dict = _row_dict(*wire[1:-1])
+        self.cut = 1 + keys
+        self.sort_key = itemgetter(*wire[:self.cut], "to")
+        self.build = build or cls
+        self.nondeterministic = nondeterministic
+
+
+_KINDS = (
+    _Kind({"type": "dfa"}, Dfa, lambda m: map(add, m.transitions, zip(m.transitions.values())),
+          (("letter", _TRACKS),), 1, _AUTOMATON),
+    _Kind({"type": "buchi"}, BuchiAutomaton,
+          lambda m: (key + (q2,) for key, qs in m.transitions.items() for q2 in qs),
+          (("letter", _TRACKS),), 1, _AUTOMATON, nondeterministic=True),
+    _Kind({"type": "mealy"}, MealyMachine, _transducer_rows, (("in", _LETTER), ("out", _ONE_LETTER)), 1, _TRANSDUCER),
+    _Kind({"type": "1wft"}, OneWayTransducer, _transducer_rows, (("read", _LETTER), ("out", _WORD)), 1, _TRANSDUCER),
+    _Kind({"type": "2wft"}, TwoWayTransducer, _transducer_rows,
+          (("read", _LETTER), ("out", _WORD), ("move", None)), 1, _TRANSDUCER),
+    _Kind({"type": "2wftb"}, LookbehindTransducer, _transducer_rows,
+          (("read", _LETTER), ("lookbehind", _LOOKBEHIND), ("out", _WORD), ("move", None)), 2,
+          _TRANSDUCER + (("oracle", lambda m, names: dict(machine_to_doc(m.oracle), accepting=[]),
+                          lambda doc: _machine_from_doc(doc["oracle"], _KIND_OF_CLASS[Dfa])),)),
+    _Kind({"type": "sst", "simple": True}, SimpleSst, _sst_rows, (("in", _LETTER), ("update", _UPDATE)), 1,
+          _SST + (("out", lambda m, names: m.out, lambda doc: doc.get("out", "out")),),
+          build=partial(_sst, SimpleSst)),
+    _Kind({"type": "sst", "simple": False}, Sst, _sst_rows, (("in", _LETTER), ("update", _UPDATE)), 1,
+          _SST + (("output_function", lambda m, names: sorted(
+              ({"P": sorted(names[q] for q in pset), "value": " ".join(regs)}
+               for pset, regs in m.output_function.items()), key=itemgetter("P")),
+              lambda doc: {frozenset(entry["P"]): tuple(str.split(entry["value"]))
+                           for entry in doc.get("output_function", [])}),),
+          build=partial(_sst, Sst)),
+)
+_KIND_OF_CLASS = {kind.cls: kind for kind in _KINDS}
+_KIND_OF_DOC = {(kind.fixed["type"], kind.fixed.get("simple", False)): kind for kind in _KINDS}
+
+
+def _code(functions, columns):
+    return [c if f is None else f(c) for f, c in zip(functions, columns)]
 
 
 def machine_to_doc(m) -> dict:
-    if isinstance(m, Dfa):
-        return dfa_to_doc(m)
-    if isinstance(m, BuchiAutomaton):
-        return buchi_to_doc(m)
-    if isinstance(m, MealyMachine):
-        return mealy_to_doc(m)
-    if isinstance(m, Sst):
-        return sst_to_doc(m)
-    if isinstance(m, (OneWayTransducer, TwoWayTransducer, LookbehindTransducer)):
-        return transducer_to_doc(m)
-    raise ParseError(f"machine of kind {type(m).__name__} has no document form")
+    kind = next(filter(None, map(_KIND_OF_CLASS.get, type(m).__mro__)), None)
+    if kind is None:
+        raise ParseError(f"machine of kind {type(m).__name__} has no document form")
+    names = _name_states(m.states, min(m.initial, key=_state_key) if kind.nondeterministic else m.initial)
+    initial = sorted(map(names.__getitem__, m.initial)) if kind.nondeterministic else names[m.initial]
+    doc = {**kind.fixed, "states": sorted(names.values()), "initial": initial}
+    for name, encode, _ in kind.header:
+        doc[name] = encode(m, names)
+    name = partial(map, names.__getitem__)
+    functions = [name, *[codec and codec[0](m) for codec in kind.codecs], name]
+    columns = _code(functions, list(zip(*kind.rows(m))) or [()] * len(functions))
+    doc["transitions"] = sorted(map(kind.row_dict, *columns), key=kind.sort_key)
+    return doc
 
 
 def machine_from_doc(doc):
-    if not isinstance(doc, dict):
-        raise ParseError(f"machine document must be an object, got {doc!r}")
-    kind = doc.get("type")
     try:
-        if kind == "dfa":
-            return dfa_from_doc(doc)
-        if kind == "buchi":
-            return buchi_from_doc(doc)
-        if kind == "mealy":
-            return mealy_from_doc(doc)
-        if kind == "sst":
-            return sst_from_doc(doc)
-        if kind in ("1wft", "2wft", "2wftb"):
-            return transducer_from_doc(doc)
+        return _machine_from_doc(doc)
     except (NotDeterministic, ParseError):
         raise
     except AdviceBenchError as exc:
@@ -462,7 +327,32 @@ def machine_from_doc(doc):
         raise ParseError(f"machine document lacks the field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed machine document: {exc}") from exc
-    raise ParseError(f"unknown machine type {kind!r}")
+
+
+def _machine_from_doc(doc, kind=None):
+    if not isinstance(doc, dict):
+        raise ParseError(f"machine document must be an object, got {doc!r}")
+    if kind is None:
+        tag = doc.get("type")
+        kind = _KIND_OF_DOC.get((tag, tag == "sst" and bool(doc.get("simple"))))
+        if kind is None:
+            raise ParseError(f"unknown machine type {tag!r}")
+    header = {"states": doc["states"], "initial": doc["initial"]}
+    for name, _, decode in kind.header:
+        header[name] = decode(doc)
+    functions = [None, *[codec and codec[1](header) for codec in kind.codecs], None]
+    columns = _code(functions, list(zip(*map(kind.cells, doc["transitions"]))) or [()] * len(functions))
+    keys = list(zip(*columns[:kind.cut]))
+    if kind.nondeterministic:
+        table: dict = {}
+        for key, q2 in zip(keys, columns[-1]):
+            table.setdefault(key, set()).add(q2)
+    else:
+        table = dict(zip(keys, columns[-1] if kind.cut == len(columns) - 1 else zip(*columns[kind.cut:])))
+        if len(table) < len(keys):
+            key = next(key for key in keys if keys.count(key) > 1)
+            raise NotDeterministic(f"duplicate transition from {key[0]} on {key[1:]!r}")
+    return kind.build(transitions=table, **header)
 
 
 # ------------------------------------------------------------ documents

@@ -164,18 +164,23 @@ def letter_at(w: InfiniteWord, n: int):
     return w.letter(n)
 
 
+def _union(a: Alphabet, b: Alphabet) -> Alphabet:
+    """The letters of a and b; an alphabet that holds the other's letters is
+    kept as it is, so a product alphabet keeps its parts."""
+    if set(b.letters) <= set(a.letters):
+        return a
+    if set(a.letters) <= set(b.letters):
+        return b
+    return Alphabet(dict.fromkeys(a.letters + b.letters))
+
+
 class LassoWord(InfiniteWord):
     """Ultimately periodic word u·v^ω given by preperiod u and period v."""
 
     def __init__(self, u: FiniteWord, v: FiniteWord):
         if len(v) == 0:
             raise EmptyPeriod("period must be nonempty")
-        alphabet = u.alphabet
-        if not set(v.alphabet.letters) <= set(alphabet.letters):
-            alphabet = v.alphabet
-            if not set(u.alphabet.letters) <= set(alphabet.letters):
-                alphabet = Alphabet(dict.fromkeys(u.alphabet.letters + v.alphabet.letters))
-        super().__init__(alphabet)
+        super().__init__(_union(u.alphabet, v.alphabet))
         self.u = u
         self.v = v
         self._pre = u.letters
@@ -214,9 +219,7 @@ def canonical_lasso(u: FiniteWord, v: FiniteWord) -> LassoWord:
     while ul and ul[-1] == vl[-1]:
         ul.pop()
         vl = [vl[-1]] + vl[:-1]
-    merged = list(u.alphabet.letters)
-    merged += [a for a in v.alphabet.letters if a not in merged]
-    alphabet = Alphabet(merged)
+    alphabet = _union(u.alphabet, v.alphabet)
     return LassoWord(FiniteWord(tuple(ul), alphabet), FiniteWord(tuple(vl), alphabet))
 
 

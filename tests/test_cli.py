@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from advicebench import corpus
 from advicebench.cli import main, parse_word_literal
 from advicebench.documents import dumps, machine_to_doc
 from advicebench.transducers import mirror_blocks_2wft
@@ -196,6 +197,22 @@ LOOKBEHIND_ON_A_MISSING_STATE = {
     "transitions": [{"from": "q", "read": "^", "lookbehind": "nope", "out": "", "move": "R", "to": "q"}],
 }
 
+MIRROR_SST = machine_to_doc(corpus.mirror_sst())
+TWO_PHASE_SST = machine_to_doc(corpus.two_phase_sst())
+
+
+def _edited(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+UPDATE_AS_A_LIST = _edited(MIRROR_SST, lambda d: d["transitions"][0].update(update=["x"]))
+UPDATE_TEXT_AS_A_NUMBER = _edited(MIRROR_SST, lambda d: d["transitions"][0]["update"].update(out=5))
+OUTPUT_VALUE_AS_A_NUMBER = _edited(TWO_PHASE_SST, lambda d: d["output_function"][0].update(value=5))
+REPEATED_TRANSITION = _edited(ONE_STATE_DFA, lambda d: d["transitions"].append(d["transitions"][0]))
+COPYFUL_SST = _edited(MIRROR_SST, lambda d: d["transitions"][0]["update"].update(out="out out"))
+
 
 @pytest.mark.parametrize("argv, document, stdin, env", [
     (["run", "mirror2wft", "(a_#)^ω"], None, None, None),
@@ -228,6 +245,13 @@ LOOKBEHIND_ON_A_MISSING_STATE = {
     (["run", "-", "(ab)^ω"], None, ONE_WAY_EMITTING_ZZ, None),
     (["words"], {"machines": {"m": DFA_READING_Z}}, None, None),
     (["words"], {"machines": {"m": LOOKBEHIND_ON_A_MISSING_STATE}}, None, None),
+    (["run", "m", "(ab#)^ω"], {"machines": {"m": UPDATE_AS_A_LIST}}, None, None),
+    (["run", "m", "(ab#)^ω"], {"machines": {"m": UPDATE_TEXT_AS_A_NUMBER}}, None, None),
+    (["run", "-", "a·(bc)^ω"], None, json.dumps(OUTPUT_VALUE_AS_A_NUMBER), None),
+    (["words"], {"machines": {"m": REPEATED_TRANSITION}}, None, None),
+    (["run", "-", "(ab#)^ω"], None, json.dumps(REPEATED_TRANSITION), None),
+    (["run", "-", "(ab#)^ω"], None, json.dumps(COPYFUL_SST), None),
+    (["run", "m", "(ab#)^ω"], {"machines": {"m": COPYFUL_SST}}, None, None),
 ], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
         "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n",
         "machine-without-fields", "sst2wftb-of-a-2wft", "unlookbehind-of-an-sst",
@@ -236,7 +260,10 @@ LOOKBEHIND_ON_A_MISSING_STATE = {
         "negative-window", "negative-range", "missing-document", "words-not-an-object",
         "machine-not-an-object", "formula-not-a-string", "negative-shift",
         "constant-of-two-letters", "emits-outside-the-output-alphabet",
-        "dfa-reads-outside-its-alphabet", "lookbehind-state-not-in-the-oracle"])
+        "dfa-reads-outside-its-alphabet", "lookbehind-state-not-in-the-oracle",
+        "sst-update-not-an-object", "sst-update-text-not-a-string", "sst-output-value-not-a-string",
+        "repeated-transition-in-a-document", "repeated-transition-on-stdin", "copyful-sst-on-stdin",
+        "copyful-sst-in-a-document"])
 def test_malformed_inputs_are_usage_errors(argv, document, stdin, env, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if document is not None:

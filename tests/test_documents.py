@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from advicebench import corpus
 from advicebench.analysis import Equal, prefix_equiv
+from advicebench.checks import _random_total_2wft
 from advicebench.documents import (
     document_from_data,
+    dumps,
     load_document,
     machine_from_doc,
     machine_to_doc,
@@ -20,7 +23,7 @@ from advicebench.errors import (
     ParseError,
     UnresolvedReference,
 )
-from advicebench.mealy import delay_mealy, run_mealy
+from advicebench.mealy import MealyMachine, delay_mealy, run_mealy
 from advicebench.sst import compile_sst_to_2wftb, run_sst
 from advicebench.transducers import (
     mirror_blocks_2wft,
@@ -29,7 +32,18 @@ from advicebench.transducers import (
     run_2wft,
     run_2wft_b,
 )
-from advicebench.words import Alphabet, block_mirror, duplicate, lasso, pi_word, shift
+from advicebench.words import (
+    PAD,
+    Alphabet,
+    ConstantWord,
+    FiniteWord,
+    LassoWord,
+    block_mirror,
+    duplicate,
+    lasso,
+    pi_word,
+    shift,
+)
 
 AB = Alphabet.of("ab")
 
@@ -60,8 +74,8 @@ def _machine_round_trip(machine, run, source, n=300):
     doc = machine_to_doc(machine)
     again = machine_from_doc(json.loads(json.dumps(doc)))
     assert prefix_equiv(run(machine, source), run(again, source), n) == Equal(n)
-    # serialization is deterministic
-    assert machine_to_doc(again) == machine_to_doc(again)
+    # a reloaded machine serializes to the same document
+    assert machine_to_doc(again) == doc
 
 
 def test_two_way_round_trip():
@@ -114,6 +128,36 @@ def test_buchi_and_dfa_round_trip():
         assert one == two
 
 
+def test_a_reload_past_ten_states_keeps_the_state_names():
+    machine = mu_transducers(6, AB)[1]
+    assert len(machine.states) > 10
+    _machine_round_trip(machine, run_1wft, duplicate(lasso("", "ab"), 6))
+
+
+def test_machines_that_read_the_padding_letter_round_trip():
+    blank = ConstantWord(PAD, Alphabet.of("x"))
+    rng = random.Random(60606)
+    for _ in range(20):
+        machine = _random_total_2wft(rng)
+        text = dumps(machine_to_doc(machine))
+        again = machine_from_doc(json.loads(text))
+        assert dumps(machine_to_doc(again)) == text
+        want, halt = run_2wft(machine, blank, budget=500).try_letters(100)
+        got, got_halt = run_2wft(again, blank, budget=500).try_letters(100)
+        assert (got, type(got_halt)) == (want, type(halt))
+    mealy = MealyMachine({"q"}, "q", AB, AB, {("q", "a"): ("a", "q"), ("q", PAD): ("b", "q")})
+    doc = json.loads(dumps(machine_to_doc(mealy)))
+    assert {t["in"] for t in doc["transitions"]} == {"a", "_"}
+    _machine_round_trip(mealy, run_mealy, lasso("a_", "_a", AB))
+
+
+def test_a_lasso_over_a_product_alphabet_has_no_word_document():
+    product = Alphabet.product(Alphabet.of("a"), Alphabet.of("x"))
+    w = LassoWord(FiniteWord((), product), FiniteWord((("a", "x"),), product))
+    with pytest.raises(ParseError, match="no document form"):
+        word_to_doc(w)
+
+
 def test_duplicate_transitions_rejected():
     doc = machine_to_doc(delay_mealy("a", AB))
     doc["transitions"].append(dict(doc["transitions"][0]))
@@ -136,6 +180,27 @@ def test_copyless_violation_reported_as_invariant():
         ],
     }
     with pytest.raises(InvariantViolation):
+        machine_from_doc(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    ((0, "update"), ["x"]), ((0, "update"), "out x"), ((0, "update", "out"), 5),
+    ((0, "update", "out"), None),
+])
+def test_malformed_register_updates_are_parse_errors(path, value):
+    doc = machine_to_doc(corpus.mirror_sst())
+    target = doc["transitions"]
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    with pytest.raises(ParseError):
+        machine_from_doc(doc)
+
+
+def test_a_malformed_output_function_is_a_parse_error():
+    doc = machine_to_doc(corpus.two_phase_sst())
+    doc["output_function"][0]["value"] = 5
+    with pytest.raises(ParseError):
         machine_from_doc(doc)
 
 

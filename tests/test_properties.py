@@ -1,6 +1,8 @@
-"""Property tests: run engines against naive references on random machines."""
+"""Property tests: run engines against naive references on random machines,
+and machine documents through round trips and mutations."""
 from __future__ import annotations
 
+import json
 from itertools import islice
 
 import pytest
@@ -8,18 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advicebench import corpus
-from advicebench.advice import Dfa
+from advicebench.advice import BuchiAutomaton, Dfa, pref_advice_automaton
+from advicebench.cli import _run_machine
+from advicebench.documents import dumps, machine_from_doc, machine_to_doc
 from advicebench.errors import (
+    AdviceBenchError,
     BudgetExceeded,
+    InvariantViolation,
     MovedLeftOfEndmarker,
     NoOutputFunction,
     NonProductive,
+    NotDeterministic,
     NoWindowBound,
+    ParseError,
     UndefinedTransition,
     UnstableClassification,
     ValidationFailed,
 )
-from advicebench.mealy import MealyMachine, mealy_image_lasso, run_mealy
+from advicebench.mealy import MealyMachine, delay_mealy, mealy_image_lasso, pref_graph_dfa, run_mealy
 from advicebench.pi_transforms import direction_partition, one_way_simulation_on_pi
 from advicebench.sst import (
     Reg,
@@ -191,12 +199,12 @@ def one_way_machines(draw):
 
 
 @st.composite
-def two_way_machines(draw, marker_moves=(LEFT, RIGHT)):
+def two_way_machines(draw, marker_moves=(LEFT, RIGHT), reads=AB.letters + (ENDMARKER,)):
     """Random 2wft; ``marker_moves`` are the moves allowed on the endmarker."""
     states = range(draw(st.integers(1, 3)))
     tr = {}
     for q in states:
-        for a in AB.letters + (ENDMARKER,):
+        for a in reads:
             if defined(draw):
                 move = draw(st.sampled_from(marker_moves if a is ENDMARKER else (LEFT, RIGHT)))
                 tr[(q, a)] = (tuple(draw(outputs)), move, draw(st.sampled_from(states)))
@@ -408,3 +416,88 @@ def test_one_way_simulation_on_pi_refuses_or_runs_like_the_machine(machine):
     got, got_halt = run_1wft(result.transducer, pi).try_letters(1000)
     assert got == want
     assert halt_kind(got_halt) is halt_kind(halt)
+
+
+@st.composite
+def dfas(draw):
+    """Random partial DFA with up to 14 states, so that its state names run
+    past s9."""
+    states = range(draw(st.integers(1, 14)))
+    tr = {(q, a): draw(st.sampled_from(states)) for q in states for a in AB.letters if defined(draw)}
+    return Dfa(states, 0, {q for q in states if draw(st.booleans())}, AB, tr)
+
+
+def run_signature(machine, w):
+    """What a run shows in its first LETTERS letters: the letters and how it
+    halts, without the halt's states, which a document renames. A DFA shows
+    whether it accepts each prefix it reads."""
+    if isinstance(machine, Dfa):
+        q, accepts = machine.initial, []
+        for i in range(LETTERS):
+            accepts.append(q in machine.accepting)
+            q = machine.step(q, w.letter(i))
+            if q is None:
+                break
+        return accepts
+    try:
+        letters, halt = _run_machine(machine, w, BUDGET).try_letters(LETTERS)
+    except AdviceBenchError as refused:  # a general sst that has no limit to stream
+        return type(refused)
+    return letters, type(halt), getattr(halt, "position", None), getattr(halt, "step", None)
+
+
+padded_lassos = st.builds(lasso, st.text("ab_", max_size=4), st.text("ab_", min_size=1, max_size=5),
+                          st.just(AB))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(machine_and_word=st.one_of(
+    st.tuples(st.one_of(one_way_machines(), mealy_machines(), simple_ssts(), general_ssts(), dfas(),
+                        two_way_machines(reads=AB.letters + (ENDMARKER, PAD))), padded_lassos),
+    st.tuples(two_way_machines().map(with_parity_lookbehind), lassos),
+))
+def test_a_reloaded_machine_runs_like_the_machine(machine_and_word):
+    machine, w = machine_and_word
+    text = dumps(machine_to_doc(machine))
+    again = machine_from_doc(json.loads(text))
+    assert dumps(machine_to_doc(again)) == text
+    assert run_signature(again, w) == run_signature(machine, w)
+
+
+CORPUS_DOCUMENTS = [machine_to_doc(m) for m in (
+    *corpus.builtin_machines().values(),
+    corpus.two_phase_sst(),
+    corpus.pinned_lookbehind_2wftb(),
+    delay_mealy("a", AB),
+    pref_advice_automaton(AB),
+    pref_graph_dfa(delay_mealy("a", AB)),
+    BuchiAutomaton({0, 1}, {0}, {1}, AB, {(0, "a"): {0, 1}, (1, "b"): {0}}),
+)]
+JSON_VALUES = (None, 0, -1, 2.5, True, "", "a", "^", "_", "out x", [], ["a"], [[]], {}, {"a": "b"})
+
+
+@st.composite
+def mutated_documents(draw):
+    """A corpus machine document with one field or list item deleted or
+    replaced by another JSON value."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(CORPUS_DOCUMENTS))))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        if not (isinstance(node[key], (dict, list)) and node[key] and draw(st.integers(0, 3)) > 0):
+            break
+        node = node[key]
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(JSON_VALUES))
+    return doc
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(doc=mutated_documents())
+def test_a_mutated_document_loads_or_is_refused(doc):
+    try:
+        machine_from_doc(doc)
+    except (ParseError, NotDeterministic, InvariantViolation):
+        pass

@@ -183,6 +183,14 @@ def test_lasso_alphabet_is_the_union_of_its_parts():
         assert w.alphabet is product
 
 
+def test_canonical_lasso_keeps_a_product_alphabet():
+    product = Alphabet.product(Alphabet.of("a"), Alphabet.of("x"))
+    w = LassoWord(FiniteWord((), product), FiniteWord((("a", "x"),) * 2, product))
+    canonical = w.canonical()
+    assert canonical.v.letters == (("a", "x"),)
+    assert canonical.alphabet is product
+
+
 def test_convolve_lassos_exact():
     a = lasso("a", "bc")
     b = lasso("", "xyz")
