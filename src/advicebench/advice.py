@@ -118,8 +118,10 @@ def member_terminating(lang: AdviceLanguage, w: FiniteWord) -> bool:
 def buchi_lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
     """Exact acceptance of an ultimately periodic word.
 
-    Unrolls the preperiod, then searches the product of states and period
-    positions for a reachable cycle through an accepting state.
+    Unrolls the preperiod, then makes one iterative Tarjan pass over the
+    reachable nodes (state, period position): the word is accepted iff a
+    strongly connected component holds an accepting state and a cycle
+    (two or more nodes, or a self-loop). Linear in the nodes and edges.
     """
     for a in list(w.u.letters) + list(w.v.letters):
         if a not in b.alphabet and a is not PAD:
@@ -129,39 +131,49 @@ def buchi_lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
         current = {q2 for q in current for q2 in b.post(q, a)}
         if not current:
             return False
-    period = list(w.v.letters)
+    period = w.v.letters
     m = len(period)
 
     def succ(node):
         q, i = node
         return [(q2, (i + 1) % m) for q2 in b.post(q, period[i])]
 
-    start = {(q, 0) for q in current}
-    reach = set(start)
-    frontier = list(start)
-    while frontier:
-        node = frontier.pop()
-        for nxt in succ(node):
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    for node in reach:
-        if node[0] not in b.accepting:
+    order: dict = {}  # node -> discovery number
+    low: dict = {}  # node -> least discovery number it reaches on the stack
+    stack: list = []  # nodes of components not yet closed
+    on_stack: set = set()
+    for q0 in current:
+        root = (q0, 0)
+        if root in order:
             continue
-        seen = set()
-        frontier = list(succ(node))
-        hit = False
-        while frontier:
-            cur = frontier.pop()
-            if cur == node:
-                hit = True
-                break
-            if cur in seen:
-                continue
-            seen.add(cur)
-            frontier.extend(succ(cur))
-        if hit:
-            return True
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        on_stack.add(root)
+        path = [(root, iter(succ(root)))]
+        while path:
+            node, todo = path[-1]
+            for nxt in todo:
+                if nxt not in order:
+                    order[nxt] = low[nxt] = len(order)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    path.append((nxt, iter(succ(nxt))))
+                    break
+                if nxt in on_stack and order[nxt] < low[node]:
+                    low[node] = order[nxt]
+            else:
+                path.pop()
+                if path and low[node] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[node]
+                if low[node] != order[node]:
+                    continue
+                component = []
+                while not component or component[-1] != node:
+                    component.append(stack.pop())
+                on_stack.difference_update(component)
+                if any(q in b.accepting for q, _ in component) and (
+                        len(component) > 1 or node in succ(node)):
+                    return True
     return False
 
 

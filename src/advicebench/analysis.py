@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapTooSmall, UnstableClassification, ValidationFailed
-from .ltl import GEliminationReport, eliminate_g_subformulas, eval_lasso, finite_prefix_eval, nnf, size
+from .ltl import GEliminationReport, _lasso_table, _least_witnesses, _node, eliminate_g_subformulas, nnf, size
 from .transducers import DEFAULT_BUDGET, RunOutcome, lasso_image
 from .words import FiniteWord, InfiniteWord, LassoWord
 
@@ -186,17 +186,16 @@ def padding_check(phi, advice: LassoWord, n_range: int = 30, n_cap: int | None =
     report: GEliminationReport = eliminate_g_subformulas(normal, advice)
     if n_cap is None:
         n_cap = 3 * (len(advice.u) + len(advice.v)) + size(phi)
+    positions = range(n_range + 1)
     entries = []
-    for n in range(n_range + 1):
-        if not eval_lasso(phi, advice, n):
+    if positions:  # an empty range evaluates nothing, so foreign atoms raise nothing
+        table = _lasso_table(phi, advice)
+        witnesses = _least_witnesses(report.formula, advice, 0, n_range, n_cap)
+    for n in positions:
+        if not table[_node(advice, n)]:
             entries.append(NO_ENTRY)
             continue
-        witness = None
-        for k in range(n_cap + 1):
-            prefix = FiniteWord(tuple(advice.letter(n + i) for i in range(k)), advice.alphabet)
-            if finite_prefix_eval(report.formula, prefix, 0):
-                witness = k
-                break
+        witness = witnesses[n]
         if witness is None:
             if n >= report.stabilization:
                 raise CapTooSmall(n, n_cap)

@@ -18,7 +18,7 @@ from .checks import SUITES, run_suite
 from .documents import dumps, load_document, machine_from_doc, machine_to_doc
 from .errors import AdviceBenchError, InvariantViolation, NotDeterministic, ParseError, UnresolvedReference
 from .ltl import parse_formula
-from .pi_transforms import normalize_directions_on_pi, one_way_simulation_on_pi
+from .pi_transforms import direction_partition, normalize_directions_on_pi, one_way_simulation_on_pi
 from .sst import Sst, SimpleSst, compile_sst_to_2wftb, eliminate_lookbehind_lasso, run_sst, simplify_to_simple_sst
 from .transducers import (
     DEFAULT_BUDGET,
@@ -169,10 +169,16 @@ CONVERSIONS = {
         m, _lasso_arg(ws, args), budget=args.budget)),
     "normalize-pi": (TwoWayTransducer, lambda m, ws, args: normalize_directions_on_pi(m)),
     "oneway-pi": (TwoWayTransducer, lambda m, ws, args: one_way_simulation_on_pi(
-        m, c_max=args.cmax).transducer),
+        _direction_normalized(m), c_max=args.cmax).transducer),
     "remove-endmarker": (TwoWayTransducer, lambda m, ws, args: remove_endmarker(
         m, ws.word(args.input) if args.input else lasso("", "ab"), budget=args.budget)),
 }
+
+
+def _direction_normalized(machine: TwoWayTransducer) -> TwoWayTransducer:
+    if direction_partition(machine) is None:
+        raise UsageError("input machine must be direction-normalized first (convert normalize-pi)")
+    return machine
 
 
 def cmd_convert(ws: Workspace, args) -> int:

@@ -31,6 +31,7 @@ from .mealy import MealyMachine
 from .sst import Reg, SimpleSst, Sst, Substitution
 from .transducers import ENDMARKER, LookbehindTransducer, OneWayTransducer, TwoWayTransducer
 from .words import (
+    ENDMARKER_TEXT,
     PAD,
     RESERVED_RENDER,
     Alphabet,
@@ -49,9 +50,8 @@ from .words import (
     shift,
 )
 
-ENDMARKER_CHAR = "^"
 #: the letters written as a text other than themselves, and back
-_TEXT_OF_LETTER = {ENDMARKER: ENDMARKER_CHAR, PAD: RESERVED_RENDER}
+_TEXT_OF_LETTER = {ENDMARKER: ENDMARKER_TEXT, PAD: RESERVED_RENDER}
 _LETTER_OF_TEXT = {text: letter for letter, text in _TEXT_OF_LETTER.items()}
 
 

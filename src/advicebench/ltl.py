@@ -1,15 +1,21 @@
 """Linear temporal logic over ultimately periodic words.
 
-Formulas are evaluated exactly on the finite lasso graph. The main
-pipeline rewrites a formula into negation normal form, replaces each
-maximal Globally-subformula by its truth value on the fixed word (truth of
-such a subformula on one suffix propagates to all later suffixes), and
-evaluates the remaining formula under a strong, monotone semantics on
-finite prefixes: beyond a computable index, the infinite and the
-finite-prefix readings agree.
+Formulas are evaluated exactly on the finite lasso graph, one truth table
+per subformula over its |uv| nodes; Until and Globally take one backward
+pass that goes round the loop twice and then down the preperiod, so a
+formula costs time linear in |f|·|uv|. The main pipeline rewrites a
+formula into negation normal form, replaces each maximal
+Globally-subformula by its truth value on the fixed word (truth of such a
+subformula on one suffix propagates to all later suffixes), and evaluates
+the remaining formula under a strong, monotone semantics on finite
+prefixes: beyond a computable index, the infinite and the finite-prefix
+readings agree. The least witness prefix at every start position comes
+from one backward pass per subformula over the positions up to the last
+start plus the cap (``_least_witnesses``), not from rebuilding prefixes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, NotGFree, NotInNnf, ParseError
@@ -181,19 +187,37 @@ def is_g_free(f: Formula) -> bool:
     return False
 
 
-def eval_lasso(f: Formula, w: LassoWord, position: int = 0) -> bool:
-    """Exact satisfaction at a position of an ultimately periodic word."""
+def _node(w: LassoWord, position: int) -> int:
+    pre = len(w.u)
+    return position if position < pre else pre + (position - pre) % len(w.v)
+
+
+def _lasso_table(f: Formula, w: LassoWord) -> list:
+    """Truth of f at every node of the lasso graph of w: nodes 0..|uv|-1
+    are the positions of u·v, and the last node steps back to node |u|.
+
+    Each subformula costs one pass, or one backward pass for U and G:
+    linear in |f|·|uv|.
+    """
     foreign = {a for a in atoms(f) if a not in w.alphabet}
     if foreign:
         raise AlphabetMismatch(f"atoms {sorted(foreign)} not in the word alphabet")
-    pre, per = len(w.u), len(w.v)
-    total = pre + per
+    letters = w.u.letters + w.v.letters
+    pre, total = len(w.u), len(letters)
 
-    def node(p):
-        return p if p < pre else pre + (p - pre) % per
-
-    def succ(i):
-        return i + 1 if i + 1 < total else pre
+    def backward(local, init):
+        """x[i] = local(i, x[succ(i)]), the least (init False) or greatest
+        (init True) solution. The first pass round the loop fixes node |u|,
+        whose value cannot depend on going round again; the second fixes
+        the rest of the loop, and one pass down the preperiod ends."""
+        x = [init] * total
+        nxt = init
+        for _ in range(2):
+            for i in range(total - 1, pre - 1, -1):
+                nxt = x[i] = local(i, nxt)
+        for i in range(pre - 1, -1, -1):
+            nxt = x[i] = local(i, nxt)
+        return x
 
     memo: dict = {}
 
@@ -202,7 +226,7 @@ def eval_lasso(f: Formula, w: LassoWord, position: int = 0) -> bool:
             return memo[g]
         match g:
             case Atom(a):
-                vals = [w.letter(i) == a for i in range(total)]
+                vals = [x == a for x in letters]
             case Top():
                 vals = [True] * total
             case Not(c):
@@ -213,33 +237,24 @@ def eval_lasso(f: Formula, w: LassoWord, position: int = 0) -> bool:
                 vals = [x or y for x, y in zip(table(l), table(r))]
             case Next(c):
                 tc = table(c)
-                vals = [tc[succ(i)] for i in range(total)]
+                vals = tc[1:] + [tc[pre]]
             case Globally(c):
                 tc = table(c)
-                vals = [False] * total
-                for i in range(total):
-                    j = i
-                    holds = True
-                    for _ in range(total + 1):
-                        if not tc[j]:
-                            holds = False
-                            break
-                        j = succ(j)
-                    vals[i] = holds
+                vals = backward(lambda i, nxt: tc[i] and nxt, True)
             case Until(l, r):
                 tl, tr = table(l), table(r)
-                vals = list(tr)
-                for _ in range(2 * total + 2):
-                    nxt = [vals[i] or (tr[i] or (tl[i] and vals[succ(i)])) for i in range(total)]
-                    if nxt == vals:
-                        break
-                    vals = nxt
+                vals = backward(lambda i, nxt: tr[i] or (tl[i] and nxt), False)
             case _:
                 raise TypeError(f"not a formula: {g!r}")
         memo[g] = vals
         return vals
 
-    return table(f)[node(position)]
+    return table(f)
+
+
+def eval_lasso(f: Formula, w: LassoWord, position: int = 0) -> bool:
+    """Exact satisfaction at a position of an ultimately periodic word."""
+    return _lasso_table(f, w)[_node(w, position)]
 
 
 @dataclass
@@ -254,18 +269,14 @@ def eliminate_g_subformulas(f: Formula, w: LassoWord) -> GEliminationReport:
     truth value on the fixed word."""
     if not is_nnf(f):
         raise NotInNnf(f"{f} is not in negation normal form")
-    total = len(w.u) + len(w.v)
     verdicts: dict = {}
 
     def rewrite(g: Formula) -> Formula:
         match g:
             case Globally(_):
                 if g not in verdicts:
-                    witness = None
-                    for m in range(total):
-                        if eval_lasso(g, w, m):
-                            witness = m
-                            break
+                    table = _lasso_table(g, w)
+                    witness = table.index(True) if True in table else None
                     verdicts[g] = (witness is not None, witness)
                 return Top() if verdicts[g][0] else bot()
             case Atom() | Top() | Not(_):
@@ -326,6 +337,60 @@ def finite_prefix_eval(f: Formula, w: FiniteWord, position: int = 0) -> bool:
     return ev(f, position)
 
 
+def _least_witnesses(f: Formula, w: LassoWord, first: int, last: int, cap: int) -> list:
+    """For each start m = first..last, the least k <= cap such that the
+    length-k prefix of w's suffix at m satisfies the G-free NNF formula f
+    under the semantics of ``finite_prefix_eval``, or None.
+
+    That semantics looks only forward and is monotone in the prefix, so a
+    subformula holding at position i has a least prefix end E(i), and one
+    backward pass per subformula computes it. The witness at m is
+    max(E(m), m) - m. Positions past last + cap get E = ∞, which is exact
+    for every E up to there: a subformula that reads such a position needs
+    an end beyond it.
+    """
+    n = max(last + max(cap, 0) + 1 - first, 0)
+    letters = [w.letter(first + j) for j in range(n)]
+    inf = math.inf
+    memo: dict = {}
+
+    def ends(g: Formula) -> list:
+        """E(first + j) at index j < n, and ∞ at index n."""
+        if g in memo:
+            return memo[g]
+        match g:
+            case Top():
+                e = [0] * n + [inf]
+            case Not(Top()):
+                e = [inf] * (n + 1)
+            case Atom(a):
+                e = [first + j + 1 if x == a else inf for j, x in enumerate(letters)] + [inf]
+            case Not(Atom(a)):
+                e = [first + j + 1 if x != a else inf for j, x in enumerate(letters)] + [inf]
+            case Not(c):
+                raise NotInNnf(f"negation of {c} is not over an atom")
+            case And(l, r):
+                e = list(map(max, ends(l), ends(r)))
+            case Or(l, r):
+                e = list(map(min, ends(l), ends(r)))
+            case Next(c):
+                ec = ends(c)
+                e = [max(first + j + 2, ec[j + 1]) for j in range(n)] + [inf]
+            case Until(l, r):
+                el, er = ends(l), ends(r)
+                e = [inf] * (n + 1)
+                for j in range(n - 1, -1, -1):  # the witness position must lie inside the prefix
+                    e[j] = min(max(first + j + 1, er[j]), max(el[j], e[j + 1]))
+            case _:
+                raise TypeError(f"not a formula: {g!r}")
+        memo[g] = e
+        return e
+
+    e = ends(f)
+    lengths = (max(e[m - first], m) - m for m in range(first, last + 1))
+    return [k if k <= cap else None for k in lengths]
+
+
 @dataclass
 class PrefixVerdict:
     position: int
@@ -357,19 +422,17 @@ def check_finite_prefix_theorem(
     report = eliminate_g_subformulas(normal, w)
     if n_cap is None:
         n_cap = 3 * (len(w.u) + len(w.v)) + size(f)
+    positions = range(report.stabilization, report.stabilization + m_range + 1)
     verdicts = []
-    for m in range(report.stabilization, report.stabilization + m_range + 1):
-        holds = eval_lasso(f, w, m)
-        witness = None
-        for k in range(n_cap + 1):
-            prefix = FiniteWord(tuple(w.letter(m + i) for i in range(k)), w.alphabet)
-            if finite_prefix_eval(report.formula, prefix, 0):
-                witness = k
-                break
-        if holds and witness is None:
-            verdicts.append(PrefixVerdict(m, holds, None, False, cap_too_small=True))
-        else:
-            verdicts.append(PrefixVerdict(m, holds, witness, holds == (witness is not None)))
+    if positions:  # an empty range evaluates nothing, so foreign atoms raise nothing
+        table = _lasso_table(f, w)
+        witnesses = _least_witnesses(report.formula, w, positions[0], positions[-1], n_cap)
+        for m, witness in zip(positions, witnesses):
+            holds = table[_node(w, m)]
+            if holds and witness is None:
+                verdicts.append(PrefixVerdict(m, holds, None, False, cap_too_small=True))
+            else:
+                verdicts.append(PrefixVerdict(m, holds, witness, holds == (witness is not None)))
     return FinitePrefixReport(f, report.formula, report.stabilization, n_cap, verdicts)
 
 

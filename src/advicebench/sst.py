@@ -113,16 +113,6 @@ def compose_substitutions(outer: Substitution, inner: Substitution) -> Substitut
     return Substitution(mapping)
 
 
-def ground(tokens, values) -> list:
-    acc = []
-    for tok in tokens:
-        if isinstance(tok, Reg):
-            acc.extend(values[tok.name])
-        else:
-            acc.append(tok)
-    return acc
-
-
 class _Rope:
     """Letters of a register: ``reversed(left)`` then ``right``.
 

@@ -30,8 +30,10 @@ class _Pad:
 
 PAD = _Pad()
 
-#: Reserved characters: '#' marks block ends, '_' renders PAD in documents.
+#: Reserved characters: '#' marks block ends, '_' renders PAD and '^' the
+#: tape endmarker in documents.
 RESERVED_RENDER = "_"
+ENDMARKER_TEXT = "^"
 BLOCK_MARK = "#"
 
 
@@ -57,6 +59,8 @@ class Alphabet:
             raise ValueError("the padding letter cannot belong to an alphabet")
         if RESERVED_RENDER in letters:
             raise ValueError("'_' is reserved for the padding letter")
+        if ENDMARKER_TEXT in letters:
+            raise ValueError("'^' is reserved for the tape endmarker")
         self.letters = letters
         self._index = {a: i for i, a in enumerate(letters)}
         self.parts = tuple(parts) if parts is not None else None

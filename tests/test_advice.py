@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advicebench.advice import (
     AdviceLanguage,
@@ -135,6 +137,100 @@ def test_buchi_lasso_matches_explicit_search():
         v = "".join(rng.choice("ab") for _ in range(1, 4))
         w = lasso(u, v, AB)
         assert buchi_lasso_accepts(b, w) == brute_force_lasso_accepts(b, w)
+
+
+def search_per_accepting_node(b, w):
+    """Reference: the reachable (state, period position) nodes, then one
+    search per accepting node for a path back to itself. Quadratic in the
+    nodes; it was buchi_lasso_accepts before the SCC pass."""
+    current = set(b.initial)
+    for a in w.u.letters:
+        current = {q2 for q in current for q2 in b.post(q, a)}
+    period = w.v.letters
+    m = len(period)
+
+    def succ(node):
+        q, i = node
+        return [(q2, (i + 1) % m) for q2 in b.post(q, period[i])]
+
+    reach = {(q, 0) for q in current}
+    frontier = list(reach)
+    while frontier:
+        for nxt in succ(frontier.pop()):
+            if nxt not in reach:
+                reach.add(nxt)
+                frontier.append(nxt)
+    for node in reach:
+        if node[0] not in b.accepting:
+            continue
+        seen = set()
+        frontier = succ(node)
+        while frontier:
+            cur = frontier.pop()
+            if cur == node:
+                return True
+            if cur not in seen:
+                seen.add(cur)
+                frontier.extend(succ(cur))
+    return False
+
+
+@st.composite
+def buchi_automata(draw):
+    states = list(range(draw(st.integers(1, 6))))
+    pick = st.sets(st.sampled_from(states))
+    transitions = {}
+    for q in states:
+        for a in AB.letters:
+            targets = draw(pick)
+            if targets:
+                transitions[(q, a)] = targets
+    return BuchiAutomaton(states, draw(st.sets(st.sampled_from(states), min_size=1)), draw(pick),
+                          AB, transitions)
+
+
+lassos = st.builds(lasso, st.text("ab", max_size=3), st.text("ab", min_size=1, max_size=6), st.just(AB))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(b=buchi_automata(), w=lassos)
+def test_buchi_lasso_accepts_equals_the_search_per_accepting_node(b, w):
+    assert buchi_lasso_accepts(b, w) == search_per_accepting_node(b, w)
+
+
+class CountingBuchi(BuchiAutomaton):
+    posts = 0
+
+    def post(self, q, letter):
+        self.posts += 1
+        return super().post(q, letter)
+
+
+@pytest.mark.parametrize("chain", [50, 100, 200])
+def test_buchi_decision_is_linear_in_the_reachable_nodes(chain):
+    """A non-accepting hub with a self-loop feeds a dead-end accepting chain.
+    A search per accepting node walks the rest of the chain from each of
+    its nodes: quadratic in the chain."""
+    period = 50
+    names = [f"c{k}" for k in range(chain)]
+    transitions = {}
+    for a in AB.letters:
+        transitions[("hub", a)] = {"hub", names[0]}
+        for k in range(chain - 1):
+            transitions[(names[k], a)] = {names[k + 1]}
+    b = CountingBuchi(["hub"] + names, {"hub"}, names, AB, transitions)
+    assert not buchi_lasso_accepts(b, lasso("", "ab" * (period // 2), AB))
+    reachable = period * (chain + 1)  # every state at every period position
+    assert b.posts <= 2 * reachable
+
+
+@pytest.mark.parametrize("accepting", [True, False])
+def test_buchi_decision_on_a_long_cycle_needs_no_recursion(accepting):
+    """One state on a period of 5000 letters: a cycle of 5000 nodes, deeper
+    than the interpreter's default recursion limit."""
+    b = BuchiAutomaton({"q"}, {"q"}, {"q"} if accepting else set(), AB,
+                       {("q", a): {"q"} for a in AB.letters})
+    assert buchi_lasso_accepts(b, lasso("b", "ab" * 2500, AB)) == accepting
 
 
 def prefix_recognizer(alphabet):

@@ -228,6 +228,7 @@ COPYFUL_SST = _edited(MIRROR_SST, lambda d: d["transitions"][0]["update"].update
     (["convert", "unlookbehind", "mirror_sst", "--input", "(ab#)^ω"], None, None, None),
     (["convert", "normalize-pi", "mirror_sst"], None, None, None),
     (["convert", "oneway-pi", "mirror_sst"], None, None, None),
+    (["convert", "oneway-pi", "bounce_probe"], None, None, None),
     (["compare", "pi", "pi", "-n", "0"], None, None, None),
     (["analyze", "complexity", "pi", "--kmax", "0"], None, None, None),
     (["analyze", "padding", "F a"], None, None, None),
@@ -255,7 +256,8 @@ COPYFUL_SST = _edited(MIRROR_SST, lambda d: d["transitions"][0]["update"].update
 ], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
         "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n",
         "machine-without-fields", "sst2wftb-of-a-2wft", "unlookbehind-of-an-sst",
-        "normalize-pi-of-an-sst", "oneway-pi-of-an-sst", "zero-n", "zero-kmax",
+        "normalize-pi-of-an-sst", "oneway-pi-of-an-sst", "oneway-pi-of-a-machine-not-normalized",
+        "zero-n", "zero-kmax",
         "padding-without-advice", "budget-environment", "negative-budget",
         "negative-window", "negative-range", "missing-document", "words-not-an-object",
         "machine-not-an-object", "formula-not-a-string", "negative-shift",

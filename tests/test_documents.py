@@ -158,6 +158,13 @@ def test_a_lasso_over_a_product_alphabet_has_no_word_document():
         word_to_doc(w)
 
 
+def test_an_alphabet_holding_the_endmarker_text_is_a_parse_error():
+    doc = machine_to_doc(delay_mealy("a", AB))
+    doc["input_alphabet"].append("^")
+    with pytest.raises(ParseError, match="reserved"):
+        machine_from_doc(doc)
+
+
 def test_duplicate_transitions_rejected():
     doc = machine_to_doc(delay_mealy("a", AB))
     doc["transitions"].append(dict(doc["transitions"][0]))

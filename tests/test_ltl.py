@@ -3,15 +3,20 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from advicebench.errors import NotGFree, NotInNnf, ParseError
+from advicebench.analysis import padding_check
+from advicebench.errors import CapTooSmall, NotGFree, NotInNnf, ParseError
 from advicebench.ltl import (
     And,
     Atom,
+    FinitePrefixReport,
     Globally,
     Next,
     Not,
     Or,
+    PrefixVerdict,
     Top,
     Until,
     bot,
@@ -22,10 +27,23 @@ from advicebench.ltl import (
     is_nnf,
     nnf,
     parse_formula,
+    size,
 )
 from advicebench.words import Alphabet, FiniteWord, lasso, word
 
 AB = Alphabet.of("ab")
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+formulas = st.recursive(
+    st.sampled_from([Atom("a"), Atom("b"), Top()]),
+    lambda inner: st.one_of(
+        st.builds(Not, inner), st.builds(Next, inner), st.builds(Globally, inner),
+        st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Until, inner, inner),
+    ),
+    max_leaves=6,
+)
+lassos = st.builds(lasso, st.text("ab", max_size=3), st.text("ab", min_size=1, max_size=5), st.just(AB))
 
 
 def test_parse_round_trip():
@@ -231,3 +249,92 @@ def test_check_finite_prefix_theorem_battery():
             assert v.holds_on_word and v.witness == 1
         else:
             assert not v.holds_on_word and v.witness is None
+
+
+@PROPERTY
+@given(f=formulas, w=lassos)
+def test_eval_lasso_is_the_unrolled_check_at_every_node(f, w):
+    for p in range(len(w.u) + 2 * len(w.v)):  # every node, then once more round the loop
+        assert eval_lasso(f, w, p) == brute_eval(f, w, p)
+
+
+@PROPERTY
+@given(f=formulas, w=lassos)
+def test_nnf_keeps_eval_lasso(f, w):
+    normal = nnf(f)
+    for p in range(len(w.u) + len(w.v)):
+        assert eval_lasso(normal, w, p) == eval_lasso(f, w, p)
+
+
+def rebuilt_witness(g_free, w, m, cap):
+    """Reference: the least k <= cap such that the length-k prefix of the
+    suffix at m satisfies g_free, found by rebuilding each prefix."""
+    for k in range(cap + 1):
+        prefix = FiniteWord(tuple(w.letter(m + i) for i in range(k)), w.alphabet)
+        if finite_prefix_eval(g_free, prefix, 0):
+            return k
+    return None
+
+
+def default_cap(f, w, n_cap):
+    return 3 * (len(w.u) + len(w.v)) + size(f) if n_cap is None else n_cap
+
+
+def padding_by_rebuilding(phi, w, n_range, n_cap):
+    """Reference padding table: entries, cap and stabilization, or the
+    position and cap of CapTooSmall."""
+    report = eliminate_g_subformulas(nnf(phi), w)
+    cap = default_cap(phi, w, n_cap)
+    entries = []
+    for n in range(n_range + 1):
+        if not eval_lasso(phi, w, n):
+            entries.append(None)
+            continue
+        witness = rebuilt_witness(report.formula, w, n, cap)
+        if witness is None:
+            if n >= report.stabilization:
+                return ("CapTooSmall", n, cap)
+            witness = "cap"
+        entries.append(witness)
+    return entries, cap, report.stabilization
+
+
+def theorem_by_rebuilding(f, w, m_range, n_cap):
+    report = eliminate_g_subformulas(nnf(f), w)
+    cap = default_cap(f, w, n_cap)
+    verdicts = []
+    for m in range(report.stabilization, report.stabilization + m_range + 1):
+        holds = eval_lasso(f, w, m)
+        witness = rebuilt_witness(report.formula, w, m, cap)
+        if holds and witness is None:
+            verdicts.append(PrefixVerdict(m, holds, None, False, cap_too_small=True))
+        else:
+            verdicts.append(PrefixVerdict(m, holds, witness, holds == (witness is not None)))
+    return FinitePrefixReport(f, report.formula, report.stabilization, cap, verdicts)
+
+
+small_caps = st.one_of(st.none(), st.integers(0, 6))  # small caps are often too small
+# A Globally-subformula that first holds after position 0 moves the
+# stabilization index; before it, padding entries can read "cap".
+prefix_formulas = st.one_of(formulas, st.builds(lambda f, g: Or(f, Next(Globally(g))), formulas,
+                                                st.sampled_from([Atom("a"), Atom("b")])))
+prefix_lassos = st.one_of(lassos, st.builds(lambda u, c, k: lasso(u, c * k, AB), st.text("ab", min_size=1, max_size=4),
+                                            st.sampled_from("ab"), st.integers(1, 3)))
+
+
+@settings(PROPERTY, max_examples=600)
+@given(f=prefix_formulas, w=prefix_lassos, n_range=st.integers(0, 8), n_cap=small_caps)
+def test_padding_check_equals_the_prefix_rebuild_loop(f, w, n_range, n_cap):
+    try:
+        table = padding_check(f, w, n_range=n_range, n_cap=n_cap)
+        got = table.entries, table.cap, table.stabilization
+    except CapTooSmall as e:
+        got = ("CapTooSmall", e.position, e.cap)
+    assert got == padding_by_rebuilding(f, w, n_range, n_cap)
+
+
+@settings(PROPERTY, max_examples=600)
+@given(f=prefix_formulas, w=prefix_lassos, m_range=st.integers(0, 8), n_cap=small_caps)
+def test_check_finite_prefix_theorem_equals_the_prefix_rebuild_loop(f, w, m_range, n_cap):
+    got = check_finite_prefix_theorem(f, w, m_range=m_range, n_cap=n_cap)
+    assert got == theorem_by_rebuilding(f, w, m_range, n_cap)

@@ -22,7 +22,6 @@ from advicebench.sst import (
     compile_sst_to_2wftb,
     compose_substitutions,
     eliminate_lookbehind_lasso,
-    ground,
     run_sst,
     simplify_to_simple_sst,
     validate_copyless,
@@ -184,6 +183,17 @@ def test_general_sst_no_output_function():
     )
     with pytest.raises(NoOutputFunction):
         run_sst(other, lasso("a", "bc")).letter(0)
+
+
+def ground(tokens, values) -> list:
+    """The letters of a right-hand side with each register replaced by its value."""
+    acc = []
+    for tok in tokens:
+        if isinstance(tok, Reg):
+            acc.extend(values[tok.name])
+        else:
+            acc.append(tok)
+    return acc
 
 
 def test_substitution_composition_matches_stepwise_grounding():

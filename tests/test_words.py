@@ -34,6 +34,13 @@ def expand_pi(k, n):
     return text[:n]
 
 
+@pytest.mark.parametrize("chars", ["a_", "a^"])
+def test_letters_that_documents_reserve_are_refused(chars):
+    """'_' is the padding letter's text and '^' the endmarker's."""
+    with pytest.raises(ValueError, match="reserved"):
+        Alphabet.of(chars)
+
+
 def test_letter_at_periodic():
     w = lasso("", "01")
     assert letter_at(w, 3) == "1"
