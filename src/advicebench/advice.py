@@ -73,9 +73,11 @@ class BuchiAutomaton:
         self.accepting = frozenset(accepting)
         self.alphabet = alphabet
         self.transitions = {k: frozenset(v) for k, v in dict(transitions).items()}
-        for (q, _), qs in self.transitions.items():
+        for (q, a), qs in self.transitions.items():
             if q not in self.states or not qs <= self.states:
                 raise ValueError("transition leaves the state set")
+            if a not in alphabet:
+                raise ValueError(f"transition letter {a!r} not in the alphabet")
 
     def post(self, q, letter):
         return self.transitions.get((q, letter), frozenset())

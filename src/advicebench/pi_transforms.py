@@ -182,30 +182,27 @@ def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
     return _Cross(states[: ramp + drift], chunks[: ramp + drift], ramp, drift)
 
 
-def _simulate_two_way(t, source, max_steps, stop_pos=None):
-    """Run t on the endmarked tape for at most max_steps steps, or until the
-    head reaches stop_pos, recording per-configuration state/position/output."""
-    states, positions, outlens = [], [], []
-    out: list = []
-    for state, pos in islice(_walk(t, source, out), max_steps + 1):
-        states.append(state)
-        positions.append(pos)
-        outlens.append(len(out))
-        if stop_pos is not None and pos >= stop_pos:
-            break
-    return states, positions, outlens, out
-
-
-def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300, sim_budget: int = 200_000) -> TwoWayTransducer:
+def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> TwoWayTransducer:
     """Rebuild t so that its head changes direction only on 1s.
 
     Excursions into 0-blocks are classified once per entry state: bounded
     returns are folded into the transition at the bounding 1, and drifting
     crossings become cell-by-cell walks with one state per arrival phase.
     A hardcoded prologue replays everything the original run does before it
-    permanently leaves the small-block region. The result is validated on
-    ``probe_range`` output letters; callers must only use machines whose
-    output on the block word is not ultimately periodic.
+    last enters cell w, the first cell of the first block longer than every
+    bounded return; the rebuilt machine takes over there, on the assumption
+    that the run never comes back left of w, which the validation checks.
+
+    The run is walked until the head reaches ``stop_pos``, right of every
+    possible w. Left of it there are only |Q|·stop_pos configurations, so
+    a run that has not reached it within that many steps repeats one and
+    loops forever. Refuses with UnstableClassification a run that halts
+    before ``stop_pos`` or never reaches it, an excursion that parks inside
+    a block or a bounce at a block end that never stops, and a run that does
+    not cross the block after the prologue. The result is validated on
+    ``probe_range`` output letters: ValidationFailed if it differs, and
+    UnstableClassification if the original emits fewer. Callers must only
+    use machines whose output on the block word is not ultimately periodic.
     """
     if direction_partition(t) is not None:
         return t
@@ -214,10 +211,21 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300, sim_
     m_bound = n_states + n_states * n_states + 1
     k_upper = m_bound + 1
     w_upper = k_upper * (k_upper + 1) // 2 + 1
-    sim = _simulate_two_way(t, pi, sim_budget, stop_pos=w_upper + m_bound + 4)
-    states_seq, pos_seq, outlen_seq, out = sim
-    if max(pos_seq) < w_upper + m_bound + 4:
-        raise UnstableClassification("head never leaves the small-block region")
+    stop_pos = w_upper + m_bound + 4
+    out: list = []
+    reached: dict = {}  # cell -> (state, len(out)) at the last right move into it
+    last = 0
+    try:
+        for state, pos in islice(_walk(t, pi, out), n_states * stop_pos + 1):
+            if pos > last:
+                reached[pos] = (state, len(out))
+                if pos == stop_pos:
+                    break
+            last = pos
+        else:
+            raise UnstableClassification("head never leaves the small-block region")
+    except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
+        raise UnstableClassification(f"the run halts on the block word: {exc}") from exc
 
     classifications: dict = {}
 
@@ -256,15 +264,14 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300, sim_
                 return folds[q]
             raise UnstableClassification("machine parks inside a block")
 
-    # the prologue cutoff depends on which bounded excursions end up used
+    # The prologue cutoff depends on which bounded excursions end up used.
+    # The states on _classify_excursion's stack are distinct, so a return
+    # reaches depth < |Q|: n_min grows each round and stays <= |Q|, and
+    # w <= w_upper < stop_pos, so the walk has reached w.
     n_min = 1
-    for _ in range(12):
-        big_k = n_min
-        w = big_k * (big_k + 1) // 2 + 1
-        t_last = max(s for s in range(len(pos_seq)) if pos_seq[s] < w)
-        if t_last + 1 >= len(pos_seq):
-            raise UnstableClassification("simulation horizon too short")
-        q_h = states_seq[t_last + 1]
+    while True:
+        w = n_min * (n_min + 1) // 2 + 1
+        q_h, prologue_len = reached[w]
         entry = classify(q_h, "L")
         if not isinstance(entry, _Cross):
             raise UnstableClassification("run does not cross after the prologue")
@@ -279,16 +286,14 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300, sim_
                     families.add(f[2])
                     frontier.append(f[2])
         depth_need = 1
-        for key, cls in classifications.items():
+        for cls in classifications.values():
             if isinstance(cls, _Return):
                 depth_need = max(depth_need, cls.depth + 1)
         if depth_need <= n_min:
             break
         n_min = depth_need
-    else:
-        raise UnstableClassification("prologue cutoff failed to stabilize")
 
-    prologue_out = tuple(out[: outlen_seq[t_last + 1]])
+    prologue_out = tuple(out[:prologue_len])
     tr: dict = {}
     for i in range(w):
         src = ("p", i)

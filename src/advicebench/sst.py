@@ -235,9 +235,21 @@ class Sst:
         self.updates = dict(updates)
         if set(self.transitions) != set(self.updates):
             raise ValueError("transitions and register updates must share their domain")
+        for (q, a), q2 in self.transitions.items():
+            if q not in self.states or q2 not in self.states:
+                raise ValueError("transition leaves the state set")
+            if a not in input_alphabet:
+                raise ValueError(f"read letter {a!r} not in the input alphabet")
         for key, sub in self.updates.items():
             if sub.registers() != set(self.registers):
                 raise ValueError(f"update at {key} is not total on the registers")
+            for _name, tokens in sub.items():
+                for tok in tokens:
+                    if type(tok) is Reg:
+                        if tok.name not in self.registers:
+                            raise ValueError(f"update at {key} reads the undeclared register {tok.name!r}")
+                    elif tok not in output_alphabet:
+                        raise ValueError(f"update letter {tok!r} not in the output alphabet")
         report = validate_copyless(self)
         if not report.ok:
             raise MalformedSimpleSst(f"register {report.register} copied at {report.sites}")

@@ -63,6 +63,11 @@ def infinitely_many(letter, alphabet):
     return BuchiAutomaton({"lo", "hi"}, {"lo"}, {"hi"}, alphabet, tr)
 
 
+def test_buchi_automaton_checks_its_letters():
+    with pytest.raises(ValueError):
+        BuchiAutomaton({"q"}, {"q"}, {"q"}, AB, {("q", "c"): {"q"}})
+
+
 def test_buchi_lasso_textbook_semantics():
     b = infinitely_many("a", AB)
     assert buchi_lasso_accepts(b, lasso("", "ab"))

@@ -212,6 +212,11 @@ UPDATE_TEXT_AS_A_NUMBER = _edited(MIRROR_SST, lambda d: d["transitions"][0]["upd
 OUTPUT_VALUE_AS_A_NUMBER = _edited(TWO_PHASE_SST, lambda d: d["output_function"][0].update(value=5))
 REPEATED_TRANSITION = _edited(ONE_STATE_DFA, lambda d: d["transitions"].append(d["transitions"][0]))
 COPYFUL_SST = _edited(MIRROR_SST, lambda d: d["transitions"][0]["update"].update(out="out out"))
+SST_INTO_AN_UNDECLARED_STATE = _edited(MIRROR_SST, lambda d: d["transitions"][0].update(to="s9"))
+SST_READING_Z = _edited(MIRROR_SST, lambda d: d["transitions"][0].update({"in": "z"}))
+SST_EMITTING_C = _edited(MIRROR_SST, lambda d: d["transitions"][0]["update"].update(out="out x c"))
+BUCHI_READING_Z = {"type": "buchi", "states": ["s"], "initial": ["s"], "accepting": ["s"], "alphabet": ["a"],
+                   "transitions": [{"from": "s", "letter": "z", "to": "s"}]}
 
 
 @pytest.mark.parametrize("argv, document, stdin, env", [
@@ -253,6 +258,10 @@ COPYFUL_SST = _edited(MIRROR_SST, lambda d: d["transitions"][0]["update"].update
     (["run", "-", "(ab#)^ω"], None, json.dumps(REPEATED_TRANSITION), None),
     (["run", "-", "(ab#)^ω"], None, json.dumps(COPYFUL_SST), None),
     (["run", "m", "(ab#)^ω"], {"machines": {"m": COPYFUL_SST}}, None, None),
+    (["convert", "sst2wftb", "-"], None, json.dumps(SST_INTO_AN_UNDECLARED_STATE), None),
+    (["run", "-", "(ab#)^ω"], None, json.dumps(SST_READING_Z), None),
+    (["run", "-", "(ab#)^ω"], None, json.dumps(SST_EMITTING_C), None),
+    (["words"], {"machines": {"m": BUCHI_READING_Z}}, None, None),
 ], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
         "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n",
         "machine-without-fields", "sst2wftb-of-a-2wft", "unlookbehind-of-an-sst",
@@ -265,7 +274,8 @@ COPYFUL_SST = _edited(MIRROR_SST, lambda d: d["transitions"][0]["update"].update
         "dfa-reads-outside-its-alphabet", "lookbehind-state-not-in-the-oracle",
         "sst-update-not-an-object", "sst-update-text-not-a-string", "sst-output-value-not-a-string",
         "repeated-transition-in-a-document", "repeated-transition-on-stdin", "copyful-sst-on-stdin",
-        "copyful-sst-in-a-document"])
+        "copyful-sst-in-a-document", "sst-into-an-undeclared-state", "sst-reads-outside-its-input-alphabet",
+        "sst-emits-outside-its-output-alphabet", "buchi-reads-outside-its-alphabet"])
 def test_malformed_inputs_are_usage_errors(argv, document, stdin, env, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if document is not None:

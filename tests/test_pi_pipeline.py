@@ -111,7 +111,32 @@ def test_normalize_rejects_bounded_heads():
         tr[("q", a)] = ((), LEFT, "p")
     pinned = TwoWayTransducer({"p", "q"}, "p", BINARY, Alphabet.of("a"), tr)
     with pytest.raises(UnstableClassification):
-        normalize_directions_on_pi(pinned, sim_budget=20_000)
+        normalize_directions_on_pi(pinned)
+
+
+def halts_on_a_one_2wft():
+    """Reaches the first 1 in a state with no transition on it."""
+    tr = {("q", ENDMARKER): ((), RIGHT, "q"), ("q", "0"): (("a",), RIGHT, "r"),
+          ("r", "0"): ((), LEFT, "q")}
+    return TwoWayTransducer({"q", "r"}, "q", BINARY, Alphabet.of("a"), tr)
+
+
+def leaves_the_tape_2wft():
+    """Turns back at the first 1 and steps left of the endmarker."""
+    tr = {("q", ENDMARKER): (("a",), RIGHT, "q"), ("q", "1"): ((), LEFT, "r"),
+          ("r", ENDMARKER): (("a",), LEFT, "q")}
+    return TwoWayTransducer({"q", "r"}, "q", BINARY, Alphabet.of("a"), tr)
+
+
+@pytest.mark.parametrize("build, halt", [
+    (halts_on_a_one_2wft, "undefined transition at position 1, step 1"),
+    (leaves_the_tape_2wft, "head moved left of the endmarker at step 2"),
+], ids=["undefined-transition", "left-of-the-endmarker"])
+def test_normalize_refuses_a_run_that_halts(build, halt):
+    machine = build()
+    assert direction_partition(machine) is None
+    with pytest.raises(UnstableClassification, match=f"the run halts on the block word: {halt}"):
+        normalize_directions_on_pi(machine)
 
 
 def test_simulation_over_copies_reads_the_expanded_word():

@@ -28,7 +28,7 @@ from advicebench.errors import (
     ValidationFailed,
 )
 from advicebench.mealy import MealyMachine, delay_mealy, mealy_image_lasso, pref_graph_dfa, run_mealy
-from advicebench.pi_transforms import direction_partition, one_way_simulation_on_pi
+from advicebench.pi_transforms import direction_partition, normalize_directions_on_pi, one_way_simulation_on_pi
 from advicebench.sst import (
     Reg,
     SimpleSst,
@@ -199,16 +199,18 @@ def one_way_machines(draw):
 
 
 @st.composite
-def two_way_machines(draw, marker_moves=(LEFT, RIGHT), reads=AB.letters + (ENDMARKER,)):
-    """Random 2wft; ``marker_moves`` are the moves allowed on the endmarker."""
-    states = range(draw(st.integers(1, 3)))
+def two_way_machines(draw, marker_moves=(LEFT, RIGHT), reads=None, alphabet=AB, max_states=3):
+    """Random 2wft over ``alphabet``; ``marker_moves`` are the moves allowed on
+    the endmarker, and ``reads`` default to the alphabet and the endmarker."""
+    reads = alphabet.letters + (ENDMARKER,) if reads is None else reads
+    states = range(draw(st.integers(1, max_states)))
     tr = {}
     for q in states:
         for a in reads:
             if defined(draw):
                 move = draw(st.sampled_from(marker_moves if a is ENDMARKER else (LEFT, RIGHT)))
                 tr[(q, a)] = (tuple(draw(outputs)), move, draw(st.sampled_from(states)))
-    return TwoWayTransducer(states, 0, AB, AB, tr)
+    return TwoWayTransducer(states, 0, alphabet, AB, tr)
 
 
 @PROPERTY
@@ -414,6 +416,23 @@ def test_one_way_simulation_on_pi_refuses_or_runs_like_the_machine(machine):
     pi = pi_word(1)
     want, halt = run_2wft(machine, pi).try_letters(1000)
     got, got_halt = run_1wft(result.transducer, pi).try_letters(1000)
+    assert got == want
+    assert halt_kind(got_halt) is halt_kind(halt)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(machine=two_way_machines(marker_moves=(RIGHT,), alphabet=BINARY, max_states=4))
+def test_normalize_directions_on_pi_refuses_or_runs_like_the_machine(machine):
+    try:
+        result = normalize_directions_on_pi(machine)
+    except (UnstableClassification, ValidationFailed):
+        return
+    assert direction_partition(result) is not None
+    if result is machine:  # already partitioned, passed through
+        return
+    pi = pi_word(1)
+    want, halt = run_2wft(machine, pi).try_letters(1000)
+    got, got_halt = run_2wft(result, pi).try_letters(1000)
     assert got == want
     assert halt_kind(got_halt) is halt_kind(halt)
 

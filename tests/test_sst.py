@@ -59,6 +59,20 @@ def test_copyless_enforced_on_machines():
         )
 
 
+@pytest.mark.parametrize("transitions, update", [
+    ({("q", "a"): "elsewhere"}, {"x": (), "out": (Reg("out"),)}),
+    ({("q", "c"): "q"}, {"x": (), "out": (Reg("out"),)}),
+    ({("q", "a"): "q"}, {"x": ("c",), "out": (Reg("out"),)}),
+    ({("q", "a"): "q"}, {"x": (), "out": (Reg("out"), Reg("y"))}),
+], ids=["undeclared-state", "read", "update-letter", "undeclared-register"])
+def test_ssts_check_states_and_letters(transitions, update):
+    updates = {key: Substitution(update) for key in transitions}
+    with pytest.raises(ValueError):
+        Sst({"q"}, "q", AB, AB, ("x", "out"), transitions, updates, {})
+    with pytest.raises(ValueError):
+        SimpleSst({"q"}, "q", AB, AB, ("x", "out"), transitions, updates)
+
+
 def test_run_mirror_sst():
     source = lasso("", "ab#")
     got = run_sst(corpus.mirror_sst(), source)

@@ -17,7 +17,6 @@ from advicebench.errors import (
     ValidationFailed,
 )
 from advicebench.advice import Dfa
-from advicebench.pi_transforms import _simulate_two_way
 from advicebench.transducers import (
     ENDMARKER,
     LEFT,
@@ -452,7 +451,6 @@ def test_two_way_halts_agree_across_runs_and_constructions(machine, want):
     constructions = [
         lambda: remove_endmarker(machine, source),
         lambda: analyze_on_constant(machine, "a"),
-        lambda: _simulate_two_way(machine, source, 100),
     ]
     for construct in constructions:
         with pytest.raises(want[0]) as err:
