@@ -44,7 +44,7 @@ def subword_complexity(w: InfiniteWord, k_max: int, window: int = 2048) -> Compl
             exact[k] = True
             stable[k] = True
         return ComplexityProfile(w, counts, exact, stable, span + k_max)
-    letters = [w.letter(i) for i in range(2 * window)]
+    letters = w.take(2 * window)
     for k in range(1, k_max + 1):
         small = {tuple(letters[i: i + k]) for i in range(max(window - k + 1, 0))}
         big = {tuple(letters[i: i + k]) for i in range(max(2 * window - k + 1, 0))}
@@ -109,8 +109,7 @@ def _pull(source, n):
         return source.try_letters(n)
     if isinstance(source, FiniteWord):
         return list(source.letters[:n]), None if len(source) >= n else "ended"
-    letters = [source.letter(i) for i in range(n)]
-    return letters, None
+    return source.take(n), None
 
 
 def prefix_equiv(a, b, n: int):

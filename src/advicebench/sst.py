@@ -298,18 +298,21 @@ class SimpleSst(Sst):
 def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, state, pos):
     """Run s from ``state`` before letter ``pos`` with ``registers``, one
     step per resumption, as transducers._walk does: yields (state, pos)
-    before every step and streams register ``name`` into ``out``."""
-    transitions, updates, read = s.transitions, s.updates, source.letter
+    before every step and streams register ``name`` into ``out``. It reads
+    its input a ``letters_from`` chunk at a time, as _walk_one_way does."""
+    transitions, updates, more = s.transitions, s.updates, source.letters_from
     update, drain, emit = registers.update, registers.drain, out.extend
+    yield state, pos
     while True:
-        yield state, pos
-        key = (state, read(pos))
-        if key not in transitions:
-            raise UndefinedTransition(pos, pos, key)
-        update(updates[key])
-        emit(drain(name))
-        state = transitions[key]
-        pos += 1
+        for a in more(pos):
+            key = (state, a)
+            if key not in transitions:
+                raise UndefinedTransition(pos, pos, key)
+            update(updates[key])
+            emit(drain(name))
+            state = transitions[key]
+            pos += 1
+            yield state, pos
 
 
 class _SimpleSstEngine(_Engine):

@@ -20,6 +20,7 @@ from .errors import (
     UndefinedTransition,
 )
 from .words import (
+    CHUNK,
     PAD,
     Alphabet,
     ConstantWord,
@@ -208,6 +209,14 @@ class _OutcomeWord(InfiniteWord):
     def letter(self, n):
         return self.outcome.letter(n)
 
+    def letters_from(self, n):
+        """Letter n and the letters after it that the run has already
+        produced: the run steps only as far as letter n needs."""
+        out = self.outcome._engine.out
+        if not 0 <= n < len(out):
+            self.outcome.letter(n)
+        return out[n:n + CHUNK]
+
 
 class _Engine:
     """A run resumed one step at a time: ``kernel`` is a generator like
@@ -237,18 +246,22 @@ class _OneWayEngine(_Engine):
 def _walk_one_way(t, source, out):
     """Run the 1wft t on source, one step per resumption, as _walk does:
     yields (state, pos) before every step, pos being the index of the
-    letter the step reads, and raises UndefinedTransition(pos, pos, key)."""
-    lookup, read, emit = t.transitions.get, source.letter, out.extend
+    letter the step reads, and raises UndefinedTransition(pos, pos, key).
+    It steps through one ``letters_from`` chunk at a time, asking for the
+    next only after the yield before its first letter, and keeps no tape."""
+    lookup, more, emit = t.transitions.get, source.letters_from, out.extend
     state, pos = t.initial, 0
+    yield state, pos
     while True:
-        yield state, pos
-        key = (state, read(pos))
-        hit = lookup(key)
-        if hit is None:
-            raise UndefinedTransition(pos, pos, key)
-        emit(hit[0])
-        state = hit[1]
-        pos += 1
+        for a in more(pos):
+            key = (state, a)
+            hit = lookup(key)
+            if hit is None:
+                raise UndefinedTransition(pos, pos, key)
+            emit(hit[0])
+            state = hit[1]
+            pos += 1
+            yield state, pos
 
 
 def _walk(t, source, out, oracle=None):
@@ -261,22 +274,27 @@ def _walk(t, source, out, oracle=None):
     MovedLeftOfEndmarker after the letters of a step that leaves the tape.
     A caller bounds a run with ``islice(_walk(...), n + 1)``: the loop sees
     every configuration of at most n steps, and islice asks for no more,
-    so the walk never takes a step past them.
+    so the walk never takes a step past them. The letters read so far are
+    kept on ``tape``, which grows by a ``letters_from`` chunk when the head
+    first moves past its end.
     """
-    lookup, read, emit = t.transitions.get, source.letter, out.extend
+    lookup, more, emit = t.transitions.get, source.letters_from, out.extend
     state, pos, step = t.initial, 0, 0
+    tape = [ENDMARKER]
     if oracle is not None:
         zstates = [oracle.initial]  # oracle state after reading n input letters
     while True:
         yield state, pos
-        a = ENDMARKER if pos == 0 else read(pos - 1)
+        if pos == len(tape):
+            tape += more(pos - 1)
+        a = tape[pos]
         if oracle is None:
             key = (state, a)
         else:
             n = pos - 1 if pos else 0
             while len(zstates) <= n:
-                k = len(zstates) - 1
-                zstates.append(oracle.transitions[(zstates[k], read(k))])
+                k = len(zstates)
+                zstates.append(oracle.transitions[(zstates[k - 1], tape[k])])
             key = (state, a, zstates[n])
         hit = lookup(key)
         if hit is None:

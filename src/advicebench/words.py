@@ -3,7 +3,8 @@
 Infinite words are immutable values evaluated on demand: ``letter(n)`` is
 total and pure, so every downstream check can be phrased as a comparison
 of finite prefixes. Most words compute a letter from its index; a block
-mirror, whose letters come in order, caches them.
+mirror, whose letters come in order, caches them. Readers that go forward
+take letters in bulk with ``letters_from(n)``, a run of letters from n on.
 Letters are single-character strings; product letters are tuples; the
 padding letter is the ``PAD`` sentinel and never belongs to an alphabet.
 """
@@ -103,11 +104,8 @@ class Alphabet:
 
 
 def infer_alphabet(letters) -> Alphabet:
-    seen = []
-    for a in letters:
-        if a is PAD or a in seen:
-            continue
-        seen.append(a)
+    seen = dict.fromkeys(letters)  # first-seen order, which the stable sort keeps on ties
+    seen.pop(PAD, None)
     return Alphabet(sorted(seen, key=render_letter))
 
 
@@ -119,13 +117,17 @@ class FiniteWord:
     alphabet: Alphabet
 
     def __post_init__(self):
-        for a in self.letters:
-            if a is not PAD and a not in self.alphabet:
-                raise AlphabetMismatch(f"letter {render_letter(a)} not in {self.alphabet}")
+        stray = set(self.letters).difference(self.alphabet.letters)
+        stray.discard(PAD)
+        if stray:
+            a = next(a for a in self.letters if a in stray)
+            raise AlphabetMismatch(f"letter {render_letter(a)} not in {self.alphabet}")
 
     @classmethod
     def from_str(cls, text: str, alphabet: Alphabet | None = None) -> "FiniteWord":
-        letters = tuple(PAD if c == RESERVED_RENDER else c for c in text)
+        letters = tuple(text)
+        if RESERVED_RENDER in text:
+            letters = tuple(PAD if c == RESERVED_RENDER else c for c in letters)
         if alphabet is None:
             alphabet = infer_alphabet(letters) if any(a is not PAD for a in letters) else Alphabet.of("a")
         return cls(letters, alphabet)
@@ -147,6 +149,10 @@ def word(text: str, alphabet: Alphabet | None = None) -> FiniteWord:
     return FiniteWord.from_str(text, alphabet)
 
 
+#: Letters a periodic word hands out per ``letters_from`` call, about.
+CHUNK = 512
+
+
 class InfiniteWord:
     """Base class: a subclass computes ``letter(n)`` from its parts."""
 
@@ -156,11 +162,27 @@ class InfiniteWord:
     def letter(self, n: int):
         raise NotImplementedError
 
+    def letters_from(self, n: int) -> list:
+        """Letters n, n + 1, ... as a nonempty list, as many as the word
+        has at hand; raises exactly when ``letter(n)`` raises. A word whose
+        letters come from a run hands out only letters the run has already
+        produced, so it never makes the run step past what its reader asked
+        for. This default hands out letter n alone."""
+        return [self.letter(n)]
+
+    def take(self, n: int) -> list:
+        """The first n letters, gathered chunk by chunk."""
+        out: list = []
+        while len(out) < n:
+            out += self.letters_from(len(out))
+        del out[n:]
+        return out
+
     def prefix(self, n: int) -> FiniteWord:
-        return FiniteWord(tuple(self.letter(i) for i in range(n)), self.alphabet)
+        return FiniteWord(tuple(self.take(n)), self.alphabet)
 
     def prefix_str(self, n: int) -> str:
-        return "".join(render_letter(self.letter(i)) for i in range(n))
+        return "".join(map(render_letter, self.take(n)))
 
 
 def letter_at(w: InfiniteWord, n: int):
@@ -196,6 +218,16 @@ class LassoWord(InfiniteWord):
             return pre[n]
         per = self._per
         return per[(n - len(pre)) % len(per)]
+
+    def letters_from(self, n: int) -> list:
+        """Up to CHUNK letters of the rest of u, or a rotation of v repeated
+        up to about CHUNK letters."""
+        pre = self._pre
+        if n < len(pre):
+            return list(pre[n:n + CHUNK])
+        per = self._per
+        r = (n - len(pre)) % len(per)
+        return list(per[r:] + per[:r]) * max(1, CHUNK // len(per))
 
     def canonical(self) -> "LassoWord":
         return canonical_lasso(self.u, self.v)
@@ -243,6 +275,9 @@ class ShiftWord(InfiniteWord):
 
     def letter(self, k: int):
         return self.base.letter(self.n + k)
+
+    def letters_from(self, k: int) -> list:
+        return self.base.letters_from(self.n + k)
 
 
 def shift(w: InfiniteWord, n: int) -> InfiniteWord:
@@ -355,16 +390,24 @@ class PiWord(InfiniteWord):
         super().__init__(BINARY)
         self.k = k
 
-    def letter(self, n: int):
+    def _place(self, n: int):
+        """(b, r): letter n is letter r of block b."""
         k = self.k
-        # block b starts at k*b*(b+1)/2 and has k copies of 0^b 1
+        # block b starts at k*b*(b+1)/2 and has k copies of 0^b 1; the
+        # estimate has b(b+1)/2 <= n // k, so it is never past n's block
         b = (math.isqrt(8 * (n // k) + 1) - 1) // 2
-        while k * b * (b + 1) // 2 > n:
-            b -= 1
         while k * (b + 1) * (b + 2) // 2 <= n:
             b += 1
-        r = n - k * b * (b + 1) // 2
+        return b, n - k * b * (b + 1) // 2
+
+    def letter(self, n: int):
+        b, r = self._place(n)
         return "1" if r % (b + 1) == b else "0"
+
+    def letters_from(self, n: int) -> list:
+        """The rest of the current block, ((0^b 1)^k)[r:]."""
+        b, r = self._place(n)
+        return list((("0" * b + "1") * self.k)[r:])
 
     def __repr__(self):
         return "π" if self.k == 1 else f"π^{self.k}"
@@ -380,44 +423,66 @@ class BlockMirrorWord(InfiniteWord):
     """Each maximal '#'-free block of the base reversed; '#' positions kept.
 
     Lookahead to the next '#' is bounded by ``block_budget``. Its letters
-    come in order, so it caches them, under a lock for concurrent readers.
+    come in order, so it caches them a block at a time, under a lock for
+    concurrent readers.
     """
 
     def __init__(self, base: InfiniteWord, block_budget: int = 10 ** 6):
         super().__init__(base.alphabet)
         self.base = base
         self.block_budget = block_budget
-        self._scan = 0
-        self._pending: list = []
+        self._scan = 0  # base index of the next block
+        self._ahead: list = []  # base letters read ahead; _ahead[_at] is letter _scan
+        self._at = 0
         self._cache: list = []
         self._lock = threading.Lock()
 
     def letter(self, n: int):
+        cache = self._cache
+        if 0 <= n < len(cache):
+            return cache[n]
+        self._fill(n)
+        return cache[n]
+
+    def letters_from(self, n: int) -> list:
+        if not 0 <= n < len(self._cache):
+            self._fill(n)
+        return self._cache[n:n + CHUNK]
+
+    def _fill(self, n: int):
+        """Mirror blocks into the cache until it holds letter n."""
         if n < 0:
             raise IndexError("letter index must be nonnegative")
         cache = self._cache
-        if n >= len(cache):
-            with self._lock:
-                while len(cache) <= n:
-                    cache.append(self._next())
-        return cache[n]
+        with self._lock:
+            while len(cache) <= n:
+                self._mirror_block()
 
-    def _next(self):
-        # _pending holds the marker then the block in reading order, so
-        # popping from the end yields the block reversed, then the marker
-        if not self._pending:
-            pending = [BLOCK_MARK]
-            start = self._scan
-            while True:
-                a = self.base.letter(self._scan)
-                self._scan += 1
-                if a == BLOCK_MARK:
-                    break
-                pending.append(a)
-                if len(pending) > self.block_budget + 1:
-                    raise BlockBudgetExceeded(start, self.block_budget)
-            self._pending = pending
-        return self._pending.pop()
+    def _mirror_block(self):
+        # a block longer than the budget raises once budget + 1 of its
+        # letters are in, before the base is asked for more, and leaves
+        # the word as it was
+        base, budget = self.base, self.block_budget
+        start, ahead, at = self._scan, self._ahead, self._at
+        block: list = []
+        while True:
+            if at == len(ahead):
+                ahead, at = base.letters_from(start + len(block)), 0
+            try:
+                end = ahead.index(BLOCK_MARK, at)
+            except ValueError:
+                end = len(ahead)
+            block += ahead[at:end]
+            if len(block) > budget:
+                raise BlockBudgetExceeded(start, budget)
+            at = end
+            if end < len(ahead):
+                break
+        block.reverse()
+        block.append(BLOCK_MARK)
+        self._ahead, self._at = ahead, at + 1
+        self._scan = start + len(block)
+        self._cache += block
 
 
 def block_mirror(w: InfiniteWord, block_budget: int = 10 ** 6) -> InfiniteWord:

@@ -15,6 +15,7 @@ from advicebench.cli import _run_machine
 from advicebench.documents import dumps, machine_from_doc, machine_to_doc
 from advicebench.errors import (
     AdviceBenchError,
+    BlockBudgetExceeded,
     BudgetExceeded,
     InvariantViolation,
     MovedLeftOfEndmarker,
@@ -49,13 +50,25 @@ from advicebench.transducers import (
     TwoWayTransducer,
     _settle_test,
     _walk,
+    compose_1wft,
     lasso_image,
     remove_endmarker,
     run_1wft,
     run_2wft,
     run_2wft_b,
 )
-from advicebench.words import BINARY, PAD, Alphabet, LassoWord, lasso, pi_word
+from advicebench.words import (
+    BINARY,
+    PAD,
+    Alphabet,
+    LassoWord,
+    block_mirror,
+    convolve_lassos,
+    duplicate,
+    lasso,
+    pi_word,
+    shift,
+)
 
 AB = Alphabet.of("ab")
 LETTERS = 300
@@ -224,6 +237,102 @@ def test_outcome_word_reads_like_try_letters(machine, w):
         with pytest.raises(type(halt)) as err:
             view.letter(len(want))
         assert err.value.args == halt.args
+
+
+MARKED = Alphabet.of("ab#")
+marked_lassos = st.builds(lasso, st.text("ab#", max_size=6), st.text("ab#", min_size=1, max_size=8),
+                          st.just(MARKED))
+
+
+@st.composite
+def word_makers(draw):
+    """A function building a fresh word: a lasso (some over product
+    alphabets) or pi^k, a shift or a duplicate of one, a block mirror over
+    a lasso, or a run output read through ``.word``. Block mirrors and run
+    outputs cache their letters, so each call builds a new one."""
+    kind = draw(st.sampled_from(["word", "shift", "duplicate", "mirror", "outcome"]))
+    if kind == "mirror":
+        base, budget = draw(marked_lassos), draw(st.integers(1, 10))
+        return lambda: block_mirror(base, budget)
+    if kind == "outcome":
+        machine, w = draw(st.one_of(one_way_machines(), two_way_machines())), draw(lassos)
+        run = run_1wft if isinstance(machine, OneWayTransducer) else run_2wft
+        return lambda: run(machine, w, budget=BUDGET).word
+    w = draw(st.one_of(lassos, st.builds(convolve_lassos, lassos, lassos),
+                       st.builds(pi_word, st.integers(1, 3))))
+    if kind == "shift":
+        w = shift(w, draw(st.integers(0, 40)))
+    elif kind == "duplicate":
+        w = duplicate(w, draw(st.integers(1, 3)))
+    return lambda: w
+
+
+@PROPERTY
+@given(make=word_makers(), n=st.integers(0, 1500))
+def test_letters_from_hands_out_the_letters_letter_gives(make, n):
+    try:
+        chunk = make().letters_from(n)
+    except AdviceBenchError as exc:
+        with pytest.raises(type(exc)) as err:
+            make().letter(n)
+        assert err.value.args == exc.args
+        return
+    assert chunk
+    w = make()
+    assert chunk == [w.letter(i) for i in range(n, n + len(chunk))]
+
+
+def mirror_read(base, budget, n, bulk):
+    """Letter n of a fresh block mirror through letter or letters_from, or
+    where it refuses."""
+    w = block_mirror(base, budget)
+    try:
+        return w.letters_from(n)[0] if bulk else w.letter(n)
+    except BlockBudgetExceeded as exc:
+        return "refused", exc.position, exc.budget
+
+
+def naive_mirror_read(base, budget, n):
+    """mirror_read from the definition: letter n is in the block holding base
+    position n, reached once every block before it is within the budget."""
+    start = 0
+    while True:
+        window = [base.letter(i) for i in range(start, start + budget + 1)]
+        if "#" not in window:
+            return "refused", start, budget
+        end = start + window.index("#")
+        if n <= end:
+            return "#" if n == end else base.letter(start + end - 1 - n)
+        start = end + 1
+
+
+@PROPERTY
+@given(base=marked_lassos, budget=st.integers(1, 6))
+def test_block_mirror_refuses_a_long_block_at_the_same_index_through_both_calls(base, budget):
+    for n in range(3 * (len(base.u) + len(base.v))):
+        want = naive_mirror_read(base, budget, n)
+        assert mirror_read(base, budget, n, bulk=True) == mirror_read(base, budget, n, bulk=False) == want
+    w = block_mirror(base, budget)
+    for read in (w.letter, w.letters_from):
+        with pytest.raises(IndexError):
+            read(-1)
+
+
+@PROPERTY
+@given(outer=one_way_machines(), inner=one_way_machines(), w=lassos)
+def test_a_composed_machine_runs_like_the_two_machines_in_sequence(outer, inner, w):
+    """The budget is far above any quiet stretch of such small machines on
+    such short lassos, so both sides stall exactly when one does. The
+    product drops a transition whose letters outer cannot read through, so
+    at such a halt the sequence may add outer's letters for their start."""
+    budget = 1000
+    got, got_halt = run_1wft(compose_1wft(outer, inner), w, budget).try_letters(LETTERS)
+    want, want_halt = run_1wft(outer, run_1wft(inner, w, budget).word, budget).try_letters(LETTERS)
+    assert type(got_halt) is type(want_halt)
+    if isinstance(got_halt, UndefinedTransition):
+        assert want[:len(got)] == got
+    else:
+        assert got == want
 
 
 @st.composite

@@ -73,6 +73,39 @@ def test_run_1wft_eraser_stalls():
     assert isinstance(outcome.try_letters(1)[1], BudgetExceeded)
 
 
+def copies_then_stalls(k):
+    """A 1wft that copies its first k letters, then reads on and writes nothing."""
+    tr = {(i, a): ((a,), i + 1) if i < k else ((), k) for i in range(k + 1) for a in AB.letters}
+    return OneWayTransducer(range(k + 1), 0, AB, AB, tr)
+
+
+def two_way_copier(alphabet):
+    tr = {("q", a): ((a,), RIGHT, "q") for a in alphabet.letters}
+    tr[("q", ENDMARKER)] = ((), RIGHT, "q")
+    return TwoWayTransducer({"q"}, "q", alphabet, alphabet, tr)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("run, machine", [(run_1wft, letter_copier(AB)), (run_2wft, two_way_copier(AB))])
+def test_a_machine_reading_a_run_makes_it_produce_no_letter_it_does_not_need(k, run, machine):
+    # a source that handed out letters in bulk would run the inner machine
+    # into its stall as soon as the outer one reads its first letter
+    source = lasso("", "ab")
+    inner = run_1wft(copies_then_stalls(k), source, budget=50)
+    outer = run(machine, inner.word, budget=50)
+    assert outer.letters(k) == source.take(k)
+    assert inner.produced == k
+    with pytest.raises(BudgetExceeded):
+        outer.letters(k + 1)
+
+
+def test_a_run_output_refuses_a_negative_index_through_both_calls():
+    view = run_1wft(letter_copier(AB), lasso("", "ab")).word
+    for read in (view.letter, view.letters_from):
+        with pytest.raises(IndexError):
+            read(-1)
+
+
 def test_run_1wft_doubler_matches_duplicate():
     doubler = OneWayTransducer({"q"}, "q", BIN, BIN,
                                {("q", a): ((a, a), "q") for a in BIN.letters})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -223,18 +224,30 @@ def test_letters_are_pure():
 
 
 def test_concurrent_readers_agree():
+    # readers through letter and through letters_from, more of them than
+    # cores, switching often: a block mirrored twice or lost shows
+    want = block_mirror(pi_word_with_marks()).prefix_str(3000)
     w = block_mirror(pi_word_with_marks())
     results = []
 
-    def reader():
-        results.append(w.prefix_str(300))
+    def reader(bulk):
+        if bulk:
+            results.append(w.prefix_str(3000))
+        else:
+            results.append("".join(w.letter(i) for i in range(3000)))
 
-    threads = [threading.Thread(target=reader) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
+    threads = [threading.Thread(target=reader, args=(i % 2 == 0,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * len(threads)
 
 
 def pi_word_with_marks():
