@@ -63,6 +63,14 @@ class Dfa:
 
 
 class BuchiAutomaton:
+    """A Büchi automaton, compiled once into integers.
+
+    States are numbered in ``names`` (``index`` maps a state to its number),
+    ``final`` holds one accepting flag per number, and ``rows`` maps each
+    letter that has a transition to a list with one entry per state number:
+    a tuple of successor numbers, or None where no transition is defined.
+    """
+
     def __init__(self, states, initial, accepting, alphabet: Alphabet, transitions):
         self.states = frozenset(states)
         self.initial = frozenset(initial)
@@ -72,15 +80,37 @@ class BuchiAutomaton:
             raise ValueError("initial states not in state set")
         self.accepting = frozenset(accepting)
         self.alphabet = alphabet
-        self.transitions = {k: frozenset(v) for k, v in dict(transitions).items()}
-        for (q, a), qs in self.transitions.items():
-            if q not in self.states or not qs <= self.states:
-                raise ValueError("transition leaves the state set")
-            if a not in alphabet:
-                raise ValueError(f"transition letter {a!r} not in the alphabet")
+        self.names = tuple(self.states)
+        self.index = index = {q: i for i, q in enumerate(self.names)}
+        self.final = bytearray(q in self.accepting for q in self.names)
+        self.rows = rows = {}
+        empty = [None] * len(self.names)
+        number = index.__getitem__
+        try:
+            for (q, a), qs in dict(transitions).items():
+                i = index[q]
+                successors = tuple(map(number, qs))
+                row = rows.get(a)
+                if row is None:
+                    if a not in alphabet:
+                        raise ValueError(f"transition letter {a!r} not in the alphabet")
+                    row = rows[a] = empty.copy()
+                row[i] = successors
+        except KeyError:
+            raise ValueError("transition leaves the state set") from None
+
+    @property
+    def transitions(self) -> dict:
+        """``{(state, letter): frozenset of successors}``, rebuilt from the rows."""
+        names = self.names
+        return {(names[i], a): frozenset(map(names.__getitem__, qs))
+                for a, row in self.rows.items() for i, qs in enumerate(row) if qs is not None}
 
     def post(self, q, letter):
-        return self.transitions.get((q, letter), frozenset())
+        row, i = self.rows.get(letter), self.index.get(q)
+        if row is None or i is None or row[i] is None:
+            return frozenset()
+        return frozenset(map(self.names.__getitem__, row[i]))
 
 
 @dataclass(frozen=True)
@@ -121,47 +151,53 @@ def buchi_lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
     """Exact acceptance of an ultimately periodic word.
 
     Unrolls the preperiod, then makes one iterative Tarjan pass over the
-    reachable nodes (state, period position): the word is accepted iff a
-    strongly connected component holds an accepting state and a cycle
-    (two or more nodes, or a self-loop). Linear in the nodes and edges.
+    reachable nodes (state, period position), numbered position·|Q| + state:
+    the word is accepted iff a strongly connected component holds an
+    accepting state and a cycle (two or more nodes, or a self-loop). Linear
+    in the nodes and edges.
     """
     for a in list(w.u.letters) + list(w.v.letters):
         if a not in b.alphabet and a is not PAD:
             raise AlphabetMismatch(f"letter {a!r} not in the automaton alphabet")
-    current = set(b.initial)
+    n = len(b.names)
+    none = [None] * n
+    current = set(map(b.index.__getitem__, b.initial))
     for a in w.u.letters:
-        current = {q2 for q in current for q2 in b.post(q, a)}
+        row = b.rows.get(a, none)
+        current = {q2 for qs in map(row.__getitem__, current) if qs for q2 in qs}
         if not current:
             return False
     period = w.v.letters
     m = len(period)
-
-    def succ(node):
-        q, i = node
-        return [(q2, (i + 1) % m) for q2 in b.post(q, period[i])]
-
-    order: dict = {}  # node -> discovery number
-    low: dict = {}  # node -> least discovery number it reaches on the stack
+    rows = [b.rows.get(a, none) for a in period]  # the row read at each period position
+    final = b.final * m  # accepting flag per node
+    order = [0] * (m * n)  # node -> discovery number, 0 while undiscovered
+    low = [0] * (m * n)  # node -> least discovery number it reaches on the stack
+    on_stack = bytearray(m * n)
     stack: list = []  # nodes of components not yet closed
-    on_stack: set = set()
-    for q0 in current:
-        root = (q0, 0)
-        if root in order:
+    count = 0
+    for root in current:  # node ids at position 0 are the state numbers
+        if order[root]:
             continue
-        order[root] = low[root] = len(order)
+        count += 1
+        order[root] = low[root] = count
         stack.append(root)
-        on_stack.add(root)
-        path = [(root, iter(succ(root)))]
+        on_stack[root] = 1
+        # a path entry: node, position of its successors, iterator over their states
+        path = [(root, 1 % m, iter(rows[0][root] or ()))]
         while path:
-            node, todo = path[-1]
-            for nxt in todo:
-                if nxt not in order:
-                    order[nxt] = low[nxt] = len(order)
+            node, i, todo = path[-1]
+            base = i * n
+            for q2 in todo:
+                nxt = base + q2
+                if not order[nxt]:
+                    count += 1
+                    order[nxt] = low[nxt] = count
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    path.append((nxt, iter(succ(nxt))))
+                    on_stack[nxt] = 1
+                    path.append((nxt, i + 1 if i + 1 < m else 0, iter(rows[i][q2] or ())))
                     break
-                if nxt in on_stack and order[nxt] < low[node]:
+                if on_stack[nxt] and order[nxt] < low[node]:
                     low[node] = order[nxt]
             else:
                 path.pop()
@@ -169,12 +205,18 @@ def buchi_lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
                     low[path[-1][0]] = low[node]
                 if low[node] != order[node]:
                     continue
-                component = []
-                while not component or component[-1] != node:
-                    component.append(stack.pop())
-                on_stack.difference_update(component)
-                if any(q in b.accepting for q, _ in component) and (
-                        len(component) > 1 or node in succ(node)):
+                top = stack.pop()
+                on_stack[top] = 0
+                if top == node:  # a singleton: a cycle only by a self-loop, so only when m == 1
+                    if m == 1 and final[node] and node in (rows[0][node] or ()):
+                        return True
+                    continue
+                accepting = final[top]
+                while top != node:
+                    top = stack.pop()
+                    on_stack[top] = 0
+                    accepting = accepting or final[top]
+                if accepting:
                     return True
     return False
 
@@ -264,5 +306,5 @@ def project_track(b: BuchiAutomaton, keep: int) -> BuchiAutomaton:
         if a is PAD:
             continue
         key = (q, a)
-        transitions[key] = frozenset(transitions.get(key, frozenset()) | qs)
+        transitions[key] = transitions.get(key, frozenset()) | qs
     return BuchiAutomaton(b.states, b.initial, b.accepting, track, transitions)

@@ -136,7 +136,11 @@ def cmd_run(ws: Workspace, args) -> int:
     source = ws.word(args.word)
     stream = _run_machine(machine, source, args.budget)
     letters, halt = stream.try_letters(args.letters)
-    print("".join(render_letter(a) for a in letters))
+    try:
+        text = "".join(letters)  # a str letter renders as itself
+    except TypeError:  # PAD or product letters
+        text = "".join(map(render_letter, letters))
+    print(text)
     if halt is not None:
         print(f"stalled: {halt}", file=sys.stderr)
         return 1

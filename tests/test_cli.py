@@ -8,8 +8,8 @@ import pytest
 from advicebench import corpus
 from advicebench.cli import main, parse_word_literal
 from advicebench.documents import dumps, machine_to_doc
-from advicebench.transducers import mirror_blocks_2wft
-from advicebench.words import Alphabet
+from advicebench.transducers import OneWayTransducer, mirror_blocks_2wft
+from advicebench.words import PAD, Alphabet
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +180,15 @@ def test_a_halting_mealy_run_prints_its_letters_then_stalls(capsys, monkeypatch)
     code, out, err = run_cli(capsys, "run", "-", "aa·(b)^ω", "-n", "5")
     assert (code, out) == (1, "xx\n")
     assert err.startswith("stalled: ")
+
+
+def test_run_renders_product_and_padding_letters(capsys, monkeypatch):
+    ab = Alphabet.of("ab")
+    pairs = OneWayTransducer({"q"}, "q", ab, Alphabet.product(ab, ab, pad=True),
+                             {("q", "a"): ((("a", PAD),), "q"), ("q", "b"): ((("b", "a"),), "q")})
+    monkeypatch.setattr(corpus, "builtin_machines", lambda: {"pairs": pairs})
+    code, out, _ = run_cli(capsys, "run", "pairs", "(ab)^ω", "-n", "3")
+    assert (code, out) == (0, "a_baa_\n")
 
 
 ONE_WAY_EMITTING_ZZ = json.dumps({
