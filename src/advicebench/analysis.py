@@ -24,6 +24,12 @@ class ComplexityProfile:
     window: int
 
 
+def _factors(letters, k: int, start: int, stop: int) -> set:
+    """The length-k factors of ``letters`` that begin at start..stop-1: one
+    tuple per beginning, zipped from k shifted slices."""
+    return set(zip(*(letters[start + j: stop + j] for j in range(k))))
+
+
 def subword_complexity(w: InfiniteWord, k_max: int, window: int = 2048) -> ComplexityProfile:
     """Distinct-factor counts for k = 1..k_max.
 
@@ -38,19 +44,21 @@ def subword_complexity(w: InfiniteWord, k_max: int, window: int = 2048) -> Compl
     stable: dict = {}
     if isinstance(w, LassoWord):
         span = len(w.u) + len(w.v)
+        letters = w.take(span + k_max - 1)
         for k in range(1, k_max + 1):
-            factors = {tuple(w.letter(i + j) for j in range(k)) for i in range(span)}
-            counts[k] = len(factors)
+            counts[k] = len(_factors(letters, k, 0, span))
             exact[k] = True
             stable[k] = True
         return ComplexityProfile(w, counts, exact, stable, span + k_max)
     letters = w.take(2 * window)
     for k in range(1, k_max + 1):
-        small = {tuple(letters[i: i + k]) for i in range(max(window - k + 1, 0))}
-        big = {tuple(letters[i: i + k]) for i in range(max(2 * window - k + 1, 0))}
-        counts[k] = len(big)
+        split = max(window - k + 1, 0)
+        factors = _factors(letters, k, 0, split)
+        in_window = len(factors)
+        factors |= _factors(letters, k, split, max(2 * window - k + 1, 0))
+        counts[k] = len(factors)
         exact[k] = False
-        stable[k] = len(small) == len(big)
+        stable[k] = in_window == len(factors)
     return ComplexityProfile(w, counts, exact, stable, 2 * window)
 
 

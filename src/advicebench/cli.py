@@ -8,6 +8,7 @@ from standard input with ``-``. Exit codes: 0 success or equal or pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,7 +80,6 @@ class Workspace:
     def __init__(self, document=None):
         self.document = document
         self.builtin_words = corpus.builtin_words()
-        self.builtin_machines = corpus.builtin_machines()
 
     def word(self, spec: str):
         literal = parse_word_literal(spec)
@@ -100,8 +100,10 @@ class Workspace:
             return _load("standard input", machine_from_doc, data)
         if self.document and spec in self.document.machines:
             return self.document.machines[spec]
-        if spec in self.builtin_machines:
-            return self.builtin_machines[spec]
+        # built per lookup, so commands that name no machine build none
+        machines = corpus.builtin_machines()
+        if spec in machines:
+            return machines[spec]
         raise UnresolvedReference(spec)
 
     def formula(self, spec: str):
@@ -261,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="run, convert, compare and analyze automata over infinite words",
     )
     parser.add_argument("-f", "--file", help="JSON document with named words/machines/formulas")
-    # a string default goes through ``type`` too, so a bad environment value is a usage error
-    parser.add_argument("--budget", type=_positive,
-                        default=os.environ.get("ADVICEBENCH_BUDGET", str(DEFAULT_BUDGET)),
+    # main() sets the default from ADVICEBENCH_BUDGET on every call; a string
+    # default goes through ``type`` too, so a bad environment value is a usage error
+    parser.add_argument("--budget", type=_positive, default=str(DEFAULT_BUDGET),
                         help="step budget per requested output letter")
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,8 +312,13 @@ COMMANDS = {
 }
 
 
+# one parser per process, built on the first call; argparse keeps nothing of one call's arguments
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
+    parser.set_defaults(budget=os.environ.get("ADVICEBENCH_BUDGET", str(DEFAULT_BUDGET)))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

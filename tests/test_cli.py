@@ -191,6 +191,51 @@ def test_run_renders_product_and_padding_letters(capsys, monkeypatch):
     assert (code, out) == (0, "a_baa_\n")
 
 
+def test_the_budget_environment_is_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("ADVICEBENCH_BUDGET", "0")
+    code, out, err = run_cli(capsys, "words")
+    assert (code, out) == (2, "")
+    assert "error: argument --budget: expected a positive integer, got '0'" in err
+    monkeypatch.delenv("ADVICEBENCH_BUDGET")
+    assert run_cli(capsys, "words")[0] == 0
+
+
+def test_a_small_environment_budget_does_not_outlive_its_call(capsys, monkeypatch):
+    argv = ("run", "mirror2wft", "(ab#)^ω", "-n", "9")
+    monkeypatch.setenv("ADVICEBENCH_BUDGET", "3")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("stalled: ")
+    monkeypatch.delenv("ADVICEBENCH_BUDGET")
+    assert run_cli(capsys, *argv) == (0, "ba#ba#ba#\n", "")
+
+
+def test_no_option_carries_over_to_the_next_call(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"words": {"mine": {"kind": "lasso", "u": "", "v": "ab"}}}))
+    code, out, _ = run_cli(capsys, "--json", "-f", str(path), "analyze", "complexity", "mine", "--kmax", "2")
+    assert (code, json.loads(out)["counts"]) == (0, {"1": 2, "2": 2})
+    code, out, _ = run_cli(capsys, "analyze", "complexity", "(ab)^ω")
+    assert code == 0
+    assert out.splitlines()[0] == "k\tcount\texact\tstable"
+    assert len(out.splitlines()) == 1 + 6  # the default --kmax
+    assert run_cli(capsys, "words")[1] == "pi\npi2\npi3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "complexity", "ab·(ba)^ω"),
+    ("analyze", "padding", "F b", "aaab·(a)^ω", "--range", "6"),
+    ("words",),
+    ("compare", "(ab)^ω", "ab·(ab)^ω"),
+], ids=["complexity", "padding", "words", "compare-literals"])
+def test_commands_that_name_no_machine_build_none(argv, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("built the corpus machines")
+    monkeypatch.setattr(corpus, "builtin_machines", refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
 ONE_WAY_EMITTING_ZZ = json.dumps({
     "type": "1wft", "states": ["q"], "initial": "q", "input_alphabet": ["a", "b"],
     "output_alphabet": ["y"], "transitions": [{"from": "q", "read": "a", "out": "zz", "to": "q"}],

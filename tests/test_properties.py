@@ -6,11 +6,12 @@ import json
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advicebench import corpus
 from advicebench.advice import BuchiAutomaton, Dfa, pref_advice_automaton
+from advicebench.analysis import check_subword_bound, subword_complexity
 from advicebench.cli import _run_machine
 from advicebench.documents import dumps, machine_from_doc, machine_to_doc
 from advicebench.errors import (
@@ -491,6 +492,51 @@ def test_unlookbehind_of_a_compiled_sst_refuses_or_runs_like_the_sst(s, w):
         return
     got = run_2wft(plain, w, budget=5000).try_letters(LETTERS)[0]
     assert got == run_sst(s, w, budget=5000).try_letters(LETTERS)[0]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(s=simple_ssts(), w=lassos)
+def test_a_compiled_sst_runs_like_the_sst(s, w):
+    got, halt = run_2wft_b(compile_sst_to_2wftb(s), w, budget=5000).try_letters(LETTERS)
+    want, want_halt = run_sst(s, w, budget=5000).try_letters(LETTERS)
+    assert got == want
+    assert halt_kind(halt) is halt_kind(want_halt)
+
+
+def per_letter_subword_counts(w, k_max):
+    """Reference counts: every factor of one preperiod-plus-period span read
+    letter by letter."""
+    span = len(w.u) + len(w.v)
+    return {k: len({tuple(w.letter(i + j) for j in range(k)) for i in range(span)})
+            for k in range(1, k_max + 1)}
+
+
+abc_lassos = st.builds(lasso, st.text("abc", max_size=5), st.text("abc", min_size=1, max_size=6))
+subword_lassos = st.one_of(abc_lassos, st.builds(convolve_lassos, lassos, lassos))
+
+
+@PROPERTY
+@given(w=subword_lassos, k_max=st.integers(1, 14))
+@example(w=lasso("", "a"), k_max=3)  # empty u, |v| = 1, k_max > span
+@example(w=convolve_lassos(lasso("", "ab"), lasso("a", "b")), k_max=6)  # product letters
+def test_subword_complexity_counts_the_per_letter_factors(w, k_max):
+    profile = subword_complexity(w, k_max)
+    assert profile.counts == per_letter_subword_counts(w, k_max)
+    assert profile.exact == profile.stable == {k: True for k in range(1, k_max + 1)}
+    assert profile.window == len(w.u) + len(w.v) + k_max
+
+
+@PROPERTY
+@given(alpha=subword_lassos, beta=subword_lassos, factor=st.integers(1, 3), k_max=st.integers(1, 10))
+def test_subword_bound_reads_the_per_letter_counts(alpha, beta, factor, k_max):
+    left = per_letter_subword_counts(alpha, k_max)
+    right = per_letter_subword_counts(beta, k_max)
+    violations = [(k, left[k], factor * right[k]) for k in range(1, k_max + 1)
+                  if left[k] > factor * right[k]]
+    report = check_subword_bound(alpha, beta, factor, k_max)
+    assert report.violations == violations
+    assert report.holds is not violations
+    assert report.conclusive
 
 
 @st.composite
