@@ -101,10 +101,10 @@ class Workspace:
         if self.document and spec in self.document.machines:
             return self.document.machines[spec]
         # built per lookup, so commands that name no machine build none
-        machines = corpus.builtin_machines()
-        if spec in machines:
-            return machines[spec]
-        raise UnresolvedReference(spec)
+        build = corpus.BUILTIN_MACHINES.get(spec)
+        if build is None:
+            raise UnresolvedReference(spec)
+        return build()
 
     def formula(self, spec: str):
         if self.document and spec in self.document.formulas:

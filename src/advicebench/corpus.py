@@ -263,22 +263,25 @@ def delay_test_words():
     ]
 
 
+#: The machines the CLI knows by name, each with the function that builds it,
+#: so that a lookup builds only the machine it names.
+BUILTIN_MACHINES = {
+    "mirror2wft": lambda: mirror_blocks_2wft(AB),
+    "mirror_sst": lambda: mirror_sst(AB),
+    "identity_sst": lambda: identity_sst(BIN),
+    "interleave_sst": interleave_sst,
+    "mu2_forward": lambda: mu_transducers(2, BIN)[0],
+    "mu2_backward": lambda: mu_transducers(2, BIN)[1],
+    "mu3_forward": lambda: mu_transducers(3, BIN)[0],
+    "mu3_backward": lambda: mu_transducers(3, BIN)[1],
+    "bounce_probe": bounce_probe_2wft,
+    "stutter_cross": stutter_cross_2wft,
+    "revisit_probe": revisit_probe_2wft,
+}
+
+
 def builtin_machines() -> dict:
-    mu2f, mu2b = mu_transducers(2, BIN)
-    mu3f, mu3b = mu_transducers(3, BIN)
-    return {
-        "mirror2wft": mirror_blocks_2wft(AB),
-        "mirror_sst": mirror_sst(AB),
-        "identity_sst": identity_sst(BIN),
-        "interleave_sst": interleave_sst(),
-        "mu2_forward": mu2f,
-        "mu2_backward": mu2b,
-        "mu3_forward": mu3f,
-        "mu3_backward": mu3b,
-        "bounce_probe": bounce_probe_2wft(),
-        "stutter_cross": stutter_cross_2wft(),
-        "revisit_probe": revisit_probe_2wft(),
-    }
+    return {name: build() for name, build in BUILTIN_MACHINES.items()}
 
 
 def builtin_words() -> dict:

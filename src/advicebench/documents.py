@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from itertools import starmap
 from operator import add, itemgetter
 
 from .advice import BuchiAutomaton, Dfa
@@ -155,8 +156,9 @@ def _word_from_doc(doc, named) -> InfiniteWord:
 #
 # A transition is a row of cells: its state, its fields between "from" and
 # "to" (key fields first) and its next state. Each column of cells is coded
-# by one function, made once per call; per cell that is a dict lookup for
-# state names and letters. A field without a codec passes as it is.
+# by one function of the column and the call's machine (or decoded header);
+# per cell that is a dict lookup for state names and letters. A field without
+# a codec passes as it is.
 
 class _Memo(dict):
     """A dict that fills itself from ``fn``."""
@@ -183,32 +185,38 @@ def _text_tokens(text, registers) -> tuple:
     return tuple(tokens)
 
 
-def _update_decoder(header):
+def _decode_updates(updates, header):
     registers = header["registers"]
-    return partial(map, lambda update: Substitution(
-        {name: _text_tokens(text, registers) for name, text in dict.items(update)}))
+    return map(lambda update: Substitution(
+        {name: _text_tokens(text, registers) for name, text in dict.items(update)}), updates)
 
 
-def _update_encoder(m):
-    return partial(map, lambda sub: {name: " ".join(
+def _encode_updates(subs, m):
+    return map(lambda sub: {name: " ".join(
         tok.name if isinstance(tok, Reg) else _TEXT_OF_LETTER.get(tok, tok) for tok in sub.rhs(name))
-        for name in m.registers})
+        for name in m.registers}, subs)
 
 
-# A cell codec is two factories of a column's function: the encoder's takes
+_FIRST = itemgetter(0)
+
+
+def _product_letter(text):
+    return _LETTER_OF_TEXT.get(text) or tuple(_letters(text))
+
+
+# A cell codec is two functions of a column: the encoder's second argument is
 # the machine, the decoder's the decoded machine-level fields.
-_LETTER = (lambda m: _texts, lambda header: _letters)
+_LETTER = (lambda letters, m: _texts(letters), lambda texts, header: _letters(texts))
 _TRACKS = (  # an automaton's letters may be product letters, written as their tracks
-    lambda m: partial(map, _track_text) if m.alphabet.parts is not None else _texts,
-    lambda header: partial(map, lambda text: _LETTER_OF_TEXT.get(text) or tuple(_letters(text)))
-    if header["alphabet"].parts is not None else _letters)
-_WORD = (lambda m: partial(map, _Memo(lambda out: "".join(map(render_letter, out))).__getitem__),
-         lambda header: partial(map, tuple))  # a transducer never emits '_' or '^'
-_ONE_LETTER = (lambda m: lambda outs: _texts(tuple(map(itemgetter(0), outs))),
-               lambda header: _letters)  # a Mealy output: the one letter of a word
-_LOOKBEHIND = (lambda m: partial(map, _name_states(m.oracle.states, m.oracle.initial).__getitem__),
-               lambda header: None)
-_UPDATE = (_update_encoder, _update_decoder)
+    lambda letters, m: map(_track_text, letters) if m.alphabet.parts is not None else _texts(letters),
+    lambda texts, header: map(_product_letter, texts) if header["alphabet"].parts is not None else _letters(texts))
+_WORD = (lambda outs, m: map(_Memo(lambda out: "".join(map(render_letter, out))).__getitem__, outs),
+         lambda texts, header: map(tuple, texts))  # a transducer never emits '_' or '^'
+_ONE_LETTER = (lambda outs, m: _texts(tuple(map(_FIRST, outs))),
+               lambda texts, header: _letters(texts))  # a Mealy output: the one letter of a word
+_LOOKBEHIND = (lambda states, m: map(_name_states(m.oracle.states, m.oracle.initial).__getitem__, states),
+               None)
+_UPDATE = (_encode_updates, _decode_updates)
 
 # A machine-level field besides "states" and "initial": (name, encode(machine,
 # state names), decode(document)).
@@ -257,12 +265,13 @@ class _Kind:
 
     def __init__(self, fixed, cls, rows, fields, keys, header, build=None, nondeterministic=False):
         self.fixed, self.cls, self.rows, self.header = fixed, cls, rows, header
-        self.codecs = [codec for _, codec in fields]
+        self.encoders = [codec and codec[0] for _, codec in fields]
+        self.decoders = [None, *(codec and codec[1] for _, codec in fields), None]
         wire = ("from", *(name for name, _ in fields), "to")
         self.cells = itemgetter(*wire)
+        self.no_columns = [()] * len(wire)
         self.row_dict = _row_dict(*wire[1:-1])
         self.cut = 1 + keys
-        self.sort_key = itemgetter(*wire[:self.cut], "to")
         self.build = build or cls
         self.nondeterministic = nondeterministic
 
@@ -296,12 +305,12 @@ _KIND_OF_CLASS = {kind.cls: kind for kind in _KINDS}
 _KIND_OF_DOC = {(kind.fixed["type"], kind.fixed.get("simple", False)): kind for kind in _KINDS}
 
 
-def _code(functions, columns):
-    return [c if f is None else f(c) for f, c in zip(functions, columns)]
+def _code(functions, columns, context):
+    return [c if f is None else f(c, context) for f, c in zip(functions, columns)]
 
 
 def machine_to_doc(m) -> dict:
-    kind = next(filter(None, map(_KIND_OF_CLASS.get, type(m).__mro__)), None)
+    kind = _KIND_OF_CLASS.get(type(m)) or next(filter(None, map(_KIND_OF_CLASS.get, type(m).__mro__)), None)
     if kind is None:
         raise ParseError(f"machine of kind {type(m).__name__} has no document form")
     names = _name_states(m.states, min(m.initial, key=_state_key) if kind.nondeterministic else m.initial)
@@ -309,10 +318,12 @@ def machine_to_doc(m) -> dict:
     doc = {**kind.fixed, "states": sorted(names.values()), "initial": initial}
     for name, encode, _ in kind.header:
         doc[name] = encode(m, names)
-    name = partial(map, names.__getitem__)
-    functions = [name, *[codec and codec[0](m) for codec in kind.codecs], name]
-    columns = _code(functions, list(zip(*kind.rows(m))) or [()] * len(functions))
-    doc["transitions"] = sorted(map(kind.row_dict, *columns), key=kind.sort_key)
+    name = lambda states, m: map(names.__getitem__, states)
+    columns = _code([name, *kind.encoders, name], list(zip(*kind.rows(m))) or kind.no_columns, m)
+    # Rows sort as tuples of cells, before any dict is built. Their key cells
+    # are unique (a Büchi automaton's whole rows are), so no comparison reaches
+    # a cell after them, and the order is that of the keys.
+    doc["transitions"] = list(starmap(kind.row_dict, sorted(zip(*columns))))
     return doc
 
 
@@ -340,8 +351,7 @@ def _machine_from_doc(doc, kind=None):
     header = {"states": doc["states"], "initial": doc["initial"]}
     for name, _, decode in kind.header:
         header[name] = decode(doc)
-    functions = [None, *[codec and codec[1](header) for codec in kind.codecs], None]
-    columns = _code(functions, list(zip(*map(kind.cells, doc["transitions"]))) or [()] * len(functions))
+    columns = _code(kind.decoders, list(zip(*map(kind.cells, doc["transitions"]))) or kind.no_columns, header)
     keys = list(zip(*columns[:kind.cut]))
     if kind.nondeterministic:
         table: dict = {}
@@ -413,4 +423,21 @@ def load_document(path: str) -> SpecDocument:
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """A machine document as sorted-key JSON with each transition row, an
+    oracle's too, on a line of its own.
+
+    The C encoder writes the text; ``indent`` would switch to the pure-Python
+    one. Line breaks then go in where a row list opens, between two rows and
+    where a row list closes, and nowhere inside a string:
+    - ``{"from": `` starts a row. A '"' inside a string is escaped, so this
+      '"' opens a string, and a string's closing quote is never followed by
+      ``from``; "from" sorts first among a row's keys, and only rows have it.
+    - ``], "type": `` follows the last row. Its '"' opens the key "type" for
+      the same reason, and "type" is the key after "transitions" in every
+      machine document.
+    So the text loads as the compact text does.
+    """
+    return (json.dumps(doc, sort_keys=True)
+            .replace('[{"from": ', '[\n{"from": ')
+            .replace('}, {"from": ', '},\n{"from": ')
+            .replace('}], "type": ', '}\n], "type": '))

@@ -186,7 +186,7 @@ def test_run_renders_product_and_padding_letters(capsys, monkeypatch):
     ab = Alphabet.of("ab")
     pairs = OneWayTransducer({"q"}, "q", ab, Alphabet.product(ab, ab, pad=True),
                              {("q", "a"): ((("a", PAD),), "q"), ("q", "b"): ((("b", "a"),), "q")})
-    monkeypatch.setattr(corpus, "builtin_machines", lambda: {"pairs": pairs})
+    monkeypatch.setitem(corpus.BUILTIN_MACHINES, "pairs", lambda: pairs)
     code, out, _ = run_cli(capsys, "run", "pairs", "(ab)^ω", "-n", "3")
     assert (code, out) == (0, "a_baa_\n")
 
@@ -230,10 +230,26 @@ def test_no_option_carries_over_to_the_next_call(tmp_path, capsys):
 ], ids=["complexity", "padding", "words", "compare-literals"])
 def test_commands_that_name_no_machine_build_none(argv, capsys, monkeypatch):
     def refuse():
-        raise AssertionError("built the corpus machines")
+        raise AssertionError("built a corpus machine")
     monkeypatch.setattr(corpus, "builtin_machines", refuse)
+    monkeypatch.setattr(corpus, "BUILTIN_MACHINES", dict.fromkeys(corpus.BUILTIN_MACHINES, refuse))
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
+
+
+def test_a_machine_lookup_builds_only_the_machine_it_names(capsys, monkeypatch):
+    built = []
+
+    def counting(name, build):
+        return lambda: built.append(name) or build()
+
+    monkeypatch.setattr(corpus, "BUILTIN_MACHINES",
+                        {name: counting(name, build) for name, build in corpus.BUILTIN_MACHINES.items()})
+    code, out, _ = run_cli(capsys, "compare", "mirror2wft", "mirror_sst", "--word", "(ab#)^ω", "-n", "9")
+    assert (code, out) == (0, "Equal(length=9)\n")
+    assert built == ["mirror2wft", "mirror_sst"]
+    assert run_cli(capsys, "run", "mu2_backward", "(0011)^ω", "-n", "4")[:2] == (0, "0101\n")
+    assert built[2:] == ["mu2_backward"]
 
 
 ONE_WAY_EMITTING_ZZ = json.dumps({

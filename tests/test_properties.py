@@ -503,6 +503,23 @@ def test_a_compiled_sst_runs_like_the_sst(s, w):
     assert halt_kind(halt) is halt_kind(want_halt)
 
 
+@settings(PROPERTY, max_examples=300)
+@given(machine=two_way_machines(marker_moves=(RIGHT,)), w=lassos)  # more runs get past the marker
+def test_unlookbehind_refuses_or_runs_like_the_lookbehind_machine(machine, w):
+    """On 2wftbs that are not compiled SSTs: the oracle counts a's modulo 2,
+    so its cycle on w can be twice w's period."""
+    wrapped = with_parity_lookbehind(machine)
+    try:
+        plain = eliminate_lookbehind_lasso(wrapped, w)
+    except (BudgetExceeded, UndefinedTransition, MovedLeftOfEndmarker, ValidationFailed):
+        return
+    # a budget far above any gap between letters of a settled run here
+    got, halt = run_2wft(plain, w, budget=2000).try_letters(500)
+    want, want_halt = run_2wft_b(wrapped, w, budget=2000).try_letters(500)
+    assert got == want
+    assert halt_kind(halt) is halt_kind(want_halt)
+
+
 def per_letter_subword_counts(w, k_max):
     """Reference counts: every factor of one preperiod-plus-period span read
     letter by letter."""
@@ -638,7 +655,7 @@ def test_a_reloaded_machine_runs_like_the_machine(machine_and_word):
     assert run_signature(again, w) == run_signature(machine, w)
 
 
-CORPUS_DOCUMENTS = [machine_to_doc(m) for m in (
+CORPUS_MACHINES = (
     *corpus.builtin_machines().values(),
     corpus.two_phase_sst(),
     corpus.pinned_lookbehind_2wftb(),
@@ -646,7 +663,55 @@ CORPUS_DOCUMENTS = [machine_to_doc(m) for m in (
     pref_advice_automaton(AB),
     pref_graph_dfa(delay_mealy("a", AB)),
     BuchiAutomaton({0, 1}, {0}, {1}, AB, {(0, "a"): {0, 1}, (1, "b"): {0}}),
-)]
+)
+CORPUS_DOCUMENTS = [machine_to_doc(m) for m in CORPUS_MACHINES]
+
+#: letters that JSON escapes in a string or uses for its structure
+JSON_SIGNS = Alphabet.of('"\\{},')
+
+
+@st.composite
+def json_sign_machines(draw):
+    """A 1wft, 2wft or simple sst that reads and writes JSON_SIGNS."""
+    letters = JSON_SIGNS.letters
+    words = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    states = range(draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["1wft", "2wft", "sst"]))
+    if kind == "sst":
+        tr = {(q, a): draw(st.sampled_from(states)) for q in states for a in letters}
+        updates = {key: Substitution({"out": (Reg("out"), *draw(words))}) for key in tr}
+        return SimpleSst(states, 0, JSON_SIGNS, JSON_SIGNS, ("out",), tr, updates)
+    if kind == "1wft":
+        tr = {(q, a): (draw(words), draw(st.sampled_from(states))) for q in states for a in letters}
+        return OneWayTransducer(states, 0, JSON_SIGNS, JSON_SIGNS, tr)
+    tr = {(q, a): (draw(words), RIGHT if a is ENDMARKER else draw(st.sampled_from((LEFT, RIGHT))),
+                   draw(st.sampled_from(states)))
+          for q in states for a in letters + (ENDMARKER,)}
+    return TwoWayTransducer(states, 0, JSON_SIGNS, JSON_SIGNS, tr)
+
+
+def row_lists(doc):
+    """The transition row lists of a machine document, an oracle's first."""
+    return (row_lists(doc["oracle"]) if "oracle" in doc else []) + [doc["transitions"]]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(machine=st.one_of(st.sampled_from(CORPUS_MACHINES), one_way_machines(), two_way_machines(),
+                         two_way_machines().map(with_parity_lookbehind), simple_ssts(), general_ssts(),
+                         json_sign_machines()))
+def test_a_document_puts_each_transition_row_on_a_line_of_its_own(machine):
+    doc = machine_to_doc(machine)
+    text = dumps(doc)
+    lists = row_lists(doc)
+    lines = text.splitlines()
+    rows = [json.loads(line.rstrip(",")) for line in lines if line.startswith('{"from": ')]
+    assert rows == [row for rows_of_one_list in lists for row in rows_of_one_list]
+    # besides its rows, a line opens the document and one closes each row list
+    assert len(lines) == len(rows) + 1 + sum(map(bool, lists))
+    assert json.loads(text) == doc
+    assert dumps(machine_to_doc(machine_from_doc(json.loads(text)))) == text
+
+
 JSON_VALUES = (None, 0, -1, 2.5, True, "", "a", "^", "_", "out x", [], ["a"], [[]], {}, {"a": "b"})
 
 
