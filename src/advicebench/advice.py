@@ -54,6 +54,8 @@ class Dfa:
         if all((q, a) in self.transitions for q in self.states for a in self.alphabet.letters):
             return self
         sink = ("sink", len(self.states))
+        while sink in self.states:
+            sink = ("sink", sink[1] + 1)
         transitions = dict(self.transitions)
         states = set(self.states) | {sink}
         for q in states:

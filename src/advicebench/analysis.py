@@ -139,23 +139,21 @@ def prefix_equiv(a, b, n: int):
     return Equal(n)
 
 
-def _validate_prefix(result: RunOutcome, original: RunOutcome, n: int, what: str, complete=False):
+def _validate_prefix(result: RunOutcome, original: RunOutcome, n: int, what: str):
     """Refuse a construction whose run differs from the original's within n letters.
 
-    Lengths count. Pass runs with the default budget, not the construction's
-    own: with a small one a run that comes back late looks stalled. With
-    ``complete``, an original shorter than n raises UnstableClassification.
+    Lengths count. An original shorter than n raises UnstableClassification;
+    it is read first, so the result then takes no step. Pass runs with the
+    default budget, not the construction's own: with a small one a run that
+    comes back late looks stalled.
     """
-    verdict = prefix_equiv(result, original, n)
-    if isinstance(verdict, Equal):
-        return
-    got, want = min(result.produced, n), min(original.produced, n)
-    if complete and want < n:
+    if len(original.try_letters(n)[0]) < n:
         raise UnstableClassification("original output too short to validate")
+    verdict = prefix_equiv(result, original, n)
     if isinstance(verdict, Diverges):
         raise ValidationFailed(verdict.index, f"{what} changed the output")
-    if got != want:
-        raise ValidationFailed(min(got, want), f"{what} changed the output length")
+    if isinstance(verdict, Inconclusive):
+        raise ValidationFailed(verdict.index, f"{what} changed the output length")
 
 
 def _validate_image(result, original, w: LassoWord, budget, what: str):

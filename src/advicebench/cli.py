@@ -177,7 +177,7 @@ CONVERSIONS = {
     "oneway-pi": (TwoWayTransducer, lambda m, ws, args: one_way_simulation_on_pi(
         _direction_normalized(m), c_max=args.cmax).transducer),
     "remove-endmarker": (TwoWayTransducer, lambda m, ws, args: remove_endmarker(
-        m, ws.word(args.input) if args.input else lasso("", "ab"), budget=args.budget)),
+        m, _lasso_arg(ws, args) if args.input else lasso("", "ab"), budget=args.budget)),
 }
 
 
@@ -328,7 +328,13 @@ def main(argv=None) -> int:
         if args.file:
             document = _load(args.file, load_document, args.file)
         ws = Workspace(document)
-        return COMMANDS[args.command](ws, args)
+        code = COMMANDS[args.command](ws, args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader has gone: stdout goes to devnull, so the last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

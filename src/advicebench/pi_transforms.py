@@ -28,12 +28,13 @@ from .transducers import (
     OneWayTransducer,
     TwoWayTransducer,
     _lasso_cycle,
+    _settle_test,
     _walk,
     compose_1wft,
     run_1wft,
     run_2wft,
 )
-from .words import BINARY, lasso, pi_word
+from .words import BINARY, _primitive_root_length, lasso, pi_word
 
 
 def pi_k_expander_1wft(k: int, strict: bool = False) -> OneWayTransducer:
@@ -114,68 +115,42 @@ def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
 
     Returns _Return (comes back out the entry side), _Cross (drifts through:
     first-arrival states and output chunks per cell, eventually periodic),
-    or _Stuck (parks inside forever).
+    or _Stuck (parks inside forever). Every cell reads '0', so the settle
+    test with period 1 ends the walk within |Q| cells of depth: a repeat at
+    the same depth parks, and one deeper repeats its stretch deeper forever,
+    so no return comes after it and the cells up to ``want`` come in time.
     """
     inward = RIGHT if side == "L" else LEFT
-    state = entry_state
-    depth = 0
+    state, depth = entry_state, 0
     out: list = []
-    step = 0
-    cfgs = set()
-    stack: list = []  # (depth, state, step, outlen), depths nondecreasing
-    arrivals = {0: (entry_state, 0)}
-    maxdepth = 0
-    pair = None
-    while True:
-        cfg = (state, depth)
-        if cfg in cfgs:
-            return _Stuck()
-        cfgs.add(cfg)
-        while stack and stack[-1][0] > depth:
-            stack.pop()
-        for d0, q0, s0, o0 in stack:
-            if q0 == state:
-                pair = (d0, o0, depth, len(out))
-                break
-        if pair:
-            break
-        stack.append((depth, state, step, len(out)))
+    depths: list = []  # depth before each step, until the run settles
+    settled = _settle_test(0, 1, depths)
+    arrivals = [(entry_state, 0)]  # (state, len(out)) at the first arrival in each cell
+    want = None  # cells to record once the run has settled
+    while want is None or len(arrivals) <= want:
+        if want is None:
+            cut = settled(state, depth)
+            if cut is not None:
+                drift = depth - depths[cut]
+                if drift == 0:
+                    return _Stuck()
+                ramp = len(arrivals)
+                want = ramp + 2 * drift
+                continue
+            depths.append(depth)
         hit = t.transitions.get((state, "0"))
         if hit is None:
             return _Stuck()  # the original would die here; fold leaves it undefined
         emitted, move, state = hit
         out.extend(emitted)
         depth += 1 if move == inward else -1
-        step += 1
         if depth == -1:
-            return _Return(state, tuple(out), maxdepth)
-        if depth > maxdepth:
-            maxdepth = depth
-            arrivals[depth] = (state, len(out))
+            return _Return(state, tuple(out), len(arrivals) - 1)
+        if depth == len(arrivals):
+            arrivals.append((state, len(out)))
 
-    d0, _o0, d1, _o1 = pair
-    drift = d1 - d0
-    ramp = maxdepth + 1
-    want = ramp + 2 * drift
-    cap = step + (want + 4) * (len(t.states) + drift + 4) * 4 + 100
-    while maxdepth < want:
-        hit = t.transitions.get((state, "0"))
-        if hit is None:
-            return _Stuck()
-        emitted, move, state = hit
-        out.extend(emitted)
-        depth += 1 if move == inward else -1
-        step += 1
-        if depth > maxdepth:
-            maxdepth = depth
-            arrivals[depth] = (state, len(out))
-        if step > cap:
-            raise UnstableClassification("drifting excursion failed to advance")
-    states = []
-    chunks = []
-    for m in range(want):
-        states.append(arrivals[m][0])
-        chunks.append(tuple(out[arrivals[m][1]: arrivals[m + 1][1]]))
+    states = [q for q, _outlen in arrivals[:want]]
+    chunks = [tuple(out[a:b]) for (_q, a), (_q2, b) in zip(arrivals, arrivals[1:want + 1])]
     for m in range(ramp, ramp + drift):
         if states[m + drift] != states[m] or chunks[m + drift] != chunks[m]:
             raise UnstableClassification("excursion pattern not stable across cells")
@@ -265,9 +240,9 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
             raise UnstableClassification("machine parks inside a block")
 
     # The prologue cutoff depends on which bounded excursions end up used.
-    # The states on _classify_excursion's stack are distinct, so a return
-    # reaches depth < |Q|: n_min grows each round and stays <= |Q|, and
-    # w <= w_upper < stop_pos, so the walk has reached w.
+    # The states on the settle test's stack in _classify_excursion are
+    # distinct, so a return reaches depth < |Q|: n_min grows each round and
+    # stays <= |Q|, and w <= w_upper < stop_pos, so the walk has reached w.
     n_min = 1
     while True:
         w = n_min * (n_min + 1) // 2 + 1
@@ -318,8 +293,7 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     states = {src for (src, _a) in tr} | {q2 for (_o, _m, q2) in tr.values()}
     result = TwoWayTransducer(states, ("p", 0), t.input_alphabet, t.output_alphabet, tr)
 
-    _validate_prefix(run_2wft(result, pi), run_2wft(t, pi), probe_range,
-                     "direction normalization", complete=True)
+    _validate_prefix(run_2wft(result, pi), run_2wft(t, pi), probe_range, "direction normalization")
     return result
 
 
@@ -417,20 +391,6 @@ def _walk_to_repeat(t: TwoWayTransducer, period_base: int, budget: int):
     except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
         raise UnstableClassification(f"the run halts on the block word: {exc}") from exc
     raise UnstableClassification("no repeating segment pattern within the horizon")
-
-
-def _primitive_root_length(seq) -> int:
-    """Length of the shortest r with seq = r^k, from the longest border."""
-    border = [0] * len(seq)
-    k = 0
-    for i in range(1, len(seq)):
-        while k and seq[i] != seq[k]:
-            k = border[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        border[i] = k
-    p = len(seq) - border[-1]
-    return p if len(seq) % p == 0 else len(seq)
 
 
 def one_way_simulation_on_pi(
@@ -577,6 +537,5 @@ def one_way_simulation_on_pi(
 
     if silent and len(out) < probe_range:
         raise UnstableClassification("original output too short to validate")
-    _validate_prefix(run_1wft(composed, pi), run_2wft(t, pi), probe_range,
-                     "one-way replay", complete=True)
+    _validate_prefix(run_1wft(composed, pi), run_2wft(t, pi), probe_range, "one-way replay")
     return PiOneWayResult(composed, sim_machine, c, copies, steps)

@@ -440,11 +440,14 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
     identity = {name: (Reg(name),) for name in registers}
     last = regs[-1] if regs else None
 
+    boot = "boot"  # the prologue states are (boot, i), named apart from s's states
+    while any((boot, i) in s.states for i in range(entry)):
+        boot += "_"
     transitions: dict = {}
     updates: dict = {}
     for i in range(entry):
-        key = (("boot", i), source.letter(i))
-        transitions[key] = ("boot", i + 1) if i + 1 < entry else seq[entry]
+        key = ((boot, i), source.letter(i))
+        transitions[key] = (boot, i + 1) if i + 1 < entry else seq[entry]
         if i + 1 < entry:
             updates[key] = Substitution(identity)
         else:
@@ -472,7 +475,7 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
             updates[key] = Substitution(mapping)
         state = s.transitions[key]
 
-    initial = ("boot", 0) if entry > 0 else seq[0]
+    initial = (boot, 0) if entry > 0 else seq[0]
     states = set(transitions.values()) | {k[0] for k in transitions} | {initial}
     return SimpleSst(states, initial, s.input_alphabet, s.output_alphabet,
                      registers, transitions, updates, out=out_name)

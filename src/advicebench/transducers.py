@@ -517,32 +517,30 @@ def _oracle_cycle(oracle, w: LassoWord):
     return _lasso_cycle(lambda z, n: oracle.transitions[(z, w.letter(n))], oracle.initial, w)
 
 
-def _walk_to_image(t, source, out, budget, mark=None):
-    """Walk a 2wft or 2wftb until its whole output is known.
+def _walk_to_image(t, source: LassoWord, out, budget, mark=None):
+    """Walk a 2wft or 2wftb on a lasso until its whole output is known.
 
     On a lasso u·v^ω the tape (and lookbehind state) repeats every ``per``
     from position ``low`` on: |v| and |u| + 1, or the oracle's cycle. So the
     run halts (raised), repeats one of the configurations below ``mark``
-    (default low), or settles (see _settle_test); other inputs get only the
-    repeat test. Returns (step, cut, below, handoff): the output is
-    out[:cut]·out[cut:]^ω (cut None: no verdict in ``budget`` steps), below
-    tells a repeat below mark, handoff is (state, pos, len(out)) after the
-    last configuration below mark."""
-    oracle, settled = getattr(t, "oracle", None), None
-    if isinstance(source, LassoWord):
-        if oracle is None:
-            low, per = len(source.u) + 1, len(source.v)
-        else:
-            _states, ell, per = _oracle_cycle(oracle, source)
-            low = ell + 1
-        settled = _settle_test(low, per, out)
-        mark = low if mark is None else mark
+    (default low), or settles (see _settle_test). Returns (step, cut, below,
+    handoff): the output is out[:cut]·out[cut:]^ω (cut None: no verdict in
+    ``budget`` steps), below tells a repeat below mark, handoff is (state,
+    pos, len(out)) after the last configuration below mark."""
+    oracle = getattr(t, "oracle", None)
+    if oracle is None:
+        low, per = len(source.u) + 1, len(source.v)
+    else:
+        _states, ell, per = _oracle_cycle(oracle, source)
+        low = ell + 1
+    settled = _settle_test(low, per, out)
+    mark = low if mark is None else mark
     memo: dict = {}  # configuration below mark -> len(out) there
     handoff, was_low = None, False
     for step, cfg in enumerate(islice(_walk(t, source, out, oracle), budget + 1)):
         if was_low:
             handoff = cfg + (len(out),)
-        cut = None if settled is None else settled(*cfg)
+        cut = settled(*cfg)
         was_low = cfg[1] < mark
         if was_low:
             cut = memo.get(cfg)
@@ -595,15 +593,16 @@ def lasso_image(t, w: LassoWord, budget=DEFAULT_BUDGET):
     return FiniteImage(word, NonProductive(word.letters))
 
 
-def remove_endmarker(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET, probe=500) -> TwoWayTransducer:
+def remove_endmarker(t: TwoWayTransducer, source: LassoWord, budget=DEFAULT_BUDGET) -> TwoWayTransducer:
     """Fold everything up to the last endmarker visit into a one-step prologue.
 
-    The run of t on the input must eventually stop visiting the endmarker;
-    a machine bouncing on it forever is rejected with the detected loop.
-    On a lasso input the walk stops once the run settles (see
-    _walk_to_image) and the result must have the original's exact image;
-    on other inputs it takes the whole budget and checks ``probe`` letters.
+    Relative to a lasso input: the run of t on it must eventually stop
+    visiting the endmarker, and a machine bouncing on it forever is rejected
+    with the detected loop. The walk stops once the run settles (see
+    _walk_to_image), and the result must have the original's exact image.
     """
+    if not isinstance(source, LassoWord):
+        raise AdviceNotLasso("endmarker removal is relative to a lasso input")
     out: list = []
     step, cut, below, handoff = _walk_to_image(t, source, out, budget, mark=1)
     if below:
@@ -625,10 +624,7 @@ def remove_endmarker(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_B
         set(t.states) | {boot}, boot, t.input_alphabet, t.output_alphabet, transitions
     )
 
-    from .analysis import _validate_image, _validate_prefix
+    from .analysis import _validate_image
 
-    if isinstance(source, LassoWord):
-        _validate_image(result, t, source, budget, "endmarker removal")
-    else:
-        _validate_prefix(run_2wft(result, source), run_2wft(t, source), probe, "endmarker removal")
+    _validate_image(result, t, source, budget, "endmarker removal")
     return result

@@ -242,21 +242,37 @@ def lasso(u: str, v: str, alphabet: Alphabet | None = None) -> LassoWord:
     return LassoWord(word(u, alphabet), word(v, alphabet))
 
 
+def _primitive_root_length(seq) -> int:
+    """Length of the shortest r with seq = r^k, from the longest border."""
+    border = [0] * len(seq)
+    k = 0
+    for i in range(1, len(seq)):
+        while k and seq[i] != seq[k]:
+            k = border[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        border[i] = k
+    p = len(seq) - border[-1]
+    return p if len(seq) % p == 0 else len(seq)
+
+
 def canonical_lasso(u: FiniteWord, v: FiniteWord) -> LassoWord:
-    """Equivalent lasso with a primitive period and a minimal preperiod."""
+    """Equivalent lasso with a primitive period and a minimal preperiod.
+
+    The preperiod loses every trailing letter that the period, read
+    backwards from its end and around, repeats; the period turns right by
+    as many letters."""
     if len(v) == 0:
         raise EmptyPeriod("period must be nonempty")
-    vl = list(v.letters)
-    for p in range(1, len(vl) + 1):
-        if len(vl) % p == 0 and vl == vl[:p] * (len(vl) // p):
-            vl = vl[:p]
-            break
-    ul = list(u.letters)
-    while ul and ul[-1] == vl[-1]:
-        ul.pop()
-        vl = [vl[-1]] + vl[:-1]
+    vl = tuple(v.letters[:_primitive_root_length(v.letters)])
+    ul = u.letters
+    p, k = len(vl), 0
+    while k < len(ul) and ul[-1 - k] == vl[-1 - k % p]:
+        k += 1
+    r = k % p
     alphabet = _union(u.alphabet, v.alphabet)
-    return LassoWord(FiniteWord(tuple(ul), alphabet), FiniteWord(tuple(vl), alphabet))
+    return LassoWord(FiniteWord(tuple(ul[:len(ul) - k]), alphabet),
+                     FiniteWord(vl[p - r:] + vl[:p - r], alphabet))
 
 
 class ConstantWord(LassoWord):

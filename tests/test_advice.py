@@ -404,6 +404,16 @@ def test_dfa_boolean_algebra():
             assert de_morgan.accepts(text) == both.accepts(text)
 
 
+def test_the_sink_of_a_completed_dfa_is_a_new_state():
+    # the one state is named like the sink that completion used to add
+    state = ("sink", 1)
+    dfa = Dfa({state}, state, {state}, AB, {(state, "a"): state})
+    complement = dfa_boolean(dfa, None, "not")
+    assert len(complement.states) == 2
+    assert not complement.accepts("aa")
+    assert complement.accepts("b") and complement.accepts("ab")
+
+
 def test_dfa_boolean_idempotent_on_pref():
     pref = pref_advice_automaton(AB)
     either = dfa_boolean(pref, pref, "or")

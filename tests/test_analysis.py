@@ -2,18 +2,22 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from advicebench.analysis import (
     Diverges,
     Equal,
     Inconclusive,
+    _validate_prefix,
     check_subword_bound,
     padding_check,
     prefix_equiv,
     subword_complexity,
 )
-from advicebench.errors import BudgetExceeded
+from advicebench.errors import BudgetExceeded, UnstableClassification
 from advicebench.ltl import parse_formula
 from advicebench.mealy import MealyMachine, mealy_image_lasso
+from advicebench.transducers import ENDMARKER, RIGHT, TwoWayTransducer, run_2wft
 from advicebench.words import Alphabet, lasso, pi_word
 
 AB = Alphabet.of("ab")
@@ -149,3 +153,15 @@ def test_padding_threshold_matches_monotonicity():
         for k in range(entry + 3):
             prefix = FiniteWord(tuple(advice.letter(n + i) for i in range(k)), advice.alphabet)
             assert finite_prefix_eval(rewritten, prefix, 0) == (k >= entry)
+
+
+def test_a_short_original_is_refused_before_the_result_takes_a_step():
+    # one letter on the endmarker, then nothing ever: 5 letters never come
+    tr = {("q", a): ((), RIGHT, "q") for a in AB.letters}
+    tr[("q", ENDMARKER)] = (("a",), RIGHT, "q")
+    quiet = TwoWayTransducer({"q"}, "q", AB, AB, tr)
+    w = lasso("", "ab")
+    result = run_2wft(quiet, w, budget=50)
+    with pytest.raises(UnstableClassification, match="original output too short to validate"):
+        _validate_prefix(result, run_2wft(quiet, w, budget=50), 5, "a construction")
+    assert result.produced == 0

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,27 @@ def test_convert_round_trips_identically(capsys, monkeypatch):
         lhs = _run_machine(reloaded, source, 10 ** 5)
         rhs = _run_machine(ws.machine(machine), source, 10 ** 5)
         assert prefix_equiv(lhs, rhs, 300) == Equal(300), (kind, machine)
+
+
+@pytest.mark.parametrize("argv, keep", [
+    (["run", "mirror2wft", "(ab#)^ω", "-n", "200000"], 5),
+    (["convert", "sst2wftb", "mirror_sst"], 0),
+], ids=["run-into-head", "convert-into-true"])
+def test_a_reader_that_closes_the_pipe_ends_the_process_quietly(argv, keep):
+    # as `advicebench ... | head -c 5` and `advicebench ... | true`: the reader
+    # takes `keep` bytes and closes its end before the process writes the rest
+    import advicebench
+
+    env = dict(os.environ, PYTHONPATH=str(Path(advicebench.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "advicebench.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert len(head) == keep
+    assert err == b""
 
 
 def test_usage_error_exit_code(capsys):
@@ -332,6 +357,7 @@ BUCHI_READING_Z = {"type": "buchi", "states": ["s"], "initial": ["s"], "acceptin
     (["run", "-", "(ab#)^ω"], None, json.dumps(SST_READING_Z), None),
     (["run", "-", "(ab#)^ω"], None, json.dumps(SST_EMITTING_C), None),
     (["words"], {"machines": {"m": BUCHI_READING_Z}}, None, None),
+    (["convert", "remove-endmarker", "mirror2wft", "--input", "pi"], None, None, None),
 ], ids=["padding-literal", "pi-k0", "padding-constant", "lasso-without-v",
         "stdin-not-json", "stdin-not-object", "negative-n", "non-integer-n",
         "machine-without-fields", "sst2wftb-of-a-2wft", "unlookbehind-of-an-sst",
@@ -345,7 +371,8 @@ BUCHI_READING_Z = {"type": "buchi", "states": ["s"], "initial": ["s"], "acceptin
         "sst-update-not-an-object", "sst-update-text-not-a-string", "sst-output-value-not-a-string",
         "repeated-transition-in-a-document", "repeated-transition-on-stdin", "copyful-sst-on-stdin",
         "copyful-sst-in-a-document", "sst-into-an-undeclared-state", "sst-reads-outside-its-input-alphabet",
-        "sst-emits-outside-its-output-alphabet", "buchi-reads-outside-its-alphabet"])
+        "sst-emits-outside-its-output-alphabet", "buchi-reads-outside-its-alphabet",
+        "remove-endmarker-on-a-non-lasso"])
 def test_malformed_inputs_are_usage_errors(argv, document, stdin, env, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if document is not None:

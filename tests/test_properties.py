@@ -30,7 +30,14 @@ from advicebench.errors import (
     ValidationFailed,
 )
 from advicebench.mealy import MealyMachine, delay_mealy, mealy_image_lasso, pref_graph_dfa, run_mealy
-from advicebench.pi_transforms import direction_partition, normalize_directions_on_pi, one_way_simulation_on_pi
+from advicebench.pi_transforms import (
+    _classify_excursion,
+    _Cross,
+    _Return,
+    direction_partition,
+    normalize_directions_on_pi,
+    one_way_simulation_on_pi,
+)
 from advicebench.sst import (
     Reg,
     SimpleSst,
@@ -64,11 +71,13 @@ from advicebench.words import (
     Alphabet,
     LassoWord,
     block_mirror,
+    canonical_lasso,
     convolve_lassos,
     duplicate,
     lasso,
     pi_word,
     shift,
+    word,
 )
 
 AB = Alphabet.of("ab")
@@ -607,6 +616,84 @@ def test_normalize_directions_on_pi_refuses_or_runs_like_the_machine(machine):
     got, got_halt = run_2wft(result, pi).try_letters(1000)
     assert got == want
     assert halt_kind(got_halt) is halt_kind(halt)
+
+
+def direct_excursion(machine, q, side, length, steps):
+    """Run machine from state q on the cell of a block of ``length`` 0s next
+    to the 1 on ``side``, with a 1 on each side of the block, for at most
+    ``steps`` steps. Returns (arrivals, out, exit): arrivals holds (state,
+    len(out)) at the first arrival in each cell, counted from the entry
+    side, and exit is (state, side) on a 1, or None when the run halts or
+    stays inside."""
+    tape = ["1"] + ["0"] * length + ["1"]
+    pos = 1 if side == "L" else length
+    out, arrivals = [], [(q, 0)]
+    for _ in range(steps):
+        hit = machine.transitions.get((q, tape[pos]))
+        if hit is None:
+            return arrivals, out, None
+        emitted, move, q = hit
+        out.extend(emitted)
+        pos += 1 if move == RIGHT else -1
+        if tape[pos] == "1":
+            return arrivals, out, (q, "L" if pos == 0 else "R")
+        depth = pos - 1 if side == "L" else length - pos
+        if depth == len(arrivals):
+            arrivals.append((q, len(out)))
+    return arrivals, out, None
+
+
+@PROPERTY
+@given(machine=two_way_machines(alphabet=BINARY, max_states=4))
+def test_an_excursion_is_classified_as_a_direct_run_on_a_long_block_behaves(machine):
+    length = 40  # longer than any ramp plus two drifts of 4 states
+    for q in machine.states:
+        for side in "LR":
+            cls = _classify_excursion(machine, q, side)
+            arrivals, out, exit_ = direct_excursion(machine, q, side, length, 4000)
+            if isinstance(cls, _Return):
+                assert exit_ == (cls.exit_state, side)
+                assert tuple(out) == cls.output
+                assert len(arrivals) - 1 == cls.depth
+            elif isinstance(cls, _Cross):
+                assert exit_ is not None and exit_[1] != side
+                for m in range(length - 1):
+                    k = m if m < cls.ramp else cls.ramp + (m - cls.ramp) % cls.drift
+                    assert arrivals[m][0] == cls.cell_state(m)
+                    assert tuple(out[arrivals[m][1]:arrivals[m + 1][1]]) == cls.chunks[k]
+            else:
+                assert exit_ is None
+
+
+def naive_canonical_lasso(u, v):
+    """canonical_lasso from its definition: the shortest root of v, then one
+    letter at a time off u while u ends as the period does, turning it."""
+    for p in range(1, len(v) + 1):
+        if len(v) % p == 0 and v == v[:p] * (len(v) // p):
+            v = v[:p]
+            break
+    while u and u[-1] == v[-1]:
+        u, v = u[:-1], v[-1] + v[:-1]
+    return u, v
+
+
+@st.composite
+def lasso_parts(draw):
+    """(u, v) over abc: v a power of a root, and u often ending in a suffix
+    of a power of that root, so that a long stretch of u can be cut."""
+    root = draw(st.text("abc", min_size=1, max_size=4))
+    v = root * draw(st.integers(1, 3))
+    repeats = root * draw(st.integers(0, 4))
+    return draw(st.text("abc", max_size=3)) + repeats[draw(st.integers(0, len(repeats))):], v
+
+
+@PROPERTY
+@given(parts=lasso_parts())
+def test_canonical_lasso_is_its_definition(parts):
+    u, v = parts
+    abc = Alphabet.of("abc")
+    got = canonical_lasso(word(u, abc), word(v, abc))
+    assert (got.u.to_str(), got.v.to_str()) == naive_canonical_lasso(u, v)
 
 
 @st.composite

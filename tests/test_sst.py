@@ -293,6 +293,20 @@ def test_simplify_two_phase():
     assert len(boots) == 1  # transient phase has one step
 
 
+def test_simplify_names_its_prologue_apart_from_the_machines_states():
+    # t0 -a-> t1 -b-> P, P -b-> P with P named like the second prologue
+    # state: a prologue key (P, "b") would shadow P's own loop
+    recurring = ("boot", 1)
+    transitions = {("t0", "a"): "t1", ("t1", "b"): recurring, (recurring, "b"): recurring}
+    emits = {"t0": "a", "t1": "a", recurring: "b"}
+    updates = {key: Substitution({"out": (Reg("out"), emits[key[0]])}) for key in transitions}
+    machine = SimpleSst({"t0", "t1", recurring}, "t0", AB, AB, ("out",), transitions, updates)
+    source = lasso("ab", "b", AB)
+    assert "".join(run_sst(machine, source).letters(6)) == "aabbbb"
+    simple = simplify_to_simple_sst(machine, source)
+    assert prefix_equiv(run_sst(simple, source), run_sst(machine, source), 500) == Equal(500)
+
+
 def test_simplify_requires_output_function():
     machine = corpus.two_phase_sst()
     stripped = Sst(

@@ -361,6 +361,14 @@ def test_remove_endmarker_rejects_bouncer():
     assert err.value.loop.v.to_str() == "a"
 
 
+def test_remove_endmarker_refuses_an_input_that_is_not_a_lasso():
+    tr = {("q", ENDMARKER): ((), RIGHT, "q")}
+    tr.update({("q", a): ((a,), RIGHT, "q") for a in BIN.letters})
+    copier = TwoWayTransducer({"q"}, "q", BIN, BIN, tr)
+    with pytest.raises(AdviceNotLasso):
+        remove_endmarker(copier, pi_word(1))
+
+
 def far_return_2wft():
     """Scans c's to the first a and emits it, walks back to the endmarker
     and emits x, then copies the c's forward, then the rest of the input."""
