@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import CapTooSmall, UnstableClassification, ValidationFailed
 from .ltl import GEliminationReport, _lasso_table, _least_witnesses, _node, eliminate_g_subformulas, nnf, size
-from .transducers import DEFAULT_BUDGET, RunOutcome, lasso_image
+from .transducers import RunOutcome, lasso_image
 from .words import FiniteWord, InfiniteWord, LassoWord
 
 
@@ -144,8 +144,7 @@ def _validate_prefix(result: RunOutcome, original: RunOutcome, n: int, what: str
 
     Lengths count. An original shorter than n raises UnstableClassification;
     it is read first, so the result then takes no step. Pass runs with the
-    default budget, not the construction's own: with a small one a run that
-    comes back late looks stalled.
+    default budget: with a small one a run that comes back late looks stalled.
     """
     if len(original.try_letters(n)[0]) < n:
         raise UnstableClassification("original output too short to validate")
@@ -156,11 +155,10 @@ def _validate_prefix(result: RunOutcome, original: RunOutcome, n: int, what: str
         raise ValidationFailed(verdict.index, f"{what} changed the output length")
 
 
-def _validate_image(result, original, w: LassoWord, budget, what: str):
+def _validate_image(result, original, w: LassoWord, what: str):
     """Refuse a construction whose exact image on the lasso w differs from the
     original's: other canonical letters, or finite letters ending another way."""
-    budget = max(budget, DEFAULT_BUDGET)
-    images = [lasso_image(machine, w, budget) for machine in (result, original)]
+    images = [lasso_image(machine, w) for machine in (result, original)]
     keys = [(x.u.letters, x.v.letters, None) if isinstance(x, LassoWord)
             else (x.word.letters, (), type(x.reason)) for x in images]
     if keys[0] != keys[1]:

@@ -202,7 +202,7 @@ def suite_constant_analyzer() -> list[CheckResult]:
     for i in range(50):
         machine = _random_total_2wft(rng)
         try:
-            found = analyze_on_constant(machine, PAD, budget=10 ** 5)
+            found = analyze_on_constant(machine, PAD)
         except NonProductive as stalled:
             run = run_2wft(machine, blank)
             got, halt = run.try_letters(2000)

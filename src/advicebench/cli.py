@@ -172,12 +172,12 @@ CONVERSIONS = {
     "sst2wftb": (SimpleSst, lambda m, ws, args: compile_sst_to_2wftb(m)),
     "simplify": (Sst, lambda m, ws, args: simplify_to_simple_sst(m, _lasso_arg(ws, args))),
     "unlookbehind": (LookbehindTransducer, lambda m, ws, args: eliminate_lookbehind_lasso(
-        m, _lasso_arg(ws, args), budget=args.budget)),
+        m, _lasso_arg(ws, args))),
     "normalize-pi": (TwoWayTransducer, lambda m, ws, args: normalize_directions_on_pi(m)),
     "oneway-pi": (TwoWayTransducer, lambda m, ws, args: one_way_simulation_on_pi(
         _direction_normalized(m), c_max=args.cmax).transducer),
     "remove-endmarker": (TwoWayTransducer, lambda m, ws, args: remove_endmarker(
-        m, _lasso_arg(ws, args) if args.input else lasso("", "ab"), budget=args.budget)),
+        m, _lasso_arg(ws, args) if args.input else lasso("", "ab"))),
 }
 
 
@@ -329,10 +329,13 @@ def main(argv=None) -> int:
             document = _load(args.file, load_document, args.file)
         ws = Workspace(document)
         code = COMMANDS[args.command](ws, args)
-        sys.stdout.flush()  # so that a closed pipe shows here, not in the interpreter's last flush
+        sys.stdout.flush()  # so that a failed write shows here, not in the interpreter's last flush
         return code
-    except BrokenPipeError:
-        # the reader has gone: stdout goes to devnull, so the last flush cannot fail again
+    except OSError as exc:
+        # a closed pipe ends quietly, another failed write (a full disk) with one
+        # line; stdout goes to devnull, so the last flush cannot fail again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except UsageError as exc:

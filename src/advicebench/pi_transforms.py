@@ -342,7 +342,7 @@ def _onepos(j):
     return (j * j + 3 * j) // 2 + 1
 
 
-def _walk_to_repeat(t: TwoWayTransducer, period_base: int, budget: int):
+def _walk_to_repeat(t: TwoWayTransducer, period_base: int):
     """Walk t on the block word until its run provably repeats at the 1s.
 
     Returns (visits, out, steps, n1, n2). ``visits`` lists (j, state,
@@ -357,10 +357,15 @@ def _walk_to_repeat(t: TwoWayTransducer, period_base: int, budget: int):
 
     Stacks the visits at 1s the head has stayed strictly right of since, at
     most one per (state, j mod period_base), as _settle_test does for
-    lassos. Refuses a run that halts, that revisits a 1 in the same state
-    (it loops there forever), or that finds no repeat within ``budget`` steps.
+    lassos. Refuses a run that halts or that revisits a 1 in the same state
+    (it loops there forever). The stack holds the last visit of each 1 from
+    |Q| to the rightmost 1 reached, so the head never passes 1 number
+    M = |Q|·(1 + period_base); each (state, 1) pair comes once, and a block
+    crossing takes at most M + 1 steps. So |Q|·(M + 2)² steps suffice, and
+    a longer walk raises InvariantViolation.
     """
     low = len(t.states)
+    bound = low * (low * (1 + period_base) + 2) ** 2
     out: list = []
     visits: list = []
     seen: set = set()
@@ -369,7 +374,7 @@ def _walk_to_repeat(t: TwoWayTransducer, period_base: int, budget: int):
     ones: dict = {}  # tape position -> j, for the 1s the head has reached
     next_one = _onepos(0)
     try:
-        for step, (state, pos) in enumerate(islice(_walk(t, pi_word(1), out), budget + 1)):
+        for step, (state, pos) in enumerate(islice(_walk(t, pi_word(1), out), bound + 1)):
             if pos == next_one:
                 ones[pos] = len(ones)
                 next_one = _onepos(len(ones))
@@ -390,15 +395,10 @@ def _walk_to_repeat(t: TwoWayTransducer, period_base: int, budget: int):
                 pushed[key] = j
     except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
         raise UnstableClassification(f"the run halts on the block word: {exc}") from exc
-    raise UnstableClassification("no repeating segment pattern within the horizon")
+    raise InvariantViolation(f"a block-word walk passed its bound of {bound} steps")
 
 
-def one_way_simulation_on_pi(
-    t: TwoWayTransducer,
-    c_max: int = 4,
-    probe_range: int = 300,
-    sim_budget: int = 400_000,
-) -> PiOneWayResult:
+def one_way_simulation_on_pi(t: TwoWayTransducer, c_max: int = 4, probe_range: int = 300) -> PiOneWayResult:
     """Replay a turn-free two-way run one way over repeated blocks.
 
     The run is cut into segments between last visits of consecutive 1s.
@@ -413,15 +413,15 @@ def one_way_simulation_on_pi(
     of 1 number n1 in between (the block form of the crossing-sequence
     argument; see _walk_to_repeat). Every segment is then known exactly,
     1…n1-1 as a prefix and n1…n2-1 as a cycle, and the programs use the
-    least preperiod and period of that sequence. ``sim_budget`` only caps
-    the walk: a run that has not repeated by then is refused.
+    least preperiod and period of that sequence. The repeat comes within
+    |Q|·(M + 2)² steps, M = |Q|·(1 + period_base), so no step budget applies.
     """
     if direction_partition(t) is None:
         raise InvariantViolation("input machine must be direction-normalized first")
     pi = pi_word(1)
     n_states = len(t.states)
     period_base = _zero_period(t)
-    visits, out, steps, n1, n2 = _walk_to_repeat(t, period_base, sim_budget)
+    visits, out, steps, n1, n2 = _walk_to_repeat(t, period_base)
     lastvis = {j: i for i, (j, _state, _outlen) in enumerate(visits)}
     silent = visits[lastvis[n1]][2] == len(out)  # the proven cycle emits nothing: out is all
 

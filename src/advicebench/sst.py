@@ -14,7 +14,6 @@ from .advice import Dfa
 from .analysis import _validate_image
 from .errors import (
     AdviceNotLasso,
-    BudgetExceeded,
     MalformedSimpleSst,
     NoOutputFunction,
     UndefinedTransition,
@@ -29,7 +28,6 @@ from .transducers import (
     TwoWayTransducer,
     _Engine,
     _lasso_cycle,
-    _loop_lasso,
     _oracle_cycle,
     _walk_to_image,
 )
@@ -557,32 +555,25 @@ def compile_sst_to_2wftb(s: SimpleSst) -> LookbehindTransducer:
     )
 
 
-def eliminate_lookbehind_lasso(
-    t: LookbehindTransducer, source: LassoWord, budget=DEFAULT_BUDGET
-) -> TwoWayTransducer:
+def eliminate_lookbehind_lasso(t: LookbehindTransducer, source: LassoWord) -> TwoWayTransducer:
     """Replace the lookbehind by a position counter modulo the oracle period.
 
     On a lasso input the oracle state sequence is ultimately periodic; once
     the head permanently stays beyond the preperiod, the oracle state is a
     function of the position residue. Everything before that is hardcoded,
     and a machine that keeps returning is rejected with the detected loop.
-    The run is walked until it provably stays beyond the preperiod (see
-    transducers._walk_to_image); a run that halts before that raises its
-    halt, and one that does not settle within ``budget`` steps raises
-    BudgetExceeded. The result must have the original's exact image.
+    The run is walked until it provably stays beyond the preperiod, within
+    2·|Q|·(ℓ + |Q|·p + 2) steps for an oracle cycle of preperiod ℓ and
+    period p (see transducers._walk_to_image); a run that halts before that
+    raises its halt. The result must have the original's exact image.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("lookbehind elimination is relative to a lasso input")
     zstates, ell, period = _oracle_cycle(t.oracle, source)
     table = zstates[ell:ell + period]
     out: list = []
-    step, cut, below, handoff = _walk_to_image(t, source, out, budget)
-    if below:
-        loop = _loop_lasso(t, out, cut) if len(out) > cut else None
-        raise BudgetExceeded(step, loop=loop, message="head keeps returning into the oracle preperiod")
-    if cut is None:
-        raise BudgetExceeded(budget, message="head never settled beyond the oracle preperiod")
-    q_target, target_pos, emitted_len = handoff
+    _cut, (q_target, target_pos, emitted_len) = _walk_to_image(
+        t, source, out, revisits="head keeps returning into the oracle preperiod")
 
     tr: dict = {}
     for i in range(target_pos):
@@ -601,5 +592,5 @@ def eliminate_lookbehind_lasso(
     states = {src for (src, _a) in tr} | {v[2] for v in tr.values()}
     result = TwoWayTransducer(states, ("walk", 0), t.input_alphabet, t.output_alphabet, tr)
 
-    _validate_image(result, t, source, budget, "lookbehind elimination")
+    _validate_image(result, t, source, "lookbehind elimination")
     return result

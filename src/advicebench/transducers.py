@@ -15,6 +15,7 @@ from .errors import (
     AdviceNotLasso,
     BudgetExceeded,
     AlphabetMismatch,
+    InvariantViolation,
     MovedLeftOfEndmarker,
     NonProductive,
     UndefinedTransition,
@@ -440,10 +441,10 @@ def writer_2wft(u: FiniteWord, v: FiniteWord, delta: Alphabet) -> TwoWayTransduc
     return TwoWayTransducer(states, initial, delta, out_alpha, tr)
 
 
-def analyze_on_constant(t: TwoWayTransducer, c, budget=DEFAULT_BUDGET) -> LassoWord:
+def analyze_on_constant(t: TwoWayTransducer, c) -> LassoWord:
     """Exact ultimately periodic output of t on c^ω; a finite output raises
     its reason, NonProductive or the halt (see lasso_image)."""
-    image = lasso_image(t, ConstantWord(c, t.input_alphabet), budget)
+    image = lasso_image(t, ConstantWord(c, t.input_alphabet))
     if isinstance(image, FiniteImage):
         raise image.reason
     return image
@@ -517,16 +518,23 @@ def _oracle_cycle(oracle, w: LassoWord):
     return _lasso_cycle(lambda z, n: oracle.transitions[(z, w.letter(n))], oracle.initial, w)
 
 
-def _walk_to_image(t, source: LassoWord, out, budget, mark=None):
+def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None):
     """Walk a 2wft or 2wftb on a lasso until its whole output is known.
 
     On a lasso u·v^ω the tape (and lookbehind state) repeats every ``per``
     from position ``low`` on: |v| and |u| + 1, or the oracle's cycle. So the
-    run halts (raised), repeats one of the configurations below ``mark``
-    (default low), or settles (see _settle_test). Returns (step, cut, below,
-    handoff): the output is out[:cut]·out[cut:]^ω (cut None: no verdict in
-    ``budget`` steps), below tells a repeat below mark, handoff is (state,
-    pos, len(out)) after the last configuration below mark."""
+    run halts (raised), repeats a configuration left of low, or settles (see
+    _settle_test). Returns (cut, handoff): the output is out[:cut]·out[cut:]^ω
+    and handoff is (state, pos, len(out)) after the last configuration left
+    of ``mark`` (default low). With ``revisits``, a cycle that visits a cell
+    left of mark raises BudgetExceeded with that message and the loop.
+
+    Before a verdict the settle stack holds the last visit of each cell from
+    low to the head, one per (state, residue), so the head stays left of
+    low + |Q|·per; a cycle then closes on its leftmost configuration within
+    one more cycle. So 2·|Q|·(low + |Q|·per + 1) steps suffice, and a
+    longer walk raises InvariantViolation.
+    """
     oracle = getattr(t, "oracle", None)
     if oracle is None:
         low, per = len(source.u) + 1, len(source.v)
@@ -535,20 +543,25 @@ def _walk_to_image(t, source: LassoWord, out, budget, mark=None):
         low = ell + 1
     settled = _settle_test(low, per, out)
     mark = low if mark is None else mark
-    memo: dict = {}  # configuration below mark -> len(out) there
-    handoff, was_low = None, False
-    for step, cfg in enumerate(islice(_walk(t, source, out, oracle), budget + 1)):
-        if was_low:
+    memo: dict = {}  # configuration left of low -> (len(out), step) there
+    handoff, marked = None, -1  # marked: the last step left of mark
+    bound = 2 * len(t.states) * (low + len(t.states) * per + 1)
+    for step, cfg in enumerate(islice(_walk(t, source, out, oracle), bound + 1)):
+        if marked == step - 1:
             handoff = cfg + (len(out),)
         cut = settled(*cfg)
-        was_low = cfg[1] < mark
-        if was_low:
-            cut = memo.get(cfg)
-            if cut is None:
-                memo[cfg] = len(out)
+        if cfg[1] < low:
+            cut, first = memo.setdefault(cfg, (len(out), step))
+            if first == step:
+                cut = None
+            elif revisits and marked >= first:
+                loop = _loop_lasso(t, out, cut) if len(out) > cut else None
+                raise BudgetExceeded(step, loop=loop, message=revisits)
+        if cfg[1] < mark:
+            marked = step
         if cut is not None:
-            return step, cut, was_low, handoff
-    return budget, None, False, handoff
+            return cut, handoff
+    raise InvariantViolation(f"a lasso walk passed its bound of {bound} steps")
 
 
 @dataclass(frozen=True)
@@ -570,11 +583,12 @@ def _one_way_cut(t, w: LassoWord, out):
             return cut
 
 
-def lasso_image(t, w: LassoWord, budget=DEFAULT_BUDGET):
+def lasso_image(t, w: LassoWord):
     """Exact output of a 1wft, 2wft or 2wftb on the lasso w: the canonical
     LassoWord, or a FiniteImage when the run halts or loops without output.
-    A one-way run needs no budget (see _one_way_cut); a two-way run raises
-    BudgetExceeded when neither shows in ``budget`` steps (see _walk_to_image)."""
+    A one-way run closes its cycle within |u| + |Q|·|v| letters (see
+    _one_way_cut), a two-way run within 2·|Q|·(low + |Q|·per + 1) steps
+    (see _walk_to_image)."""
     if not isinstance(w, LassoWord):
         raise AdviceNotLasso("an exact image needs an ultimately periodic input")
     out: list = []
@@ -582,36 +596,29 @@ def lasso_image(t, w: LassoWord, budget=DEFAULT_BUDGET):
         if isinstance(t, OneWayTransducer):
             cut = _one_way_cut(t, w, out)
         else:
-            _step, cut, _below, _handoff = _walk_to_image(t, w, out, budget)
+            cut, _handoff = _walk_to_image(t, w, out)
     except (UndefinedTransition, MovedLeftOfEndmarker) as halt:
         return FiniteImage(FiniteWord(tuple(out), t.output_alphabet), halt)
-    if cut is None:
-        raise BudgetExceeded(budget, message="the run neither ended nor settled within budget")
     if cut < len(out):
         return _loop_lasso(t, out, cut)
     word = FiniteWord(tuple(out), t.output_alphabet)
     return FiniteImage(word, NonProductive(word.letters))
 
 
-def remove_endmarker(t: TwoWayTransducer, source: LassoWord, budget=DEFAULT_BUDGET) -> TwoWayTransducer:
+def remove_endmarker(t: TwoWayTransducer, source: LassoWord) -> TwoWayTransducer:
     """Fold everything up to the last endmarker visit into a one-step prologue.
 
     Relative to a lasso input: the run of t on it must eventually stop
     visiting the endmarker, and a machine bouncing on it forever is rejected
-    with the detected loop. The walk stops once the run settles (see
-    _walk_to_image), and the result must have the original's exact image.
+    with the detected loop. The walk stops at its proven verdict, within
+    2·|Q|·(|u| + |Q|·|v| + 2) steps (see _walk_to_image), so the prologue
+    folds the exact run; the result must have the original's exact image.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("endmarker removal is relative to a lasso input")
     out: list = []
-    step, cut, below, handoff = _walk_to_image(t, source, out, budget, mark=1)
-    if below:
-        loop = _loop_lasso(t, out, cut) if len(out) > cut else None
-        raise BudgetExceeded(step, loop=loop, message="the endmarker is revisited forever")
-    if handoff is None:
-        raise BudgetExceeded(budget, message="endmarker never read within budget")
-
-    q_target, _pos, emitted_len = handoff
+    _cut, (q_target, _pos, emitted_len) = _walk_to_image(
+        t, source, out, mark=1, revisits="the endmarker is revisited forever")
     prologue_out = tuple(out[:emitted_len])
     boot = ("boot", 0)
     while boot in t.states:
@@ -626,5 +633,5 @@ def remove_endmarker(t: TwoWayTransducer, source: LassoWord, budget=DEFAULT_BUDG
 
     from .analysis import _validate_image
 
-    _validate_image(result, t, source, budget, "endmarker removal")
+    _validate_image(result, t, source, "endmarker removal")
     return result

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -111,6 +112,42 @@ def test_a_reader_that_closes_the_pipe_ends_the_process_quietly(argv, keep):
     assert proc.wait(timeout=60) == 1
     assert len(head) == keep
     assert err == b""
+
+
+def test_a_failed_write_ends_with_one_line_and_no_traceback(tmp_path, capsys, monkeypatch):
+    # as `advicebench run ... > /dev/full`: the first write that reaches the
+    # file fails; stdout is then pointed at devnull, here the file's own fd
+    class Full(io.StringIO):
+        def __init__(self, handle):
+            super().__init__()
+            self.handle = handle
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fileno(self):
+            return self.handle.fileno()
+
+    with open(tmp_path / "out", "w") as handle:
+        monkeypatch.setattr("sys.stdout", Full(handle))
+        code = main(["run", "mirror2wft", "(ab#)^ω", "-n", "9"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_a_construction_does_not_read_the_stream_budget(capsys, monkeypatch):
+    # --budget bounds run and compare streams; a construction stops at its
+    # proven bound, so a small budget gives the same document
+    mirror = run_cli(capsys, "convert", "sst2wftb", "mirror_sst")[1]
+    for argv in (["convert", "remove-endmarker", "mirror2wft", "--input", "(ab#)^ω"],
+                 ["convert", "unlookbehind", "-", "--input", "(ab#)^ω"]):
+        outputs = set()
+        for budget in ("1", "3", str(10 ** 5)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(mirror))
+            code, out, err = run_cli(capsys, "--budget", budget, *argv)
+            assert (code, err) == (0, ""), (argv, budget)
+            outputs.add(out)
+        assert len(outputs) == 1, argv
 
 
 def test_usage_error_exit_code(capsys):

@@ -160,23 +160,14 @@ def test_one_way_simulation_stops_once_the_pattern_repeats(build, window, copies
 
 
 def test_one_way_simulation_does_not_depend_on_the_budget():
-    # a 1 last visited near the end of a fixed horizon once passed for sealed,
-    # so revisit-probe was refused at some budgets and accepted at others
-    machine = corpus.revisit_probe_2wft()
-    default = one_way_simulation_on_pi(machine)
-    want = run_1wft(default.transducer, PI).letters(2000)
-    for budget in (25_000, 200_000):
-        result = one_way_simulation_on_pi(machine, sim_budget=budget)
-        assert (result.window, result.copies) == (default.window, default.copies)
-        assert run_1wft(result.transducer, PI).letters(2000) == want
-
-
-def test_one_way_simulation_budget_is_a_cap():
-    machine = corpus.revisit_probe_2wft()
-    steps = one_way_simulation_on_pi(machine).steps
-    assert one_way_simulation_on_pi(machine, sim_budget=steps).steps == steps
-    with pytest.raises(UnstableClassification):
-        one_way_simulation_on_pi(machine, sim_budget=steps - 1)
+    # the repeat comes within |Q|·(M + 2)² steps, M = |Q|·(1 + period_base),
+    # so no step budget decides whether the simulation succeeds
+    for build in (corpus.bounce_probe_2wft, corpus.stutter_cross_2wft,
+                  corpus.alternating_cross_2wft, corpus.revisit_probe_2wft):
+        machine = normalize_directions_on_pi(build())
+        n_states = len(machine.states)
+        far = n_states * (1 + pi_transforms._zero_period(machine))
+        assert one_way_simulation_on_pi(machine).steps <= n_states * (far + 2) ** 2, build.__name__
 
 
 def test_one_way_simulation_refuses_runs_that_never_repeat():

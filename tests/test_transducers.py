@@ -7,14 +7,13 @@ from itertools import islice
 import pytest
 
 from advicebench.analysis import Equal, Inconclusive, prefix_equiv
-from advicebench import corpus
+from advicebench import corpus, transducers
 from advicebench.errors import (
     AdviceNotLasso,
     BudgetExceeded,
     MovedLeftOfEndmarker,
     NonProductive,
     UndefinedTransition,
-    ValidationFailed,
 )
 from advicebench.advice import Dfa
 from advicebench.transducers import (
@@ -27,6 +26,7 @@ from advicebench.transducers import (
     TwoWayTransducer,
     _walk,
     _walk_one_way,
+    _walk_to_image,
     analyze_on_constant,
     compose_1wft,
     lasso_image,
@@ -281,9 +281,11 @@ def test_analyze_nonproductive():
 
 
 def test_analyze_budget():
+    # a step budget bounds only a stream: the analysis takes none, and the
+    # raw run needs at most 2 steps per letter
     machine = corpus.drifter_2wft()
-    with pytest.raises(BudgetExceeded):
-        analyze_on_constant(machine, "a", budget=2)
+    found = analyze_on_constant(machine, "a")
+    assert prefix_equiv(found, run_2wft(machine, ConstantWord("a"), budget=2), 2000) == Equal(2000)
 
 
 def test_analyze_clears_configurations_on_endmarker_visits():
@@ -381,16 +383,36 @@ def far_return_2wft():
     return TwoWayTransducer({"scan", "back", "copy"}, "scan", abc, Alphabet.of("abcx"), tr)
 
 
-def test_remove_endmarker_rejects_a_result_that_halts_early():
-    # within a budget of 1000 steps the run has not come back to the
-    # endmarker, so the folded machine halts after 'a' where the original
-    # goes on with x c c c ...
+def test_remove_endmarker_folds_a_far_return():
+    # the run comes back to the endmarker after 4000 steps; the walk folds
+    # that return, so the result goes on with x c c c ... as the original does
     machine = far_return_2wft()
     w = lasso("c" * 2000 + "ab", "a")
     assert run_2wft(machine, w).prefix_str(5) == "axccc"
-    with pytest.raises(ValidationFailed):
-        remove_endmarker(machine, w, budget=1000)
-    trimmed = remove_endmarker(machine, w, budget=5000)
+    trimmed = remove_endmarker(machine, w)
+    assert prefix_equiv(run_2wft(trimmed, w), run_2wft(machine, w), 500) == Equal(500)
+
+
+def test_remove_endmarker_stops_a_shuttle_inside_the_preperiod(monkeypatch):
+    # after the endmarker the head shuttles between cells 1 and 2 forever,
+    # left of low = |u| + 1 = 4: the walk ends on the repeat, within the 49
+    # configurations of its bound 2·|Q|·(low + |Q|·|v| + 1) = 48 steps
+    tr = {("p", ENDMARKER): (("a",), RIGHT, "r"), ("r", "a"): (("b",), RIGHT, "l"),
+          ("l", "a"): (("b",), LEFT, "r")}
+    machine = TwoWayTransducer({"p", "r", "l"}, "p", AB, AB, tr)
+    w = lasso("aaa", "b")
+    configurations = []
+
+    def counted(*args):
+        for cfg in _walk(*args):
+            configurations.append(cfg)
+            yield cfg
+
+    monkeypatch.setattr(transducers, "_walk", counted)
+    assert _walk_to_image(machine, w, [], mark=1) == (1, ("r", 1, 1))  # a·(b)^ω, handed off at cell 1
+    assert len(configurations) <= 49
+    monkeypatch.undo()
+    trimmed = remove_endmarker(machine, w)
     assert prefix_equiv(run_2wft(trimmed, w), run_2wft(machine, w), 500) == Equal(500)
 
 
@@ -411,11 +433,9 @@ def test_lasso_image_reports_a_stall_and_a_halt():
     assert isinstance(halt.reason, UndefinedTransition) and halt.reason.detail == ("p", "a")
 
 
-def test_lasso_image_needs_a_lasso_and_keeps_its_budget():
+def test_lasso_image_needs_a_lasso():
     with pytest.raises(AdviceNotLasso):
         lasso_image(corpus.drifter_2wft(), pi_word(1))
-    with pytest.raises(BudgetExceeded):
-        lasso_image(far_return_2wft(), lasso("c" * 2000 + "ab", "a"), budget=1000)
 
 
 def test_lookbehind_transducer_rejects_undeclared_states():
