@@ -160,8 +160,18 @@ def test_one_way_simulation_stops_once_the_pattern_repeats(build, window, copies
 
 
 def test_one_way_simulation_does_not_depend_on_the_budget():
+    # a 1 last visited near the end of a fixed horizon once passed for sealed,
+    # so revisit-probe was refused at some budgets and accepted at others;
+    # the walk now stops on a proven repeat and the replay is exact
+    machine = corpus.revisit_probe_2wft()
+    result = one_way_simulation_on_pi(machine)
+    assert (result.window, result.copies) == (2, 8)
+    assert prefix_equiv(run_1wft(result.transducer, PI), run_2wft(machine, PI), 2000) == Equal(2000)
+
+
+def test_one_way_simulation_budget_is_a_cap():
     # the repeat comes within |Q|·(M + 2)² steps, M = |Q|·(1 + period_base),
-    # so no step budget decides whether the simulation succeeds
+    # so that bound, not a step budget, caps the walk
     for build in (corpus.bounce_probe_2wft, corpus.stutter_cross_2wft,
                   corpus.alternating_cross_2wft, corpus.revisit_probe_2wft):
         machine = normalize_directions_on_pi(build())
