@@ -36,6 +36,10 @@ def subword_complexity(w: InfiniteWord, k_max: int, window: int = 2048) -> Compl
     Lasso words get exact counts from one preperiod-plus-period span;
     anything else gets a lower bound from a window, with a note on whether
     doubling the window changes it.
+
+    On a lasso every factor begins within the span, so p(k) <= span, and
+    once p(k) = p(k - 1), with p(0) = 1, p stays constant (Morse–Hedlund):
+    counts are computed up to that repeat, by k = span, and copied after it.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -44,12 +48,14 @@ def subword_complexity(w: InfiniteWord, k_max: int, window: int = 2048) -> Compl
     stable: dict = {}
     if isinstance(w, LassoWord):
         span = len(w.u) + len(w.v)
-        letters = w.take(span + k_max - 1)
-        for k in range(1, k_max + 1):
-            counts[k] = len(_factors(letters, k, 0, span))
-            exact[k] = True
-            stable[k] = True
-        return ComplexityProfile(w, counts, exact, stable, span + k_max)
+        letters = w.take(span + min(k_max, span) - 1)
+        k, count, last = 0, 1, None
+        while k < k_max and count != last:
+            k, last = k + 1, count
+            counts[k] = count = len(_factors(letters, k, 0, span))
+        counts.update(dict.fromkeys(range(k + 1, k_max + 1), count))
+        exact = dict.fromkeys(counts, True)
+        return ComplexityProfile(w, counts, exact, dict(exact), span + k_max)
     letters = w.take(2 * window)
     for k in range(1, k_max + 1):
         split = max(window - k + 1, 0)

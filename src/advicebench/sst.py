@@ -29,6 +29,7 @@ from .transducers import (
     _Engine,
     _lasso_cycle,
     _oracle_cycle,
+    _table_step,
     _walk_to_image,
 )
 from .words import InfiniteWord, LassoWord, PAD
@@ -294,23 +295,34 @@ class SimpleSst(Sst):
 
 
 def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, state, pos):
-    """Run s from ``state`` before letter ``pos`` with ``registers``, one
-    step per resumption, as transducers._walk does: yields (state, pos)
-    before every step and streams register ``name`` into ``out``. It reads
-    its input a ``letters_from`` chunk at a time, as _walk_one_way does."""
+    """Run s from ``state`` before letter ``pos`` with ``registers`` in the
+    two modes of transducers._walk: yields (state, pos) before every step,
+    or a batch's step count, and streams register ``name`` into ``out``. It
+    reads its input a ``letters_from`` chunk at a time, as _walk_one_way does."""
     transitions, updates, more = s.transitions, s.updates, source.letters_from
     update, drain, emit = registers.update, registers.drain, out.extend
-    yield state, pos
+    budget = 0
+    ask = yield state, pos
+    if ask is not None:
+        want, budget = ask
+        start, stop = pos, pos + budget
     while True:
         for a in more(pos):
             key = (state, a)
             if key not in transitions:
                 raise UndefinedTransition(pos, pos, key)
             update(updates[key])
-            emit(drain(name))
-            state = transitions[key]
             pos += 1
-            yield state, pos
+            letters = drain(name)
+            if letters:
+                emit(letters)
+                stop = pos + budget
+            state = transitions[key]
+            if ask is None or len(out) >= want or pos >= stop:
+                ask = yield (state, pos) if ask is None else pos - start
+                if ask is not None:
+                    want, budget = ask
+                    start, stop = pos, pos + budget
 
 
 class _SimpleSstEngine(_Engine):
@@ -327,8 +339,9 @@ class _GeneralSstEngine(_Engine):
 
 
 def _walk_limit(s: Sst, source: LassoWord, out):
-    """Stream the limit of the output registers of s on a lasso, one step per
-    resumption after the first, which does all the set-up.
+    """Stream the limit of the output registers of s on a lasso. The first
+    resumption does all the set-up; later ones go to the final register's
+    walk, in either mode of transducers._walk.
 
     The non-final output registers freeze once the run stays on its
     recurring states; the final one grows at its end. Whether the limit is
@@ -352,12 +365,14 @@ def _walk_limit(s: Sst, source: LassoWord, out):
             next(walk)
         if _limit_is_finite(walk, registers, cycle_len, out):
             walk = None
-    yield  # set up; from here on each resumption is one step
+    ask = yield  # set up; from here on a resumption is one step or a batch
     if walk is not None:
-        yield from walk
-    while True:
-        out.append(PAD)
-        yield
+        while True:
+            ask = yield walk.send(ask)
+    while True:  # every step emits a PAD, so a batch ends at want letters
+        n = 1 if ask is None else ask[0] - len(out)
+        out.extend([PAD] * n)
+        ask = yield n
 
 
 def _limit_is_finite(walk, registers: _Registers, cycle_len: int, out) -> bool:
@@ -383,13 +398,7 @@ def _recurrence_entry(s: Sst, source: LassoWord):
     there. From the entry on, every step stays inside the recurring states;
     from the start on, states and letters repeat every cycle length.
     """
-    def step(state, n):
-        key = (state, source.letter(n))
-        if key not in s.transitions:
-            raise UndefinedTransition(n, n, key)
-        return s.transitions[key]
-
-    seq, cycle_start, cycle_len = _lasso_cycle(step, s.initial, source)
+    seq, cycle_start, cycle_len = _lasso_cycle(_table_step(s.transitions, source), s.initial, source)
     recurring = frozenset(seq[cycle_start:])
     entry = cycle_start
     while entry > 0 and seq[entry - 1] in recurring:

@@ -5,6 +5,11 @@ request, spending at most a step budget between consecutive letters, so a
 machine that stalls (for instance by emitting nothing forever) surfaces a
 status instead of hanging. Two-way machines read a tape holding the
 endmarker followed by the input word.
+
+Each machine shape has one stepping kernel, a generator with two modes on
+one loop (see _walk): ``next`` takes one step and yields the configuration,
+as the constructions walk; ``send((want, budget))`` takes a batch of steps,
+as a RunOutcome reads, and yields their number.
 """
 from __future__ import annotations
 
@@ -152,22 +157,19 @@ class RunOutcome:
         """
         engine = self._engine
         out = engine.out
-        while len(out) < n:
+        if len(out) < n:
             if self._halt is not None:
                 raise self._halt
-            produced = len(out)
-            spent = 0
-            while len(out) == produced:
-                if spent >= self.budget:
-                    raise BudgetExceeded(engine.step_count)
-                try:
-                    engine.step()
-                except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
-                    self._halt = exc
-                    if len(out) >= n:
-                        return out
-                    raise
-                spent += 1
+            try:
+                engine.advance(n, self.budget)
+            except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
+                self._halt = exc
+                engine.step_count = exc.step  # the halting step does not count
+                if len(out) >= n:
+                    return out
+                raise
+            if len(out) < n:
+                raise BudgetExceeded(engine.step_count)
         return out
 
     def letter(self, n):
@@ -220,9 +222,9 @@ class _OutcomeWord(InfiniteWord):
 
 
 class _Engine:
-    """A run resumed one step at a time: ``kernel`` is a generator like
-    _walk, which yields before every step and appends each step's letters
-    to ``out``. Its first yield, the initial configuration, is taken here."""
+    """A run resumed a batch of steps at a time: ``kernel`` is a stepping
+    kernel like _walk, which appends each step's letters to ``out``. Its
+    first yield, the initial configuration, is taken here."""
 
     oracle = None  # the lookbehind oracle, on lookbehind runs only
 
@@ -233,9 +235,12 @@ class _Engine:
         self._kernel = kernel
         next(kernel)
 
-    def step(self):
-        next(self._kernel)
-        self.step_count += 1
+    def advance(self, want, budget):
+        """Step until ``out`` holds ``want`` letters or ``budget`` steps in a
+        row emitted nothing, in one resumption of the kernel; no step when
+        either already holds."""
+        if len(self.out) < want and budget > 0:
+            self.step_count += self._kernel.send((want, budget))
 
 
 class _OneWayEngine(_Engine):
@@ -245,47 +250,64 @@ class _OneWayEngine(_Engine):
 
 
 def _walk_one_way(t, source, out):
-    """Run the 1wft t on source, one step per resumption, as _walk does:
-    yields (state, pos) before every step, pos being the index of the
-    letter the step reads, and raises UndefinedTransition(pos, pos, key).
-    It steps through one ``letters_from`` chunk at a time, asking for the
-    next only after the yield before its first letter, and keeps no tape."""
+    """Run the 1wft t on source in the two modes of _walk: yields (state,
+    pos) before every step, pos being the index of the letter the step
+    reads, or a batch's step count, and raises UndefinedTransition(pos,
+    pos, key). It steps through one ``letters_from`` chunk at a time, asking
+    for the next only when a step needs its first letter, and keeps no tape."""
     lookup, more, emit = t.transitions.get, source.letters_from, out.extend
-    state, pos = t.initial, 0
-    yield state, pos
+    state, pos, budget = t.initial, 0, 0
+    ask = yield state, pos
+    if ask is not None:
+        want, budget = ask
+        start, stop = pos, pos + budget
     while True:
         for a in more(pos):
             key = (state, a)
             hit = lookup(key)
             if hit is None:
                 raise UndefinedTransition(pos, pos, key)
-            emit(hit[0])
-            state = hit[1]
             pos += 1
-            yield state, pos
+            if hit[0]:
+                emit(hit[0])
+                stop = pos + budget
+            state = hit[1]
+            if ask is None or len(out) >= want or pos >= stop:
+                ask = yield (state, pos) if ask is None else pos - start
+                if ask is not None:
+                    want, budget = ask
+                    start, stop = pos, pos + budget
 
 
 def _walk(t, source, out, oracle=None):
-    """Run t on the tape ENDMARKER·source, one step per resumption.
+    """Run t on the tape ENDMARKER·source, appending each step's letters to
+    ``out``; the first yield is the initial configuration (state, pos).
 
-    Yields (state, pos) before every step, the initial configuration first,
-    and appends each step's letters to ``out``. With an ``oracle``, a
-    transition also sees the oracle's state after the input prefix left of
-    the head. Raises UndefinedTransition when no transition applies, and
-    MovedLeftOfEndmarker after the letters of a step that leaves the tape.
-    A caller bounds a run with ``islice(_walk(...), n + 1)``: the loop sees
-    every configuration of at most n steps, and islice asks for no more,
-    so the walk never takes a step past them. The letters read so far are
-    kept on ``tape``, which grows by a ``letters_from`` chunk when the head
-    first moves past its end.
+    One-step mode: each ``next`` takes one step and yields the next
+    configuration, so ``islice(_walk(...), n + 1)`` sees every configuration
+    of at most n steps and the walk takes no step past them. Batch mode: ``send((want, budget))`` steps until ``out`` holds ``want``
+    letters, or ``budget`` steps in a row emitted nothing, and yields the
+    number of steps; it takes its first step unasked.
+
+    With an ``oracle``, a transition also sees the oracle's state after the
+    input prefix left of the head. Raises UndefinedTransition when no
+    transition applies, and MovedLeftOfEndmarker after the letters of a
+    step that leaves the tape. The letters read so far are kept on
+    ``tape``, which grows by a ``letters_from`` chunk when the head first
+    moves past its end.
     """
     lookup, more, emit = t.transitions.get, source.letters_from, out.extend
-    state, pos, step = t.initial, 0, 0
+    state, pos, step, budget = t.initial, 0, 0, 0
+    ask = None
     tape = [ENDMARKER]
     if oracle is not None:
         zstates = [oracle.initial]  # oracle state after reading n input letters
     while True:
-        yield state, pos
+        if ask is None or len(out) >= want or step >= stop:
+            ask = yield (state, pos) if ask is None else step - start
+            if ask is not None:
+                want, budget = ask
+                start, stop = step, step + budget
         if pos == len(tape):
             tape += more(pos - 1)
         a = tape[pos]
@@ -301,7 +323,9 @@ def _walk(t, source, out, oracle=None):
         if hit is None:
             raise UndefinedTransition(pos, step, key)
         emitted, move, state = hit
-        emit(emitted)
+        if emitted:
+            emit(emitted)
+            stop = step + 1 + budget
         if move == RIGHT:
             pos += 1
         elif pos == 0:
@@ -512,10 +536,22 @@ def _lasso_cycle(step, initial, w: LassoWord):
         state = step(state, n)
 
 
+def _table_step(transitions, w: InfiniteWord):
+    """_lasso_cycle's ``step`` through a table (state, letter) -> state; a
+    missing entry, a foreign letter's too, raises UndefinedTransition(n, n, key)."""
+    def step(state, n):
+        key = (state, w.letter(n))
+        if key not in transitions:
+            raise UndefinedTransition(n, n, key)
+        return transitions[key]
+
+    return step
+
+
 def _oracle_cycle(oracle, w: LassoWord):
     """_lasso_cycle of a lookbehind oracle on w: from letter ``start`` on,
     letters and oracle states repeat every ``length``."""
-    return _lasso_cycle(lambda z, n: oracle.transitions[(z, w.letter(n))], oracle.initial, w)
+    return _lasso_cycle(_table_step(oracle.transitions, w), oracle.initial, w)
 
 
 def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None):

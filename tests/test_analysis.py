@@ -51,6 +51,20 @@ def test_complexity_of_growing_blocks():
     assert not profile.exact[2]
 
 
+def test_a_lasso_profile_counts_only_up_to_the_first_repeat(monkeypatch):
+    import advicebench.analysis as analysis
+
+    calls = []
+    factors = analysis._factors
+    monkeypatch.setattr(analysis, "_factors", lambda *args: calls.append(args[1]) or factors(*args))
+    profile = subword_complexity(lasso("", "ab"), 100000)
+    assert calls == [1, 2]  # p(1) = p(2) = 2: constant from there on
+    assert set(profile.counts) == set(range(1, 100001))
+    assert set(profile.counts.values()) == {2}
+    assert all(profile.exact.values()) and all(profile.stable.values())
+    assert profile.window == 100002
+
+
 def test_complexity_eventually_constant_for_lassos():
     for w in (lasso("", "ab"), lasso("ba", "aab"), lasso("", "aabab")):
         span = len(w.u) + len(w.v)

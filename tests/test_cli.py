@@ -71,6 +71,17 @@ def test_convert_then_run_via_stdin(capsys, monkeypatch):
     assert out.strip() == "ba#ba#ba#"
 
 
+def test_a_foreign_input_letter_ends_every_conversion_the_same_way(capsys, monkeypatch):
+    # the lookbehind oracle meets '0' before the machine does
+    _code, compiled, _err = run_cli(capsys, "convert", "sst2wftb", "mirror_sst")
+    monkeypatch.setattr("sys.stdin", io.StringIO(compiled))
+    results = [run_cli(capsys, "convert", "unlookbehind", "-", "--input", "(01)^ω"),
+               run_cli(capsys, "convert", "remove-endmarker", "mirror2wft", "--input", "(01)^ω")]
+    for code, out, err in results:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: undefined transition") and err.count("\n") == 1
+
+
 def test_convert_round_trips_identically(capsys, monkeypatch):
     from advicebench.analysis import Equal, prefix_equiv
     from advicebench.cli import Workspace, _run_machine

@@ -43,12 +43,16 @@ from advicebench.sst import (
     SimpleSst,
     Sst,
     Substitution,
+    _Registers,
+    _walk_limit,
+    _walk_sst,
     compile_sst_to_2wftb,
     eliminate_lookbehind_lasso,
     run_sst,
     simplify_to_simple_sst,
 )
 from advicebench.transducers import (
+    DEFAULT_BUDGET,
     ENDMARKER,
     LEFT,
     RIGHT,
@@ -58,6 +62,7 @@ from advicebench.transducers import (
     TwoWayTransducer,
     _settle_test,
     _walk,
+    _walk_one_way,
     compose_1wft,
     lasso_image,
     remove_endmarker,
@@ -442,6 +447,105 @@ def test_one_way_lasso_image_is_the_raw_run(machine, w):
     assert_image_is_the_run(lasso_image(machine, w), run_1wft(machine, w, budget=BUDGET))
 
 
+class OneStepDriver:
+    """Reference for a RunOutcome's reads: the run's kernel in one-step mode
+    only, one ``next`` per step, spending at most ``budget`` steps between
+    consecutive letters within one read."""
+
+    def __init__(self, machine, w, budget):
+        self.out, self.budget, self.steps, self.halt = [], budget, 0, None
+        if isinstance(machine, OneWayTransducer):
+            self.kernel = _walk_one_way(machine, w, self.out)
+        elif isinstance(machine, SimpleSst):
+            registers = _Registers(machine.registers)
+            self.kernel = _walk_sst(machine, w, self.out, registers, machine.out, machine.initial, 0)
+        elif isinstance(machine, Sst):
+            self.kernel = _walk_limit(machine, w, self.out)
+        else:
+            self.kernel = _walk(machine, w, self.out, getattr(machine, "oracle", None))
+        next(self.kernel)  # the initial configuration, or a general SST's set-up
+
+    def read(self, n):
+        """(the first n letters or fewer, the halt or None), as try_letters."""
+        out = self.out
+        while len(out) < n:
+            if self.halt is not None:
+                return out[:n], self.halt
+            produced, spent = len(out), 0
+            while len(out) == produced:
+                if spent >= self.budget:
+                    return out[:n], BudgetExceeded(self.steps)
+                try:
+                    next(self.kernel)
+                except (UndefinedTransition, MovedLeftOfEndmarker) as halt:
+                    self.halt = halt  # its letters count; the read ends if they suffice
+                    break
+                self.steps += 1
+                spent += 1
+        return out[:n], None
+
+
+def assert_reads_like_one_step_at_a_time(machine, w, budget, reads):
+    """Reads through letters and try_letters in turn match the reference's:
+    letters, halt type and arguments, steps and letters produced."""
+    try:
+        run = _run_machine(machine, w, budget)
+    except (NoOutputFunction, UndefinedTransition) as exc:  # a general SST's set-up
+        with pytest.raises(type(exc)):
+            OneStepDriver(machine, w, budget)
+        return
+    reference = OneStepDriver(machine, w, budget)
+    for i, n in enumerate(reads):
+        want, want_halt = reference.read(n)
+        if i % 2:
+            got, halt = run.try_letters(n)
+        else:
+            try:
+                got, halt = run.letters(n), None
+            except (UndefinedTransition, MovedLeftOfEndmarker, BudgetExceeded) as exc:
+                got, halt = run._engine.out[:n], exc
+        assert got == want
+        assert halt_kind(halt) is halt_kind(want_halt)
+        assert halt is None or halt.args == want_halt.args
+        assert run.produced == len(reference.out)
+        assert run._engine.step_count == reference.steps
+
+
+budgets = st.one_of(st.integers(1, 5), st.just(DEFAULT_BUDGET))
+reads = st.lists(st.integers(0, 80), min_size=1, max_size=4)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(machine=st.one_of(one_way_machines(), two_way_machines(), two_way_machines().map(with_parity_lookbehind),
+                         two_way_machines().map(corpus.with_trivial_lookbehind), simple_ssts()),
+       w=lassos, budget=budgets, reads=reads)
+def test_runs_stepped_in_batches_read_like_one_step_at_a_time(machine, w, budget, reads):
+    assert_reads_like_one_step_at_a_time(machine, w, budget, reads)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(s=general_ssts(), w=lassos, budget=budgets, reads=reads)
+def test_general_sst_runs_stepped_in_batches_read_like_one_step_at_a_time(s, w, budget, reads):
+    assert_reads_like_one_step_at_a_time(s, w, budget, reads)
+
+
+def test_a_general_sst_run_meets_a_small_budget_between_letters():
+    # the limit of r gains an a every 4 steps on (abbb)^ω; the set-up already
+    # streams the first 2, and 3 silent steps exhaust a budget of 3
+    s = Sst({0}, 0, AB, AB, ("r",), {(0, "a"): 0, (0, "b"): 0},
+            {(0, "a"): Substitution({"r": (Reg("r"), "a")}), (0, "b"): Substitution({"r": (Reg("r"),)})},
+            {frozenset({0}): ("r",)})
+    w = lasso("", "abbb")
+    run = run_sst(s, w, budget=3)
+    assert run.letters(3) == ["a"] * 3
+    with pytest.raises(BudgetExceeded) as err:
+        run.letters(4)
+    assert (err.value.step, run.produced) == (4, 3)
+    assert run_sst(s, w, budget=4).letters(50) == ["a"] * 50
+    for budget in (3, 4):
+        assert_reads_like_one_step_at_a_time(s, w, budget, [3, 4, 50, 2])
+
+
 @st.composite
 def mealy_machines(draw):
     states = range(draw(st.integers(1, 4)))
@@ -539,17 +643,22 @@ def per_letter_subword_counts(w, k_max):
 
 abc_lassos = st.builds(lasso, st.text("abc", max_size=5), st.text("abc", min_size=1, max_size=6))
 subword_lassos = st.one_of(abc_lassos, st.builds(convolve_lassos, lassos, lassos))
+long_lassos = st.builds(lasso, st.text("ab", max_size=12), st.text("ab", min_size=1, max_size=12))
 
 
 @PROPERTY
-@given(w=subword_lassos, k_max=st.integers(1, 14))
-@example(w=lasso("", "a"), k_max=3)  # empty u, |v| = 1, k_max > span
-@example(w=convolve_lassos(lasso("", "ab"), lasso("a", "b")), k_max=6)  # product letters
-def test_subword_complexity_counts_the_per_letter_factors(w, k_max):
-    profile = subword_complexity(w, k_max)
-    assert profile.counts == per_letter_subword_counts(w, k_max)
-    assert profile.exact == profile.stable == {k: True for k in range(1, k_max + 1)}
-    assert profile.window == len(w.u) + len(w.v) + k_max
+@given(w=st.one_of(subword_lassos, long_lassos))
+@example(w=lasso("", "a"))  # empty u, |v| = 1, k_max > span
+@example(w=convolve_lassos(lasso("", "ab"), lasso("a", "b")))  # product letters
+def test_subword_complexity_counts_the_per_letter_factors(w):
+    # every k_max up to span + 3: the counts stop rising by k = span
+    span = len(w.u) + len(w.v)
+    full = per_letter_subword_counts(w, span + 3)
+    for k_max in range(1, span + 4):
+        profile = subword_complexity(w, k_max)
+        assert profile.counts == {k: full[k] for k in range(1, k_max + 1)}
+        assert profile.exact == profile.stable == {k: True for k in range(1, k_max + 1)}
+        assert profile.window == span + k_max
 
 
 @PROPERTY
