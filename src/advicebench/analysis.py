@@ -161,10 +161,12 @@ def _validate_prefix(result: RunOutcome, original: RunOutcome, n: int, what: str
         raise ValidationFailed(verdict.index, f"{what} changed the output length")
 
 
-def _validate_image(result, original, w: LassoWord, what: str):
-    """Refuse a construction whose exact image on the lasso w differs from the
-    original's: other canonical letters, or finite letters ending another way."""
-    images = [lasso_image(machine, w) for machine in (result, original)]
+def _validate_image(result, image, w: LassoWord, what: str):
+    """Refuse a construction whose exact image on the lasso w differs from
+    ``image``, the original's: other canonical letters, or finite letters
+    ending another way. The construction's own walk of the original gives
+    ``image`` (transducers._cut_image), so only the result is walked here."""
+    images = [lasso_image(result, w), image]
     keys = [(x.u.letters, x.v.letters, None) if isinstance(x, LassoWord)
             else (x.word.letters, (), type(x.reason)) for x in images]
     if keys[0] != keys[1]:

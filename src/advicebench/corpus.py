@@ -277,6 +277,7 @@ BUILTIN_MACHINES = {
     "bounce_probe": bounce_probe_2wft,
     "stutter_cross": stutter_cross_2wft,
     "revisit_probe": revisit_probe_2wft,
+    "alternating_cross": alternating_cross_2wft,
 }
 
 

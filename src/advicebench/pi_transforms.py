@@ -28,6 +28,7 @@ from .transducers import (
     OneWayTransducer,
     TwoWayTransducer,
     _lasso_cycle,
+    _resume_2wft,
     _settle_test,
     _walk,
     compose_1wft,
@@ -178,6 +179,13 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     ``probe_range`` output letters: ValidationFailed if it differs, and
     UnstableClassification if the original emits fewer. Callers must only
     use machines whose output on the block word is not ultimately periodic.
+
+    The original is stepped once: the validation reads it from where the
+    walk above stopped, on the same kernel and output list, so only the
+    result runs from step 0. That read stalls where a fresh run_2wft read
+    would, as transducers._resume_2wft shows; a walk of DEFAULT_BUDGET
+    steps or more, which only machines of 11 states or more can take, is
+    read afresh instead.
     """
     if direction_partition(t) is not None:
         return t
@@ -188,10 +196,11 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     w_upper = k_upper * (k_upper + 1) // 2 + 1
     stop_pos = w_upper + m_bound + 4
     out: list = []
+    walk = _walk(t, pi, out)
     reached: dict = {}  # cell -> (state, len(out)) at the last right move into it
     last = 0
     try:
-        for state, pos in islice(_walk(t, pi, out), n_states * stop_pos + 1):
+        for step, (state, pos) in enumerate(islice(walk, n_states * stop_pos + 1)):
             if pos > last:
                 reached[pos] = (state, len(out))
                 if pos == stop_pos:
@@ -293,7 +302,8 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     states = {src for (src, _a) in tr} | {q2 for (_o, _m, q2) in tr.values()}
     result = TwoWayTransducer(states, ("p", 0), t.input_alphabet, t.output_alphabet, tr)
 
-    _validate_prefix(run_2wft(result, pi), run_2wft(t, pi), probe_range, "direction normalization")
+    original = _resume_2wft(t, pi, out, walk, step)
+    _validate_prefix(run_2wft(result, pi), original, probe_range, "direction normalization")
     return result
 
 
@@ -415,6 +425,17 @@ def one_way_simulation_on_pi(t: TwoWayTransducer, c_max: int = 4, probe_range: i
     1…n1-1 as a prefix and n1…n2-1 as a cycle, and the programs use the
     least preperiod and period of that sequence. The repeat comes within
     |Q|·(M + 2)² steps, M = |Q|·(1 + period_base), so no step budget applies.
+
+    Validation runs ``over_copies`` on pi_word(copies), not the composed
+    machine on the block word, which reads about copies² zeros per block it
+    simulates; the original is run once more from step 0 (the walk above is
+    a few dozen of its steps). This checks ``transducer`` as well: it is
+    compose_1wft(over_copies, pi_k_expander_1wft(copies)), compose_1wft
+    equals running the two machines in turn (a property test checks it),
+    and the expander maps the block word to pi_word(k) for every k a
+    simulation can ask for (a test checks k up to c_max·|Q| for the machines
+    the tests reach). The expander emits at most one letter per step, so
+    the composed machine never stops inside an emitted chunk.
     """
     if direction_partition(t) is None:
         raise InvariantViolation("input machine must be direction-normalized first")
@@ -537,5 +558,5 @@ def one_way_simulation_on_pi(t: TwoWayTransducer, c_max: int = 4, probe_range: i
 
     if silent and len(out) < probe_range:
         raise UnstableClassification("original output too short to validate")
-    _validate_prefix(run_1wft(composed, pi), run_2wft(t, pi), probe_range, "one-way replay")
+    _validate_prefix(run_1wft(sim_machine, pi_word(copies)), run_2wft(t, pi), probe_range, "one-way replay")
     return PiOneWayResult(composed, sim_machine, c, copies, steps)

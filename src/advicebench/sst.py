@@ -27,6 +27,7 @@ from .transducers import (
     RunOutcome,
     TwoWayTransducer,
     _Engine,
+    _cut_image,
     _lasso_cycle,
     _oracle_cycle,
     _table_step,
@@ -574,15 +575,18 @@ def eliminate_lookbehind_lasso(t: LookbehindTransducer, source: LassoWord) -> Tw
     The run is walked until it provably stays beyond the preperiod, within
     2·|Q|·(ℓ + |Q|·p + 2) steps for an oracle cycle of preperiod ℓ and
     period p (see transducers._walk_to_image); a run that halts before that
-    raises its halt. The result must have the original's exact image.
+    raises its halt. The oracle cycle is computed once, for the table and
+    the walk, and the walk also gives the original's exact image, which the
+    result must have; only the result is walked to check it.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("lookbehind elimination is relative to a lasso input")
-    zstates, ell, period = _oracle_cycle(t.oracle, source)
+    cycle = _oracle_cycle(t.oracle, source)
+    zstates, ell, period = cycle
     table = zstates[ell:ell + period]
     out: list = []
-    _cut, (q_target, target_pos, emitted_len) = _walk_to_image(
-        t, source, out, revisits="head keeps returning into the oracle preperiod")
+    cut, (q_target, target_pos, emitted_len) = _walk_to_image(
+        t, source, out, revisits="head keeps returning into the oracle preperiod", cycle=cycle)
 
     tr: dict = {}
     for i in range(target_pos):
@@ -601,5 +605,5 @@ def eliminate_lookbehind_lasso(t: LookbehindTransducer, source: LassoWord) -> Tw
     states = {src for (src, _a) in tr} | {v[2] for v in tr.values()}
     result = TwoWayTransducer(states, ("walk", 0), t.input_alphabet, t.output_alphabet, tr)
 
-    _validate_image(result, t, source, "lookbehind elimination")
+    _validate_image(result, _cut_image(t, out, cut), source, "lookbehind elimination")
     return result

@@ -154,6 +154,8 @@ class RunOutcome:
         Spends at most ``budget`` steps between consecutive letters; raises
         the halt condition, or BudgetExceeded, if the machine stops first.
         A halting step's letters count: they are output before its move fails.
+        An exception from the source word (an inner run's BudgetExceeded,
+        say) ends the kernel, so it becomes the run's halt as well.
         """
         engine = self._engine
         out = engine.out
@@ -167,6 +169,9 @@ class RunOutcome:
                 engine.step_count = exc.step  # the halting step does not count
                 if len(out) >= n:
                     return out
+                raise
+            except Exception as exc:  # from the source word: the kernel is finished
+                self._halt = exc
                 raise
             if len(out) < n:
                 raise BudgetExceeded(engine.step_count)
@@ -223,17 +228,20 @@ class _OutcomeWord(InfiniteWord):
 
 class _Engine:
     """A run resumed a batch of steps at a time: ``kernel`` is a stepping
-    kernel like _walk, which appends each step's letters to ``out``. Its
-    first yield, the initial configuration, is taken here."""
+    kernel like _walk, which appends each step's letters to ``out``. A
+    fresh kernel's first yield, the initial configuration, is taken here;
+    one that ``next`` has already stepped ``steps`` times goes on from there
+    (see _resume_2wft)."""
 
     oracle = None  # the lookbehind oracle, on lookbehind runs only
 
-    def __init__(self, machine, out, kernel):
+    def __init__(self, machine, out, kernel, steps=None):
         self.output_alphabet = machine.output_alphabet
         self.out = out
-        self.step_count = 0
+        self.step_count = steps or 0
         self._kernel = kernel
-        next(kernel)
+        if steps is None:
+            next(kernel)
 
     def advance(self, want, budget):
         """Step until ``out`` holds ``want`` letters or ``budget`` steps in a
@@ -285,19 +293,23 @@ def _walk(t, source, out, oracle=None):
 
     One-step mode: each ``next`` takes one step and yields the next
     configuration, so ``islice(_walk(...), n + 1)`` sees every configuration
-    of at most n steps and the walk takes no step past them. Batch mode: ``send((want, budget))`` steps until ``out`` holds ``want``
-    letters, or ``budget`` steps in a row emitted nothing, and yields the
-    number of steps; it takes its first step unasked.
+    of at most n steps and the walk takes no step past them. Batch mode:
+    ``send((want, budget))`` steps until ``out`` holds ``want`` letters, or
+    ``budget`` steps in a row emitted nothing, and yields the number of
+    steps; it takes its first step unasked. The first batch also counts the
+    steps taken one at a time since the last letter, so a walk handed to a
+    RunOutcome stalls where a fresh run would (see _resume_2wft).
 
     With an ``oracle``, a transition also sees the oracle's state after the
     input prefix left of the head. Raises UndefinedTransition when no
-    transition applies, and MovedLeftOfEndmarker after the letters of a
-    step that leaves the tape. The letters read so far are kept on
+    transition applies, or the oracle has none for a letter left of the
+    head (it need not read PAD), and MovedLeftOfEndmarker after the letters
+    of a step that leaves the tape. The letters read so far are kept on
     ``tape``, which grows by a ``letters_from`` chunk when the head first
     moves past its end.
     """
     lookup, more, emit = t.transitions.get, source.letters_from, out.extend
-    state, pos, step, budget = t.initial, 0, 0, 0
+    state, pos, step, budget, stop = t.initial, 0, 0, 0, 0
     ask = None
     tape = [ENDMARKER]
     if oracle is not None:
@@ -306,8 +318,9 @@ def _walk(t, source, out, oracle=None):
         if ask is None or len(out) >= want or step >= stop:
             ask = yield (state, pos) if ask is None else step - start
             if ask is not None:
+                # one-step mode keeps budget 0, so stop is the step after its last letter
+                start, stop = step, (step if budget else stop) + ask[1]
                 want, budget = ask
-                start, stop = step, step + budget
         if pos == len(tape):
             tape += more(pos - 1)
         a = tape[pos]
@@ -317,7 +330,10 @@ def _walk(t, source, out, oracle=None):
             n = pos - 1 if pos else 0
             while len(zstates) <= n:
                 k = len(zstates)
-                zstates.append(oracle.transitions[(zstates[k - 1], tape[k])])
+                try:
+                    zstates.append(oracle.transitions[(zstates[k - 1], tape[k])])
+                except KeyError:  # the oracle is total on the input alphabet only, not on PAD
+                    raise UndefinedTransition(pos, step, (zstates[k - 1], tape[k])) from None
             key = (state, a, zstates[n])
         hit = lookup(key)
         if hit is None:
@@ -336,12 +352,12 @@ def _walk(t, source, out, oracle=None):
 
 
 class _TwoWayEngine(_Engine):
-    """Tape is ENDMARKER followed by the input word; head starts on the marker."""
+    """Tape is ENDMARKER followed by the input word; head starts on the marker.
+    ``walk`` is a _walk(t, source, out, oracle)."""
 
-    def __init__(self, t, source: InfiniteWord, oracle=None):
-        out: list = []
+    def __init__(self, t, out, walk, oracle=None, steps=None):
         self.oracle = oracle
-        super().__init__(t, out, _walk(t, source, out, oracle))
+        super().__init__(t, out, walk, steps)
 
 
 def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
@@ -349,11 +365,29 @@ def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -
 
 
 def run_2wft(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
-    return RunOutcome(_TwoWayEngine(t, source), budget)
+    out: list = []
+    return RunOutcome(_TwoWayEngine(t, out, _walk(t, source, out)), budget)
 
 
 def run_2wft_b(t: LookbehindTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
-    return RunOutcome(_TwoWayEngine(t, source, oracle=t.oracle), budget)
+    out: list = []
+    return RunOutcome(_TwoWayEngine(t, out, _walk(t, source, out, t.oracle), t.oracle), budget)
+
+
+def _resume_2wft(t: TwoWayTransducer, source: InfiniteWord, out, walk, steps,
+                 budget=DEFAULT_BUDGET) -> RunOutcome:
+    """run_2wft(t, source, budget) for ``walk``, a _walk(t, source, out)
+    that ``next`` has stepped ``steps`` times. With fewer than ``budget``
+    steps the run goes on from there, on the same kernel and output list,
+    so the walk's steps are not taken again. Its first batch counts the
+    walk's silent steps since its last letter against the budget (see
+    _walk), and no stretch of so short a walk holds a budget's worth of
+    silent steps, so its reads give the letters, halts and stalls, at the
+    same steps, of a fresh run. A longer walk might hold one, which a fresh
+    read would stall on, so its run starts afresh."""
+    if steps >= budget:
+        return run_2wft(t, source, budget)
+    return RunOutcome(_TwoWayEngine(t, out, walk, steps=steps), budget)
 
 
 def compose_1wft(outer: OneWayTransducer, inner: OneWayTransducer) -> OneWayTransducer:
@@ -554,11 +588,12 @@ def _oracle_cycle(oracle, w: LassoWord):
     return _lasso_cycle(_table_step(oracle.transitions, w), oracle.initial, w)
 
 
-def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None):
+def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None, cycle=None):
     """Walk a 2wft or 2wftb on a lasso until its whole output is known.
 
     On a lasso u·v^ω the tape (and lookbehind state) repeats every ``per``
-    from position ``low`` on: |v| and |u| + 1, or the oracle's cycle. So the
+    from position ``low`` on: |v| and |u| + 1, or the oracle's cycle
+    (``cycle``, _oracle_cycle(t.oracle, source), if the caller has it). So the
     run halts (raised), repeats a configuration left of low, or settles (see
     _settle_test). Returns (cut, handoff): the output is out[:cut]·out[cut:]^ω
     and handoff is (state, pos, len(out)) after the last configuration left
@@ -575,7 +610,7 @@ def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None):
     if oracle is None:
         low, per = len(source.u) + 1, len(source.v)
     else:
-        _states, ell, per = _oracle_cycle(oracle, source)
+        _states, ell, per = cycle or _oracle_cycle(oracle, source)
         low = ell + 1
     settled = _settle_test(low, per, out)
     mark = low if mark is None else mark
@@ -619,6 +654,16 @@ def _one_way_cut(t, w: LassoWord, out):
             return cut
 
 
+def _cut_image(t, out, cut):
+    """The image out[:cut]·out[cut:]^ω of a walk that ended on its cycle
+    with ``cut`` (see _walk_to_image, _one_way_cut): the canonical LassoWord,
+    or a FiniteImage with NonProductive when the cycle emits nothing."""
+    if cut < len(out):
+        return _loop_lasso(t, out, cut)
+    word = FiniteWord(tuple(out), t.output_alphabet)
+    return FiniteImage(word, NonProductive(word.letters))
+
+
 def lasso_image(t, w: LassoWord):
     """Exact output of a 1wft, 2wft or 2wftb on the lasso w: the canonical
     LassoWord, or a FiniteImage when the run halts or loops without output.
@@ -635,10 +680,7 @@ def lasso_image(t, w: LassoWord):
             cut, _handoff = _walk_to_image(t, w, out)
     except (UndefinedTransition, MovedLeftOfEndmarker) as halt:
         return FiniteImage(FiniteWord(tuple(out), t.output_alphabet), halt)
-    if cut < len(out):
-        return _loop_lasso(t, out, cut)
-    word = FiniteWord(tuple(out), t.output_alphabet)
-    return FiniteImage(word, NonProductive(word.letters))
+    return _cut_image(t, out, cut)
 
 
 def remove_endmarker(t: TwoWayTransducer, source: LassoWord) -> TwoWayTransducer:
@@ -648,12 +690,13 @@ def remove_endmarker(t: TwoWayTransducer, source: LassoWord) -> TwoWayTransducer
     visiting the endmarker, and a machine bouncing on it forever is rejected
     with the detected loop. The walk stops at its proven verdict, within
     2·|Q|·(|u| + |Q|·|v| + 2) steps (see _walk_to_image), so the prologue
-    folds the exact run; the result must have the original's exact image.
+    folds the exact run. That walk also gives the original's exact image,
+    which the result must have; only the result is walked to check it.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("endmarker removal is relative to a lasso input")
     out: list = []
-    _cut, (q_target, _pos, emitted_len) = _walk_to_image(
+    cut, (q_target, _pos, emitted_len) = _walk_to_image(
         t, source, out, mark=1, revisits="the endmarker is revisited forever")
     prologue_out = tuple(out[:emitted_len])
     boot = ("boot", 0)
@@ -669,5 +712,5 @@ def remove_endmarker(t: TwoWayTransducer, source: LassoWord) -> TwoWayTransducer
 
     from .analysis import _validate_image
 
-    _validate_image(result, t, source, "endmarker removal")
+    _validate_image(result, _cut_image(t, out, cut), source, "endmarker removal")
     return result

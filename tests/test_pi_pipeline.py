@@ -27,10 +27,26 @@ def test_expander_identity_for_k1():
     assert prefix_equiv(run_1wft(machine, PI), PI, 300) == Equal(300)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+#: The most states a one-way simulation meets in these tests: the largest
+#: normalized corpus machine has 7, the π properties draw at most 5.
+SIMULATED_STATES = 7
+
+
+@pytest.mark.parametrize("k", range(1, 4 * SIMULATED_STATES + 1))
 def test_expander_matches_direct_word(k):
+    # one_way_simulation_on_pi validates over_copies on pi_word(copies) and
+    # returns it composed with the expander, so the expander must give
+    # pi_word(k) for every copies = window·|Q|, window <= c_max = 4; 500
+    # letters hold more than 3k blocks (0^b 1) for every k here
     machine = pi_k_expander_1wft(k)
     assert prefix_equiv(run_1wft(machine, PI), pi_word(k), 500) == Equal(500)
+    assert pi_word(k).take(500).count("1") > 3 * k
+
+
+def test_simulated_machines_stay_within_the_expander_tests():
+    machines = (corpus.bounce_probe_2wft, corpus.stutter_cross_2wft,
+                corpus.alternating_cross_2wft, corpus.revisit_probe_2wft)
+    assert max(len(normalize_directions_on_pi(build()).states) for build in machines) == SIMULATED_STATES
 
 
 def test_expander_strict_mode_rejects_other_words():

@@ -60,6 +60,7 @@ from advicebench.transducers import (
     LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
+    _resume_2wft,
     _settle_test,
     _walk,
     _walk_one_way,
@@ -527,6 +528,32 @@ def test_runs_stepped_in_batches_read_like_one_step_at_a_time(machine, w, budget
 @given(s=general_ssts(), w=lassos, budget=budgets, reads=reads)
 def test_general_sst_runs_stepped_in_batches_read_like_one_step_at_a_time(s, w, budget, reads):
     assert_reads_like_one_step_at_a_time(s, w, budget, reads)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(machine=two_way_machines(), w=lassos, walked=st.integers(0, 40),
+       budget=st.one_of(st.integers(1, 60), st.just(DEFAULT_BUDGET)), n=st.integers(0, 80))
+def test_a_resumed_walk_reads_like_a_fresh_run(machine, w, walked, budget, n):
+    # a walk stepped one at a time, then read on as a RunOutcome: letters,
+    # halt and stall (at the same step) are a fresh run's, and so is the
+    # step count once the read has stepped past the walk
+    out = []
+    walk = _walk(machine, w, out)
+    try:
+        for step, _cfg in enumerate(islice(walk, walked + 1)):
+            pass
+    except (UndefinedTransition, MovedLeftOfEndmarker):
+        return  # a walk that halts is not read on
+    heard = len(out)
+    run = _resume_2wft(machine, w, out, walk, step, budget)
+    fresh = run_2wft(machine, w, budget=budget)
+    want, want_halt = fresh.try_letters(n)
+    got, halt = run.try_letters(n)
+    assert got == want
+    assert halt_kind(halt) is halt_kind(want_halt)
+    assert halt is None or halt.args == want_halt.args
+    if heard < n:
+        assert run._engine.step_count == fresh._engine.step_count
 
 
 def test_a_general_sst_run_meets_a_small_budget_between_letters():

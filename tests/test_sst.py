@@ -416,6 +416,33 @@ def test_eliminate_lookbehind_raises_a_halt_before_settling():
     assert err.value.position == 1
 
 
+def test_lasso_constructions_walk_the_original_once(monkeypatch):
+    # the construction's walk gives the original's exact image, so the
+    # validation walks only the result, and the oracle cycle is computed once
+    from collections import Counter
+
+    from advicebench import sst, transducers
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (transducers, sst):
+        for name in ("_walk_to_image", "_oracle_cycle"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    source = lasso("", "ab#")
+    eliminate_lookbehind_lasso(compile_sst_to_2wftb(corpus.mirror_sst()), source)
+    assert calls == {"_walk_to_image": 2, "_oracle_cycle": 1}
+    calls.clear()
+    transducers.remove_endmarker(transducers.mirror_blocks_2wft(AB), source)
+    assert calls == {"_walk_to_image": 2}
+
+
 def test_eliminate_needs_lasso():
     compiled = compile_sst_to_2wftb(corpus.identity_sst(Alphabet.of("01")))
     with pytest.raises(AdviceNotLasso):

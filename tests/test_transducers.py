@@ -531,6 +531,33 @@ def test_letters_counts_the_halting_steps_letters_on_the_first_call():
     assert outcome.letter(0) == "a"
 
 
+def test_a_failed_source_word_is_the_runs_halt():
+    # the inner run copies 2 letters, then stalls: the copier reading it
+    # through .word keeps the stall as its own halt, whatever reads it next
+    inner = OneWayTransducer({0, 1, 2}, 0, AB, AB,
+                             {(0, "a"): (("a",), 1), (1, "a"): (("a",), 2), (2, "a"): ((), 2)})
+    outer = run_1wft(letter_copier(AB), run_1wft(inner, lasso("", "a", AB), budget=5).word)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded) as err:
+            outer.letters(3)
+        assert err.value.step == 7  # the inner run's 2 letters, then 5 silent steps
+    got, halt = outer.try_letters(3)
+    assert got == ["a", "a"] and isinstance(halt, BudgetExceeded)
+    assert outer.status is halt
+    assert outer.letters(2) == ["a", "a"]
+
+
+def test_a_lookbehind_run_halts_where_its_oracle_reads_pad():
+    # the oracle is total on the input alphabet only: the step after the
+    # PAD needs the oracle state past it, which is undefined
+    oracle = Dfa({0}, 0, frozenset(), AB, {(0, a): 0 for a in AB.letters})
+    machine = LookbehindTransducer({"q"}, "q", AB, AB, {("q", ENDMARKER, 0): ((), RIGHT, "q"),
+                                                        ("q", PAD, 0): (("a",), RIGHT, "q")}, oracle)
+    got, halt = run_2wft_b(machine, ConstantWord(PAD, AB)).try_letters(5)
+    assert got == ["a"]
+    assert halt_fields(halt) == (UndefinedTransition, 2, 2, (0, PAD))
+
+
 def test_a_constant_word_is_a_lasso():
     constant, periodic = ConstantWord("a"), lasso("", "a")
     assert isinstance(constant, LassoWord) and repr(constant) == "(a)^ω"
