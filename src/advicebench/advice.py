@@ -9,6 +9,7 @@ the advice is a lasso).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AdviceNotLasso, AlphabetMismatch, NotProductAlphabet
 from .words import (
@@ -101,6 +102,63 @@ class BuchiAutomaton:
         except KeyError:
             raise ValueError("transition leaves the state set") from None
 
+    @cached_property
+    def live(self) -> bytearray:
+        """One flag per state number: 1 iff the state reaches, whatever the
+        letters, a cycle through an accepting state. Decisions enter only
+        live states. Computed on the first decision, by one Tarjan pass over
+        the letter-free graph: components close sinks first, so a component
+        is live when it is a cycle holding an accepting state, or when a
+        component it steps into is live."""
+        n = len(self.names)
+        succ: list = [()] * n
+        for q, cells in enumerate(zip(*self.rows.values())):
+            succ[q] = {q2 for qs in cells if qs for q2 in qs}
+        final = self.final
+        live = bytearray(n)
+        order = [0] * n
+        low = [0] * n
+        on_stack = bytearray(n)
+        stack: list = []
+        count = 0
+        for root in range(n):
+            if order[root]:
+                continue
+            count += 1
+            order[root] = low[root] = count
+            stack.append(root)
+            on_stack[root] = 1
+            path = [(root, iter(succ[root]))]
+            while path:
+                node, todo = path[-1]
+                for q2 in todo:
+                    if not order[q2]:
+                        count += 1
+                        order[q2] = low[q2] = count
+                        stack.append(q2)
+                        on_stack[q2] = 1
+                        path.append((q2, iter(succ[q2])))
+                        break
+                    if on_stack[q2] and order[q2] < low[node]:
+                        low[node] = order[q2]
+                else:
+                    path.pop()
+                    if path and low[node] < low[path[-1][0]]:
+                        low[path[-1][0]] = low[node]
+                    if low[node] != order[node]:
+                        continue
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    for q in component:
+                        on_stack[q] = 0
+                    cyclic = len(component) > 1 or node in succ[node]
+                    if (cyclic and any(final[q] for q in component)
+                            or any(live[q2] for q in component for q2 in succ[q])):
+                        for q in component:
+                            live[q] = 1
+        return live
+
     @property
     def transitions(self) -> dict:
         """``{(state, letter): frozenset of successors}``, rebuilt from the rows."""
@@ -154,27 +212,37 @@ def buchi_lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
 
     Unrolls the preperiod, then makes one iterative Tarjan pass over the
     reachable nodes (state, period position), numbered position·|Q| + state:
-    the word is accepted iff a strongly connected component holds an
-    accepting state and a cycle (two or more nodes, or a self-loop). Linear
-    in the nodes and edges.
+    the word is accepted iff a cycle runs through an accepting node. Linear
+    in the nodes and edges, and it stops as soon as the verdict is proven:
+
+    - it returns True at the first edge back to a node on the DFS path with
+      an accepting node on the path at or below that node (Geldenhuys and
+      Valmari's early test), or when a component of two or more nodes
+      closes with an accepting node, for cycles closed through cross edges;
+    - it enters only states in ``b.live``, the states that reach an
+      accepting cycle of the letter-free graph, and returns False at once
+      when none is left after the preperiod. ``live`` is computed on the
+      automaton's first decision and cached.
     """
     for a in list(w.u.letters) + list(w.v.letters):
         if a not in b.alphabet and a is not PAD:
             raise AlphabetMismatch(f"letter {a!r} not in the automaton alphabet")
     n = len(b.names)
     none = [None] * n
-    current = set(map(b.index.__getitem__, b.initial))
+    live = b.live
+    current = {q for q in map(b.index.__getitem__, b.initial) if live[q]}
     for a in w.u.letters:
         row = b.rows.get(a, none)
-        current = {q2 for qs in map(row.__getitem__, current) if qs for q2 in qs}
-        if not current:
-            return False
+        current = {q2 for qs in map(row.__getitem__, current) if qs for q2 in qs if live[q2]}
+    if not current:
+        return False
     period = w.v.letters
     m = len(period)
     rows = [b.rows.get(a, none) for a in period]  # the row read at each period position
     final = b.final * m  # accepting flag per node
     order = [0] * (m * n)  # node -> discovery number, 0 while undiscovered
     low = [0] * (m * n)  # node -> least discovery number it reaches on the stack
+    depth = [0] * (m * n)  # node -> depth on the DFS path, from 1; 0 when off the path
     on_stack = bytearray(m * n)
     stack: list = []  # nodes of components not yet closed
     count = 0
@@ -183,35 +251,43 @@ def buchi_lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
             continue
         count += 1
         order[root] = low[root] = count
+        depth[root] = 1
         stack.append(root)
         on_stack[root] = 1
-        # a path entry: node, position of its successors, iterator over their states
-        path = [(root, 1 % m, iter(rows[0][root] or ()))]
+        # a path entry: node, position of its successors, iterator over their
+        # states, and the depth of the deepest accepting node at or above it
+        path = [(root, 1 % m, iter(rows[0][root] or ()), 1 if final[root] else 0)]
         while path:
-            node, i, todo = path[-1]
+            node, i, todo, deepest = path[-1]
             base = i * n
             for q2 in todo:
                 nxt = base + q2
                 if not order[nxt]:
+                    if not live[q2]:
+                        continue
                     count += 1
                     order[nxt] = low[nxt] = count
+                    depth[nxt] = len(path) + 1
                     stack.append(nxt)
                     on_stack[nxt] = 1
-                    path.append((nxt, i + 1 if i + 1 < m else 0, iter(rows[i][q2] or ())))
+                    path.append((nxt, i + 1 if i + 1 < m else 0, iter(rows[i][q2] or ()),
+                                 depth[nxt] if final[nxt] else deepest))
                     break
-                if on_stack[nxt] and order[nxt] < low[node]:
-                    low[node] = order[nxt]
+                if on_stack[nxt]:
+                    if 0 < depth[nxt] <= deepest:  # closes a cycle through an accepting node
+                        return True
+                    if order[nxt] < low[node]:
+                        low[node] = order[nxt]
             else:
                 path.pop()
+                depth[node] = 0
                 if path and low[node] < low[path[-1][0]]:
                     low[path[-1][0]] = low[node]
                 if low[node] != order[node]:
                     continue
                 top = stack.pop()
                 on_stack[top] = 0
-                if top == node:  # a singleton: a cycle only by a self-loop, so only when m == 1
-                    if m == 1 and final[node] and node in (rows[0][node] or ()):
-                        return True
+                if top == node:  # a singleton: its self-loop, if any, was tested above
                     continue
                 accepting = final[top]
                 while top != node:

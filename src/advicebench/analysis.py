@@ -40,6 +40,8 @@ def subword_complexity(w: InfiniteWord, k_max: int, window: int = 2048) -> Compl
     On a lasso every factor begins within the span, so p(k) <= span, and
     once p(k) = p(k - 1), with p(0) = 1, p stays constant (Morse–Hedlund):
     counts are computed up to that repeat, by k = span, and copied after it.
+    In a window no factor is longer than the doubled window: from there on
+    the count is 0, and stable.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -57,7 +59,8 @@ def subword_complexity(w: InfiniteWord, k_max: int, window: int = 2048) -> Compl
         exact = dict.fromkeys(counts, True)
         return ComplexityProfile(w, counts, exact, dict(exact), span + k_max)
     letters = w.take(2 * window)
-    for k in range(1, k_max + 1):
+    top = max(min(k_max, 2 * window), 0)  # no factor is longer than the doubled window
+    for k in range(1, top + 1):
         split = max(window - k + 1, 0)
         factors = _factors(letters, k, 0, split)
         in_window = len(factors)
@@ -65,6 +68,10 @@ def subword_complexity(w: InfiniteWord, k_max: int, window: int = 2048) -> Compl
         counts[k] = len(factors)
         exact[k] = False
         stable[k] = in_window == len(factors)
+    rest = range(top + 1, k_max + 1)
+    counts.update(dict.fromkeys(rest, 0))
+    exact.update(dict.fromkeys(rest, False))
+    stable.update(dict.fromkeys(rest, True))
     return ComplexityProfile(w, counts, exact, stable, 2 * window)
 
 

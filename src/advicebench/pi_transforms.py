@@ -172,9 +172,14 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     The run is walked until the head reaches ``stop_pos``, right of every
     possible w. Left of it there are only |Q|·stop_pos configurations, so
     a run that has not reached it within that many steps repeats one and
-    loops forever. Refuses with UnstableClassification a run that halts
-    before ``stop_pos`` or never reaches it, an excursion that parks inside
-    a block or a bounce at a block end that never stops, and a run that does
+    loops forever. Each left move is compared with one saved configuration,
+    replaced after 1, 2, 4, ... left moves (Brent); a loop moves left, so
+    it is refused once the saved configuration lies on it and the gap has
+    outgrown it, and at the latest after those |Q|·stop_pos steps.
+
+    Refuses with UnstableClassification a run that halts before
+    ``stop_pos`` or never reaches it, an excursion that parks inside a
+    block or a bounce at a block end that never stops, and a run that does
     not cross the block after the prologue. The result is validated on
     ``probe_range`` output letters: ValidationFailed if it differs, and
     UnstableClassification if the original emits fewer. Callers must only
@@ -198,15 +203,22 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     out: list = []
     walk = _walk(t, pi, out)
     reached: dict = {}  # cell -> (state, len(out)) at the last right move into it
-    last = 0
+    last = pos = 0
+    saved_state, saved_pos, lap, span = None, -1, 0, 1  # Brent's checkpoint
     try:
         for step, (state, pos) in enumerate(islice(walk, n_states * stop_pos + 1)):
             if pos > last:
                 reached[pos] = (state, len(out))
                 if pos == stop_pos:
                     break
+            elif pos == saved_pos and state == saved_state:
+                break
+            else:
+                lap += 1
+                if lap == span:
+                    saved_state, saved_pos, lap, span = state, pos, 0, 2 * span
             last = pos
-        else:
+        if pos != stop_pos:
             raise UnstableClassification("head never leaves the small-block region")
     except (UndefinedTransition, MovedLeftOfEndmarker) as exc:
         raise UnstableClassification(f"the run halts on the block word: {exc}") from exc

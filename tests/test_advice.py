@@ -247,6 +247,88 @@ def test_compiled_buchi_decides_and_rebuilds_like_its_table(machine, w, text, ad
     assert dumps(machine_to_doc(again)) == dumps(machine_to_doc(b))
 
 
+@st.composite
+def layered_buchi(draw):
+    """Up to 10 states over PAB. States below ``core`` step only to higher
+    numbers, so none of them lies on a cycle, accepting or not; the core
+    steps only within itself, and may get a ring on some letters. States
+    without transitions, and states that reach no accepting cycle, make the
+    dead parts."""
+    n = draw(st.integers(1, 10))
+    core = draw(st.integers(0, n - 1))
+    states = list(range(n))
+    transitions = {}
+    for q in states:
+        targets = st.sampled_from(states[core:] if q >= core else states[q + 1:])
+        for a in PAB.letters:
+            if draw(st.booleans()):
+                transitions[(q, a)] = draw(st.sets(targets, min_size=1, max_size=2))
+    if core < n and draw(st.booleans()):
+        for a in draw(st.sets(st.sampled_from(PAB.letters), min_size=1)):
+            for q in range(core, n):
+                transitions[(q, a)] = transitions.get((q, a), set()) | {core + (q - core + 1) % (n - core)}
+    initial = draw(st.sets(st.sampled_from(states), min_size=1, max_size=2))
+    accepting = draw(st.sets(st.sampled_from(states), min_size=1))
+    return BuchiAutomaton(states, initial, accepting, PAB, transitions)
+
+
+def periodic(d):
+    return st.builds(lasso, st.text("ab", max_size=3), st.text("ab", min_size=d, max_size=d), st.just(AB))
+
+
+@st.composite
+def lasso_pairs(draw):
+    """A word and an advice lasso over AB whose convolution has a period of
+    at most 8 letters: both periods divide one p <= 8."""
+    p = draw(st.integers(1, 8))
+    divisors = st.sampled_from([d for d in range(1, p + 1) if p % d == 0])
+    return draw(divisors.flatmap(periodic)), draw(divisors.flatmap(periodic))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(b=layered_buchi(), words=lasso_pairs(), text=st.text("ab", max_size=3))
+@example(b=BuchiAutomaton([0, 1, 2], [0], [2], PAB, {(0, ("a", "a")): {1, 2}, (1, ("a", "a")): {0},
+                                                     (2, ("a", "a")): {1}}),
+         words=(lasso("", "a", AB), lasso("", "a", AB)), text="")
+def test_buchi_decision_on_layered_automata_equals_the_explicit_search(b, words, text):
+    """Dead parts, accepting states off every cycle and accepting cycles
+    exercise the trim, the early accept and the test when a component
+    closes. In the example the search goes 0 → 1 → 0, then 0 → 2 → 1: the
+    accepting cycle through 2 closes by a cross edge into 1, off the path,
+    so only the closing component proves it."""
+    w, advice = words
+    want = brute_force_lasso_accepts(b, convolve_lassos(w, advice))
+    assert buchi_lasso_accepts(b, convolve_lassos(w, advice)) == want
+    assert member_omega(AdviceLanguage("omega", b, advice), w) == want
+    finite = word(text, AB)
+    assert member_nonterminating(AdviceLanguage("nonterminating", b, advice), finite) == \
+        brute_force_lasso_accepts(b, convolve_lassos(finite, advice))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(b=st.one_of(layered_buchi(), buchi_automata()))
+def test_live_states_reach_an_accepting_cycle(b):
+    """live[q] iff q reaches an accepting state f, in zero or more steps on
+    any letters, and f reaches itself in one or more."""
+    letters = list(b.rows)
+
+    def after(q):
+        return {q2 for a in letters for q2 in b.post(q, a)}
+
+    def reach(sources):
+        seen, frontier = set(sources), list(sources)
+        while frontier:
+            for q2 in after(frontier.pop()):
+                if q2 not in seen:
+                    seen.add(q2)
+                    frontier.append(q2)
+        return seen
+
+    looping = {f for f in b.accepting if f in reach(after(f))}
+    for q in b.states:
+        assert b.live[b.index[q]] == bool(reach({q}) & looping)
+
+
 class CountingRow(list):
     """A compiled successor row that counts its reads."""
 
@@ -273,22 +355,43 @@ class CountingBuchi(BuchiAutomaton):
         return super().post(q, letter)
 
 
-@pytest.mark.parametrize("chain", [50, 100, 200])
-def test_buchi_decision_is_linear_in_the_reachable_nodes(chain):
-    """A non-accepting hub with a self-loop feeds a dead-end accepting chain.
-    A search per accepting node walks the rest of the chain from each of
-    its nodes: quadratic in the chain."""
-    period = 50
+def hub_and_chain(chain, loop_on=()):
+    """A non-accepting hub with a self-loop feeds an accepting chain; the
+    last chain state loops to itself on the letters ``loop_on``."""
     names = [f"c{k}" for k in range(chain)]
     transitions = {}
     for a in AB.letters:
         transitions[("hub", a)] = {"hub", names[0]}
         for k in range(chain - 1):
             transitions[(names[k], a)] = {names[k + 1]}
-    b = CountingBuchi(["hub"] + names, {"hub"}, names, AB, transitions)
+    for a in loop_on:
+        transitions[(names[-1], a)] = {names[-1]}
+    return CountingBuchi(["hub"] + names, {"hub"}, names, AB, transitions)
+
+
+@pytest.mark.parametrize("chain", [50, 100, 200])
+def test_buchi_decision_is_linear_in_the_reachable_nodes(chain):
+    """The chain ends in an accepting self-loop on a only, so every state
+    reaches an accepting cycle of the letter-free graph, but (ab)^25 never
+    reads a twice in a row, so no accepting cycle exists: the search walks
+    the whole chain. A search per accepting node walks the rest of the
+    chain from each of its nodes: quadratic in the chain."""
+    period = 50
+    b = hub_and_chain(chain, loop_on="a")
     assert not buchi_lasso_accepts(b, lasso("", "ab" * (period // 2), AB))
     reachable = period * (chain + 1)  # every state at every period position
     assert 0 < b.reads <= 2 * reachable
+
+
+@pytest.mark.parametrize("chain", [50, 200])
+def test_buchi_decision_without_an_accepting_cycle_reads_no_row(chain):
+    """With a dead-end chain no state reaches an accepting cycle, so the
+    decision is made before the search reads a successor."""
+    b = hub_and_chain(chain)
+    assert not any(b.live)
+    assert not buchi_lasso_accepts(b, lasso("", "ab" * 25, AB))
+    assert not buchi_lasso_accepts(b, lasso("ab", "ba", AB))
+    assert b.reads == 0
 
 
 @pytest.mark.parametrize("accepting", [True, False])

@@ -18,7 +18,7 @@ from advicebench.errors import BudgetExceeded, UnstableClassification
 from advicebench.ltl import parse_formula
 from advicebench.mealy import MealyMachine, mealy_image_lasso
 from advicebench.transducers import ENDMARKER, RIGHT, TwoWayTransducer, run_2wft
-from advicebench.words import Alphabet, lasso, pi_word
+from advicebench.words import Alphabet, duplicate, lasso, pi_word, shift
 
 AB = Alphabet.of("ab")
 
@@ -63,6 +63,26 @@ def test_a_lasso_profile_counts_only_up_to_the_first_repeat(monkeypatch):
     assert set(profile.counts.values()) == {2}
     assert all(profile.exact.values()) and all(profile.stable.values())
     assert profile.window == 100002
+
+
+@pytest.mark.parametrize("w, window", [(pi_word(1), 4), (pi_word(3), 7), (shift(pi_word(1), 5), 16),
+                                       (duplicate(pi_word(2), 2), 9)])
+def test_a_window_profile_past_the_doubled_window_is_the_full_loops(w, window):
+    """Past k = 2·window the counts are filled in, not computed; they equal
+    a count of every k over the window and the doubled window."""
+    k_max = 3 * window + 5
+    letters = w.take(2 * window)
+    counts, stable = {}, {}
+    for k in range(1, k_max + 1):
+        split = max(window - k + 1, 0)
+        inside = {tuple(letters[i:i + k]) for i in range(split)}
+        both = inside | {tuple(letters[i:i + k]) for i in range(split, max(2 * window - k + 1, 0))}
+        counts[k], stable[k] = len(both), len(inside) == len(both)
+    profile = subword_complexity(w, k_max, window)
+    assert profile.counts == counts
+    assert profile.stable == stable
+    assert profile.exact == dict.fromkeys(range(1, k_max + 1), False)
+    assert profile.window == 2 * window
 
 
 def test_complexity_eventually_constant_for_lassos():

@@ -155,6 +155,28 @@ def test_normalize_refuses_a_run_that_halts(build, halt):
         normalize_directions_on_pi(machine)
 
 
+def test_normalize_refuses_a_loop_left_of_the_stop_cell_at_its_first_repeat(monkeypatch):
+    """The run turns at the first 0 and at the endmarker forever: its walk
+    repeats a configuration every 4 steps, and is refused within a few
+    loops, not after the |Q|·stop_pos = 369 steps that also prove it."""
+    tr = {("q", ENDMARKER): ((), RIGHT, "q"), ("q", "1"): (("a",), RIGHT, "r"),
+          ("r", "0"): ((), LEFT, "s"), ("s", "1"): ((), LEFT, "q")}
+    machine = TwoWayTransducer({"q", "r", "s"}, "q", BINARY, Alphabet.of("a"), tr)
+    assert direction_partition(machine) is None
+    steps = []
+    walk = pi_transforms._walk
+
+    def counted(*args):  # one-step mode only: the walk is refused before it is resumed
+        for config in walk(*args):
+            steps.append(config)
+            yield config
+
+    monkeypatch.setattr(pi_transforms, "_walk", counted)
+    with pytest.raises(UnstableClassification, match="head never leaves the small-block region"):
+        normalize_directions_on_pi(machine)
+    assert len(steps) <= 16
+
+
 def test_simulation_over_copies_reads_the_expanded_word():
     machine = corpus.revisit_probe_2wft()
     result = one_way_simulation_on_pi(machine, c_max=4, probe_range=200)
