@@ -10,10 +10,26 @@ Each machine shape has one stepping kernel, a generator with two modes on
 one loop (see _walk): ``next`` takes one step and yields the configuration,
 as the constructions walk; ``send((want, budget))`` takes a batch of steps,
 as a RunOutcome reads, and yields their number.
+
+The kernels step through a machine's ``table``, made on its first run and
+kept for every later one. A table row belongs to a state and maps what
+the head reads to the step's (emitted letters, move, next row, next
+state). A one-way row is a dict keyed by letter. A two-way row is a list
+indexed by cell code: an int that folds the cell's letter and, on a
+lookbehind machine, the oracle's state after the input left of the cell
+(see _TwoWayTable). So a step is one row lookup, with no key tuple to
+build. Rows and their entries are filled from the ``transitions`` dict
+the first time a run needs them. Whatever a row does not hold goes to
+one slow path: an entry not filled yet, the end of the encoded tape, a
+letter outside the machine's reads, an undefined transition, an oracle
+with no move on a letter left of the head, and a left move off the
+endmarker. It fills the entry, or raises exactly what a dict lookup on
+``transitions`` would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .errors import (
@@ -56,6 +72,126 @@ ENDMARKER = _EndMarker()
 
 DEFAULT_BUDGET = 10 ** 5
 
+#: Tape cells a two-way walk encodes at a time, when its head first passes
+#: the encoded ones, plus half the cells encoded before: a short walk
+#: encodes little more than it reads, and a long one does so in few slices.
+SLICE = 32
+
+
+class _Rows:
+    """Rows filled from a machine's ``transitions`` on demand: a row, and
+    each entry in it, is made when a run first needs it, so a machine
+    walked a few steps after its construction compiles only the
+    transitions it takes. ``start`` is the initial state's row."""
+
+    def __init__(self, t):
+        self.transitions = t.transitions
+        self.rows: dict = {}
+        self.start = self.row(t.initial)
+
+    def row(self, q):
+        row = self.rows.get(q)
+        if row is None:
+            row = self.rows[q] = self.empty()
+        return row
+
+
+class _OneWayTable(_Rows):
+    """A one-way machine's transitions as rows: one dict per state, from a
+    read letter to (emitted letters, next row, next state)."""
+
+    empty = dict
+
+    def fill(self, row, state, a, pos):
+        """The entry of a step from ``state`` reading ``a``, stored in its
+        row; raises UndefinedTransition(pos, pos, key) when none applies,
+        without the KeyError of the row lookup it is called on."""
+        key = (state, a)
+        value = self.transitions.get(key)
+        if value is None:
+            raise UndefinedTransition(pos, pos, key) from None
+        out, q2 = value
+        hit = row[a] = (out, self.row(q2), q2)
+        return hit
+
+
+class _TwoWayTable(_Rows):
+    """A two-way machine's transitions as integer rows: one list per state,
+    indexed by cell code, holding (emitted letters, move +1 or -1, next
+    row, next state), or None where no transition applies or none has been
+    taken yet.
+
+    A cell's code is ``code[letter] + z``: letters are numbered in steps
+    of ``width``, the number of oracle states, and z is the number of the
+    oracle's state after the input left of the cell (0 without an oracle).
+    A letter outside the machine's reads codes as ``foreign + z``. Past
+    those come two codes that no row fills: ``stuck``, for a cell left of
+    which the oracle had no move, and ``sentinel``, which follows the
+    encoded cells of a tape. The oracle is compiled whole, to ``zrows``:
+    one dict per oracle state, from a letter to the next state's number.
+    """
+
+    def __init__(self, t):
+        oracle = getattr(t, "oracle", None)
+        self.znames = znames = (None,) if oracle is None else tuple(oracle.states)
+        self.width = width = len(znames)
+        letters = t.input_alphabet.letters + t.extra_reads
+        self.code = code = {a: i * width for i, a in enumerate(letters)}
+        self.foreign = foreign = len(letters) * width
+        self.stuck = foreign + width
+        self.sentinel = foreign + width + 1
+        super().__init__(t)
+        if oracle is None:
+            self.zrows, self.zstart = None, 0
+        else:
+            zindex = {z: i for i, z in enumerate(znames)}
+            self.zrows = zrows = [{} for _ in znames]
+            for (z, a), z2 in oracle.transitions.items():
+                zrows[zindex[z]][a] = zindex[z2]
+            self.zstart = zindex[oracle.initial]
+        self.first = code[ENDMARKER] + self.zstart  # the endmarker's cell
+
+    def empty(self):
+        return [None] * (self.sentinel + 1)
+
+    def encode(self, letters, z):
+        """(cell codes of ``letters``, the oracle state number after them),
+        z being the number of the state left of the first letter. After a
+        letter the oracle has no move on, the state is None and the next
+        cell, the last one coded, is ``stuck``."""
+        code, foreign = self.code, self.foreign
+        zrows = self.zrows
+        if zrows is None:
+            return [code.get(a, foreign) for a in letters], 0
+        codes = []
+        for a in letters:
+            if z is None:
+                codes.append(self.stuck)
+                break
+            codes.append(code.get(a, foreign) + z)
+            z = zrows[z].get(a)
+        return codes, z
+
+    def fill(self, tape, codes, pos, step, state, row):
+        """The entry of a step from ``state`` on the encoded cell ``pos``,
+        stored in its row. When none applies, raises the UndefinedTransition
+        a dict lookup would: on the oracle's (state, letter) left of the
+        cell, or on the machine's key."""
+        cell = codes[pos]
+        if cell == self.stuck:
+            z = self.znames[codes[pos - 1] % self.width]
+            raise UndefinedTransition(pos, step, (z, tape[pos - 1]))
+        if self.zrows is None:
+            key = (state, tape[pos])
+        else:
+            key = (state, tape[pos], self.znames[cell % self.width])
+        value = self.transitions.get(key)
+        if value is None:
+            raise UndefinedTransition(pos, step, key)
+        out, move, q2 = value
+        hit = row[cell] = (out, 1 if move == RIGHT else -1, self.row(q2), q2)
+        return hit
+
 
 class _Transducer:
     """The constructor every transducer kind shares.
@@ -63,7 +199,9 @@ class _Transducer:
     transitions: dict key -> (output tuple, *move, next state); a key starts
     (state, read letter). It checks the states, the moves, that a read
     letter is in the input alphabet (or PAD, or a kind's extra reads) and
-    that every emitted letter is in the output alphabet.
+    that every emitted letter is in the output alphabet. A machine is not
+    changed once built: its runs step through ``table``, which they fill
+    from ``transitions``.
     """
 
     #: letters a transition may read besides the input alphabet's
@@ -95,6 +233,14 @@ class _Transducer:
             if not emits.issuperset(out):
                 raise ValueError(f"output {out!r} not in the output alphabet")
             table[key] = value
+
+    @cached_property
+    def table(self):
+        """The rows the kernels step through (_OneWayTable or
+        _TwoWayTable), made on the machine's first run and shared by all."""
+        if isinstance(self, OneWayTransducer):
+            return _OneWayTable(self)
+        return _TwoWayTable(self)
 
 
 class OneWayTransducer(_Transducer):
@@ -260,34 +406,40 @@ class _OneWayEngine(_Engine):
 def _walk_one_way(t, source, out):
     """Run the 1wft t on source in the two modes of _walk: yields (state,
     pos) before every step, pos being the index of the letter the step
-    reads, or a batch's step count, and raises UndefinedTransition(pos,
-    pos, key). It steps through one ``letters_from`` chunk at a time, asking
-    for the next only when a step needs its first letter, and keeps no tape."""
-    lookup, more, emit = t.transitions.get, source.letters_from, out.extend
-    state, pos, budget = t.initial, 0, 0
+    reads, or a batch's step count. A step looks its letter up in the
+    t.table row of its state; a letter the row lacks goes to
+    _OneWayTable.fill, which adds the transition's entry or raises
+    UndefinedTransition(pos, pos, (state, letter)). It steps through one
+    ``letters_from`` chunk at a time, asking for the next only when a step
+    needs its first letter, and keeps no tape."""
+    table = t.table
+    more, emit, fill = source.letters_from, out.extend, table.fill
+    row, state, pos = table.start, t.initial, 0
+    want = gap = stop = 0  # one-step mode: stop <= pos, so every step yields
     ask = yield state, pos
     if ask is not None:
-        want, budget = ask
-        start, stop = pos, pos + budget
+        want, gap = ask
+        start, stop = pos, pos + gap if len(out) < want else pos + 1
     while True:
         for a in more(pos):
-            key = (state, a)
-            hit = lookup(key)
-            if hit is None:
-                raise UndefinedTransition(pos, pos, key)
+            try:
+                emitted, row, state = row[a]
+            except KeyError:
+                emitted, row, state = fill(row, state, a, pos)
             pos += 1
-            if hit[0]:
-                emit(hit[0])
-                stop = pos + budget
-            state = hit[1]
-            if ask is None or len(out) >= want or pos >= stop:
+            if emitted:
+                emit(emitted)
+                stop = pos + gap if len(out) < want else pos
+            if pos >= stop:
                 ask = yield (state, pos) if ask is None else pos - start
-                if ask is not None:
-                    want, budget = ask
-                    start, stop = pos, pos + budget
+                if ask is None:
+                    want = gap = 0
+                else:
+                    want, gap = ask
+                    start, stop = pos, pos + gap if len(out) < want else pos + 1
 
 
-def _walk(t, source, out, oracle=None):
+def _walk(t, source, out):
     """Run t on the tape ENDMARKER·source, appending each step's letters to
     ``out``; the first yield is the initial configuration (state, pos).
 
@@ -298,62 +450,68 @@ def _walk(t, source, out, oracle=None):
     ``budget`` steps in a row emitted nothing, and yields the number of
     steps; it takes its first step unasked. The first batch also counts the
     steps taken one at a time since the last letter, so a walk handed to a
-    RunOutcome stalls where a fresh run would (see _resume_2wft).
+    RunOutcome stalls where a fresh run would (see _resume_2wft). Both
+    modes run one loop: a step yields when it reaches ``stop``, which
+    one-step mode keeps at or below the step count.
 
-    With an ``oracle``, a transition also sees the oracle's state after the
-    input prefix left of the head. Raises UndefinedTransition when no
+    A lookbehind machine's transitions also see its oracle's state after
+    the input prefix left of the head. Raises UndefinedTransition when no
     transition applies, or the oracle has none for a letter left of the
     head (it need not read PAD), and MovedLeftOfEndmarker after the letters
-    of a step that leaves the tape. The letters read so far are kept on
-    ``tape``, which grows by a ``letters_from`` chunk when the head first
-    moves past its end.
+    of a step that leaves the tape.
+
+    The walk keeps the letters read so far on ``tape``, which grows by a
+    ``letters_from`` chunk when the head first moves past its end, and
+    their cell codes (see _TwoWayTable) on ``codes``, encoded a slice at a
+    time (see SLICE) and followed by the sentinel code. A step is one
+    lookup of its cell's code in its state's row, taken right after the
+    step before moves there. A lookup that gives None goes to the slow
+    path. After a left move off the endmarker it read the sentinel at
+    ``codes[-1]``, and the step raises at once. Otherwise the next step
+    first encodes a slice if the head is on the sentinel past the encoded
+    cells, then has _TwoWayTable.fill add its entry, or raise its halt
+    with the (pos, step, key) of a dict lookup on ``transitions``.
     """
-    lookup, more, emit = t.transitions.get, source.letters_from, out.extend
-    state, pos, step, budget, stop = t.initial, 0, 0, 0, 0
+    table = t.table
+    more, emit, encode, sentinel = source.letters_from, out.extend, table.encode, table.sentinel
+    row, state, pos, step = table.start, t.initial, 0, 0
+    tape, codes, z = [ENDMARKER], [table.first, sentinel], table.zstart
+    hit = row[table.first]
+    want = gap = budget = stop = 0  # one-step mode: stop <= step, so every step yields
     ask = None
-    tape = [ENDMARKER]
-    if oracle is not None:
-        zstates = [oracle.initial]  # oracle state after reading n input letters
     while True:
-        if ask is None or len(out) >= want or step >= stop:
+        if step >= stop:
             ask = yield (state, pos) if ask is None else step - start
-            if ask is not None:
-                # one-step mode keeps budget 0, so stop is the step after its last letter
-                start, stop = step, (step if budget else stop) + ask[1]
-                want, budget = ask
-        if pos == len(tape):
-            tape += more(pos - 1)
-        a = tape[pos]
-        if oracle is None:
-            key = (state, a)
-        else:
-            n = pos - 1 if pos else 0
-            while len(zstates) <= n:
-                k = len(zstates)
-                try:
-                    zstates.append(oracle.transitions[(zstates[k - 1], tape[k])])
-                except KeyError:  # the oracle is total on the input alphabet only, not on PAD
-                    raise UndefinedTransition(pos, step, (zstates[k - 1], tape[k])) from None
-            key = (state, a, zstates[n])
-        hit = lookup(key)
+            if ask is None:
+                want = gap = 0
+            else:
+                # until the first batch, stop is the step after the last letter
+                want, gap = ask
+                start, stop = step, (step if budget else stop) + gap
+                budget = gap
+                if len(out) >= want:
+                    stop = step + 1
         if hit is None:
-            raise UndefinedTransition(pos, step, key)
-        emitted, move, state = hit
+            if pos == len(tape):
+                tape += more(pos - 1)
+            if pos == len(codes) - 1:  # the sentinel: encode the next slice
+                codes[pos:], z = encode(tape[pos:pos + SLICE + pos // 2], z)
+                codes.append(sentinel)
+            hit = row[codes[pos]] or table.fill(tape, codes, pos, step, state, row)
+        emitted, move, row, state = hit
         if emitted:
             emit(emitted)
-            stop = step + 1 + budget
-        if move == RIGHT:
-            pos += 1
-        elif pos == 0:
-            raise MovedLeftOfEndmarker(step)
-        else:
-            pos -= 1
+            stop = step + 1 + gap if len(out) < want else step + 1
+        pos += move
         step += 1
+        hit = row[codes[pos]]
+        if hit is None and pos < 0:
+            raise MovedLeftOfEndmarker(step - 1)
 
 
 class _TwoWayEngine(_Engine):
     """Tape is ENDMARKER followed by the input word; head starts on the marker.
-    ``walk`` is a _walk(t, source, out, oracle)."""
+    ``walk`` is a _walk(t, source, out); ``oracle`` is a lookbehind machine's."""
 
     def __init__(self, t, out, walk, oracle=None, steps=None):
         self.oracle = oracle
@@ -371,7 +529,7 @@ def run_2wft(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -
 
 def run_2wft_b(t: LookbehindTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
     out: list = []
-    return RunOutcome(_TwoWayEngine(t, out, _walk(t, source, out, t.oracle), t.oracle), budget)
+    return RunOutcome(_TwoWayEngine(t, out, _walk(t, source, out), t.oracle), budget)
 
 
 def _resume_2wft(t: TwoWayTransducer, source: InfiniteWord, out, walk, steps,
@@ -617,7 +775,7 @@ def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None, cycle=No
     memo: dict = {}  # configuration left of low -> (len(out), step) there
     handoff, marked = None, -1  # marked: the last step left of mark
     bound = 2 * len(t.states) * (low + len(t.states) * per + 1)
-    for step, cfg in enumerate(islice(_walk(t, source, out, oracle), bound + 1)):
+    for step, cfg in enumerate(islice(_walk(t, source, out), bound + 1)):
         if marked == step - 1:
             handoff = cfg + (len(out),)
         cut = settled(*cfg)

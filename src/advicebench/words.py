@@ -104,8 +104,12 @@ class Alphabet:
 
 
 def infer_alphabet(letters) -> Alphabet:
+    """The alphabet of ``letters`` but PAD, which belongs to none. PAD
+    alone, or its text '_' alone, leaves nothing to infer from."""
     seen = dict.fromkeys(letters)  # first-seen order, which the stable sort keeps on ties
     seen.pop(PAD, None)
+    if seen.keys() <= {RESERVED_RENDER}:
+        raise ValueError("a word of padding letters only needs an explicit alphabet")
     return Alphabet(sorted(seen, key=render_letter))
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advicebench import corpus
+from advicebench import corpus, transducers
 from advicebench.advice import BuchiAutomaton, Dfa, pref_advice_automaton
 from advicebench.analysis import check_subword_bound, subword_complexity
 from advicebench.cli import _run_machine
@@ -75,6 +75,7 @@ from advicebench.words import (
     BINARY,
     PAD,
     Alphabet,
+    ConstantWord,
     LassoWord,
     block_mirror,
     canonical_lasso,
@@ -217,11 +218,11 @@ def test_general_sst_runs_like_its_simple_form(s, w):
 
 
 @st.composite
-def one_way_machines(draw):
+def one_way_machines(draw, reads=AB.letters):
     states = range(draw(st.integers(1, 3)))
     tr = {}
     for q in states:
-        for a in AB.letters:
+        for a in reads:
             if defined(draw):
                 tr[(q, a)] = (tuple(draw(outputs)), draw(st.sampled_from(states)))
     return OneWayTransducer(states, 0, AB, AB, tr)
@@ -463,7 +464,7 @@ class OneStepDriver:
         elif isinstance(machine, Sst):
             self.kernel = _walk_limit(machine, w, self.out)
         else:
-            self.kernel = _walk(machine, w, self.out, getattr(machine, "oracle", None))
+            self.kernel = _walk(machine, w, self.out)
         next(self.kernel)  # the initial configuration, or a general SST's set-up
 
     def read(self, n):
@@ -528,6 +529,113 @@ def test_runs_stepped_in_batches_read_like_one_step_at_a_time(machine, w, budget
 @given(s=general_ssts(), w=lassos, budget=budgets, reads=reads)
 def test_general_sst_runs_stepped_in_batches_read_like_one_step_at_a_time(s, w, budget, reads):
     assert_reads_like_one_step_at_a_time(s, w, budget, reads)
+
+
+def dict_walk(t, source, out):
+    """Reference for the stepping kernels: the run of t restated over its
+    ``transitions`` dict, one tuple-keyed lookup per step, in the kernels'
+    two modes. ``next`` takes one step and yields (state, pos).
+    ``send((want, budget))`` takes at least one step, stops once ``out``
+    holds ``want`` letters or ``budget`` steps in a row emitted nothing,
+    and yields the steps taken; a two-way walk's first batch also counts
+    the silent steps taken one at a time before it. A two-way run reads
+    the tape ENDMARKER·source, and a lookbehind machine's key ends with
+    the oracle's state after the input left of the head, which the oracle
+    reads as the head first moves past it."""
+    two_way = not isinstance(t, OneWayTransducer)
+    oracle = getattr(t, "oracle", None)
+    state, pos, step, silent, batched = t.initial, 0, 0, 0, False
+    tape = [ENDMARKER]
+    zs = [] if oracle is None else [oracle.initial]  # the oracle's state after n input letters
+    ask = yield state, pos
+    while True:
+        if ask is not None:
+            want, budget = ask
+            if batched or not two_way:
+                silent = 0
+            batched, taken = True, 0
+        while True:
+            if not two_way:
+                key = (state, source.letter(pos))
+            else:
+                if pos == len(tape):
+                    tape.append(source.letter(pos - 1))
+                key = (state, tape[pos])
+                if oracle is not None:
+                    left = max(pos - 1, 0)  # input letters left of the head
+                    while len(zs) <= left:
+                        zkey = (zs[-1], tape[len(zs)])
+                        if zkey not in oracle.transitions:
+                            raise UndefinedTransition(pos, step, zkey)
+                        zs.append(oracle.transitions[zkey])
+                    key += (zs[left],)
+            if key not in t.transitions:
+                raise UndefinedTransition(pos, step, key)
+            emitted, *move, state = t.transitions[key]
+            out.extend(emitted)
+            if move == [LEFT]:
+                if pos == 0:
+                    raise MovedLeftOfEndmarker(step)
+                pos -= 1
+            else:
+                pos += 1
+            step += 1
+            silent = 0 if emitted else silent + 1
+            if ask is None:
+                break
+            taken += 1
+            if len(out) >= want or silent >= budget:
+                break
+        ask = yield (state, pos) if ask is None else taken
+
+
+def drive(kernel, out, asks):
+    """Each answer of ``kernel`` to its start and to ``asks`` (None for a
+    ``next``, else a batch to send), with the letters out held after it;
+    a halt ends the list with its fields."""
+    answers = []
+    try:
+        answers.append((next(kernel), list(out)))
+        for ask in asks:
+            answers.append((next(kernel) if ask is None else kernel.send(ask), list(out)))
+    except (UndefinedTransition, MovedLeftOfEndmarker) as halt:
+        answers.append((type(halt), getattr(halt, "position", None), halt.step,
+                        getattr(halt, "detail", None), list(out)))
+    return answers
+
+
+ABC = Alphabet.of("abc")
+pad_reading_machines = st.one_of(
+    one_way_machines(reads=AB.letters + (PAD,)),
+    two_way_machines(reads=AB.letters + (ENDMARKER, PAD)),
+    two_way_machines(reads=AB.letters + (ENDMARKER, PAD)).map(with_parity_lookbehind),
+    two_way_machines(marker_moves=(RIGHT,), reads=AB.letters + (ENDMARKER, PAD)).map(with_parity_lookbehind))
+# 'c' is outside every machine's input alphabet, and the parity oracle has no move on it or on PAD
+odd_words = st.one_of(lassos, st.just(ConstantWord(PAD, AB)),
+                      st.builds(lasso, st.text("abc_", max_size=4), st.text("abc_", min_size=1, max_size=5),
+                                st.just(ABC)),
+                      st.builds(lasso, st.text("a_", max_size=4), st.text("ab_", min_size=1, max_size=5),
+                                st.just(AB)))
+# some steps one at a time, then steps and batches mixed
+asks = st.builds(lambda steps, mixed: [None] * steps + mixed, st.integers(0, 12),
+                 st.lists(st.none() | st.tuples(st.integers(0, 3) | st.integers(0, 80),
+                                                st.integers(1, 4) | st.integers(1, 50)), max_size=8))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(machine=pad_reading_machines, w=odd_words, asks=asks, cells=st.sampled_from((1, 3, transducers.SLICE)))
+def test_the_compiled_kernels_step_like_a_dict_lookup_on_the_transitions(machine, w, asks, cells):
+    # what each next and send gives, the letters and the halt with its
+    # (pos, step, key) are those of the reference; a two-way walk encoding
+    # 1 or 3 cells at a time crosses many slice ends
+    kernel = _walk_one_way if isinstance(machine, OneWayTransducer) else _walk
+    out, want = [], []
+    slice_cells, transducers.SLICE = transducers.SLICE, cells
+    try:
+        got = drive(kernel(machine, w, out), out, asks)
+    finally:
+        transducers.SLICE = slice_cells
+    assert got == drive(dict_walk(machine, w, want), want, asks)
 
 
 @settings(PROPERTY, max_examples=300)

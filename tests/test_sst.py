@@ -342,7 +342,7 @@ def test_compiled_walk_back_positions():
     assert "".join(letters) == "baa"
     out: list = []
     positions = []
-    for _state, pos in _walk(compiled, source, out, compiled.oracle):
+    for _state, pos in _walk(compiled, source, out):
         if len(out) >= 3:
             break
         positions.append(pos)

@@ -558,6 +558,48 @@ def test_a_lookbehind_run_halts_where_its_oracle_reads_pad():
     assert halt_fields(halt) == (UndefinedTransition, 2, 2, (0, PAD))
 
 
+def test_a_lookbehind_halt_names_the_oracle_state_left_of_the_cell():
+    # parity of a's: after "a" the oracle is in 1; the machine reads PAD but
+    # the oracle has no move on it, so the step onto the next cell halts on
+    # the oracle's key, and a foreign c halts the step that reads it
+    oracle = Dfa({0, 1}, 0, frozenset(), AB, {(z, a): (z + (a == "a")) % 2 for z in (0, 1) for a in "ab"})
+    reads = ["a", "b", PAD, ENDMARKER]
+    machine = LookbehindTransducer({"q"}, "q", AB, AB, {("q", a, z): ((), RIGHT, "q") for a in reads
+                                                        for z in (0, 1)}, oracle)
+    got, halt = run_2wft_b(machine, lasso("a_", "b", AB)).try_letters(1)
+    assert got == [] and halt_fields(halt) == (UndefinedTransition, 3, 3, (1, PAD))
+    got, halt = run_2wft_b(machine, lasso("ac", "b", Alphabet.of("abc"))).try_letters(1)
+    assert got == [] and halt_fields(halt) == (UndefinedTransition, 2, 2, ("q", "c", 1))
+
+
+def test_a_machine_compiles_its_table_once_however_many_runs_it_has(monkeypatch):
+    builds = Counter()
+
+    def counted(name):
+        table = getattr(transducers, name)
+
+        def build(t):
+            builds[name] += 1
+            return table(t)
+
+        return build
+
+    for name in ("_OneWayTable", "_TwoWayTable"):
+        monkeypatch.setattr(transducers, name, counted(name))
+    doubler = mu_transducers(2, AB)[0]
+    mirror = mirror_blocks_2wft(AB)
+    lookbehind = corpus.with_trivial_lookbehind(mirror)
+    w, blocks = lasso("a", "ab"), lasso("ab#", "ba#")
+    for _ in range(3):
+        assert run_1wft(doubler, w).prefix_str(6) == "aaaabb"
+        assert run_2wft(mirror, blocks).prefix_str(6) == "ba#ab#"
+        assert run_2wft_b(lookbehind, blocks).prefix_str(6) == "ba#ab#"
+        lasso_image(doubler, w)
+        lasso_image(mirror, blocks)
+        lasso_image(lookbehind, blocks)
+    assert builds == {"_OneWayTable": 1, "_TwoWayTable": 2}
+
+
 def test_a_constant_word_is_a_lasso():
     constant, periodic = ConstantWord("a"), lasso("", "a")
     assert isinstance(constant, LassoWord) and repr(constant) == "(a)^ω"

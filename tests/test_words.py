@@ -10,6 +10,7 @@ from advicebench.errors import BlockBudgetExceeded, EmptyPeriod
 from advicebench.words import (
     PAD,
     Alphabet,
+    ConstantWord,
     FiniteWord,
     LassoWord,
     block_mirror,
@@ -17,6 +18,7 @@ from advicebench.words import (
     convolve,
     convolve_lassos,
     duplicate,
+    infer_alphabet,
     lasso,
     letter_at,
     pi_word,
@@ -40,6 +42,19 @@ def test_letters_that_documents_reserve_are_refused(chars):
     """'_' is the padding letter's text and '^' the endmarker's."""
     with pytest.raises(ValueError, match="reserved"):
         Alphabet.of(chars)
+
+
+@pytest.mark.parametrize("make", [lambda: infer_alphabet([PAD]), lambda: ConstantWord(PAD),
+                                  lambda: lasso("", "_"), lambda: lasso("_", "__")])
+def test_a_word_of_padding_letters_only_asks_for_its_alphabet(make):
+    with pytest.raises(ValueError, match="needs an explicit alphabet"):
+        make()
+
+
+def test_a_word_of_padding_letters_reads_with_an_explicit_alphabet():
+    ab = Alphabet.of("ab")
+    assert ConstantWord(PAD, ab).letters_from(0)[:3] == [PAD] * 3
+    assert lasso("", "_", ab).prefix_str(3) == "___"
 
 
 def test_letter_at_periodic():
