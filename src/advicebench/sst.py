@@ -5,10 +5,20 @@ substitutions. A simple machine streams a distinguished register that only
 ever grows at its end; the compiler below turns such a machine into a
 two-way transducer that recomputes register values by walking back over
 the input, consulting the machine's own run as a lookbehind oracle.
+
+Runs step through the machine's ``table`` (_SstTable), made on its first
+run and kept for every later one. A row belongs to a state and maps a
+read letter to the step's entry: the next row and state, the non-identity
+register moves with registers as list indices, and the tail of the
+streamed register. Entries are filled from ``transitions`` and
+``updates`` the first time a run takes them. Register contents are ropes
+in a list (_Registers); the streamed register is never a rope, as its
+tail goes straight into the run's output list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .advice import Dfa
 from .analysis import _validate_image
@@ -49,7 +59,6 @@ class Substitution:
 
     def __init__(self, mapping):
         self.mapping = {name: tuple(tokens) for name, tokens in dict(mapping).items()}
-        self._plan = tuple(_plan_entry(name, tokens) for name, tokens in self.mapping.items())
 
     def rhs(self, name):
         return self.mapping[name]
@@ -116,41 +125,18 @@ def compose_substitutions(outer: Substitution, inner: Substitution) -> Substitut
 class _Rope:
     """Letters of a register: ``reversed(left)`` then ``right``.
 
-    Items are letters or child ropes. Letters put in front of a register go
-    on ``left`` and letters put behind it on ``right``, so either costs one
-    list append, and a register built letter by letter holds one list slot
-    per letter.
+    Letters put in front of a register go on ``left`` and letters put
+    behind it on ``right``, so either costs one list extend. ``left`` holds
+    letters only, as whatever an update puts in front of a register's first
+    register is letters. ``right`` holds letters and the ropes of registers
+    nested behind it.
     """
 
-    __slots__ = ("left", "right", "size")
+    __slots__ = ("left", "right")
 
     def __init__(self):
         self.left: list = []
         self.right: list = []
-        self.size = 0
-
-
-def _plan_entry(name, tokens):
-    """(target, first register or None, tokens before it reversed, tokens after it)."""
-    for i, tok in enumerate(tokens):
-        if isinstance(tok, Reg):
-            return name, tok.name, tuple(reversed(tokens[:i])), tokens[i + 1:]
-    return name, None, (), tokens
-
-
-def _attach(items: list, tokens, old: dict) -> int:
-    """Append letters and the ropes of old registers to items; returns the letters added."""
-    added = 0
-    for tok in tokens:
-        if type(tok) is Reg:
-            child = old[tok.name]
-            if child.size:
-                items.append(child)
-                added += child.size
-        else:
-            items.append(tok)
-            added += 1
-    return added
 
 
 def _flatten(rope: _Rope, out: list) -> None:
@@ -159,64 +145,165 @@ def _flatten(rope: _Rope, out: list) -> None:
     Iterative: ropes nest as deep as the number of updates that built them,
     far beyond the recursion limit.
     """
-    stack = [iter(rope.right)]
-    it = reversed(rope.left)
-    while True:
-        for x in it:
-            if type(x) is _Rope:
-                stack.append(it)
-                stack.append(iter(x.right))
-                it = reversed(x.left)
-                break
-            out.append(x)
+    pending = [iter((rope,))]  # iterators over rope items still to go out
+    while pending:
+        for x in pending[-1]:
+            if type(x) is not _Rope:
+                out.append(x)
+                continue
+            out.extend(reversed(x.left))
+            pending.append(iter(x.right))
+            break
         else:
-            if not stack:
-                return
-            it = stack.pop()
+            pending.pop()
 
 
 class _Registers:
-    """Register contents of a run under copyless updates.
+    """Register contents of a run under copyless updates: ``ropes`` holds
+    one rope per register, indexed like the machine's ``registers``.
 
     Each register occurs at most once across an update's right-hand sides,
-    so every rope has a single owner (a register or one enclosing rope). An
-    update therefore extends the rope of the first register of each
-    right-hand side in place and nests the others, instead of copying
-    them: it costs O(|rhs|). Letters are flattened out of a rope only when
-    they are streamed.
+    so every rope has a single owner (a register or one enclosing rope). A
+    table entry (see _SstTable) applies an update in one of two ways. In
+    place, when every move only puts letters on its own register's rope or
+    resets it: the ropes are extended or cleared and no container is made.
+    Otherwise into one copy of ``ropes``: each moved register takes the rope
+    of the first register of its right-hand side, extended, or a fresh
+    one, and the ropes of its other registers are nested behind; all of
+    them are read from the old list. Either costs O(|rhs|), but the list
+    copy and its call about double the step cost of machines such as
+    ``mirror_sst`` and ``interleave_sst``, which only ever go in place.
+
+    The streamed register (see ``stream``) is never built as a rope: its
+    letters go straight into the run's output list.
     """
 
     def __init__(self, names):
-        self.ropes = {name: _Rope() for name in names}
+        self.names = tuple(names)
+        self.ropes = [_Rope() for _ in self.names]
+        self.streamed = None
+        self.out, self.mark = None, 0
 
-    def update(self, sub: Substitution) -> None:
-        old = self.ropes
-        ropes = {}
-        for name, base, before, after in sub._plan:
-            rope = _Rope() if base is None else old[base]
-            if before:
-                rope.size += _attach(rope.left, before, old)
-            if after:
-                rope.size += _attach(rope.right, after, old)
-            ropes[name] = rope
-        self.ropes = ropes
+    def stream(self, name, out) -> int:
+        """Put the letters of register ``name`` in ``out`` and stream it from
+        now on; returns its index. Later updates of it only append to it,
+        so its letters go to ``out`` as the updates come."""
+        i = self.streamed = self.names.index(name)
+        self.out, self.mark = out, len(out)
+        _flatten(self.ropes[i], out)
+        self.ropes[i] = _Rope()
+        return i
+
+    def letters(self, name) -> list:
+        out: list = []
+        _flatten(self.ropes[self.names.index(name)], out)
+        return out
 
     def nonempty(self) -> frozenset:
-        return frozenset(name for name, rope in self.ropes.items() if rope.size)
+        """The registers holding letters; the streamed one counts once it
+        has put a letter in the output."""
+        full = {name for name, rope in zip(self.names, self.ropes) if rope.left or rope.right}
+        if self.streamed is not None and len(self.out) > self.mark:
+            full.add(self.names[self.streamed])
+        return frozenset(full)
 
-    def drain(self, name):
-        """The letters of a register; its rope is emptied, its length kept.
 
-        Only for a register whose contents never flow into another one
-        afterwards, such as a streamed output register.
-        """
-        rope = self.ropes[name]
-        if not (rope.left or rope.right):
-            return ()
-        letters: list = []
-        _flatten(rope, letters)
-        rope.left, rope.right = [], []
-        return letters
+def _rebuild(ropes: list, moves) -> list:
+    """The ropes after an update that does not go in place: one copy of
+    ``ropes``, each move's register set from the old list."""
+    new = ropes[:]
+    for i, base, left, parts in moves:
+        rope = _Rope() if base is None else ropes[base]
+        if left:
+            rope.left += left
+        right = rope.right
+        for part in parts:
+            if type(part) is int:
+                child = ropes[part]
+                if child.left or child.right:
+                    right.append(child)
+            else:
+                right += part
+        new[i] = rope
+    return new
+
+
+class _SstTable:
+    """An Sst's transitions and updates as rows, filled on demand like
+    transducers._OneWayTable: one dict per (state, streamed register),
+    from a read letter to the step's entry (moves, rebuild, tail, next row,
+    next state). The streamed register is a register index, or None on a
+    run that streams none.
+
+    Registers are list indices, and only non-identity moves are kept. In
+    place (``rebuild`` false) a move is (index, letters to put in front,
+    reversed, or None to reset the register first, letters to put behind).
+    Otherwise every move is (index, index of the first register of the
+    right-hand side or None, letters in front of it reversed, parts behind
+    it) for _rebuild. The tail is the list of parts the update puts behind
+    the streamed register. A part is a tuple of letters or a register
+    index.
+    """
+
+    def __init__(self, s: "Sst"):
+        self.transitions, self.updates = s.transitions, s.updates
+        self.index = {name: i for i, name in enumerate(s.registers)}
+        self.rows: dict = {}
+
+    def row(self, state, streamed):
+        row = self.rows.get((state, streamed))
+        if row is None:
+            row = self.rows[(state, streamed)] = {}
+        return row
+
+    def fill(self, row, state, a, pos, streamed):
+        """The entry of a step from ``state`` reading ``a``, stored in its
+        row; raises UndefinedTransition(pos, pos, (state, a)) when none
+        applies, without the KeyError of the row lookup it is called on."""
+        key = (state, a)
+        if key not in self.transitions:
+            raise UndefinedTransition(pos, pos, key) from None
+        q2 = self.transitions[key]
+        hit = row[a] = self._compile(self.updates[key], streamed) + (self.row(q2, streamed), q2)
+        return hit
+
+    def _parts(self, tokens) -> list:
+        parts: list = []
+        for tok in tokens:
+            if type(tok) is Reg:
+                parts.append(self.index[tok.name])
+            elif parts and type(parts[-1]) is tuple:
+                parts[-1] += (tok,)
+            else:
+                parts.append((tok,))
+        return parts
+
+    def _compile(self, sub: Substitution, streamed):
+        """(moves, rebuild, tail) of one update. The streamed register's
+        right-hand side starts with itself: a simple machine's output
+        register does, and so does the last output register on the
+        recurring states of a general one."""
+        tail: list = []
+        moves = []
+        rebuild = False
+        for name, tokens in sub.items():
+            i = self.index[name]
+            if i == streamed:
+                tail = self._parts(tokens[1:])
+                continue
+            first = next((k for k, tok in enumerate(tokens) if type(tok) is Reg), None)
+            if first is None:
+                moves.append((i, None, (), self._parts(tokens)))
+                continue
+            if tokens == (Reg(name),):
+                continue
+            rest = self._parts(tokens[first + 1:])
+            rebuild = rebuild or tokens[first].name != name or any(type(p) is int for p in rest)
+            moves.append((i, self.index[tokens[first].name], tuple(reversed(tokens[:first])), rest))
+        if not rebuild:  # only the register's own rope, or a reset
+            moves = [(i, None if base is None else left, sum(rest, ()))
+                     for i, base, left, rest in moves]
+        return tuple(moves), rebuild, tail
 
 
 class Sst:
@@ -255,6 +342,12 @@ class Sst:
             raise MalformedSimpleSst(f"register {report.register} copied at {report.sites}")
         self.output_function = {frozenset(k): tuple(v) for k, v in dict(output_function).items()}
         self._check_output_constraints()
+
+    @cached_property
+    def table(self) -> _SstTable:
+        """The rows the runs step through, made on the machine's first run
+        and shared by all."""
+        return _SstTable(self)
 
     def _check_output_constraints(self):
         for pset, regs in self.output_function.items():
@@ -298,32 +391,62 @@ class SimpleSst(Sst):
 def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, state, pos):
     """Run s from ``state`` before letter ``pos`` with ``registers`` in the
     two modes of transducers._walk: yields (state, pos) before every step,
-    or a batch's step count, and streams register ``name`` into ``out``. It
-    reads its input a ``letters_from`` chunk at a time, as _walk_one_way does."""
-    transitions, updates, more = s.transitions, s.updates, source.letters_from
-    update, drain, emit = registers.update, registers.drain, out.extend
-    budget = 0
+    or a batch's step count. Register ``name`` (None for none) is streamed
+    into ``out`` (see _Registers.stream).
+
+    A step looks its letter up in the s.table row of its state and applies
+    the entry: the streamed register's tail goes to ``out``, its letters as
+    they are and its registers flattened, then the other registers move,
+    in place or into one copy of the rope list (see _SstTable). A letter the row lacks goes to _SstTable.fill, which adds
+    the entry or raises UndefinedTransition(pos, pos, (state, letter)). It
+    reads its input a ``letters_from`` chunk at a time, as _walk_one_way
+    does."""
+    table = s.table
+    streamed = None if name is None else registers.stream(name, out)
+    row, fill = table.row(state, streamed), table.fill
+    more, emit = source.letters_from, out.extend
+    ropes = registers.ropes
+    want = gap = stop = 0  # one-step mode: stop <= pos, so every step yields
     ask = yield state, pos
     if ask is not None:
-        want, budget = ask
-        start, stop = pos, pos + budget
+        want, gap = ask
+        start, stop = pos, pos + gap if len(out) < want else pos + 1
     while True:
         for a in more(pos):
-            key = (state, a)
-            if key not in transitions:
-                raise UndefinedTransition(pos, pos, key)
-            update(updates[key])
+            try:
+                moves, rebuild, tail, row, q2 = row[a]
+            except KeyError:
+                moves, rebuild, tail, row, q2 = fill(row, state, a, pos, streamed)
+            state = q2
             pos += 1
-            letters = drain(name)
-            if letters:
-                emit(letters)
-                stop = pos + budget
-            state = transitions[key]
-            if ask is None or len(out) >= want or pos >= stop:
+            if tail:
+                produced = len(out)
+                for part in tail:
+                    if type(part) is int:
+                        _flatten(ropes[part], out)
+                    else:
+                        emit(part)
+                if len(out) > produced:
+                    stop = pos + gap if len(out) < want else pos
+            if rebuild:
+                ropes = registers.ropes = _rebuild(ropes, moves)
+            else:
+                for i, left, right in moves:
+                    rope = ropes[i]
+                    if left is None:
+                        rope.left.clear()
+                        rope.right.clear()
+                    elif left:
+                        rope.left += left
+                    if right:
+                        rope.right += right
+            if pos >= stop:
                 ask = yield (state, pos) if ask is None else pos - start
-                if ask is not None:
-                    want, budget = ask
-                    start, stop = pos, pos + budget
+                if ask is None:
+                    want = gap = 0
+                else:
+                    want, gap = ask
+                    start, stop = pos, pos + gap if len(out) < want else pos + 1
 
 
 class _SimpleSstEngine(_Engine):
@@ -355,10 +478,11 @@ def _walk_limit(s: Sst, source: LassoWord, out):
     if recurring not in s.output_function:
         raise NoOutputFunction(recurring)
     regs = s.output_function[recurring]
-    # from the entry on, the output registers only grow at the end of
-    # the last one, so they are streamed now and their ropes dropped
-    for name in regs:
-        out.extend(registers.drain(name))
+    # from the entry on, the output registers but the last stay fixed and
+    # the last only grows at its end: their letters go out now, and the
+    # walk streams the last one
+    for name in regs[:-1]:
+        out.extend(registers.letters(name))
     walk = None
     if regs:
         walk = _walk_sst(s, source, out, registers, regs[-1], seq[entry], entry)
@@ -405,11 +529,9 @@ def _recurrence_entry(s: Sst, source: LassoWord):
     while entry > 0 and seq[entry - 1] in recurring:
         entry -= 1
     registers = _Registers(s.registers)
-    state = s.initial
-    for i in range(entry):
-        key = (state, source.letter(i))
-        registers.update(s.updates[key])
-        state = s.transitions[key]
+    walk = _walk_sst(s, source, [], registers, None, s.initial, 0)
+    for _ in range(entry + 1):  # the initial configuration, then entry steps
+        next(walk)
     return seq, recurring, cycle_start, cycle_len, entry, registers
 
 
@@ -439,7 +561,7 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
         regs = s.output_function[recurring]
     else:
         raise NoOutputFunction(recurring)
-    values = {name: registers.drain(name) for name in s.registers}
+    values = {name: registers.letters(name) for name in s.registers}
 
     out_name = "out"
     while out_name in s.registers:

@@ -132,8 +132,8 @@ class FiniteWord:
         letters = tuple(text)
         if RESERVED_RENDER in text:
             letters = tuple(PAD if c == RESERVED_RENDER else c for c in letters)
-        if alphabet is None:
-            alphabet = infer_alphabet(letters) if any(a is not PAD for a in letters) else Alphabet.of("a")
+        if alphabet is None:  # the empty word has no letters to infer from, and needs none
+            alphabet = infer_alphabet(letters) if letters else Alphabet.of("a")
         return cls(letters, alphabet)
 
     def __len__(self):

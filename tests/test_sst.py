@@ -465,3 +465,56 @@ def test_lookbehind_run_reports_offending_triple():
     with pytest.raises(UndefinedTransition) as err:
         outcome.letters(5)
     assert err.value.detail is not None and len(err.value.detail) == 3
+
+
+def parity_sst():
+    """Copies its input over a and b, in states named by the parity of the
+    letters read so far."""
+    flip = {"even": "odd", "odd": "even"}
+    transitions = {(q, a): flip[q] for q in flip for a in AB.letters}
+    updates = {(q, a): Substitution({"x": (Reg("x"), a), "out": (Reg("out"), a)})
+               for q in flip for a in AB.letters}
+    return SimpleSst(set(flip), "even", AB, AB, ("x", "out"), transitions, updates)
+
+
+@pytest.mark.parametrize("source, halt", [
+    (lasso("aba", "c"), (3, 3, ("odd", "c"))),
+    (lasso("ab", "_", AB), (2, 2, ("even", PAD))),
+    (lasso("", "c"), (0, 0, ("even", "c"))),
+], ids=["foreign", "pad", "first-letter"])
+def test_a_simple_sst_halts_on_a_letter_it_cannot_read(source, halt):
+    # the key names the machine's own state, not a row of its table
+    pos = halt[0]
+    run = run_sst(parity_sst(), source)
+    assert run.try_letters(pos + 5) == (list(source.prefix_str(pos)), run.status)
+    with pytest.raises(UndefinedTransition) as err:
+        run_sst(parity_sst(), source).letters(pos + 1)
+    assert (err.value.position, err.value.step, err.value.detail) == halt
+    assert (run.status.position, run.status.step, run.status.detail) == halt
+    assert run._engine.step_count == pos
+
+
+def test_an_sst_compiles_its_table_once_however_many_runs_it_has(monkeypatch):
+    from advicebench import sst
+
+    built = []
+    init = sst._SstTable.__init__
+
+    def counted(self, s):
+        built.append(s)
+        init(self, s)
+
+    monkeypatch.setattr(sst._SstTable, "__init__", counted)
+    simple, general = corpus.mirror_sst(), corpus.two_phase_sst()
+    assert built == []  # not at construction
+    for source in (lasso("", "ab#"), lasso("ba#", "abb#"), lasso("", "ab#")):
+        run = run_sst(simple, source)
+        run.letters(5)
+        run.try_letters(40)
+        assert run_sst(simple, source).word.letter(20) == run.letters(21)[20]
+    for source in (lasso("a", "bc"), lasso("a", "cbb")):
+        run = run_sst(general, source)
+        run.letters(5)
+        run.try_letters(40)
+        simplify_to_simple_sst(general, source)
+    assert built == [simple, general]

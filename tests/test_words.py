@@ -51,6 +51,20 @@ def test_a_word_of_padding_letters_only_asks_for_its_alphabet(make):
         make()
 
 
+@pytest.mark.parametrize("text", ["_", "___"])
+def test_a_finite_word_of_padding_letters_only_asks_for_its_alphabet(text):
+    with pytest.raises(ValueError, match="needs an explicit alphabet"):
+        word(text)
+    with pytest.raises(ValueError, match="needs an explicit alphabet"):
+        FiniteWord.from_str(text)
+    assert word(text, Alphabet.of("ab")).letters == (PAD,) * len(text)
+
+
+def test_the_empty_finite_word_needs_no_alphabet():
+    assert word("").letters == ()
+    assert word("a_").alphabet.letters == ("a",)
+
+
 def test_a_word_of_padding_letters_reads_with_an_explicit_alphabet():
     ab = Alphabet.of("ab")
     assert ConstantWord(PAD, ab).letters_from(0)[:3] == [PAD] * 3
