@@ -697,35 +697,45 @@ def eliminate_lookbehind_lasso(t: LookbehindTransducer, source: LassoWord) -> Tw
     The run is walked until it provably stays beyond the preperiod, within
     2·|Q|·(ℓ + |Q|·p + 2) steps for an oracle cycle of preperiod ℓ and
     period p (see transducers._walk_to_image); a run that halts before that
-    raises its halt. The oracle cycle is computed once, for the table and
-    the walk, and the walk also gives the original's exact image, which the
+    raises its halt. The oracle cycle is computed once, for the walk and
+    the path, and the walk also gives the original's exact image, which the
     result must have; only the result is walked to check it.
+
+    From the handoff at tape position ℓ + 1 on, the run never returns left,
+    and the letter and oracle state there depend only on the residue m (the
+    cycle's length is a multiple of |v|, and ℓ ≥ |u|). So the result is the
+    prologue plus one transition per (state, residue) the run visits after
+    it, at most |Q|·p, each on its residue's letter: on any other input it
+    halts at the first letter it reads that differs from its lasso's.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("lookbehind elimination is relative to a lasso input")
     cycle = _oracle_cycle(t.oracle, source)
     zstates, ell, period = cycle
-    table = zstates[ell:ell + period]
     out: list = []
     cut, (q_target, target_pos, emitted_len) = _walk_to_image(
         t, source, out, revisits="head keeps returning into the oracle preperiod", cycle=cycle)
 
+    walk = "walk"  # the prologue states are (walk, i), named apart from t's states
+    while walk in t.states:
+        walk += "_"
     tr: dict = {}
     for i in range(target_pos):
-        src = ("walk", i)
         letter = ENDMARKER if i == 0 else source.letter(i - 1)
-        dst = ("walk", i + 1) if i + 1 < target_pos else (q_target, 0)
-        tr[(src, letter)] = (tuple(out[:emitted_len]) if i == 0 else (), RIGHT, dst)
-    for (q, a, z), (emitted, move, q2) in t.transitions.items():
-        if a is ENDMARKER:
-            continue
-        for m in range(period):
-            if table[m] != z:
-                continue
-            m2 = (m + 1) % period if move == RIGHT else (m - 1) % period
-            tr[((q, m), a)] = (emitted, move, (q2, m2))
+        dst = (walk, i + 1) if i + 1 < target_pos else (q_target, 0)
+        tr[((walk, i), letter)] = (tuple(out[:emitted_len]) if i == 0 else (), RIGHT, dst)
+    q, m = q_target, 0
+    while True:  # the run's (state, residue) path, until it halts or repeats
+        a = source.letter(ell + m)
+        step = t.transitions.get((q, a, zstates[ell + m]))
+        if step is None or ((q, m), a) in tr:
+            break
+        emitted, move, q2 = step
+        m2 = (m + 1) % period if move == RIGHT else (m - 1) % period
+        tr[((q, m), a)] = (emitted, move, (q2, m2))
+        q, m = q2, m2
     states = {src for (src, _a) in tr} | {v[2] for v in tr.values()}
-    result = TwoWayTransducer(states, ("walk", 0), t.input_alphabet, t.output_alphabet, tr)
+    result = TwoWayTransducer(states, (walk, 0), t.input_alphabet, t.output_alphabet, tr)
 
     _validate_image(result, _cut_image(t, out, cut), source, "lookbehind elimination")
     return result

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from advicebench import corpus
-from advicebench.cli import main, parse_word_literal
+from advicebench.cli import CONVERSIONS, main, parse_word_literal
 from advicebench.documents import dumps, machine_to_doc
 from advicebench.transducers import OneWayTransducer, mirror_blocks_2wft
 from advicebench.words import PAD, Alphabet
@@ -434,3 +435,71 @@ def test_malformed_inputs_are_usage_errors(argv, document, stdin, env, tmp_path,
     assert code == 2
     assert "error: " in err and "Traceback" not in err
     assert out == ""
+
+
+CONTRACT_WORDS = ("pi", "pi2", "(ab#)^ω", "ab·(ba)^ω", "ab.(ba)^w", "(ab#baa#)^ω", "(0110)^ω", "(a_#)^ω",
+                  "(_)^ω", "(01)^ω", "a·(bc)^ω", "(abc)^ω", "(ab#)^", "(ab#", "ab)^ω", "()^ω", "^ω", "", "w", "nope")
+CONTRACT_FORMULAS = ("F a", "G F b", "a U b", "X !a", "F", "G (a", "a U", "!", "a &", "(a | b", "F c", "f")
+CONTRACT_NUMBERS = ("1", "2", "3", "7", "40")
+BROKEN_NUMBERS = ("0", "-1", "x", "")
+
+
+def contract_calls(n, seed=7):
+    """``n`` fixed (argv, stdin text, document or None) calls drawn from the
+    corpus names, lasso literals with foreign letters and '_', broken literals,
+    truncated formulas, small or broken flag values and mutated machine
+    documents; a mutated document goes to the call as 'm' of its -f document
+    or on stdin."""
+    from test_properties import mutated_document
+
+    rng = random.Random(seed)
+    pick = rng.choice
+    machines = (*corpus.BUILTIN_MACHINES, "nope")
+
+    def number():
+        return pick(BROKEN_NUMBERS if rng.random() < 0.1 else CONTRACT_NUMBERS)
+
+    for _ in range(n):
+        stdin, document = "not json", None
+        if rng.random() < 0.3:
+            mutated = mutated_document(pick)
+            if pick((False, True)):
+                document, machine = {"machines": {"m": mutated}}, "m"
+            else:
+                stdin, machine = json.dumps(mutated), "-"
+        else:
+            machine = pick(machines)
+        word = pick(CONTRACT_WORDS)
+        argv = pick((
+            ["words"],
+            ["run", machine, word, "-n", number()],
+            ["compare", pick((word, machine)), pick(CONTRACT_WORDS), "-n", number(), "--word", pick(CONTRACT_WORDS)],
+            ["convert", pick((*CONVERSIONS, "nope")), machine, "--input", word, "--cmax", number()],
+            ["analyze", "complexity", word, "--kmax", number(), "--window", number()],
+            ["analyze", "padding", pick(CONTRACT_FORMULAS), word, "--range", number()],
+            ["check", pick(("nope", "mu-delay", "endmarker", ""))],
+        ))
+        if rng.random() < 0.3:
+            argv = ["--budget", number()] + argv
+        if rng.random() < 0.2:
+            argv = ["--json"] + argv
+        yield argv, stdin, document
+
+
+def test_no_call_escapes_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    # every call returns 0, 1 or 2 and says at most one line on stderr,
+    # besides the usage argparse prints before its own error line
+    monkeypatch.chdir(tmp_path)
+    for argv, stdin, document in contract_calls(300):
+        if document is not None:
+            (tmp_path / "doc.json").write_text(json.dumps(document))
+            argv = ["-f", "doc.json"] + argv
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code, _out, err = run_cli(capsys, *argv)
+        except Exception as exc:  # an escaped exception is the finding; name its call
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if not err.startswith("usage: "):
+            assert err.count("\n") <= 1, (argv, err)

@@ -3,6 +3,7 @@ and machine documents through round trips and mutations."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -60,6 +61,7 @@ from advicebench.transducers import (
     LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
+    _oracle_cycle,
     _resume_2wft,
     _settle_test,
     _walk,
@@ -844,12 +846,18 @@ def test_a_compiled_sst_runs_like_the_sst(s, w):
 @given(machine=two_way_machines(marker_moves=(RIGHT,)), w=lassos)  # more runs get past the marker
 def test_unlookbehind_refuses_or_runs_like_the_lookbehind_machine(machine, w):
     """On 2wftbs that are not compiled SSTs: the oracle counts a's modulo 2,
-    so its cycle on w can be twice w's period."""
+    so its cycle on w can be twice w's period. The result is the run's path:
+    one transition per state but the one the run halts in, if it halts, and
+    at most |Q|·p (state, residue) states after the prologue."""
     wrapped = with_parity_lookbehind(machine)
     try:
         plain = eliminate_lookbehind_lasso(wrapped, w)
     except (BudgetExceeded, UndefinedTransition, MovedLeftOfEndmarker):
         return
+    rows = Counter(q for q, _a in plain.transitions)
+    assert set(rows.values()) == {1} and len(set(plain.states) - set(rows)) <= 1
+    period = _oracle_cycle(wrapped.oracle, w)[2]
+    assert sum(q[0] in wrapped.states for q in plain.states) <= len(wrapped.states) * period
     # a budget far above any gap between letters of a settled run here
     got, halt = run_2wft(plain, w, budget=2000).try_letters(500)
     want, want_halt = run_2wft_b(wrapped, w, budget=2000).try_letters(500)
@@ -1148,22 +1156,26 @@ def test_a_document_puts_each_transition_row_on_a_line_of_its_own(machine):
 JSON_VALUES = (None, 0, -1, 2.5, True, "", "a", "^", "_", "out x", [], ["a"], [[]], {}, {"a": "b"})
 
 
-@st.composite
-def mutated_documents(draw):
+def mutated_document(pick):
     """A corpus machine document with one field or list item deleted or
-    replaced by another JSON value."""
-    doc = json.loads(json.dumps(draw(st.sampled_from(CORPUS_DOCUMENTS))))
+    replaced by another JSON value; ``pick`` chooses one item of a sequence."""
+    doc = json.loads(json.dumps(pick(CORPUS_DOCUMENTS)))
     node = doc
     while True:
-        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
-        if not (isinstance(node[key], (dict, list)) and node[key] and draw(st.integers(0, 3)) > 0):
+        key = pick(sorted(node) if isinstance(node, dict) else range(len(node)))
+        if not (isinstance(node[key], (dict, list)) and node[key] and pick(range(4)) > 0):
             break
         node = node[key]
-    if draw(st.booleans()):
+    if pick((False, True)):
         del node[key]
     else:
-        node[key] = draw(st.sampled_from(JSON_VALUES))
+        node[key] = pick(JSON_VALUES)
     return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    return mutated_document(lambda items: draw(st.sampled_from(items)))
 
 
 @settings(PROPERTY, max_examples=1000)

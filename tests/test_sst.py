@@ -7,6 +7,7 @@ import pytest
 from advicebench import corpus
 from advicebench.analysis import Equal, prefix_equiv
 from advicebench.advice import Dfa
+from advicebench.checks import SST_CASES
 from advicebench.errors import (
     AdviceNotLasso,
     BudgetExceeded,
@@ -31,7 +32,9 @@ from advicebench.transducers import (
     LEFT,
     RIGHT,
     LookbehindTransducer,
+    _oracle_cycle,
     _walk,
+    mirror_blocks_2wft,
     run_2wft,
     run_2wft_b,
 )
@@ -414,6 +417,50 @@ def test_eliminate_lookbehind_raises_a_halt_before_settling():
     with pytest.raises(UndefinedTransition) as err:
         eliminate_lookbehind_lasso(broken, source)
     assert err.value.position == 1
+
+
+def renamed_mirror_2wftb():
+    """The trivially-wrapped block mirror with its state 'scan' renamed to
+    'walk', the name the prologue states of an elimination are tagged with."""
+    m = corpus.with_trivial_lookbehind(mirror_blocks_2wft(AB))
+    ren = {"scan": "walk"}.get
+    tr = {(ren(q, q), a, z): (e, d, ren(q2, q2)) for (q, a, z), (e, d, q2) in m.transitions.items()}
+    return LookbehindTransducer({ren(q, q) for q in m.states}, ren(m.initial, m.initial),
+                                m.input_alphabet, m.output_alphabet, tr, m.oracle)
+
+
+def test_eliminate_lookbehind_names_its_prologue_apart_from_the_states():
+    machine, source = renamed_mirror_2wftb(), lasso("ab#", "ba#b#")
+    assert "walk" in machine.states
+    plain = eliminate_lookbehind_lasso(machine, source)
+    assert run_2wft(plain, source).prefix_str(300) == run_2wft_b(machine, source).prefix_str(300)
+
+
+def path_cases():
+    """The lookbehind check suite's cases, the compiled corpus SSTs on the
+    corpus lassos over their letters, and hand-made 2wftbs."""
+    cases = [(compile_sst_to_2wftb(build()), w) for _name, build, inputs in SST_CASES for w in inputs]
+    for build in (corpus.mirror_sst, corpus.identity_sst, corpus.interleave_sst):
+        compiled = compile_sst_to_2wftb(build())
+        cases += [(compiled, w) for w in corpus.delay_test_words()[1:]
+                  if set(w.u.letters + w.v.letters) <= set(compiled.input_alphabet.letters)]
+    return cases + [(renamed_mirror_2wftb(), lasso("ab#", "ba#b#")),
+                    (far_return_2wftb(), lasso("b", "aaaa#"))]
+
+
+@pytest.mark.parametrize("machine, source", path_cases())
+def test_eliminate_lookbehind_builds_only_the_run_path(machine, source):
+    # the prologue, then one transition per (state, residue) the run visits,
+    # each on the one letter its residue reads
+    from collections import Counter
+
+    plain = eliminate_lookbehind_lasso(machine, source)
+    _zstates, ell, period = _oracle_cycle(machine.oracle, source)
+    rows = Counter(q for q, _a in plain.transitions)
+    assert set(rows) == set(plain.states) and set(rows.values()) == {1}
+    periodic = [(q, a) for q, a in plain.transitions if q[0] in machine.states]
+    assert periodic and len(periodic) <= len(machine.states) * period
+    assert all(a == source.letter(ell + m) for (_q, m), a in periodic)
 
 
 def test_lasso_constructions_walk_the_original_once(monkeypatch):
