@@ -23,6 +23,11 @@ from .words import (
 
 
 class Dfa:
+    """A deterministic automaton, compiled once into integers: states are
+    numbered in ``names`` (``index`` maps a state to its number), and
+    ``rows[i]`` maps a letter to the number of state i's successor on it.
+    ``transitions`` is the named form, ``{(state, letter): state}``."""
+
     def __init__(self, states, initial, accepting, alphabet: Alphabet, transitions):
         self.states = frozenset(states)
         if initial not in self.states:
@@ -33,11 +38,16 @@ class Dfa:
             raise ValueError("accepting states not in state set")
         self.alphabet = alphabet
         self.transitions = dict(transitions)
+        self.names = tuple(self.states)
+        self.index = index = {q: i for i, q in enumerate(self.names)}
+        self.rows = rows = [{} for _ in self.names]
         for (q, a), q2 in self.transitions.items():
-            if q not in self.states or q2 not in self.states:
+            i, j = index.get(q), index.get(q2)
+            if i is None or j is None:
                 raise ValueError("transition leaves the state set")
             if a not in alphabet:
                 raise ValueError(f"transition letter {a!r} not in the alphabet")
+            rows[i][a] = j
 
     def step(self, q, letter):
         return self.transitions.get((q, letter))
@@ -52,7 +62,7 @@ class Dfa:
 
     def completed(self) -> "Dfa":
         """Total version: missing transitions go to a fresh rejecting sink."""
-        if all((q, a) in self.transitions for q in self.states for a in self.alphabet.letters):
+        if all(len(row) == len(self.alphabet) for row in self.rows):
             return self
         sink = ("sink", len(self.states))
         while sink in self.states:

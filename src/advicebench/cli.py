@@ -93,8 +93,14 @@ class Workspace:
 
     def machine(self, spec: str):
         if spec == "-":
+            if sys.stdin is None:  # started with standard input closed
+                raise ParseError("cannot read standard input: it is closed")
             try:
-                data = json.load(sys.stdin)
+                text = sys.stdin.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ParseError(f"cannot read standard input: {exc}") from exc
+            try:
+                data = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"standard input: {exc.msg}", line=exc.lineno) from exc
             return _load("standard input", machine_from_doc, data)

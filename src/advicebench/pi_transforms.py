@@ -27,7 +27,6 @@ from .transducers import (
     RIGHT,
     OneWayTransducer,
     TwoWayTransducer,
-    _lasso_cycle,
     _resume_2wft,
     _settle_test,
     _walk,
@@ -35,7 +34,7 @@ from .transducers import (
     run_1wft,
     run_2wft,
 )
-from .words import BINARY, _primitive_root_length, lasso, pi_word
+from .words import BINARY, _primitive_root_length, pi_word
 
 
 def pi_k_expander_1wft(k: int, strict: bool = False) -> OneWayTransducer:
@@ -348,14 +347,15 @@ def _zero_period(t: TwoWayTransducer) -> int:
     state and L modulo this number.
     """
     zero_next = {q: t.transitions[(q, "0")][2] for q in t.states if (q, "0") in t.transitions}
-    zeros = lasso("", "0", BINARY)
     period_base = 1
     for q in zero_next:
-        try:
-            _states, _start, length = _lasso_cycle(lambda p, _n: zero_next[p], q, zeros)
-        except KeyError:  # the '0'-steps from q reach a state without one
-            continue
-        period_base = math.lcm(period_base, length)
+        seen: dict = {}  # state -> '0'-steps from q to it
+        p = q
+        while p in zero_next and p not in seen:  # at most |Q| steps
+            seen[p] = len(seen)
+            p = zero_next[p]
+        if p in seen:  # else the '0'-steps from q reach a state without one
+            period_base = math.lcm(period_base, len(seen) - seen[p])
     return period_base
 
 

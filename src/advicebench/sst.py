@@ -38,9 +38,7 @@ from .transducers import (
     TwoWayTransducer,
     _Engine,
     _cut_image,
-    _lasso_cycle,
     _oracle_cycle,
-    _table_step,
     _walk_to_image,
 )
 from .words import InfiniteWord, LassoWord, PAD
@@ -310,23 +308,16 @@ class Sst:
     def __init__(self, states, initial, input_alphabet, output_alphabet, registers,
                  transitions, updates, output_function):
         """transitions: (state, letter) -> state; updates: same keys -> Substitution;
-        output_function: frozenset of states -> tuple of register names."""
-        self.states = frozenset(states)
-        if initial not in self.states:
-            raise ValueError("initial state not in state set")
-        self.initial = initial
+        output_function: frozenset of states -> tuple of register names.
+        ``control`` is the states and transitions as a Dfa (no accepting state)."""
+        self.control = control = Dfa(states, initial, (), input_alphabet, transitions)
+        self.states, self.initial, self.transitions = control.states, initial, control.transitions
         self.input_alphabet = input_alphabet
         self.output_alphabet = output_alphabet
         self.registers = tuple(registers)
-        self.transitions = dict(transitions)
         self.updates = dict(updates)
         if set(self.transitions) != set(self.updates):
             raise ValueError("transitions and register updates must share their domain")
-        for (q, a), q2 in self.transitions.items():
-            if q not in self.states or q2 not in self.states:
-                raise ValueError("transition leaves the state set")
-            if a not in input_alphabet:
-                raise ValueError(f"read letter {a!r} not in the input alphabet")
         for key, sub in self.updates.items():
             if sub.registers() != set(self.registers):
                 raise ValueError(f"update at {key} is not total on the registers")
@@ -518,12 +509,13 @@ def _limit_is_finite(walk, registers: _Registers, cycle_len: int, out) -> bool:
 def _recurrence_entry(s: Sst, source: LassoWord):
     """Run s on the lasso up to its entry into the recurring states.
 
-    Returns the states of transducers._lasso_cycle, the recurring states,
-    the start and length of the cycle, the entry position and the registers
-    there. From the entry on, every step stays inside the recurring states;
-    from the start on, states and letters repeat every cycle length.
+    Returns the states of the control's lasso cycle (_oracle_cycle), the
+    recurring states, the start and length of the cycle, the entry position
+    and the registers there. From the entry on, every step stays inside the
+    recurring states; from the start on, states and letters repeat every
+    cycle length.
     """
-    seq, cycle_start, cycle_len = _lasso_cycle(_table_step(s.transitions, source), s.initial, source)
+    seq, cycle_start, cycle_len = _oracle_cycle(s.control, source)
     recurring = frozenset(seq[cycle_start:])
     entry = cycle_start
     while entry > 0 and seq[entry - 1] in recurring:
@@ -629,23 +621,11 @@ def compile_sst_to_2wftb(s: SimpleSst) -> LookbehindTransducer:
     Descending loads a register's update one cell to the left; ascending
     finds the unique occurrence of the finished register in the consuming
     update (well defined by copylessness) and resumes after it; finishing
-    the distinguished register's increment returns to the main loop.
+    the distinguished register's increment returns to the main loop. The
+    lookbehind oracle is ``s.control`` completed with a fresh sink state.
     """
     out = s.out
-    oracle_states = set(s.states)
-    oracle_tr: dict = {}
-    dead = ("oracle-dead",)
-    for q in s.states:
-        for a in s.input_alphabet.letters:
-            q2 = s.transitions.get((q, a))
-            if q2 is None:
-                q2 = dead
-                oracle_states.add(dead)
-            oracle_tr[(q, a)] = q2
-    if dead in oracle_states:
-        for a in s.input_alphabet.letters:
-            oracle_tr[(dead, a)] = dead
-    oracle = Dfa(oracle_states, s.initial, frozenset(), s.input_alphabet, oracle_tr)
+    oracle = s.control.completed()
 
     MAIN = ("main",)
 

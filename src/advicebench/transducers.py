@@ -127,13 +127,13 @@ class _TwoWayTable(_Rows):
     A letter outside the machine's reads codes as ``foreign + z``. Past
     those come two codes that no row fills: ``stuck``, for a cell left of
     which the oracle had no move, and ``sentinel``, which follows the
-    encoded cells of a tape. The oracle is compiled whole, to ``zrows``:
-    one dict per oracle state, from a letter to the next state's number.
+    encoded cells of a tape. Oracle states are numbered as the oracle Dfa
+    numbers them, and ``zrows`` is its ``rows``.
     """
 
     def __init__(self, t):
         oracle = getattr(t, "oracle", None)
-        self.znames = znames = (None,) if oracle is None else tuple(oracle.states)
+        self.znames = znames = (None,) if oracle is None else oracle.names
         self.width = width = len(znames)
         letters = t.input_alphabet.letters + t.extra_reads
         self.code = code = {a: i * width for i, a in enumerate(letters)}
@@ -141,14 +141,7 @@ class _TwoWayTable(_Rows):
         self.stuck = foreign + width
         self.sentinel = foreign + width + 1
         super().__init__(t)
-        if oracle is None:
-            self.zrows, self.zstart = None, 0
-        else:
-            zindex = {z: i for i, z in enumerate(znames)}
-            self.zrows = zrows = [{} for _ in znames]
-            for (z, a), z2 in oracle.transitions.items():
-                zrows[zindex[z]][a] = zindex[z2]
-            self.zstart = zindex[oracle.initial]
+        self.zrows, self.zstart = (None, 0) if oracle is None else (oracle.rows, oracle.index[oracle.initial])
         self.first = code[ENDMARKER] + self.zstart  # the endmarker's cell
 
     def empty(self):
@@ -267,12 +260,10 @@ class LookbehindTransducer(_Transducer):
     def __init__(self, states, initial, input_alphabet, output_alphabet, transitions, oracle):
         super().__init__(states, initial, input_alphabet, output_alphabet, transitions)
         self.oracle = oracle
-        for s in oracle.states:
-            for a in input_alphabet.letters:
-                if (s, a) not in oracle.transitions:
-                    raise ValueError("lookbehind oracle must be total on the input alphabet")
+        if not all(a in row for row in oracle.rows for a in input_alphabet.letters):
+            raise ValueError("lookbehind oracle must be total on the input alphabet")
         for key in self.transitions:
-            if key[2] not in oracle.states:
+            if key[2] not in oracle.index:
                 raise ValueError(f"lookbehind state {key[2]!r} not in the oracle")
 
 
@@ -711,39 +702,34 @@ def _loop_lasso(t, out, cut):
     )
 
 
-def _lasso_cycle(step, initial, w: LassoWord):
-    """(states, start, length): a one-way run on the lasso w, whose state
-    after letter n is ``step(state, n)``, repeats states[start:start +
-    length] forever. A one-way run is a two-way run that never turns back,
-    so _settle_test finds its first (state, letter residue) repeat."""
-    states: list = []  # its length is the index of the next letter
-    settled = _settle_test(len(w.u), len(w.v), states)
-    state = initial
-    while True:
-        n = len(states)
-        start = settled(state, n)
-        states.append(state)
-        if start is not None:
-            return states, start, n - start
-        state = step(state, n)
+def _oracle_cycle(dfa, w: LassoWord):
+    """(states, start, length): the run of a lookbehind oracle or SST control
+    on the lasso w, states[n] (a name) after n letters, repeats
+    states[start:start + length], and letters with it, forever.
 
-
-def _table_step(transitions, w: InfiniteWord):
-    """_lasso_cycle's ``step`` through a table (state, letter) -> state; a
-    missing entry, a foreign letter's too, raises UndefinedTransition(n, n, key)."""
-    def step(state, n):
-        key = (state, w.letter(n))
-        if key not in transitions:
-            raise UndefinedTransition(n, n, key)
-        return transitions[key]
-
-    return step
-
-
-def _oracle_cycle(oracle, w: LassoWord):
-    """_lasso_cycle of a lookbehind oracle on w: from letter ``start`` on,
-    letters and oracle states repeat every ``length``."""
-    return _lasso_cycle(_table_step(oracle.transitions, w), oracle.initial, w)
+    It steps ``dfa.rows`` a ``letters_from`` chunk at a time; a letter with
+    no transition, a foreign one too, raises UndefinedTransition(n, n,
+    (state, letter)). A one-way run is a two-way run that never turns back,
+    so _settle_test finds its first (state, letter residue) repeat, within
+    |u| + |Q|·|v| + 1 configurations; a longer walk raises InvariantViolation."""
+    names, rows = dfa.names, dfa.rows
+    seen: list = []  # state numbers; its length is the index of the next letter
+    settled = _settle_test(len(w.u), len(w.v), seen)
+    bound = len(w.u) + len(names) * len(w.v) + 1
+    z, n = dfa.index[dfa.initial], 0
+    while n < bound:
+        for a in w.letters_from(n):
+            start = settled(z, n)
+            seen.append(z)
+            if start is not None:
+                return list(map(names.__getitem__, seen)), start, n - start
+            z = rows[z].get(a)
+            if z is None:
+                raise UndefinedTransition(n, n, (names[seen[-1]], a))
+            n += 1
+            if n == bound:
+                break
+    raise InvariantViolation(f"an automaton lasso cycle passed its bound of {bound} configurations")
 
 
 def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None, cycle=None):
@@ -802,14 +788,17 @@ class FiniteImage:
 
 
 def _one_way_cut(t, w: LassoWord, out):
-    """Run a 1wft on the lasso w until its cycle closes (as in _lasso_cycle),
-    within |u| + |Q|·|v| letters; return the output length where the cycle
-    starts. The letters go to ``out``; a halt is raised as run_1wft raises it."""
+    """Run a 1wft on the lasso w until its cycle closes (as in _oracle_cycle),
+    within |u| + |Q|·|v| + 1 configurations, and a longer walk raises
+    InvariantViolation; return the output length where the cycle starts.
+    The letters go to ``out``; a halt is raised as run_1wft raises it."""
     settled = _settle_test(len(w.u), len(w.v), out)
-    for state, pos in _walk_one_way(t, w, out):
+    bound = len(w.u) + len(t.states) * len(w.v) + 1
+    for state, pos in islice(_walk_one_way(t, w, out), bound):
         cut = settled(state, pos)
         if cut is not None:
             return cut
+    raise InvariantViolation(f"a lasso walk passed its bound of {bound} configurations")
 
 
 def _cut_image(t, out, cut):

@@ -147,6 +147,35 @@ def test_a_failed_write_ends_with_one_line_and_no_traceback(tmp_path, capsys, mo
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
+class _UnreadableIn(io.StringIO):
+    def read(self, *args):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize("stdin, reason", [
+    (None, "it is closed"),
+    (_UnreadableIn(), "[Errno 5] Input/output error"),
+], ids=["closed", "read-fails"])
+def test_an_unreadable_standard_input_is_a_one_line_document_error(stdin, reason, capsys, monkeypatch):
+    # as an unreadable -f file: exit 2 and one line, whatever stdout is
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "run", "-", "(ab)^ω")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read standard input: {reason}\n"
+
+
+def test_a_closed_standard_input_ends_run_without_a_traceback():
+    # as `advicebench run - '(ab)^ω' <&-`: the interpreter starts with no sys.stdin
+    import advicebench
+
+    env = dict(os.environ, PYTHONPATH=str(Path(advicebench.__file__).parents[1]))
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m advicebench.cli run - "(ab)^ω" <&-', sys.executable],
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot read standard input: it is closed\n".encode()
+    assert proc.stdout == b""
+
+
 def test_a_construction_does_not_read_the_stream_budget(capsys, monkeypatch):
     # --budget bounds run and compare streams; a construction stops at its
     # proven bound, so a small budget gives the same document

@@ -822,6 +822,47 @@ def test_a_settled_run_never_halts_and_never_returns(machine, w):
         assert len(out) == cut
 
 
+def naive_cycle(dfa, w):
+    """Reference for _oracle_cycle: a walk of the ``transitions`` dict that
+    keys the state after n >= |u| letters with (n - |u|) mod |v| and stops
+    at the first repeated key."""
+    states, seen = [dfa.initial], {}
+    while True:
+        n = len(states) - 1
+        if n >= len(w.u):
+            spot = (states[n], (n - len(w.u)) % len(w.v))
+            if spot in seen:
+                return states, seen[spot], n - seen[spot]
+            seen[spot] = n
+        key = (states[n], w.letter(n))
+        if key not in dfa.transitions:
+            raise UndefinedTransition(n, n, key)
+        states.append(dfa.transitions[key])
+
+
+@st.composite
+def small_dfas(draw):
+    """Random partial DFA over ab with 1-4 states."""
+    states = range(draw(st.integers(1, 4)))
+    tr = {(q, a): draw(st.sampled_from(states)) for q in states for a in AB.letters if defined(draw)}
+    return Dfa(states, draw(st.sampled_from(states)), (), AB, tr)
+
+
+@PROPERTY
+@given(dfa=small_dfas(), w=st.builds(lasso, st.text("abc", max_size=4),
+                                     st.text("abc", min_size=1, max_size=5)))
+def test_an_automaton_lasso_cycle_is_the_naive_walks(dfa, w):
+    # c is outside the automaton's alphabet, so a run that reads it halts
+    try:
+        want = naive_cycle(dfa, w)
+    except UndefinedTransition as halt:
+        with pytest.raises(UndefinedTransition) as got:
+            _oracle_cycle(dfa, w)
+        assert (got.value.position, got.value.step, got.value.detail) == (halt.position, halt.step, halt.detail)
+    else:
+        assert _oracle_cycle(dfa, w) == want
+
+
 @settings(PROPERTY, max_examples=40)
 @given(s=simple_ssts(), w=lassos)
 def test_unlookbehind_of_a_compiled_sst_refuses_or_runs_like_the_sst(s, w):

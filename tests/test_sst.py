@@ -335,6 +335,21 @@ def test_compile_matches_interpreter(build, inputs):
         assert prefix_equiv(got, want, 500) == Equal(500)
 
 
+@pytest.mark.parametrize("other", [("oracle-dead",), ("sink", 2)], ids=["oracle-dead", "sink-2"])
+def test_the_oracle_sink_of_a_compiled_sst_is_a_new_state(other):
+    # the control has no move from `other` on b, so the oracle is completed
+    # with a sink, which must not be one of the machine's own states
+    def append(*letters):
+        return Substitution({"out": (Reg("out"),) + letters})
+
+    s = SimpleSst({"p", other}, "p", AB, AB, ("out",),
+                  {("p", "a"): other, (other, "a"): "p", ("p", "b"): "p"},
+                  {("p", "a"): append("a"), (other, "a"): append("b"), ("p", "b"): append()})
+    source = lasso("", "a")
+    assert run_sst(s, source).prefix_str(8) == "abababab"
+    assert prefix_equiv(run_2wft_b(compile_sst_to_2wftb(s), source), run_sst(s, source), 200) == Equal(200)
+
+
 def test_compiled_walk_back_positions():
     # a register chain spanning three cells forces the narrated excursion:
     # left, left, right, right over the window, emitting the nested values

@@ -24,6 +24,7 @@ from advicebench.transducers import (
     LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
+    _oracle_cycle,
     _walk,
     _walk_one_way,
     _walk_to_image,
@@ -436,6 +437,22 @@ def test_lasso_image_reports_a_stall_and_a_halt():
 def test_lasso_image_needs_a_lasso():
     with pytest.raises(AdviceNotLasso):
         lasso_image(corpus.drifter_2wft(), pi_word(1))
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (3, 4), (5, 2)])
+def test_one_way_lasso_cycles_can_take_their_whole_bound(k, m):
+    # a mod-k counter of a's on ab·(a·b^(m-1))^ω first repeats a (state,
+    # residue) after all k·m of them: |u| + |Q|·|v| + 1 configurations, the
+    # bound of _oracle_cycle and _one_way_cut
+    u, v = "ab", "a" + "b" * (m - 1)
+    w = lasso(u, v)
+    bound = len(u) + k * len(v) + 1
+    counter = {(z, "a"): (z + 1) % k for z in range(k)} | {(z, "b"): z for z in range(k)}
+    states, start, length = _oracle_cycle(Dfa(range(k), 0, (), AB, counter), w)
+    assert (len(states), start, length) == (bound, len(u), k * m)
+    copier = OneWayTransducer(range(k), 0, AB, AB, {(z, a): ((a,), z2) for (z, a), z2 in counter.items()})
+    image, canonical = lasso_image(copier, w), w.canonical()
+    assert (image.u, image.v) == (canonical.u, canonical.v)
 
 
 def test_lookbehind_transducer_rejects_undeclared_states():
