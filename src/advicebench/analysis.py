@@ -143,12 +143,13 @@ def prefix_equiv(a, b, n: int):
         raise ValueError("comparison length must be >= 1")
     la, ha = _pull(a, n)
     lb, hb = _pull(b, n)
-    for i in range(min(len(la), len(lb))):
-        if la[i] != lb[i]:
-            return Diverges(i, la[i], lb[i])
-    if len(la) < n or len(lb) < n:
-        i = min(len(la), len(lb))
-        return Inconclusive(i, ha if len(la) <= len(lb) else hb)
+    m = min(len(la), len(lb))
+    # one list comparison; indices are scanned only to name a difference
+    if (la if len(la) == m else la[:m]) != (lb if len(lb) == m else lb[:m]):
+        i = next(i for i in range(m) if la[i] != lb[i])
+        return Diverges(i, la[i], lb[i])
+    if m < n:
+        return Inconclusive(m, ha if len(la) <= len(lb) else hb)
     return Equal(n)
 
 

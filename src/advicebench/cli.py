@@ -157,16 +157,16 @@ def cmd_run(ws: Workspace, args) -> int:
 
 def cmd_compare(ws: Workspace, args) -> int:
     budget = args.budget
+    input_word = functools.cache(lambda: ws.word(args.word))  # parsed once, read by both sides
 
     def source(spec):
         try:
             return ws.word(spec)
         except UnresolvedReference:
             machine = ws.machine(spec)
-            word_arg = args.word
-            if word_arg is None:
+            if args.word is None:
                 raise UsageError("comparing a machine needs --word for its input")
-            return _run_machine(machine, ws.word(word_arg), budget)
+            return _run_machine(machine, input_word(), budget)
 
     verdict = prefix_equiv(source(args.left), source(args.right), args.letters)
     print(verdict)
@@ -342,7 +342,13 @@ def main(argv=None) -> int:
         # line; stdout goes to devnull, so the last flush cannot fail again
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            stdout = sys.stdout.fileno()
+        except (OSError, ValueError):  # no descriptor (a StringIO): no last flush to fail
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout)
+        os.close(devnull)
         return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

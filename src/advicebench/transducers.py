@@ -28,6 +28,7 @@ endmarker. It fills the entry, or raises exactly what a dict lookup on
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -76,6 +77,10 @@ DEFAULT_BUDGET = 10 ** 5
 #: the encoded ones, plus half the cells encoded before: a short walk
 #: encodes little more than it reads, and a long one does so in few slices.
 SLICE = 32
+
+#: The emitted letters of a silent right self-loop's row entry: none, and
+#: told apart from other silent entries by identity (see _walk's sweeps).
+_LOOP: list = []
 
 
 class _Rows:
@@ -129,6 +134,9 @@ class _TwoWayTable(_Rows):
     which the oracle had no move, and ``sentinel``, which follows the
     encoded cells of a tape. Oracle states are numbered as the oracle Dfa
     numbers them, and ``zrows`` is its ``rows``.
+
+    A batch's codes are ``cells``: bytes when every code fits one, and then
+    a silent right self-loop's entry emits ``_LOOP`` (see _walk's sweeps).
     """
 
     def __init__(self, t):
@@ -140,12 +148,13 @@ class _TwoWayTable(_Rows):
         self.foreign = foreign = len(letters) * width
         self.stuck = foreign + width
         self.sentinel = foreign + width + 1
+        self.cells = bytearray if self.sentinel < 256 else list
         super().__init__(t)
         self.zrows, self.zstart = (None, 0) if oracle is None else (oracle.rows, oracle.index[oracle.initial])
         self.first = code[ENDMARKER] + self.zstart  # the endmarker's cell
 
     def empty(self):
-        return [None] * (self.sentinel + 1)
+        return [None] * (self.sentinel + 2)
 
     def encode(self, letters, z):
         """(cell codes of ``letters``, the oracle state number after them),
@@ -182,8 +191,22 @@ class _TwoWayTable(_Rows):
         if value is None:
             raise UndefinedTransition(pos, step, key)
         out, move, q2 = value
+        if not out and move == RIGHT and q2 == state and self.cells is bytearray:
+            out = _LOOP
         hit = row[cell] = (out, 1 if move == RIGHT else -1, self.row(q2), q2)
         return hit
+
+    def sweep(self, row, state):
+        """The pattern of a cell that ends a silent right self-loop of
+        ``state``: a code with another transition, or none. Compiled from
+        ``transitions`` on the state's first sweep, kept in its row's last
+        slot, past every code."""
+        loop = ((), RIGHT, state)
+        keys = self.transitions.get
+        loops = bytes(c + z for a, c in self.code.items() for z, zname in enumerate(self.znames)
+                      if keys((state, a) if self.zrows is None else (state, a, zname)) == loop)
+        pattern = row[-1] = re.compile(b"[^%s]" % b"".join(b"\\x%02x" % c for c in loops))
+        return pattern
 
 
 class _Transducer:
@@ -462,6 +485,14 @@ def _walk(t, source, out):
     first encodes a slice if the head is on the sentinel past the encoded
     cells, then has _TwoWayTable.fill add its entry, or raise its halt
     with the (pos, step, key) of a dict lookup on ``transitions``.
+
+    A batch sweeps a silent right self-loop when every code fits a byte
+    (the first batch makes ``codes`` a bytearray; one-step mode keeps a
+    list, which indexes faster): the step jumps to the first cell that
+    ends the loop, found by one search with its state's pattern
+    (_TwoWayTable.sweep), or to ``stop`` if that comes first, so steps,
+    stalls, halts and yields are those of stepping one cell at a time. The
+    sentinel ends every sweep, and one-step mode never sweeps.
     """
     table = t.table
     more, emit, encode, sentinel = source.letters_from, out.extend, table.encode, table.sentinel
@@ -479,6 +510,8 @@ def _walk(t, source, out):
                 # until the first batch, stop is the step after the last letter
                 want, gap = ask
                 start, stop = step, (step if budget else stop) + gap
+                if not budget:  # batches may sweep: their codes are cells
+                    codes = table.cells(codes)
                 budget = gap
                 if len(out) >= want:
                     stop = step + 1
@@ -493,6 +526,11 @@ def _walk(t, source, out):
         if emitted:
             emit(emitted)
             stop = step + 1 + gap if len(out) < want else step + 1
+        elif emitted is _LOOP and stop - step > 1:  # sweep on to the loop's end, at most to stop
+            end = pos + stop - step
+            found = (row[-1] or table.sweep(row, state)).search(codes, pos + 1, end)
+            move = (found.start() if found else end) - pos
+            step += move - 1
         pos += move
         step += 1
         hit = row[codes[pos]]

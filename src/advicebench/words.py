@@ -105,7 +105,8 @@ class Alphabet:
 
 def infer_alphabet(letters) -> Alphabet:
     """The alphabet of ``letters`` but PAD, which belongs to none. PAD
-    alone, or its text '_' alone, leaves nothing to infer from."""
+    alone, or its text '_' alone, leaves nothing to infer from. A set of
+    single characters will do, as they never tie in the sort."""
     seen = dict.fromkeys(letters)  # first-seen order, which the stable sort keeps on ties
     seen.pop(PAD, None)
     if seen.keys() <= {RESERVED_RENDER}:
@@ -126,6 +127,13 @@ class FiniteWord:
         if stray:
             a = next(a for a in self.letters if a in stray)
             raise AlphabetMismatch(f"letter {render_letter(a)} not in {self.alphabet}")
+
+    @classmethod
+    def _known(cls, letters: tuple, alphabet: Alphabet) -> "FiniteWord":
+        """The word of ``letters``, known to lie in ``alphabet``: unchecked."""
+        w = object.__new__(cls)
+        w.__dict__.update(letters=letters, alphabet=alphabet)  # frozen blocks only setattr
+        return w
 
     @classmethod
     def from_str(cls, text: str, alphabet: Alphabet | None = None) -> "FiniteWord":
@@ -241,9 +249,13 @@ class LassoWord(InfiniteWord):
 
 
 def lasso(u: str, v: str, alphabet: Alphabet | None = None) -> LassoWord:
-    if alphabet is None:
-        alphabet = infer_alphabet(tuple(u + v))
-    return LassoWord(word(u, alphabet), word(v, alphabet))
+    """u·v^ω, a letter per character. An alphabet inferred from the set of
+    u + v holds every letter, and refuses '_' (PAD), so the words go
+    unchecked; a given one checks them, and '_' reads as PAD there."""
+    if alphabet is not None:
+        return LassoWord(word(u, alphabet), word(v, alphabet))
+    alphabet = infer_alphabet(set(u + v))
+    return LassoWord(FiniteWord._known(tuple(u), alphabet), FiniteWord._known(tuple(v), alphabet))
 
 
 def _primitive_root_length(seq) -> int:

@@ -18,7 +18,7 @@ from advicebench.errors import BudgetExceeded, UnstableClassification
 from advicebench.ltl import parse_formula
 from advicebench.mealy import MealyMachine, mealy_image_lasso
 from advicebench.transducers import ENDMARKER, RIGHT, TwoWayTransducer, run_2wft
-from advicebench.words import Alphabet, duplicate, lasso, pi_word, shift
+from advicebench.words import PAD, Alphabet, convolve_lassos, duplicate, lasso, pi_word, shift, word
 
 AB = Alphabet.of("ab")
 
@@ -123,6 +123,28 @@ def test_prefix_equiv_verdicts():
     right = lasso("ababababab", "ba")
     verdict = prefix_equiv(left, right, 100)
     assert verdict == Diverges(10, "a", "b")
+
+
+def test_prefix_equiv_names_the_first_difference_of_product_letters_and_pad():
+    tail = lasso("", "ab")
+    left = convolve_lassos(word("ab"), tail)  # (a,a) (b,b) (□,a) (□,b) ...
+    right = convolve_lassos(word("abb"), tail)  # (a,a) (b,b) (b,a) (□,b) ...
+    assert prefix_equiv(left, right, 50) == Diverges(2, (PAD, "a"), ("b", "a"))
+    assert prefix_equiv(left, right, 2) == Equal(2)
+    late = convolve_lassos(word("ab" * 500), tail)
+    assert prefix_equiv(late, convolve_lassos(word("ab" * 500 + "b"), tail), 2000) == Diverges(
+        1000, (PAD, "a"), ("b", "a"))
+    assert prefix_equiv(lasso("", "b"), lasso("", "a"), 9) == Diverges(0, "b", "a")
+
+
+def test_prefix_equiv_is_inconclusive_where_the_shorter_source_ends():
+    assert prefix_equiv(word("abab"), lasso("", "ab"), 10) == Inconclusive(4, "ended")
+    assert prefix_equiv(lasso("", "ab"), word("ab"), 10) == Inconclusive(2, "ended")
+    assert prefix_equiv(word("ab"), word("abab"), 10) == Inconclusive(2, "ended")
+    assert prefix_equiv(word("ab"), word("ab"), 3) == Inconclusive(2, "ended")
+    assert prefix_equiv(word("abab"), lasso("", "ab"), 4) == Equal(4)
+    # a difference before the shorter source ends is the verdict
+    assert prefix_equiv(word("abb"), lasso("", "ab"), 10) == Diverges(2, "b", "a")
 
 
 def test_prefix_equiv_symmetric_and_transitive_when_equal():

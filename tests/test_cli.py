@@ -15,7 +15,7 @@ from advicebench import corpus
 from advicebench.cli import CONVERSIONS, main, parse_word_literal
 from advicebench.documents import dumps, machine_to_doc
 from advicebench.transducers import OneWayTransducer, mirror_blocks_2wft
-from advicebench.words import PAD, Alphabet
+from advicebench.words import PAD, Alphabet, lasso
 
 
 def run_cli(capsys, *argv):
@@ -142,9 +142,37 @@ def test_a_failed_write_ends_with_one_line_and_no_traceback(tmp_path, capsys, mo
 
     with open(tmp_path / "out", "w") as handle:
         monkeypatch.setattr("sys.stdout", Full(handle))
+        opened = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
         code = main(["run", "mirror2wft", "(ab#)^ω", "-n", "9"])
+        if opened is not None:  # devnull's own descriptor is closed once copied
+            assert len(os.listdir("/proc/self/fd")) == opened
     assert code == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_a_failed_write_without_a_stdout_descriptor_ends_with_one_line(capsys, monkeypatch):
+    # an in-process caller's StringIO has no descriptor to point at devnull
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("sys.stdout", Full())
+    assert main(["run", "mirror2wft", "(ab#)^ω", "-n", "9"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_compare_builds_its_input_word_once_for_both_machines(capsys, monkeypatch):
+    from advicebench import cli
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return lasso(*args)
+
+    monkeypatch.setattr(cli, "lasso", counted)
+    code, out, _ = run_cli(capsys, "compare", "mirror2wft", "mirror_sst", "--word", "(ab#)^ω", "-n", "30")
+    assert (code, out, built) == (0, "Equal(length=30)\n", [("", "ab#")])
 
 
 class _UnreadableIn(io.StringIO):
@@ -247,6 +275,15 @@ def test_check_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "check", "nope")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("budget", [100, 301, 302])
+def test_a_budget_that_ends_inside_a_long_silent_sweep_stalls_at_its_step(capsys, budget):
+    # 302 silent steps come before the first letter: the endmarker, 300 a's and the '#'
+    word = f"({'a' * 300}#)^ω"
+    code, out, err = run_cli(capsys, "--budget", str(budget), "run", "mirror2wft", word, "-n", "5")
+    assert (code, out, err) == (1, "\n", f"stalled: step budget exhausted at step {budget}\n")
+    assert run_cli(capsys, "--budget", "303", "run", "mirror2wft", word, "-n", "5")[:2] == (0, "aaaaa\n")
 
 
 def test_stalling_run_exits_nonzero(capsys):

@@ -17,6 +17,7 @@ from advicebench.cli import _run_machine
 from advicebench.documents import dumps, machine_from_doc, machine_to_doc
 from advicebench.errors import (
     AdviceBenchError,
+    AlphabetMismatch,
     BlockBudgetExceeded,
     BudgetExceeded,
     InvariantViolation,
@@ -83,6 +84,7 @@ from advicebench.words import (
     canonical_lasso,
     convolve_lassos,
     duplicate,
+    infer_alphabet,
     lasso,
     pi_word,
     shift,
@@ -543,11 +545,14 @@ def test_one_way_lasso_image_is_the_raw_run(machine, w):
 class OneStepDriver:
     """Reference for a RunOutcome's reads: the run's kernel in one-step mode
     only, one ``next`` per step, spending at most ``budget`` steps between
-    consecutive letters within one read."""
+    consecutive letters within one read. ``walk`` replaces the kernel, as
+    dict_walk does."""
 
-    def __init__(self, machine, w, budget):
+    def __init__(self, machine, w, budget, walk=None):
         self.out, self.budget, self.steps, self.halt = [], budget, 0, None
-        if isinstance(machine, OneWayTransducer):
+        if walk is not None:
+            self.kernel = walk(machine, w, self.out)
+        elif isinstance(machine, OneWayTransducer):
             self.kernel = _walk_one_way(machine, w, self.out)
         elif isinstance(machine, SimpleSst):
             registers = _Registers(machine.registers)
@@ -578,16 +583,17 @@ class OneStepDriver:
         return out[:n], None
 
 
-def assert_reads_like_one_step_at_a_time(machine, w, budget, reads):
-    """Reads through letters and try_letters in turn match the reference's:
-    letters, halt type and arguments, steps and letters produced."""
+def assert_reads_like_one_step_at_a_time(machine, w, budget, reads, walk=None):
+    """Reads through letters and try_letters in turn match the reference's
+    (a OneStepDriver stepping ``walk``): letters, halt type and arguments,
+    steps and letters produced."""
     try:
         run = _run_machine(machine, w, budget)
     except (NoOutputFunction, UndefinedTransition) as exc:  # a general SST's set-up
         with pytest.raises(type(exc)):
             OneStepDriver(machine, w, budget)
         return
-    reference = OneStepDriver(machine, w, budget)
+    reference = OneStepDriver(machine, w, budget, walk)
     for i, n in enumerate(reads):
         want, want_halt = reference.read(n)
         if i % 2:
@@ -620,6 +626,41 @@ def test_runs_stepped_in_batches_read_like_one_step_at_a_time(machine, w, budget
 @given(s=general_ssts(), w=lassos, budget=budgets, reads=reads)
 def test_general_sst_runs_stepped_in_batches_read_like_one_step_at_a_time(s, w, budget, reads):
     assert_reads_like_one_step_at_a_time(s, w, budget, reads)
+
+
+def general_lasso(u, v, alphabet=None):
+    """lasso(u, v, alphabet) the general way: the alphabet inferred from
+    the letters of u + v in turn, and each FiniteWord checking its letters."""
+    if alphabet is None:
+        alphabet = infer_alphabet(tuple(u + v))
+    return LassoWord(word(u, alphabet), word(v, alphabet))
+
+
+def built(make, *args):
+    """A lasso's letters and alphabet, or its error's type and message."""
+    try:
+        w = make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return w.u.letters, w.v.letters, w.alphabet.letters
+
+
+LASSO_POOL = "ab#_^·éλ€"
+
+
+@PROPERTY
+@given(u=st.text(LASSO_POOL, max_size=6), v=st.text(LASSO_POOL, max_size=6),
+       alphabet=st.none() | st.sampled_from([AB, MARKED, Alphabet.of("·éλ€"), Alphabet.of("a#λ")]))
+@example("", "", None)
+@example("__", "_", None)
+@example("a", "", None)
+@example("a_", "", None)
+@example("^", "_", None)
+@example("", "λ·", None)
+def test_lasso_builds_what_the_general_path_builds(u, v, alphabet):
+    assert built(lasso, u, v, alphabet) == built(general_lasso, u, v, alphabet)
+    if alphabet is not None and set(u + v) - {"_"} - set(alphabet.letters):
+        assert built(lasso, u, v, alphabet)[0] is AlphabetMismatch
 
 
 def dict_walk(t, source, out):
@@ -727,6 +768,68 @@ def test_the_compiled_kernels_step_like_a_dict_lookup_on_the_transitions(machine
     finally:
         transducers.SLICE = slice_cells
     assert got == drive(dict_walk(machine, w, want), want, asks)
+
+
+@st.composite
+def sweeping_machines(draw, max_states=3):
+    """Random 2wft over ab# whose transitions are mostly silent right
+    self-loops, so that a batch read sweeps over runs of their letters."""
+    states = range(draw(st.integers(1, max_states)))
+    tr = {}
+    for q in states:
+        for a in MARKED.letters + (ENDMARKER,):
+            kind = draw(st.integers(0, 5))
+            if kind < 3:
+                tr[(q, a)] = ((), RIGHT, q)
+            elif kind < 5:
+                move = draw(st.sampled_from((LEFT, RIGHT)))
+                tr[(q, a)] = (tuple(draw(outputs)), move, draw(st.sampled_from(states)))
+    return TwoWayTransducer(states, 0, MARKED, AB, tr)
+
+
+def with_counting_lookbehind(t, size):
+    """t as a lookbehind machine whose oracle counts a's modulo ``size``
+    and has no move on other letters than a, b and #. At a count of 1 mod 3
+    a silent right self-loop emits an a instead, so which cells end a
+    sweep depends on the oracle's state too."""
+    oracle = Dfa(range(size), 0, frozenset(), MARKED,
+                 {(z, a): (z + (a == "a")) % size for z in range(size) for a in MARKED.letters})
+    tr = {}
+    for (q, a), (out, move, q2) in t.transitions.items():
+        for z in range(size):
+            emits = z % 3 == 1 and (out, move, q2) == ((), RIGHT, q)
+            tr[(q, a, z)] = (("a",) if emits else out, move, q2)
+    return LookbehindTransducer(t.states, t.initial, MARKED, AB, tr, oracle)
+
+
+# runs of up to 4·SLICE equal letters; c is foreign to every machine and its oracle
+letter_runs = st.lists(st.tuples(st.sampled_from("ab#c"), st.integers(1, 4 * transducers.SLICE)),
+                       max_size=4).map(lambda runs: "".join(a * k for a, k in runs))
+run_lassos = st.builds(lasso, letter_runs, letter_runs.filter(bool), st.just(Alphabet.of("abc#")))
+# a 64-state oracle needs more cell codes than a byte holds, so its walks keep a list and never sweep
+WIDE = 64
+
+
+def loop_then_loopless():
+    """State 0 sweeps a's and enters state 1 on a silent right move; state 1
+    has no silent right self-loop at all."""
+    return TwoWayTransducer({0, 1}, 0, MARKED, AB, {
+        (0, ENDMARKER): ((), RIGHT, 0), (0, "a"): ((), RIGHT, 0), (0, "b"): ((), RIGHT, 1),
+        (1, "a"): (("a",), RIGHT, 1), (1, "b"): ((), RIGHT, 0), (1, "#"): (("b",), LEFT, 0)})
+
+
+@settings(PROPERTY, max_examples=300)
+@given(machine=st.one_of(sweeping_machines(), sweeping_machines().map(lambda t: with_counting_lookbehind(t, 3)),
+                         sweeping_machines(max_states=2).map(lambda t: with_counting_lookbehind(t, WIDE))),
+       w=run_lassos, budget=st.one_of(st.integers(1, 6 * transducers.SLICE), st.just(DEFAULT_BUDGET)),
+       reads=st.lists(st.integers(0, 120), min_size=1, max_size=4))
+@example(loop_then_loopless(), lasso("a" * 70 + "b", "ab" * 40 + "#"), DEFAULT_BUDGET, [100])
+def test_batch_reads_that_sweep_silent_loops_read_like_the_dict_walk(machine, w, budget, reads):
+    # the same letters, step count and halt, at the same (pos, step, key),
+    # as the transitions dict stepped one step at a time, with budgets that
+    # end inside a sweep and foreign letters that end one
+    assert_reads_like_one_step_at_a_time(machine, w, budget, reads, walk=dict_walk)
+    assert (machine.table.cells is list) == (machine.table.width == WIDE)
 
 
 @settings(PROPERTY, max_examples=300)

@@ -617,6 +617,22 @@ def test_a_machine_compiles_its_table_once_however_many_runs_it_has(monkeypatch)
     assert builds == {"_OneWayTable": 1, "_TwoWayTable": 2}
 
 
+def test_a_sweep_pattern_is_compiled_on_its_states_first_sweep():
+    # one-step walks never sweep; a read compiles the pattern of the state
+    # it sweeps in, scan, and of no other
+    mirror = mirror_blocks_2wft(AB)
+    w = lasso("", "a" * 100 + "#")
+    for _ in islice(_walk(mirror, w, []), 300):
+        pass
+    rows = mirror.table.rows
+    assert mirror.table.cells is bytearray
+    assert all(row[-1] is None for row in rows.values())
+    run = run_2wft(mirror, w)
+    assert run.prefix_str(5) == "aaaaa"
+    assert run._engine.step_count == 107  # 102 silent steps to the #, then a step per letter
+    assert [q for q, row in rows.items() if row[-1] is not None] == ["scan"]
+
+
 def test_a_constant_word_is_a_lasso():
     constant, periodic = ConstantWord("a"), lasso("", "a")
     assert isinstance(constant, LassoWord) and repr(constant) == "(a)^ω"
