@@ -9,7 +9,9 @@ endmarker followed by the input word.
 Each machine shape has one stepping kernel, a generator with two modes on
 one loop (see _walk): ``next`` takes one step and yields the configuration,
 as the constructions walk; ``send((want, budget))`` takes a batch of steps,
-as a RunOutcome reads, and yields their number.
+as a RunOutcome reads, and yields their number. A two-way batch crosses a
+run of self-loops that emit nothing, or their cell's letter, at once, and
+codes tape cells through byte tables (see _walk).
 
 The kernels step through a machine's ``table``, made on its first run and
 kept for every later one. A table row belongs to a state and maps what
@@ -28,7 +30,6 @@ endmarker. It fills the entry, or raises exactly what a dict lookup on
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -78,8 +79,8 @@ DEFAULT_BUDGET = 10 ** 5
 #: encodes little more than it reads, and a long one does so in few slices.
 SLICE = 32
 
-#: The emitted letters of a silent right self-loop's row entry: none, and
-#: told apart from other silent entries by identity (see _walk's sweeps).
+#: The emitted letters of a silent loop's row entry, told apart by identity;
+#: a copying loop's are a list of its cell's letter (see _walk's sweeps).
 _LOOP: list = []
 
 
@@ -136,7 +137,8 @@ class _TwoWayTable(_Rows):
     numbers them, and ``zrows`` is its ``rows``.
 
     A batch's codes are ``cells``: bytes when every code fits one, and then
-    a silent right self-loop's entry emits ``_LOOP`` (see _walk's sweeps).
+    a loop's entry emits a list (see _walk's sweeps): a loop is a self-loop
+    that emits nothing, or its cell's letter.
     """
 
     def __init__(self, t):
@@ -149,12 +151,13 @@ class _TwoWayTable(_Rows):
         self.stuck = foreign + width
         self.sentinel = foreign + width + 1
         self.cells = bytearray if self.sentinel < 256 else list
+        self.bytemaps = {None: b""}  # see translate
         super().__init__(t)
         self.zrows, self.zstart = (None, 0) if oracle is None else (oracle.rows, oracle.index[oracle.initial])
         self.first = code[ENDMARKER] + self.zstart  # the endmarker's cell
 
     def empty(self):
-        return [None] * (self.sentinel + 2)
+        return [None] * (self.sentinel + 3)
 
     def encode(self, letters, z):
         """(cell codes of ``letters``, the oracle state number after them),
@@ -174,6 +177,28 @@ class _TwoWayTable(_Rows):
             z = zrows[z].get(a)
         return codes, z
 
+    def translate(self, letters, z):
+        """encode, in one C-level pass through z's byte table (made on the
+        first slice coded in z) when every letter is a one-character latin-1
+        one the machine reads. The table is b"", and encode codes, when codes
+        do not fit a byte, the oracle leaves z on such a letter, or z is None."""
+        bytemap = self.bytemaps.get(z)
+        if bytemap is None:
+            reads = {ord(a): c + z for a, c in self.code.items() if type(a) is str and len(a) == 1 and ord(a) < 256}
+            fits = self.cells is bytearray and (self.zrows is None or all(self.zrows[z][chr(b)] == z for b in reads))
+            bytemap = bytearray([self.foreign + z]) * 256 if fits else bytearray()
+            for b, c in reads.items() if fits else ():
+                bytemap[b] = c
+            bytemap = self.bytemaps[z] = bytes(bytemap)
+        if bytemap:
+            try:  # PAD and product letters do not join; a foreign letter codes foreign + z
+                cells = "".join(letters).encode("latin-1").translate(bytemap)
+                if len(cells) == len(letters) and self.foreign + z not in cells:
+                    return cells, z
+            except (TypeError, UnicodeEncodeError):
+                pass
+        return self.encode(letters, z)
+
     def fill(self, tape, codes, pos, step, state, row):
         """The entry of a step from ``state`` on the encoded cell ``pos``,
         stored in its row. When none applies, raises the UndefinedTransition
@@ -191,22 +216,36 @@ class _TwoWayTable(_Rows):
         if value is None:
             raise UndefinedTransition(pos, step, key)
         out, move, q2 = value
-        if not out and move == RIGHT and q2 == state and self.cells is bytearray:
-            out = _LOOP
+        if q2 == state and self.cells is bytearray and out in ((), (tape[pos],)):
+            out = list(out) if out else _LOOP
         hit = row[cell] = (out, 1 if move == RIGHT else -1, self.row(q2), q2)
         return hit
 
-    def sweep(self, row, state):
-        """The pattern of a cell that ends a silent right self-loop of
-        ``state``: a code with another transition, or none. Compiled from
-        ``transitions`` on the state's first sweep, kept in its row's last
-        slot, past every code."""
-        loop = ((), RIGHT, state)
-        keys = self.transitions.get
-        loops = bytes(c + z for a, c in self.code.items() for z, zname in enumerate(self.znames)
-                      if keys((state, a) if self.zrows is None else (state, a, zname)) == loop)
-        pattern = row[-1] = re.compile(b"[^%s]" % b"".join(b"\\x%02x" % c for c in loops))
-        return pattern
+    def run(self, codes, pos, move, cap, row, state, kind):
+        """How many cells past ``pos`` in direction ``move``, at most ``cap``,
+        ``state`` takes loops of ``kind`` (0 silent, 1 copying) on in turn,
+        found by stripping loop codes off windows of ``codes`` that double in
+        length. The codes are compiled from ``transitions`` on the first sweep
+        that way, into the row's last slot (right) or the one before (left)."""
+        loops = (row[-1 - (move < 0)] or self.loops(row, move, state))[kind]
+        crossed, run, width = 0, 8, 8
+        while run == width and crossed < cap:
+            width *= 2
+            near = pos + move * (crossed + 1)  # the next cell to cross; the sentinel ends right runs
+            cells = codes[near:near + width] if move > 0 else codes[max(near + 1 - width, 0):near + 1][::-1]
+            run = min(len(cells) - len(cells.lstrip(loops)), cap - crossed)
+            crossed += run
+        return crossed
+
+    def loops(self, row, move, state):
+        slot, move = (-1, RIGHT) if move > 0 else (-2, LEFT)
+        loops = row[slot] = (bytearray(), bytearray())
+        for a, c in self.code.items():
+            for z, zname in enumerate(self.znames):
+                value = self.transitions.get((state, a) if self.zrows is None else (state, a, zname))
+                if value in (((), move, state), ((a,), move, state)):
+                    loops[len(value[0])].append(c + z)
+        return loops
 
 
 class _Transducer:
@@ -486,13 +525,14 @@ def _walk(t, source, out):
     cells, then has _TwoWayTable.fill add its entry, or raise its halt
     with the (pos, step, key) of a dict lookup on ``transitions``.
 
-    A batch sweeps a silent right self-loop when every code fits a byte
-    (the first batch makes ``codes`` a bytearray; one-step mode keeps a
-    list, which indexes faster): the step jumps to the first cell that
-    ends the loop, found by one search with its state's pattern
-    (_TwoWayTable.sweep), or to ``stop`` if that comes first, so steps,
-    stalls, halts and yields are those of stepping one cell at a time. The
-    sentinel ends every sweep, and one-step mode never sweeps.
+    A batch sweeps loops when every code fits a byte (the first batch makes
+    ``codes`` a bytearray; one-step mode keeps a list, which indexes
+    faster): a step on a loop crosses the run of cells its state loops on
+    that way (_TwoWayTable.run), a silent one up to ``stop``, a copying
+    one up to the last letter wanted, emitting the run as one tape slice.
+    So steps, stalls, halts and yields are those of one cell at a time. A
+    batch codes slices with _TwoWayTable.translate, unless the empty letter
+    is in the source's alphabet (a slice could join to a string as long).
     """
     table = t.table
     more, emit, encode, sentinel = source.letters_from, out.extend, table.encode, table.sentinel
@@ -510,8 +550,9 @@ def _walk(t, source, out):
                 # until the first batch, stop is the step after the last letter
                 want, gap = ask
                 start, stop = step, (step if budget else stop) + gap
-                if not budget:  # batches may sweep: their codes are cells
+                if not budget:  # batches may sweep and translate: their codes are cells
                     codes = table.cells(codes)
+                    encode = encode if "" in source.alphabet else table.translate
                 budget = gap
                 if len(out) >= want:
                     stop = step + 1
@@ -525,12 +566,20 @@ def _walk(t, source, out):
         emitted, move, row, state = hit
         if emitted:
             emit(emitted)
-            stop = step + 1 + gap if len(out) < want else step + 1
-        elif emitted is _LOOP and stop - step > 1:  # sweep on to the loop's end, at most to stop
-            end = pos + stop - step
-            found = (row[-1] or table.sweep(row, state)).search(codes, pos + 1, end)
-            move = (found.start() if found else end) - pos
-            step += move - 1
+            if len(out) >= want:
+                stop = step + 1
+            elif (type(emitted) is not list
+                  or type((nxt := row[codes[pos + move]] or hit)[0]) is not list or nxt[1] != move):
+                stop = step + 1 + gap
+            else:  # a copying loop, and maybe the next cell's: copy on, at most to the last letter wanted
+                crossed = table.run(codes, pos, move, want - len(out), row, state, 1)
+                emit(tape[pos + move:pos + move * (crossed + 1):move])
+                pos, step = pos + move * crossed, step + crossed
+                stop = step + 1 + gap if len(out) < want else step + 1
+        elif (emitted is _LOOP and stop - step > 1  # a silent loop, and maybe the next cell's: sweep on to stop
+              and (nxt := row[codes[pos + move]] or hit)[0] is _LOOP and nxt[1] == move):
+            crossed = table.run(codes, pos, move, stop - step - 1, row, state, 0)
+            pos, step = pos + move * crossed, step + crossed
         pos += move
         step += 1
         hit = row[codes[pos]]

@@ -69,6 +69,7 @@ from advicebench.transducers import (
     _walk_one_way,
     compose_1wft,
     lasso_image,
+    mirror_blocks_2wft,
     remove_endmarker,
     run_1wft,
     run_2wft,
@@ -790,16 +791,21 @@ def sweeping_machines(draw, max_states=3):
 def with_counting_lookbehind(t, size):
     """t as a lookbehind machine whose oracle counts a's modulo ``size``
     and has no move on other letters than a, b and #. At a count of 1 mod 3
-    a silent right self-loop emits an a instead, so which cells end a
-    sweep depends on the oracle's state too."""
+    a silent right self-loop emits an a instead, and at 2 mod 3 a self-loop
+    that copies its cell emits nothing, so which cells end a sweep depends
+    on the oracle's state too."""
     oracle = Dfa(range(size), 0, frozenset(), MARKED,
                  {(z, a): (z + (a == "a")) % size for z in range(size) for a in MARKED.letters})
     tr = {}
     for (q, a), (out, move, q2) in t.transitions.items():
         for z in range(size):
-            emits = z % 3 == 1 and (out, move, q2) == ((), RIGHT, q)
-            tr[(q, a, z)] = (("a",) if emits else out, move, q2)
-    return LookbehindTransducer(t.states, t.initial, MARKED, AB, tr, oracle)
+            if z % 3 == 1 and (out, move, q2) == ((), RIGHT, q):
+                tr[(q, a, z)] = (("a",), move, q2)
+            elif z % 3 == 2 and out == (a,) and q2 == q:
+                tr[(q, a, z)] = ((), move, q2)
+            else:
+                tr[(q, a, z)] = (out, move, q2)
+    return LookbehindTransducer(t.states, t.initial, MARKED, t.output_alphabet, tr, oracle)
 
 
 # runs of up to 4·SLICE equal letters; c is foreign to every machine and its oracle
@@ -830,6 +836,101 @@ def test_batch_reads_that_sweep_silent_loops_read_like_the_dict_walk(machine, w,
     # end inside a sweep and foreign letters that end one
     assert_reads_like_one_step_at_a_time(machine, w, budget, reads, walk=dict_walk)
     assert (machine.table.cells is list) == (machine.table.width == WIDE)
+
+
+@st.composite
+def copying_machines(draw, max_states=3):
+    """Random 2wft over ab# whose transitions are mostly self-loops that copy
+    their cell, plus silent self-loops and other moves, shaped like the
+    block mirror: even states loop mostly right and odd ones mostly left,
+    and each turns into the next state on one letter (an odd one on the
+    endmarker too), so that a batch read copies or crosses long runs of
+    letters in one step, both ways."""
+    states = range(draw(st.integers(2, max_states)))
+    tr = {}
+    for q in states:
+        way, back = (LEFT, RIGHT) if q % 2 else (RIGHT, LEFT)
+        turn = draw(st.sampled_from(MARKED.letters))
+        for a in MARKED.letters + (ENDMARKER,):
+            kind = draw(st.sampled_from(("copy",) * 6 + ("silent",) * 2 + ("other", "none")))
+            if a == turn or a is ENDMARKER and q % 2:
+                tr[(q, a)] = (tuple(draw(outputs)), RIGHT if a is ENDMARKER else back, (q + 1) % len(states))
+            elif kind == "copy" and a is not ENDMARKER:
+                tr[(q, a)] = ((a,), draw(st.sampled_from((way,) * 5 + (back,))), q)
+            elif kind in ("copy", "silent"):
+                tr[(q, a)] = ((), way, q)
+            elif kind == "other":
+                tr[(q, a)] = (tuple(draw(outputs)), draw(st.sampled_from((LEFT, RIGHT))), draw(st.sampled_from(states)))
+    return TwoWayTransducer(states, 0, MARKED, MARKED, tr)
+
+
+def rewinder(off_the_tape):
+    """State 0 crosses a block silently, emits # and turns left at its end;
+    state 1 crosses back silently and emits b at the endmarker, or loops
+    off the tape there."""
+    tr = {(0, ENDMARKER): ((), RIGHT, 0), (0, "a"): ((), RIGHT, 0), (0, "b"): ((), RIGHT, 0),
+          (0, "#"): (("#",), LEFT, 1), (1, "a"): ((), LEFT, 1), (1, "b"): ((), LEFT, 1), (1, "#"): ((), LEFT, 1),
+          (1, ENDMARKER): ((), LEFT, 1) if off_the_tape else (("b",), RIGHT, 0)}
+    return TwoWayTransducer({0, 1}, 0, MARKED, MARKED, tr)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(machine=st.one_of(copying_machines(), copying_machines().map(lambda t: with_counting_lookbehind(t, 3)),
+                         copying_machines(max_states=2).map(lambda t: with_counting_lookbehind(t, WIDE))),
+       w=run_lassos, budget=st.one_of(st.integers(1, 6 * transducers.SLICE), st.just(DEFAULT_BUDGET)),
+       reads=st.lists(st.integers(0, 300), min_size=1, max_size=4))
+@example(mirror_blocks_2wft(AB), lasso("", "a" * 70 + "b" * 50 + "#"), DEFAULT_BUDGET, [30, 100, 121, 200])
+@example(with_counting_lookbehind(mirror_blocks_2wft(AB), 3), lasso("b", "a" * 70 + "b" * 50 + "#"), 130, [60, 250])
+@example(rewinder(False), lasso("ab" * 40, "#"), 100, [1, 2, 30])
+@example(rewinder(True), lasso("ab" * 40, "#"), DEFAULT_BUDGET, [1, 2])
+def test_batch_reads_that_copy_runs_read_like_the_dict_walk(machine, w, budget, reads):
+    # the same letters, step count and halt, at the same (pos, step, key),
+    # as the transitions dict stepped one step at a time, with reads that
+    # end inside a copied run, runs whose kind changes with the oracle's
+    # state, and foreign letters that end one
+    assert_reads_like_one_step_at_a_time(machine, w, budget, reads, walk=dict_walk)
+    assert (machine.table.cells is list) == (machine.table.width == WIDE)
+
+
+# a slice's letters: one-character latin-1 ones in and out of the machines'
+# alphabets, '_' and '^' as text, letters beyond latin-1, PAD, product
+# letters, a letter of two characters, and 'c', foreign to every machine
+slice_letters = st.lists(st.sampled_from(list("ab#_^·éλ€c") + [PAD, ("a", "b"), ("b", PAD), "ab"]), max_size=70)
+
+
+def coding_tables():
+    """(table, z) pairs: a plain 2wft over ab#·éλ€; a lookbehind one whose
+    oracle stays in "closed" on every letter and leaves "open" on a; one
+    over product letters; and the 64-state counting oracle's, whose codes
+    do not fit a byte."""
+    letters = Alphabet.of("ab#·éλ€")
+    plain = TwoWayTransducer({0}, 0, letters, letters, {(0, a): ((a,), RIGHT, 0) for a in letters.letters})
+    oracle = Dfa({"closed", "open"}, "closed", frozenset(), letters,
+                 {(z, a): "closed" if z == "closed" or a == "a" else "open"
+                  for z in ("closed", "open") for a in letters.letters})
+    tr = {(0, a, z): ((a,), RIGHT, 0) for a in letters.letters for z in ("closed", "open")}
+    behind = LookbehindTransducer({0}, 0, letters, letters, tr, oracle)
+    pairs = Alphabet.product(AB, AB)
+    product = TwoWayTransducer({0}, 0, pairs, pairs, {(0, a): ((a,), RIGHT, 0) for a in pairs.letters})
+    wide = with_counting_lookbehind(TwoWayTransducer({0}, 0, MARKED, MARKED, {}), WIDE)
+    return ([(plain.table, 0), (product.table, 0)] + [(behind.table, behind.oracle.index[z]) for z in ("closed", "open")]
+            + [(wide.table, z) for z in (0, 1, 63)])
+
+
+@PROPERTY
+@given(letters=slice_letters, case=st.sampled_from(coding_tables()))
+@example(list("ab#·é"), coding_tables()[2])
+@example(list("aab#c"), coding_tables()[2])
+def test_a_translated_slice_codes_as_letter_by_letter(letters, case):
+    # the cell codes, the oracle state after them and the stuck cell after
+    # a letter the oracle has no move on are those of the per-letter loop
+    table, z = case
+    codes, after = table.translate(letters, z)
+    want, want_after = table.encode(letters, z)
+    assert (list(codes), after) == (want, want_after)
+    fast = all(type(a) is str and a in "ab#·é" and a in table.code for a in letters) and table.cells is bytearray
+    if fast and (table.zrows is None or table.znames[z] == "closed"):
+        assert type(codes) is bytes  # in one C-level pass
 
 
 @settings(PROPERTY, max_examples=300)

@@ -43,6 +43,7 @@ from advicebench.words import (
     PAD,
     Alphabet,
     ConstantWord,
+    FiniteWord,
     LassoWord,
     block_mirror,
     duplicate,
@@ -631,6 +632,59 @@ def test_a_sweep_pattern_is_compiled_on_its_states_first_sweep():
     assert run.prefix_str(5) == "aaaaa"
     assert run._engine.step_count == 107  # 102 silent steps to the #, then a step per letter
     assert [q for q, row in rows.items() if row[-1] is not None] == ["scan"]
+
+
+def test_copy_loops_are_compiled_on_their_states_first_copy():
+    # one-step walks compile no loop codes; a read that ends inside a block
+    # compiles scan's right loops and emit's left ones, and no others
+    mirror = mirror_blocks_2wft(AB)
+    w = lasso("", "a" * 100 + "#")
+    for _ in islice(_walk(mirror, w, []), 300):
+        pass
+    rows = mirror.table.rows
+    assert all(row[-1] is None and row[-2] is None for row in rows.values())
+    run = run_2wft(mirror, w)
+    assert run.prefix_str(50) == "a" * 50
+    assert run._engine.step_count == 152  # 102 silent steps to the #, then a step per letter
+    code = mirror.table.code
+    compiled = {q: (row[-2], row[-1]) for q, row in rows.items() if row[-2] or row[-1]}
+    assert compiled == {"scan": (None, (bytes([code["a"], code["b"], code[ENDMARKER]]), b"")),
+                        "emit": ((b"", bytes([code["a"], code["b"]])), None)}
+
+
+def test_a_left_run_copies_a_window_that_grows_with_the_cells_it_crosses():
+    # runs of one and two cells, read with a cap of a million, slice one
+    # window of 16 codes, not the 500 codes left of them; a run of 499
+    # slices windows that add up to about twice the run
+    mirror = mirror_blocks_2wft(AB)
+    table = mirror.table
+    sliced = []
+
+    class Codes(bytearray):
+        def __getitem__(self, index):
+            cells = super().__getitem__(index)
+            sliced.append(len(cells))
+            return cells
+
+    codes = Codes([table.first] + [table.code[a] for a in "b" * 500 + "#aaa#"] + [table.sentinel])
+    row = table.row("emit")
+    assert table.run(codes, 504, -1, 10 ** 6, row, "emit", 1) == 2
+    assert table.run(codes, 503, -1, 10 ** 6, row, "emit", 1) == 1
+    assert sliced == [16, 16]
+    assert table.run(codes, 500, -1, 10 ** 6, row, "emit", 1) == 499
+    assert sum(sliced) <= 2 * 16 + 2 * 499
+
+
+def test_a_source_with_the_empty_letter_codes_letter_by_letter():
+    # "" and "ab" join to a string as long as the two letters, which a byte
+    # table would code as a and b; the run halts on the foreign "" instead
+    letters = Alphabet(("a", "b", "#", "", "ab"))
+    w = LassoWord(FiniteWord(("a", "", "ab"), letters), FiniteWord(("#",), letters))
+    marked = Alphabet.of("ab#")
+    copier = TwoWayTransducer({0}, 0, marked, marked,
+                              {(0, a): ((a,) if a in marked else (), RIGHT, 0) for a in marked.letters + (ENDMARKER,)})
+    got, halt = run_2wft(copier, w).try_letters(5)
+    assert got == ["a"] and (halt.position, halt.step, halt.detail) == (2, 2, (0, ""))
 
 
 def test_a_constant_word_is_a_lasso():
