@@ -13,12 +13,14 @@ register moves with registers as list indices, and the tail of the
 streamed register. Entries are filled from ``transitions`` and
 ``updates`` the first time a run takes them. Register contents are ropes
 in a list (_Registers); the streamed register is never a rope, as its
-tail goes straight into the run's output list.
+tail goes straight into the run's output list. Batches sweep runs of
+register loops (see _walk_sst).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, takewhile
 
 from .advice import Dfa
 from .analysis import _validate_image
@@ -170,7 +172,7 @@ class _Registers:
     one, and the ropes of its other registers are nested behind; all of
     them are read from the old list. Either costs O(|rhs|), but the list
     copy and its call about double the step cost of machines such as
-    ``mirror_sst`` and ``interleave_sst``, which only ever go in place.
+    ``mirror_sst`` and ``interleave_sst``, whose letter steps batches sweep.
 
     The streamed register (see ``stream``) is never built as a rope: its
     letters go straight into the run's output list.
@@ -241,12 +243,18 @@ class _SstTable:
     it) for _rebuild. The tail is the list of parts the update puts behind
     the streamed register. A part is a tuple of letters or a register
     index.
+
+    A loop keeps its state, has no tail and only puts its read letter in
+    front of register i (front true) or behind it. Its rebuild slot is (i,
+    front, letters, letters.__contains__): the set in ``loops`` of the
+    letters that loop alike, filled on the state's first sweep (``loop``).
     """
 
     def __init__(self, s: "Sst"):
-        self.transitions, self.updates = s.transitions, s.updates
+        self.transitions, self.updates, self.control = s.transitions, s.updates, s.control
         self.index = {name: i for i, name in enumerate(s.registers)}
         self.rows: dict = {}
+        self.loops: dict = {}  # (state, streamed, i, front) -> the letters of those loops
 
     def row(self, state, streamed):
         row = self.rows.get((state, streamed))
@@ -262,8 +270,29 @@ class _SstTable:
         if key not in self.transitions:
             raise UndefinedTransition(pos, pos, key) from None
         q2 = self.transitions[key]
-        hit = row[a] = self._compile(self.updates[key], streamed) + (self.row(q2, streamed), q2)
+        moves, rebuild, tail = self._compile(self.updates[key], streamed)
+        if side := q2 == state and self._side(a, moves, rebuild, tail):
+            loop = self.loops.setdefault((state, streamed) + side, set())
+            rebuild = side + (loop, loop.__contains__)
+        hit = row[a] = (moves, rebuild, tail, self.row(q2, streamed), q2)
         return hit
+
+    @staticmethod
+    def _side(a, moves, rebuild, tail):
+        """(i, front) when an update only puts ``a`` in front of register i
+        (front true) or behind it, else None."""
+        if rebuild or tail or len(moves) != 1 or moves[0][1:] not in (((a,), ()), ((), (a,))):
+            return None
+        return moves[0][0], moves[0][1] == (a,)
+
+    def loop(self, state, streamed, letters):
+        """Fill the letter sets of all loops of ``state``, reading its letters
+        off the control's row, on its first sweep; returns ``letters``."""
+        n = self.control.index[state]
+        for a, m in self.control.rows[n].items():
+            if side := m == n and self._side(a, *self._compile(self.updates[(state, a)], streamed)):
+                self.loops.setdefault((state, streamed) + side, set()).add(a)
+        return letters
 
     def _parts(self, tokens) -> list:
         parts: list = []
@@ -388,10 +417,15 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, st
     A step looks its letter up in the s.table row of its state and applies
     the entry: the streamed register's tail goes to ``out``, its letters as
     they are and its registers flattened, then the other registers move,
-    in place or into one copy of the rope list (see _SstTable). A letter the row lacks goes to _SstTable.fill, which adds
-    the entry or raises UndefinedTransition(pos, pos, (state, letter)). It
-    reads its input a ``letters_from`` chunk at a time, as _walk_one_way
-    does."""
+    in place or into one copy of the rope list (see _SstTable). A letter
+    the row lacks goes to _SstTable.fill, which adds the entry or raises
+    UndefinedTransition(pos, pos, (state, letter)). It reads its input a
+    ``letters_from`` chunk at a time, as _walk_one_way does.
+
+    A batch sweeps loops (see _SstTable): when the next letter loops
+    alike, the run of such letters up to ``stop`` or the chunk's end goes
+    onto the register's rope in one extend. Loops emit nothing, so steps,
+    stalls, halts and yields are those of one letter at a time."""
     table = s.table
     streamed = None if name is None else registers.stream(name, out)
     row, fill = table.row(state, streamed), table.fill
@@ -403,7 +437,9 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, st
         want, gap = ask
         start, stop = pos, pos + gap if len(out) < want else pos + 1
     while True:
-        for a in more(pos):
+        chunk = more(pos)
+        letters, at, end = iter(chunk), pos, pos + len(chunk)
+        for a in letters:
             try:
                 moves, rebuild, tail, row, q2 = row[a]
             except KeyError:
@@ -419,8 +455,17 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, st
                         emit(part)
                 if len(out) > produced:
                     stop = pos + gap if len(out) < want else pos
-            if rebuild:
+            if rebuild is True:
                 ropes = registers.ropes = _rebuild(ropes, moves)
+            elif rebuild:  # a loop: a goes in front of register i or behind it
+                i, front, loop, looping = rebuild
+                side = ropes[i].left if front else ropes[i].right
+                side.append(a)
+                if pos < stop and pos < end and chunk[pos - at] in (loop or table.loop(state, streamed, loop)):
+                    swept = len(side)  # a batch, and the next letter loops alike: sweep
+                    side += takewhile(looping, letters if end <= stop else islice(letters, stop - pos))
+                    pos += len(side) - swept
+                    letters.__setstate__(pos - at)  # takewhile took the letter after the run too
             else:
                 for i, left, right in moves:
                     rope = ropes[i]

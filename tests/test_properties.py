@@ -133,33 +133,62 @@ def simple_ssts(draw):
     return SimpleSst(states, 0, AB, AB, names, transitions, updates)
 
 
+class Value:
+    """A register value built by reground: the letters of ``parts`` in
+    turn, each part a letter or an older Value, which it shares rather
+    than copies, so a step costs the length of its update, not of the
+    registers."""
+
+    __slots__ = ("parts", "length")
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.length = sum(p.length if type(p) is Value else 1 for p in parts)
+
+    def letters(self):
+        """The letters, one at a time off a stack: values nest as deep as
+        the steps that built them."""
+        out, pending = [], [self]
+        while pending:
+            x = pending.pop()
+            if type(x) is Value:
+                pending.extend(reversed(x.parts))
+            else:
+                out.append(x)
+        return out
+
+
 def reground(sub, values, names):
-    """Register values after the update sub, each built anew from the old values."""
-    return {
-        name: [x for tok in sub.rhs(name) for x in (values[tok.name] if isinstance(tok, Reg) else (tok,))]
-        for name in names
-    }
+    """Register values after the update sub, each built anew from the old
+    values; a register set to one register takes that register's value."""
+    new = {}
+    for name in names:
+        tokens = sub.rhs(name)
+        parts = tuple(values[tok.name] if isinstance(tok, Reg) else tok for tok in tokens)
+        new[name] = parts[0] if len(tokens) == 1 and isinstance(tokens[0], Reg) else Value(parts)
+    return new
 
 
 def naive_sst(s, w, n, budget):
-    """Reference run: every register re-grounded from scratch on every step.
+    """Reference run: every register re-grounded from the old values on
+    every step, a letter of the input at a time.
 
     Returns (first n letters, halt type or None, steps taken).
     """
-    values = {name: [] for name in s.registers}
+    values = {name: Value(()) for name in s.registers}
     state, steps, spent = s.initial, 0, 0
-    while len(values[s.out]) < n:
+    while values[s.out].length < n:
         if spent >= budget:
-            return values[s.out][:n], BudgetExceeded, steps
+            return values[s.out].letters()[:n], BudgetExceeded, steps
         key = (state, w.letter(steps))
         if key not in s.transitions:
-            return values[s.out][:n], UndefinedTransition, steps
-        before = len(values[s.out])
+            return values[s.out].letters()[:n], UndefinedTransition, steps
+        before = values[s.out].length
         values = reground(s.updates[key], values, s.registers)
         state = s.transitions[key]
         steps += 1
-        spent = 0 if len(values[s.out]) > before else spent + 1
-    return values[s.out][:n], None, steps
+        spent = 0 if values[s.out].length > before else spent + 1
+    return values[s.out].letters()[:n], None, steps
 
 
 @PROPERTY
@@ -225,22 +254,22 @@ def test_general_sst_runs_like_its_simple_form(s, w):
     assert len(want) == LETTERS or isinstance(halt, BudgetExceeded)
 
 
-def naive_general_sst(s, w, n):
+def naive_general_sst(s, w, n, silent=2000):
     """Reference for a general SST's run on the lasso w: the first n
     letters of its limit, PAD after a finite one. Raises
     UndefinedTransition(pos, pos, (state, letter)) or NoOutputFunction as
     the run does.
 
-    Every register is re-grounded from scratch on every step. The run's
-    states repeat from its first repeated (state, position in the loop)
-    pair, after the preperiod; the recurring states are those of the
+    Every register is re-grounded from the old values on every step. The
+    run's states repeat from its first repeated (state, position in the
+    loop) pair, after the preperiod; the recurring states are those of the
     repeated stretch, and the output is the concatenation of the output
     registers once every later state is recurring. The registers'
     emptiness pattern at the starts of the run's cycles repeats within 2^4
     cycles for up to 4 registers, and a cycle takes at most |Q|·|v| = 15
-    steps here, so an infinite limit grows at least once every 240 steps
-    from the first repeat on, and 2000 steps without a letter mean that it
-    is finite.
+    steps on general_ssts' lassos, so an infinite limit grows at least once
+    every 240 steps from the first repeat on, and ``silent`` = 2000 steps
+    without a letter mean that it is finite.
     """
     states, seen = [s.initial], {}
     while True:
@@ -262,17 +291,18 @@ def naive_general_sst(s, w, n):
         raise NoOutputFunction(recurring)
     regs = s.output_function[recurring]
 
-    values = {name: [] for name in s.registers}
-    state, step, silent, limit = s.initial, 0, 0, []
-    while len(limit) < n and silent < 2000:
+    values = {name: Value(()) for name in s.registers}
+    state, step, quiet, grown = s.initial, 0, 0, 0
+    while grown < n and quiet < silent:
         key = (state, w.letter(step))
         values = reground(s.updates[key], values, s.registers)
         state = s.transitions[key]
         step += 1
         if step >= entry:
-            grown = [x for name in regs for x in values[name]]
-            silent = 0 if len(grown) > len(limit) else silent + 1
-            limit = grown
+            length = sum(values[name].length for name in regs)
+            quiet = 0 if length > grown else quiet + 1
+            grown = length
+    limit = [x for name in regs for x in values[name].letters()]
     return limit[:n] + [PAD] * (n - len(limit))
 
 
@@ -974,6 +1004,141 @@ def test_a_general_sst_run_meets_a_small_budget_between_letters():
     assert run_sst(s, w, budget=4).letters(50) == ["a"] * 50
     for budget in (3, 4):
         assert_reads_like_one_step_at_a_time(s, w, budget, [3, 4, 50, 2])
+
+
+@st.composite
+def looping_updates(draw, names, a, fixed=(), grows=None):
+    """An update that mostly puts the read letter ``a`` in front of one
+    register or behind it and leaves the others as they are, so that its
+    step is a register loop when it keeps its state. Now and then it puts
+    another letter there, also changes a second register, nests a second
+    register behind the first (a step through _rebuild), or puts letters,
+    and maybe a register it empties, behind ``grows``; on # it mostly
+    does the last, as the block mirror does. ``fixed`` registers stay as
+    they are, and ``grows`` only grows at its end."""
+    rhs = {name: [Reg(name)] for name in names}
+    free = [name for name in names if name not in fixed and name != grows]
+    kind = draw(st.sampled_from(("loop",) * 6 + ("other", "second", "nest") + ("tail",) * (9 if a == "#" else 2)))
+    if free:
+        i = draw(st.sampled_from(free))
+        letter = draw(st.sampled_from([b for b in MARKED.letters if b != a])) if kind == "other" else a
+        rhs[i] = [letter, Reg(i)] if draw(st.booleans()) else [Reg(i), letter]
+        others = [name for name in free if name != i]
+        if kind == "nest" and others:
+            j = draw(st.sampled_from(others))
+            rhs[i].append(Reg(j))
+            rhs[j] = draw(outputs)
+        elif kind == "second" and others:
+            j = draw(st.sampled_from(others))
+            rhs[j] = draw(st.sampled_from(([], ["b"], [Reg(j), "b"], ["a", Reg(j)])))
+    if grows is not None and (kind == "tail" or not free):
+        flushed = draw(st.sampled_from([None] + free))
+        if flushed is not None:
+            rhs[flushed] = []
+            rhs[grows].append(Reg(flushed))
+        rhs[grows] += draw(outputs)
+    return Substitution({name: tuple(tokens) for name, tokens in rhs.items()})
+
+
+@st.composite
+def looping_ssts(draw, general=False):
+    """Random SSTs over ab# whose steps are mostly register loops (see
+    looping_updates), with a few transitions missing: simple ones with out
+    and one or two other registers, or general ones with two or three
+    registers and an output register string on random sets of states, as
+    general_ssts draws them, that leaves a register to loop on."""
+    states = range(draw(st.integers(1, 3)))
+    if general:
+        names = tuple(f"r{i}" for i in range(draw(st.integers(2, 3))))
+        regs = tuple(draw(st.permutations(names))[:draw(st.integers(1, len(names) - 1))])
+        sets = [frozenset(q for q in states if mask >> q & 1) for mask in range(1, 2 ** len(states))]
+        domain = [p for p in sets if draw(st.integers(0, 7)) > 0]
+    else:
+        names = ("out",) + tuple(f"r{i}" for i in range(draw(st.integers(1, 2))))
+    transitions, updates = {}, {}
+    for q in states:
+        for a in MARKED.letters:
+            if not defined(draw):
+                continue
+            q2 = q if draw(st.integers(0, 4)) else draw(st.sampled_from(states))
+            if general:
+                bound = regs if any(q in p and q2 in p for p in domain) else ()
+                fixed, grows = bound[:-1], (bound[-1] if bound else None)
+            else:
+                fixed, grows = (), "out"
+            transitions[(q, a)] = q2
+            updates[(q, a)] = draw(looping_updates(names, a, fixed, grows))
+    if general:
+        return Sst(states, 0, MARKED, MARKED, names, transitions, updates, {p: regs for p in domain})
+    return SimpleSst(states, 0, MARKED, MARKED, names, transitions, updates)
+
+
+def word_run_lassos(longest):
+    """Lassos over ab# whose u and v are runs of up to ``longest`` copies of
+    a word of one or two letters. At 400 many periods pass CHUNK, so that
+    register loops run across the ends of input chunks."""
+    runs = st.lists(st.tuples(st.text("ab#", min_size=1, max_size=2), st.integers(1, longest)),
+                    max_size=3).map(lambda runs: "".join(x * k for x, k in runs))
+    return st.builds(lasso, runs, runs.filter(bool), st.just(MARKED))
+
+
+def leaving_loop():
+    """In state p, a and b both go in front of x, but b also moves to q,
+    where b flushes x: a sweep in p must stop at b."""
+    x, out = Reg("x"), Reg("out")
+    return SimpleSst({"p", "q"}, "p", MARKED, MARKED, ("x", "out"),
+                     {("p", "a"): "p", ("p", "b"): "q", ("q", "b"): "q", ("q", "a"): "p"},
+                     {("p", "a"): Substitution({"x": ("a", x), "out": (out,)}),
+                      ("p", "b"): Substitution({"x": ("b", x), "out": (out,)}),
+                      ("q", "b"): Substitution({"x": (), "out": (out, x)}),
+                      ("q", "a"): Substitution({"x": ("a", x), "out": (out,)})})
+
+
+loop_reads = st.lists(st.integers(0, 300), min_size=1, max_size=4)
+# mostly budgets that end inside a run of loops: a run that stalls at
+# DEFAULT_BUDGET steps takes about a second to check
+loop_budgets = st.sampled_from((1, 2, 3, 4, 5, 6, DEFAULT_BUDGET))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(s=looping_ssts(), w=word_run_lassos(400), budget=loop_budgets, reads=loop_reads)
+@example(corpus.mirror_sst(), lasso("b" * 700, "ab" * 200 + "a" * 600 + "#"), DEFAULT_BUDGET, [650, 1200, 3000])
+@example(corpus.mirror_sst(), lasso("", "a" * 600 + "#"), 3, [0, 1])
+@example(corpus.interleave_sst(), lasso("ab#", "a" * 530 + "b" * 530 + "#"), DEFAULT_BUDGET, [3, 1000, 2300])
+@example(leaving_loop(), lasso("", "aabb"), 6, [30])
+def test_batch_reads_that_sweep_register_loops_read_like_letter_by_letter(s, w, budget, reads):
+    # the letters, halt type and halt step of the naive regrounding, and the
+    # steps, halts and stalls of one step at a time, with budgets that end
+    # inside a run of loops and runs across the ends of input chunks
+    want, want_halt, steps = naive_sst(s, w, max(reads), budget)
+    got, halt = run_sst(s, w, budget=budget).try_letters(max(reads))
+    assert got == want
+    assert halt_kind(halt) is want_halt
+    assert halt is None or halt.step == steps
+    assert_reads_like_one_step_at_a_time(s, w, budget, reads)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(s=looping_ssts(general=True), w=st.one_of(word_run_lassos(20), word_run_lassos(400)), budget=loop_budgets,
+       reads=st.lists(st.integers(200, 2000), min_size=1, max_size=4))
+def test_general_sst_batch_reads_that_sweep_register_loops_read_like_letter_by_letter(s, w, budget, reads):
+    # the set-up steps whole input cycles one at a time, and the letters
+    # they put out can be many: long reads on short periods reach the
+    # batches. As naive_general_sst argues, a limit that grows does so at
+    # least once every 2^|registers| cycles of at most |Q|·|v| steps, after
+    # at most |u| + |Q|·|v| steps
+    silent = len(w.u) + (2 ** len(s.registers) + 1) * len(s.states) * len(w.v)
+    try:
+        want = naive_general_sst(s, w, max(reads), silent)
+    except (NoOutputFunction, UndefinedTransition) as exc:
+        with pytest.raises(type(exc)) as err:
+            run_sst(s, w)
+        assert err.value.args == exc.args
+        return
+    got, halt = run_sst(s, w).try_letters(max(reads))
+    assert halt is None
+    assert got == want
+    assert_reads_like_one_step_at_a_time(s, w, budget, reads)
 
 
 @st.composite

@@ -580,3 +580,38 @@ def test_an_sst_compiles_its_table_once_however_many_runs_it_has(monkeypatch):
         run.try_letters(40)
         simplify_to_simple_sst(general, source)
     assert built == [simple, general]
+
+
+def test_register_loops_are_compiled_on_their_states_first_sweep(monkeypatch):
+    # one-step walks compile no loop set; batch reads compile each state's
+    # sets once, on its first sweep, and no later run compiles them again
+    from advicebench import sst
+
+    compiled = []
+    loop = sst._SstTable.loop
+
+    def counted(self, state, streamed, letters):
+        compiled.append((state, streamed))
+        return loop(self, state, streamed, letters)
+
+    monkeypatch.setattr(sst._SstTable, "loop", counted)
+    x, y, out = Reg("x"), Reg("y"), Reg("out")
+    flip = SimpleSst({"p", "q"}, "p", AB, AB, ("x", "y", "out"),
+                     {("p", "a"): "p", ("p", "b"): "q", ("q", "b"): "q", ("q", "a"): "p"},
+                     {("p", "a"): Substitution({"x": ("a", x), "y": (y,), "out": (out,)}),
+                      ("p", "b"): Substitution({"x": (), "y": (y, "b"), "out": (out, x)}),
+                      ("q", "b"): Substitution({"x": (x,), "y": (y, "b"), "out": (out,)}),
+                      ("q", "a"): Substitution({"x": ("a",), "y": (), "out": (out, y)})})
+    w = lasso("", "a" * 300 + "b" * 300)
+    walk = sst._walk_sst(flip, w, [], sst._Registers(flip.registers), "out", "p", 0)
+    for _ in range(1000):
+        next(walk)
+    assert compiled == [] and not any(flip.table.loops.values())
+    for _ in range(2):
+        assert run_sst(flip, w).prefix_str(1200) == ("a" * 300 + "b" * 300) * 2
+    assert compiled == [("p", 2), ("q", 2)]
+    assert flip.table.loops == {("p", 2, 0, True): {"a"}, ("q", 2, 1, False): {"b"}}
+    mirror = corpus.mirror_sst()
+    assert run_sst(mirror, lasso("", "a" * 600 + "b" * 600 + "#")).prefix_str(1201) == "b" * 600 + "a" * 600 + "#"
+    assert compiled[2:] == [("q", 1)]
+    assert mirror.table.loops == {("q", 1, 0, True): {"a", "b"}}
