@@ -119,7 +119,7 @@ class Workspace:
 
 
 def _run_machine(machine, source, budget):
-    if isinstance(machine, SimpleSst) or isinstance(machine, Sst):
+    if isinstance(machine, Sst):  # a SimpleSst too
         return run_sst(machine, source, budget)
     if isinstance(machine, OneWayTransducer):
         return run_1wft(machine, source, budget)
@@ -350,10 +350,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, stdout)
         os.close(devnull)
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, UnresolvedReference) as exc:
+    except (UsageError, ParseError, UnresolvedReference) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AdviceBenchError as exc:

@@ -247,11 +247,11 @@ class _SstTable:
     A loop keeps its state, has no tail and only puts its read letter in
     front of register i (front true) or behind it. Its rebuild slot is (i,
     front, letters, letters.__contains__): the set in ``loops`` of the
-    letters that loop alike, filled on the state's first sweep (``loop``).
+    letters whose filled entries in the row loop alike, each added by fill.
     """
 
     def __init__(self, s: "Sst"):
-        self.transitions, self.updates, self.control = s.transitions, s.updates, s.control
+        self.transitions, self.updates = s.transitions, s.updates
         self.index = {name: i for i, name in enumerate(s.registers)}
         self.rows: dict = {}
         self.loops: dict = {}  # (state, streamed, i, front) -> the letters of those loops
@@ -273,6 +273,7 @@ class _SstTable:
         moves, rebuild, tail = self._compile(self.updates[key], streamed)
         if side := q2 == state and self._side(a, moves, rebuild, tail):
             loop = self.loops.setdefault((state, streamed) + side, set())
+            loop.add(a)
             rebuild = side + (loop, loop.__contains__)
         hit = row[a] = (moves, rebuild, tail, self.row(q2, streamed), q2)
         return hit
@@ -284,15 +285,6 @@ class _SstTable:
         if rebuild or tail or len(moves) != 1 or moves[0][1:] not in (((a,), ()), ((), (a,))):
             return None
         return moves[0][0], moves[0][1] == (a,)
-
-    def loop(self, state, streamed, letters):
-        """Fill the letter sets of all loops of ``state``, reading its letters
-        off the control's row, on its first sweep; returns ``letters``."""
-        n = self.control.index[state]
-        for a, m in self.control.rows[n].items():
-            if side := m == n and self._side(a, *self._compile(self.updates[(state, a)], streamed)):
-                self.loops.setdefault((state, streamed) + side, set()).add(a)
-        return letters
 
     def _parts(self, tokens) -> list:
         parts: list = []
@@ -461,7 +453,7 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, st
                 i, front, loop, looping = rebuild
                 side = ropes[i].left if front else ropes[i].right
                 side.append(a)
-                if pos < stop and pos < end and chunk[pos - at] in (loop or table.loop(state, streamed, loop)):
+                if pos < stop and pos < end and chunk[pos - at] in loop:
                     swept = len(side)  # a batch, and the next letter loops alike: sweep
                     side += takewhile(looping, letters if end <= stop else islice(letters, stop - pos))
                     pos += len(side) - swept
@@ -587,7 +579,11 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
     Freezes the register values at the entry into the recurring states,
     installs them with a prologue line of fresh states, then mimics the
     final output register through a new ``out`` register. The result only
-    promises the same output on the given input.
+    promises the same output on the given input, and a finite limit only up
+    to its end: there the simple form prints the limit's letters and then
+    stalls, where the general run pads with ``_``. On a·b^ω,
+    ``corpus.finite_output_sst()`` prints ab__… and its simple form ab,
+    then raises BudgetExceeded at step 100001 under the default budget.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("simplification is relative to an ultimately periodic input")

@@ -138,7 +138,10 @@ class _TwoWayTable(_Rows):
 
     A batch's codes are ``cells``: bytes when every code fits one, and then
     a loop's entry emits a list (see _walk's sweeps): a loop is a self-loop
-    that emits nothing, or its cell's letter.
+    that emits nothing, or its cell's letter. fill also records a loop's
+    code in its row, on the last slot for a right move and the one before
+    for a left one: a pair of bytearrays, (silent, copying), made on the
+    first such loop. A record holds the codes of exactly the filled loops.
     """
 
     def __init__(self, t):
@@ -216,18 +219,20 @@ class _TwoWayTable(_Rows):
         if value is None:
             raise UndefinedTransition(pos, step, key)
         out, move, q2 = value
-        if q2 == state and self.cells is bytearray and out in ((), (tape[pos],)):
+        if q2 == state and self.cells is bytearray and out in ((), (tape[pos],)):  # a loop: record its code
+            slot = -1 if move == RIGHT else -2
+            loops = row[slot] = row[slot] or (bytearray(), bytearray())
+            loops[len(out)].append(cell)
             out = list(out) if out else _LOOP
         hit = row[cell] = (out, 1 if move == RIGHT else -1, self.row(q2), q2)
         return hit
 
-    def run(self, codes, pos, move, cap, row, state, kind):
+    def run(self, codes, pos, move, cap, row, kind):
         """How many cells past ``pos`` in direction ``move``, at most ``cap``,
-        ``state`` takes loops of ``kind`` (0 silent, 1 copying) on in turn,
-        found by stripping loop codes off windows of ``codes`` that double in
-        length. The codes are compiled from ``transitions`` on the first sweep
-        that way, into the row's last slot (right) or the one before (left)."""
-        loops = (row[-1 - (move < 0)] or self.loops(row, move, state))[kind]
+        the row's state takes loops of ``kind`` (0 silent, 1 copying) on in
+        turn, found by stripping the codes fill recorded for them off windows
+        of ``codes`` that double in length."""
+        loops = row[-1 - (move < 0)][kind]
         crossed, run, width = 0, 8, 8
         while run == width and crossed < cap:
             width *= 2
@@ -236,16 +241,6 @@ class _TwoWayTable(_Rows):
             run = min(len(cells) - len(cells.lstrip(loops)), cap - crossed)
             crossed += run
         return crossed
-
-    def loops(self, row, move, state):
-        slot, move = (-1, RIGHT) if move > 0 else (-2, LEFT)
-        loops = row[slot] = (bytearray(), bytearray())
-        for a, c in self.code.items():
-            for z, zname in enumerate(self.znames):
-                value = self.transitions.get((state, a) if self.zrows is None else (state, a, zname))
-                if value in (((), move, state), ((a,), move, state)):
-                    loops[len(value[0])].append(c + z)
-        return loops
 
 
 class _Transducer:
@@ -527,9 +522,11 @@ def _walk(t, source, out):
 
     A batch sweeps loops when every code fits a byte (the first batch makes
     ``codes`` a bytearray; one-step mode keeps a list, which indexes
-    faster): a step on a loop crosses the run of cells its state loops on
-    that way (_TwoWayTable.run), a silent one up to ``stop``, a copying
-    one up to the last letter wanted, emitting the run as one tape slice.
+    faster): a step on a loop, when the next cell's entry is a filled loop
+    of the same kind and move, crosses the run of cells whose codes the row
+    records for such loops (_TwoWayTable.run), a silent one up to ``stop``,
+    a copying one up to the last letter wanted, emitting the run as one
+    tape slice.
     So steps, stalls, halts and yields are those of one cell at a time. A
     batch codes slices with _TwoWayTable.translate, unless the empty letter
     is in the source's alphabet (a slice could join to a string as long).
@@ -568,17 +565,17 @@ def _walk(t, source, out):
             emit(emitted)
             if len(out) >= want:
                 stop = step + 1
-            elif (type(emitted) is not list
-                  or type((nxt := row[codes[pos + move]] or hit)[0]) is not list or nxt[1] != move):
+            elif (type(emitted) is not list or not (nxt := row[codes[pos + move]])
+                  or type(nxt[0]) is not list or nxt[0] is _LOOP or nxt[1] != move):
                 stop = step + 1 + gap
-            else:  # a copying loop, and maybe the next cell's: copy on, at most to the last letter wanted
-                crossed = table.run(codes, pos, move, want - len(out), row, state, 1)
+            else:  # a copying loop, and the next cell's: copy on, at most to the last letter wanted
+                crossed = table.run(codes, pos, move, want - len(out), row, 1)
                 emit(tape[pos + move:pos + move * (crossed + 1):move])
                 pos, step = pos + move * crossed, step + crossed
                 stop = step + 1 + gap if len(out) < want else step + 1
-        elif (emitted is _LOOP and stop - step > 1  # a silent loop, and maybe the next cell's: sweep on to stop
-              and (nxt := row[codes[pos + move]] or hit)[0] is _LOOP and nxt[1] == move):
-            crossed = table.run(codes, pos, move, stop - step - 1, row, state, 0)
+        elif (emitted is _LOOP and stop - step > 1  # a silent loop, and the next cell's: sweep on to stop
+              and (nxt := row[codes[pos + move]]) and nxt[0] is _LOOP and nxt[1] == move):
+            crossed = table.run(codes, pos, move, stop - step - 1, row, 0)
             pos, step = pos + move * crossed, step + crossed
         pos += move
         step += 1

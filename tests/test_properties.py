@@ -238,6 +238,7 @@ def general_ssts(draw):
 
 @settings(PROPERTY, max_examples=400)  # few runs enter their recurring states in the preperiod
 @given(s=general_ssts(), w=lassos)
+@example(corpus.finite_output_sst(), lasso("a", "b", AB))  # ab__… against ab, then a stall
 def test_general_sst_runs_like_its_simple_form(s, w):
     try:
         simple = simplify_to_simple_sst(s, w)
@@ -1139,6 +1140,112 @@ def test_general_sst_batch_reads_that_sweep_register_loops_read_like_letter_by_l
     assert halt is None
     assert got == want
     assert_reads_like_one_step_at_a_time(s, w, budget, reads)
+
+
+def assert_two_way_records_hold_the_filled_loops(t):
+    """Every loop record of t's table holds exactly the codes whose filled
+    entries in its row keep the state, move that way and emit nothing
+    (silent) or their cell's letter (copying); there are none when cell
+    codes do not fit a byte."""
+    table = t.table
+    letters = t.input_alphabet.letters + t.extra_reads
+    for row in table.rows.values():
+        for slot, move in ((-1, 1), (-2, -1)):
+            want: tuple = ([], [])
+            for c, hit in enumerate(row[:table.foreign]):
+                if hit is not None and hit[2] is row and hit[1] == move:
+                    a = letters[c // table.width]
+                    if tuple(hit[0]) in ((), (a,)):
+                        want[len(hit[0])].append(c)
+            if table.cells is list:
+                assert row[slot] is None
+            else:
+                assert [sorted(codes) for codes in row[slot] or (b"", b"")] == list(want)
+
+
+def assert_sst_records_hold_the_filled_loops(s):
+    """Every letter set of s's table holds exactly the letters whose filled
+    entries in its row keep the state and only put the letter in front of
+    its register, or behind it, which is not the streamed one."""
+    table = s.table
+    want: dict = {}
+    for (state, streamed), row in table.rows.items():
+        for a in row:
+            moved = [(name, rhs) for name, rhs in s.updates[(state, a)].items() if rhs != (Reg(name),)]
+            if s.transitions[(state, a)] == state and len(moved) == 1:
+                (name, rhs), = moved
+                if table.index[name] != streamed and rhs in ((a, Reg(name)), (Reg(name), a)):
+                    want.setdefault((state, streamed, table.index[name], rhs[0] == a), set()).add(a)
+    assert table.loops == want
+
+
+def copier_of_a():
+    """Copies a and crosses b silently, both to the right: copying loops
+    next to silent ones."""
+    return TwoWayTransducer({0}, 0, MARKED, MARKED, {(0, ENDMARKER): ((), RIGHT, 0), (0, "a"): (("a",), RIGHT, 0),
+                                                     (0, "b"): ((), RIGHT, 0), (0, "#"): (("#",), RIGHT, 0)})
+
+
+record_budgets = st.one_of(st.integers(1, 6), st.just(DEFAULT_BUDGET))
+record_reads = st.lists(st.integers(0, 120), min_size=1, max_size=4)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(case=st.one_of(
+    st.tuples(st.one_of(two_way_machines(), two_way_machines().map(with_parity_lookbehind)), lassos),
+    st.tuples(st.one_of(sweeping_machines(), copying_machines(),
+                        copying_machines().map(lambda t: with_counting_lookbehind(t, 3)),
+                        copying_machines(max_states=2).map(lambda t: with_counting_lookbehind(t, WIDE))),
+              run_lassos)),
+       walked=st.integers(0, 300), budget=record_budgets, reads=record_reads)
+@example((mirror_blocks_2wft(AB), lasso("", "a" * 70 + "b#")), 0, DEFAULT_BUDGET, [100])  # a copying loop next to an unfilled cell
+@example((copier_of_a(), lasso("", "ab" * 40 + "#")), 0, DEFAULT_BUDGET, [100])
+def test_two_way_loop_records_hold_exactly_the_filled_loops(case, walked, budget, reads):
+    # after a one-step walk and after each batch read on the same table;
+    # and every sweep that the reads start crosses at least one cell
+    machine, w = case
+    crossings = []
+    run = transducers._TwoWayTable.run
+
+    def counted(*args):
+        crossings.append(run(*args))
+        return crossings[-1]
+
+    transducers._TwoWayTable.run = counted
+    try:
+        try:
+            for _ in islice(_walk(machine, w, []), walked + 1):
+                pass
+        except (UndefinedTransition, MovedLeftOfEndmarker):
+            pass
+        assert_two_way_records_hold_the_filled_loops(machine)
+        outcome = _run_machine(machine, w, budget)
+        for n in reads:
+            outcome.try_letters(n)
+            assert_two_way_records_hold_the_filled_loops(machine)
+    finally:
+        transducers._TwoWayTable.run = run
+    assert 0 not in crossings
+
+
+@settings(PROPERTY, max_examples=150)
+@given(case=st.one_of(st.tuples(simple_ssts(), lassos), st.tuples(looping_ssts(), word_run_lassos(400))),
+       walked=st.integers(0, 300), budget=record_budgets, reads=record_reads)
+@example((leaving_loop(), lasso("", "aabb")), 0, DEFAULT_BUDGET, [30])
+def test_sst_loop_records_hold_exactly_the_filled_loops(case, walked, budget, reads):
+    # after a one-step walk and after each batch read on the same table
+    s, w = case
+    walk = _walk_sst(s, w, [], _Registers(s.registers), s.out, s.initial, 0)
+    try:
+        for _ in islice(walk, walked + 1):
+            pass
+    except UndefinedTransition:
+        pass
+    assert_sst_records_hold_the_filled_loops(s)
+    outcome = run_sst(s, w, budget)
+    for n in reads:
+        outcome.try_letters(n)
+        assert_sst_records_hold_the_filled_loops(s)
 
 
 @st.composite

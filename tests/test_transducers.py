@@ -618,37 +618,43 @@ def test_a_machine_compiles_its_table_once_however_many_runs_it_has(monkeypatch)
     assert builds == {"_OneWayTable": 1, "_TwoWayTable": 2}
 
 
-def test_a_sweep_pattern_is_compiled_on_its_states_first_sweep():
-    # one-step walks never sweep; a read compiles the pattern of the state
-    # it sweeps in, scan, and of no other
+def test_a_one_step_walk_records_the_loops_it_fills():
+    # filling a loop's entry records its code in its row, by kind and move,
+    # in one-step walks too; a read over the same cells records nothing more
     mirror = mirror_blocks_2wft(AB)
     w = lasso("", "a" * 100 + "#")
     for _ in islice(_walk(mirror, w, []), 300):
         pass
-    rows = mirror.table.rows
+    rows, code = mirror.table.rows, mirror.table.code
     assert mirror.table.cells is bytearray
-    assert all(row[-1] is None for row in rows.values())
+    recorded = {q: (row[-2], row[-1]) for q, row in rows.items() if row[-2] or row[-1]}
+    want = {"scan": (None, (bytes([code[ENDMARKER], code["a"]]), b"")),
+            "emit": ((b"", bytes([code["a"]])), None),
+            "skip": (None, (bytes([code["a"]]), b""))}
+    assert recorded == want
     run = run_2wft(mirror, w)
     assert run.prefix_str(5) == "aaaaa"
     assert run._engine.step_count == 107  # 102 silent steps to the #, then a step per letter
-    assert [q for q, row in rows.items() if row[-1] is not None] == ["scan"]
+    assert {q: (row[-2], row[-1]) for q, row in rows.items() if row[-2] or row[-1]} == want
 
 
-def test_copy_loops_are_compiled_on_their_states_first_copy():
-    # one-step walks compile no loop codes; a read that ends inside a block
-    # compiles scan's right loops and emit's left ones, and no others
+def test_copy_loops_are_recorded_as_their_entries_fill():
+    # a read records the loops it fills and no others: b, which the first
+    # lasso lacks, joins scan's right loops and emit's left ones when a
+    # second read first steps on it
     mirror = mirror_blocks_2wft(AB)
-    w = lasso("", "a" * 100 + "#")
-    for _ in islice(_walk(mirror, w, []), 300):
-        pass
-    rows = mirror.table.rows
-    assert all(row[-1] is None and row[-2] is None for row in rows.values())
-    run = run_2wft(mirror, w)
+    run = run_2wft(mirror, lasso("", "a" * 100 + "#"))
     assert run.prefix_str(50) == "a" * 50
     assert run._engine.step_count == 152  # 102 silent steps to the #, then a step per letter
-    code = mirror.table.code
-    compiled = {q: (row[-2], row[-1]) for q, row in rows.items() if row[-2] or row[-1]}
-    assert compiled == {"scan": (None, (bytes([code["a"], code["b"], code[ENDMARKER]]), b"")),
+    rows, code = mirror.table.rows, mirror.table.code
+    recorded = {q: (row[-2], row[-1]) for q, row in rows.items() if row[-2] or row[-1]}
+    assert recorded == {"scan": (None, (bytes([code[ENDMARKER], code["a"]]), b"")),
+                        "emit": ((b"", bytes([code["a"]])), None)}
+    run = run_2wft(mirror, lasso("", "b" * 100 + "#"))
+    assert run.prefix_str(50) == "b" * 50
+    assert run._engine.step_count == 152
+    recorded = {q: (row[-2], row[-1]) for q, row in rows.items() if row[-2] or row[-1]}
+    assert recorded == {"scan": (None, (bytes([code[ENDMARKER], code["a"], code["b"]]), b"")),
                         "emit": ((b"", bytes([code["a"], code["b"]])), None)}
 
 
@@ -666,12 +672,16 @@ def test_a_left_run_copies_a_window_that_grows_with_the_cells_it_crosses():
             sliced.append(len(cells))
             return cells
 
-    codes = Codes([table.first] + [table.code[a] for a in "b" * 500 + "#aaa#"] + [table.sentinel])
+    tape = [ENDMARKER] + list("b" * 500 + "#aaa#")
+    cells = bytearray([table.code[a] for a in tape] + [table.sentinel])
     row = table.row("emit")
-    assert table.run(codes, 504, -1, 10 ** 6, row, "emit", 1) == 2
-    assert table.run(codes, 503, -1, 10 ** 6, row, "emit", 1) == 1
+    for pos in (1, 502):  # emit's entries on b and a: they record its copying left loops
+        table.fill(tape, cells, pos, 0, "emit", row)
+    codes = Codes(cells)
+    assert table.run(codes, 504, -1, 10 ** 6, row, 1) == 2
+    assert table.run(codes, 503, -1, 10 ** 6, row, 1) == 1
     assert sliced == [16, 16]
-    assert table.run(codes, 500, -1, 10 ** 6, row, "emit", 1) == 499
+    assert table.run(codes, 500, -1, 10 ** 6, row, 1) == 499
     assert sum(sliced) <= 2 * 16 + 2 * 499
 
 
