@@ -526,10 +526,10 @@ def _walk(t, source, out):
     of the same kind and move, crosses the run of cells whose codes the row
     records for such loops (_TwoWayTable.run), a silent one up to ``stop``,
     a copying one up to the last letter wanted, emitting the run as one
-    tape slice.
-    So steps, stalls, halts and yields are those of one cell at a time. A
-    batch codes slices with _TwoWayTable.translate, unless the empty letter
-    is in the source's alphabet (a slice could join to a string as long).
+    tape slice. So steps, stalls, halts and yields are those of one cell at
+    a time. A batch codes slices with _TwoWayTable.translate, unless the
+    empty letter is in the source's alphabet (a slice could join to a
+    string as long).
     """
     table = t.table
     more, emit, encode, sentinel = source.letters_from, out.extend, table.encode, table.sentinel

@@ -1151,7 +1151,7 @@ def assert_two_way_records_hold_the_filled_loops(t):
     letters = t.input_alphabet.letters + t.extra_reads
     for row in table.rows.values():
         for slot, move in ((-1, 1), (-2, -1)):
-            want: tuple = ([], [])
+            want = [[], []]
             for c, hit in enumerate(row[:table.foreign]):
                 if hit is not None and hit[2] is row and hit[1] == move:
                     a = letters[c // table.width]
@@ -1160,7 +1160,7 @@ def assert_two_way_records_hold_the_filled_loops(t):
             if table.cells is list:
                 assert row[slot] is None
             else:
-                assert [sorted(codes) for codes in row[slot] or (b"", b"")] == list(want)
+                assert [sorted(codes) for codes in row[slot] or (b"", b"")] == want
 
 
 def assert_sst_records_hold_the_filled_loops(s):
@@ -1186,10 +1186,6 @@ def copier_of_a():
                                                      (0, "b"): ((), RIGHT, 0), (0, "#"): (("#",), RIGHT, 0)})
 
 
-record_budgets = st.one_of(st.integers(1, 6), st.just(DEFAULT_BUDGET))
-record_reads = st.lists(st.integers(0, 120), min_size=1, max_size=4)
-
-
 @settings(PROPERTY, max_examples=200)
 @given(case=st.one_of(
     st.tuples(st.one_of(two_way_machines(), two_way_machines().map(with_parity_lookbehind)), lassos),
@@ -1197,8 +1193,8 @@ record_reads = st.lists(st.integers(0, 120), min_size=1, max_size=4)
                         copying_machines().map(lambda t: with_counting_lookbehind(t, 3)),
                         copying_machines(max_states=2).map(lambda t: with_counting_lookbehind(t, WIDE))),
               run_lassos)),
-       walked=st.integers(0, 300), budget=record_budgets, reads=record_reads)
-@example((mirror_blocks_2wft(AB), lasso("", "a" * 70 + "b#")), 0, DEFAULT_BUDGET, [100])  # a copying loop next to an unfilled cell
+       walked=st.integers(0, 300), budget=loop_budgets, reads=reads)
+@example((mirror_blocks_2wft(AB), lasso("", "a" * 70 + "b#")), 0, DEFAULT_BUDGET, [100])  # copies onto an unfilled cell
 @example((copier_of_a(), lasso("", "ab" * 40 + "#")), 0, DEFAULT_BUDGET, [100])
 def test_two_way_loop_records_hold_exactly_the_filled_loops(case, walked, budget, reads):
     # after a one-step walk and after each batch read on the same table;
@@ -1230,7 +1226,7 @@ def test_two_way_loop_records_hold_exactly_the_filled_loops(case, walked, budget
 
 @settings(PROPERTY, max_examples=150)
 @given(case=st.one_of(st.tuples(simple_ssts(), lassos), st.tuples(looping_ssts(), word_run_lassos(400))),
-       walked=st.integers(0, 300), budget=record_budgets, reads=record_reads)
+       walked=st.integers(0, 300), budget=loop_budgets, reads=reads)
 @example((leaving_loop(), lasso("", "aabb")), 0, DEFAULT_BUDGET, [30])
 def test_sst_loop_records_hold_exactly_the_filled_loops(case, walked, budget, reads):
     # after a one-step walk and after each batch read on the same table
