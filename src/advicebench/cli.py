@@ -17,7 +17,14 @@ from . import corpus
 from .analysis import Equal, padding_check, prefix_equiv, subword_complexity
 from .checks import SUITES, run_suite
 from .documents import dumps, load_document, machine_from_doc, machine_to_doc
-from .errors import AdviceBenchError, InvariantViolation, NotDeterministic, ParseError, UnresolvedReference
+from .errors import (
+    AdviceBenchError,
+    AdviceNotLasso,
+    InvariantViolation,
+    NotDeterministic,
+    ParseError,
+    UnresolvedReference,
+)
 from .ltl import parse_formula
 from .pi_transforms import direction_partition, normalize_directions_on_pi, one_way_simulation_on_pi
 from .sst import Sst, SimpleSst, compile_sst_to_2wftb, eliminate_lookbehind_lasso, run_sst, simplify_to_simple_sst
@@ -350,7 +357,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, stdout)
         os.close(devnull)
         return 1
-    except (UsageError, ParseError, UnresolvedReference) as exc:
+    except (UsageError, ParseError, UnresolvedReference, AdviceNotLasso) as exc:
+        # a word that is not a lasso is the caller's choice of word, for a run too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AdviceBenchError as exc:

@@ -14,10 +14,12 @@ streamed register. Entries are filled from ``transitions`` and
 ``updates`` the first time a run takes them. Register contents are ropes
 in a list (_Registers); the streamed register is never a rope, as its
 tail goes straight into the run's output list. Batches sweep runs of
-register loops (see _walk_sst).
+register loops (see _walk_sst). A general machine runs as its simple form
+on its lasso input (see run_sst), so every run steps a simple machine.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, takewhile
@@ -26,8 +28,10 @@ from .advice import Dfa
 from .analysis import _validate_image
 from .errors import (
     AdviceNotLasso,
+    InvariantViolation,
     MalformedSimpleSst,
     NoOutputFunction,
+    NonProductive,
     UndefinedTransition,
 )
 from .transducers import (
@@ -42,6 +46,7 @@ from .transducers import (
     _cut_image,
     _oracle_cycle,
     _walk_to_image,
+    lasso_image,
 )
 from .words import InfiniteWord, LassoWord, PAD
 
@@ -174,38 +179,18 @@ class _Registers:
     copy and its call about double the step cost of machines such as
     ``mirror_sst`` and ``interleave_sst``, whose letter steps batches sweep.
 
-    The streamed register (see ``stream``) is never built as a rope: its
-    letters go straight into the run's output list.
+    A walk's streamed register (see _walk_sst) is never built as a rope:
+    its letters go straight into the run's output list.
     """
 
     def __init__(self, names):
         self.names = tuple(names)
         self.ropes = [_Rope() for _ in self.names]
-        self.streamed = None
-        self.out, self.mark = None, 0
-
-    def stream(self, name, out) -> int:
-        """Put the letters of register ``name`` in ``out`` and stream it from
-        now on; returns its index. Later updates of it only append to it,
-        so its letters go to ``out`` as the updates come."""
-        i = self.streamed = self.names.index(name)
-        self.out, self.mark = out, len(out)
-        _flatten(self.ropes[i], out)
-        self.ropes[i] = _Rope()
-        return i
 
     def letters(self, name) -> list:
         out: list = []
         _flatten(self.ropes[self.names.index(name)], out)
         return out
-
-    def nonempty(self) -> frozenset:
-        """The registers holding letters; the streamed one counts once it
-        has put a letter in the output."""
-        full = {name for name, rope in zip(self.names, self.ropes) if rope.left or rope.right}
-        if self.streamed is not None and len(self.out) > self.mark:
-            full.add(self.names[self.streamed])
-        return frozenset(full)
 
 
 def _rebuild(ropes: list, moves) -> list:
@@ -299,9 +284,9 @@ class _SstTable:
 
     def _compile(self, sub: Substitution, streamed):
         """(moves, rebuild, tail) of one update. The streamed register's
-        right-hand side starts with itself: a simple machine's output
-        register does, and so does the last output register on the
-        recurring states of a general one."""
+        right-hand side starts with itself, as a simple machine's output
+        register does: only simple machines stream, general ones through
+        their simple forms (see run_sst)."""
         tail: list = []
         moves = []
         rebuild = False
@@ -400,11 +385,15 @@ class SimpleSst(Sst):
                     raise MalformedSimpleSst(f"register {name} mentions {out}")
 
 
-def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, state, pos):
-    """Run s from ``state`` before letter ``pos`` with ``registers`` in the
-    two modes of transducers._walk: yields (state, pos) before every step,
-    or a batch's step count. Register ``name`` (None for none) is streamed
-    into ``out`` (see _Registers.stream).
+def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name):
+    """Run s from its initial state on ``registers``, which start empty.
+    Register ``name`` (None for none) is streamed into ``out``: its letters
+    go there as the updates append them, and it is never built as a rope.
+    The first yield is the initial configuration (state, pos). Every later
+    resumption is a batch, as in transducers._walk: ``send((want, gap))``
+    steps until ``out`` holds ``want`` letters, or ``gap`` steps in a row
+    emitted nothing, and yields the number of steps; it takes its first
+    step unasked, so ``send((0, 1))`` takes exactly one.
 
     A step looks its letter up in the s.table row of its state and applies
     the entry: the streamed register's tail goes to ``out``, its letters as
@@ -419,15 +408,13 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, st
     onto the register's rope in one extend. Loops emit nothing, so steps,
     stalls, halts and yields are those of one letter at a time."""
     table = s.table
-    streamed = None if name is None else registers.stream(name, out)
+    state, pos = s.initial, 0
+    streamed = None if name is None else registers.names.index(name)
     row, fill = table.row(state, streamed), table.fill
     more, emit = source.letters_from, out.extend
     ropes = registers.ropes
-    want = gap = stop = 0  # one-step mode: stop <= pos, so every step yields
-    ask = yield state, pos
-    if ask is not None:
-        want, gap = ask
-        start, stop = pos, pos + gap if len(out) < want else pos + 1
+    want, gap = yield state, pos
+    start, stop = pos, pos + gap if len(out) < want else pos + 1
     while True:
         chunk = more(pos)
         letters, at, end = iter(chunk), pos, pos + len(chunk)
@@ -454,7 +441,7 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, st
                 side = ropes[i].left if front else ropes[i].right
                 side.append(a)
                 if pos < stop and pos < end and chunk[pos - at] in loop:
-                    swept = len(side)  # a batch, and the next letter loops alike: sweep
+                    swept = len(side)  # the next letter loops alike: sweep
                     side += takewhile(looping, letters if end <= stop else islice(letters, stop - pos))
                     pos += len(side) - swept
                     letters.__setstate__(pos - at)  # takewhile took the letter after the run too
@@ -469,103 +456,76 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name, st
                     if right:
                         rope.right += right
             if pos >= stop:
-                ask = yield (state, pos) if ask is None else pos - start
-                if ask is None:
-                    want = gap = 0
-                else:
-                    want, gap = ask
-                    start, stop = pos, pos + gap if len(out) < want else pos + 1
+                want, gap = yield pos - start
+                start, stop = pos, pos + gap if len(out) < want else pos + 1
 
 
 class _SimpleSstEngine(_Engine):
     def __init__(self, s: SimpleSst, source: InfiniteWord):
         out: list = []
-        registers = _Registers(s.registers)
-        super().__init__(s, out, _walk_sst(s, source, out, registers, s.out, s.initial, 0))
+        super().__init__(s, out, _walk_sst(s, source, out, _Registers(s.registers), s.out))
 
 
-class _GeneralSstEngine(_Engine):
+class _GeneralSstEngine(_SimpleSstEngine):
+    """A general run is the run of its simple form (simplify_to_simple_sst),
+    every step counted, the prologue too. At the end of a finite limit the
+    simple form stalls; once it has stalled with every letter of the limit
+    out, each later step puts out a PAD."""
+
     def __init__(self, s: Sst, source: LassoWord):
-        out: list = []
-        super().__init__(s, out, _walk_limit(s, source, out))
+        self.simple, self.source = simplify_to_simple_sst(s, source), source
+        self.padding = False
+        super().__init__(self.simple, source)
 
+    @cached_property
+    def limit(self):
+        """The limit's length, from the simple form's exact image (see
+        compile_sst_to_2wftb); asked for at the first stall only."""
+        image = lasso_image(compile_sst_to_2wftb(self.simple), self.source)
+        if isinstance(image, LassoWord):
+            return math.inf
+        if not isinstance(image.reason, NonProductive):
+            raise InvariantViolation(f"the simple form of a general run halts: {image.reason}")
+        return len(image.word)
 
-def _walk_limit(s: Sst, source: LassoWord, out):
-    """Stream the limit of the output registers of s on a lasso. The first
-    resumption does all the set-up; later ones go to the final register's
-    walk, in either mode of transducers._walk.
-
-    The non-final output registers freeze once the run stays on its
-    recurring states; the final one grows at its end. Whether the limit is
-    finite is decided exactly: per input cycle, the emptiness pattern of
-    the registers follows a deterministic map on a finite set, so once a
-    pattern repeats with no emission in between, nothing ever comes. A
-    finite limit is followed by PADs.
-    """
-    seq, recurring, start, cycle_len, entry, registers = _recurrence_entry(s, source)
-    if recurring not in s.output_function:
-        raise NoOutputFunction(recurring)
-    regs = s.output_function[recurring]
-    # from the entry on, the output registers but the last stay fixed and
-    # the last only grows at its end: their letters go out now, and the
-    # walk streams the last one
-    for name in regs[:-1]:
-        out.extend(registers.letters(name))
-    walk = None
-    if regs:
-        walk = _walk_sst(s, source, out, registers, regs[-1], seq[entry], entry)
-        for _ in range(start - entry + 1):  # up to the first cycle start
-            next(walk)
-        if _limit_is_finite(walk, registers, cycle_len, out):
-            walk = None
-    ask = yield  # set up; from here on a resumption is one step or a batch
-    if walk is not None:
-        while True:
-            ask = yield walk.send(ask)
-    while True:  # every step emits a PAD, so a batch ends at want letters
-        n = 1 if ask is None else ask[0] - len(out)
-        out.extend([PAD] * n)
-        ask = yield n
-
-
-def _limit_is_finite(walk, registers: _Registers, cycle_len: int, out) -> bool:
-    """Step ``walk``, at an input cycle start, a cycle at a time until the
-    emptiness pattern of the registers repeats; true if no letter came since
-    the pattern was first seen. That pattern at a cycle start determines
-    both the next one and whether the cycle emits anything."""
-    seen: dict = {}  # pattern -> len(out) at its cycle start
-    while True:
-        support = registers.nonempty()
-        if support in seen:
-            return seen[support] == len(out)
-        seen[support] = len(out)
-        for _ in range(cycle_len):
-            next(walk)
+    def advance(self, want, budget):
+        out = self.out
+        if not self.padding:
+            super().advance(want, budget)
+            if len(out) >= want or budget <= 0 or len(out) < self.limit:
+                return
+            self.padding = True  # stalled with the whole finite limit out
+        self.step_count += want - len(out)
+        out += [PAD] * (want - len(out))
 
 
 def _recurrence_entry(s: Sst, source: LassoWord):
     """Run s on the lasso up to its entry into the recurring states.
 
     Returns the states of the control's lasso cycle (_oracle_cycle), the
-    recurring states, the start and length of the cycle, the entry position
-    and the registers there. From the entry on, every step stays inside the
-    recurring states; from the start on, states and letters repeat every
-    cycle length.
+    recurring states, the entry position and the registers there. From the
+    entry on, every step stays inside the recurring states.
     """
-    seq, cycle_start, cycle_len = _oracle_cycle(s.control, source)
+    seq, cycle_start, _cycle_len = _oracle_cycle(s.control, source)
     recurring = frozenset(seq[cycle_start:])
     entry = cycle_start
     while entry > 0 and seq[entry - 1] in recurring:
         entry -= 1
     registers = _Registers(s.registers)
-    walk = _walk_sst(s, source, [], registers, None, s.initial, 0)
-    for _ in range(entry + 1):  # the initial configuration, then entry steps
-        next(walk)
-    return seq, recurring, cycle_start, cycle_len, entry, registers
+    walk = _walk_sst(s, source, [], registers, None)
+    next(walk)
+    if entry:  # the walk streams nothing, so this batch takes exactly entry steps
+        walk.send((1, entry))
+    return seq, recurring, entry, registers
 
 
 def run_sst(s: Sst, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
-    """Run a register transducer; general (non-simple) machines need a lasso input."""
+    """Run a register transducer. A general (non-simple) machine needs a
+    lasso input, and runs as its simple form there (simplify_to_simple_sst):
+    the budget counts every step of the simple form, its prologue too, and
+    where the simple form stalls at the end of a finite limit, the run puts
+    out PADs, one step each. Reading past a finite limit so spends one
+    budget of silent steps first, about 12 ms at the default budget."""
     if isinstance(s, SimpleSst):
         return RunOutcome(_SimpleSstEngine(s, source), budget)
     if not isinstance(source, LassoWord):
@@ -579,15 +539,16 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
     Freezes the register values at the entry into the recurring states,
     installs them with a prologue line of fresh states, then mimics the
     final output register through a new ``out`` register. The result only
-    promises the same output on the given input, and a finite limit only up
-    to its end: there the simple form prints the limit's letters and then
-    stalls, where the general run pads with ``_``. On a·b^ω,
+    promises the same output on the given input. A general run is the run
+    of this form (see run_sst). On a finite limit the simple form prints
+    the limit's letters and then stalls; the general run spends that
+    stall's budget of silent steps and then pads with ``_``. On a·b^ω,
     ``corpus.finite_output_sst()`` prints ab__… and its simple form ab,
     then raises BudgetExceeded at step 100001 under the default budget.
     """
     if not isinstance(source, LassoWord):
         raise AdviceNotLasso("simplification is relative to an ultimately periodic input")
-    seq, recurring, _start, _cycle_len, entry, registers = _recurrence_entry(s, source)
+    seq, recurring, entry, registers = _recurrence_entry(s, source)
     if isinstance(s, SimpleSst):
         regs = (s.out,)
     elif recurring in s.output_function:
@@ -608,8 +569,9 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
         boot += "_"
     transitions: dict = {}
     updates: dict = {}
+    letters = source.take(len(seq) - 1)  # seq[i] reads letters[i]
     for i in range(entry):
-        key = ((boot, i), source.letter(i))
+        key = ((boot, i), letters[i])
         transitions[key] = (boot, i + 1) if i + 1 < entry else seq[entry]
         if i + 1 < entry:
             updates[key] = Substitution(identity)
@@ -623,9 +585,7 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
             install[out_name] = (Reg(out_name),) + tuple(head)
             updates[key] = Substitution(install)
 
-    state = seq[entry]
-    for i in range(entry, entry + (len(seq) - 1 - entry)):
-        key = (state, source.letter(i))
+    for key in zip(seq[entry:-1], letters[entry:]):
         if key not in transitions:
             sub = s.updates[key]
             mapping = {name: sub.rhs(name) for name in s.registers}
@@ -636,7 +596,6 @@ def simplify_to_simple_sst(s: Sst, source: LassoWord) -> SimpleSst:
                 mapping[out_name] = (Reg(out_name),)
             transitions[key] = s.transitions[key]
             updates[key] = Substitution(mapping)
-        state = s.transitions[key]
 
     initial = (boot, 0) if entry > 0 else seq[0]
     states = set(transitions.values()) | {k[0] for k in transitions} | {initial}

@@ -6,12 +6,15 @@ machine that stalls (for instance by emitting nothing forever) surfaces a
 status instead of hanging. Two-way machines read a tape holding the
 endmarker followed by the input word.
 
-Each machine shape has one stepping kernel, a generator with two modes on
-one loop (see _walk): ``next`` takes one step and yields the configuration,
-as the constructions walk; ``send((want, budget))`` takes a batch of steps,
-as a RunOutcome reads, and yields their number. A two-way batch crosses a
-run of self-loops that emit nothing, or their cell's letter, at once, and
-codes tape cells through byte tables (see _walk).
+Each machine shape has one stepping kernel, a generator whose first yield
+is the initial configuration. ``send((want, budget))`` takes a batch of
+steps, as a RunOutcome reads, and yields their number. The kernels here
+have a second mode on the same loop (see _walk): ``next`` takes one step
+and yields the configuration, as the constructions walk. The register
+machines' kernel (sst._walk_sst) batches only, and ``send((0, 1))`` takes
+exactly one step there. A two-way batch crosses a run of self-loops that
+emit nothing, or their cell's letter, at once, and codes tape cells
+through byte tables (see _walk).
 
 The kernels step through a machine's ``table``, made on its first run and
 kept for every later one. A table row belongs to a state and maps what
@@ -51,6 +54,7 @@ from .words import (
     FiniteWord,
     InfiniteWord,
     LassoWord,
+    _NEGATIVE,
     canonical_lasso,
 )
 
@@ -373,18 +377,22 @@ class RunOutcome:
 
     def letter(self, n):
         if n < 0:
-            raise IndexError("letter index must be nonnegative")
+            raise IndexError(_NEGATIVE)
         out = self._engine.out
         if n >= len(out):
             self._produce(n + 1)
         return out[n]
 
     def letters(self, n):
-        """First n output letters; raises if the machine halts or stalls first."""
+        """First n output letters; raises if the machine halts or stalls
+        first, and ValueError for n < 0."""
+        if n < 0:
+            raise ValueError("letter count must be nonnegative")
         return self._produce(n)[:n]
 
     def try_letters(self, n):
-        """(letters produced, halt-or-None), never raising."""
+        """(letters produced, halt-or-None), never raising on a halt; a
+        negative n raises as in ``letters``."""
         try:
             return self.letters(n), None
         except (UndefinedTransition, MovedLeftOfEndmarker, BudgetExceeded, NonProductive) as exc:

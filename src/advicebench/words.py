@@ -164,6 +164,9 @@ def word(text: str, alphabet: Alphabet | None = None) -> FiniteWord:
 #: Letters a periodic word hands out per ``letters_from`` call, about.
 CHUNK = 512
 
+#: What ``letter`` and ``letters_from`` raise, as an IndexError, for n < 0.
+_NEGATIVE = "letter index must be nonnegative"
+
 
 class InfiniteWord:
     """Base class: a subclass computes ``letter(n)`` from its parts."""
@@ -172,6 +175,8 @@ class InfiniteWord:
         self.alphabet = alphabet
 
     def letter(self, n: int):
+        """Letter n; raises IndexError("letter index must be nonnegative")
+        for n < 0, as every word does."""
         raise NotImplementedError
 
     def letters_from(self, n: int) -> list:
@@ -227,6 +232,8 @@ class LassoWord(InfiniteWord):
     def letter(self, n: int):
         pre = self._pre
         if n < len(pre):
+            if n < 0:
+                raise IndexError(_NEGATIVE)
             return pre[n]
         per = self._per
         return per[(n - len(pre)) % len(per)]
@@ -236,6 +243,8 @@ class LassoWord(InfiniteWord):
         up to about CHUNK letters."""
         pre = self._pre
         if n < len(pre):
+            if n < 0:
+                raise IndexError(_NEGATIVE)
             return list(pre[n:n + CHUNK])
         per = self._per
         r = (n - len(pre)) % len(per)
@@ -306,9 +315,13 @@ class ShiftWord(InfiniteWord):
         self.n = n
 
     def letter(self, k: int):
+        if k < 0:
+            raise IndexError(_NEGATIVE)
         return self.base.letter(self.n + k)
 
     def letters_from(self, k: int) -> list:
+        if k < 0:
+            raise IndexError(_NEGATIVE)
         return self.base.letters_from(self.n + k)
 
 
@@ -331,7 +344,7 @@ class DuplicateWord(InfiniteWord):
         self.n = n
 
     def letter(self, k: int):
-        return self.base.letter(k // self.n)
+        return self.base.letter(k // self.n)  # a negative k stays negative
 
 
 def duplicate(w: InfiniteWord, n: int) -> InfiniteWord:
@@ -348,6 +361,8 @@ class ConvolutionWord(InfiniteWord):
         self.operands = tuple(operands)
 
     def letter(self, n: int):
+        if n < 0:
+            raise IndexError(_NEGATIVE)
         out = []
         for op in self.operands:
             if isinstance(op, FiniteWord):
@@ -424,6 +439,8 @@ class PiWord(InfiniteWord):
 
     def _place(self, n: int):
         """(b, r): letter n is letter r of block b."""
+        if n < 0:
+            raise IndexError(_NEGATIVE)
         k = self.k
         # block b starts at k*b*(b+1)/2 and has k copies of 0^b 1; the
         # estimate has b(b+1)/2 <= n // k, so it is never past n's block
@@ -484,7 +501,7 @@ class BlockMirrorWord(InfiniteWord):
     def _fill(self, n: int):
         """Mirror blocks into the cache until it holds letter n."""
         if n < 0:
-            raise IndexError("letter index must be nonnegative")
+            raise IndexError(_NEGATIVE)
         cache = self._cache
         with self._lock:
             while len(cache) <= n:

@@ -503,6 +503,15 @@ def test_malformed_inputs_are_usage_errors(argv, document, stdin, env, tmp_path,
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [["run", "G", "pi"], ["compare", "G", "mirror_sst", "--word", "pi"]],
+                         ids=["run", "compare"])
+def test_a_general_sst_on_a_word_that_is_not_a_lasso_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(dumps({"machines": {"G": machine_to_doc(corpus.two_phase_sst())}}))
+    error = "error: a general register transducer needs an ultimately periodic input\n"
+    assert run_cli(capsys, "-f", str(path), *argv) == (2, "", error)
+
+
 CONTRACT_WORDS = ("pi", "pi2", "(ab#)^ω", "ab·(ba)^ω", "ab.(ba)^w", "(ab#baa#)^ω", "(0110)^ω", "(a_#)^ω",
                   "(_)^ω", "(01)^ω", "a·(bc)^ω", "(abc)^ω", "(ab#)^", "(ab#", "ab)^ω", "()^ω", "^ω", "", "w", "nope")
 CONTRACT_FORMULAS = ("F a", "G F b", "a U b", "X !a", "F", "G (a", "a U", "!", "a &", "(a | b", "F c", "f")

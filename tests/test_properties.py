@@ -46,7 +46,6 @@ from advicebench.sst import (
     Sst,
     Substitution,
     _Registers,
-    _walk_limit,
     _walk_sst,
     compile_sst_to_2wftb,
     eliminate_lookbehind_lasso,
@@ -575,25 +574,34 @@ def test_one_way_lasso_image_is_the_raw_run(machine, w):
 
 
 class OneStepDriver:
-    """Reference for a RunOutcome's reads: the run's kernel in one-step mode
-    only, one ``next`` per step, spending at most ``budget`` steps between
+    """Reference for a RunOutcome's reads: the run's kernel stepped one step
+    at a time, by ``next``, or ``send((0, 1))`` on an SST kernel, which
+    steps in batches only, spending at most ``budget`` steps between
     consecutive letters within one read. ``walk`` replaces the kernel, as
-    dict_walk does."""
+    dict_walk does. A general SST steps its simple form; once that stalls
+    with the whole of naive_general_sst's finite limit out, every step
+    puts out a PAD."""
 
     def __init__(self, machine, w, budget, walk=None):
         self.out, self.budget, self.steps, self.halt = [], budget, 0, None
+        self.limit_out = lambda: False
         if walk is not None:
             self.kernel = walk(machine, w, self.out)
         elif isinstance(machine, OneWayTransducer):
             self.kernel = _walk_one_way(machine, w, self.out)
-        elif isinstance(machine, SimpleSst):
-            registers = _Registers(machine.registers)
-            self.kernel = _walk_sst(machine, w, self.out, registers, machine.out, machine.initial, 0)
         elif isinstance(machine, Sst):
-            self.kernel = _walk_limit(machine, w, self.out)
+            simple = machine
+            if not isinstance(machine, SimpleSst):
+                simple = simplify_to_simple_sst(machine, w)
+                # as naive_general_sst argues, an infinite limit grows within this many steps
+                silent = len(w.u) + (2 ** len(machine.registers) + 1) * len(machine.states) * len(w.v)
+                self.limit_out = lambda: naive_general_sst(machine, w, len(self.out) + 1, silent)[-1] is PAD
+            self.kernel = _walk_sst(simple, w, self.out, _Registers(simple.registers), simple.out)
         else:
             self.kernel = _walk(machine, w, self.out)
-        next(self.kernel)  # the initial configuration, or a general SST's set-up
+        next(self.kernel)  # the initial configuration
+        unit = isinstance(machine, Sst) and walk is None
+        self.step = (lambda: self.kernel.send((0, 1))) if unit else self.kernel.__next__
 
     def read(self, n):
         """(the first n letters or fewer, the halt or None), as try_letters."""
@@ -604,9 +612,11 @@ class OneStepDriver:
             produced, spent = len(out), 0
             while len(out) == produced:
                 if spent >= self.budget:
-                    return out[:n], BudgetExceeded(self.steps)
+                    if not self.limit_out():
+                        return out[:n], BudgetExceeded(self.steps)
+                    self.step = lambda: out.append(PAD)
                 try:
-                    next(self.kernel)
+                    self.step()
                 except (UndefinedTransition, MovedLeftOfEndmarker) as halt:
                     self.halt = halt  # its letters count; the read ends if they suffice
                     break
@@ -991,20 +1001,40 @@ def test_a_resumed_walk_reads_like_a_fresh_run(machine, w, walked, budget, n):
 
 
 def test_a_general_sst_run_meets_a_small_budget_between_letters():
-    # the limit of r gains an a every 4 steps on (abbb)^ω; the set-up already
-    # streams the first 2, and 3 silent steps exhaust a budget of 3
+    # the limit of r gains an a every 4 steps on (abbb)^ω, and the budget
+    # counts every step: the first a comes at step 1, and the 3 silent
+    # steps after it exhaust a budget of 3
     s = Sst({0}, 0, AB, AB, ("r",), {(0, "a"): 0, (0, "b"): 0},
             {(0, "a"): Substitution({"r": (Reg("r"), "a")}), (0, "b"): Substitution({"r": (Reg("r"),)})},
             {frozenset({0}): ("r",)})
     w = lasso("", "abbb")
     run = run_sst(s, w, budget=3)
-    assert run.letters(3) == ["a"] * 3
+    assert run.letters(1) == ["a"]
     with pytest.raises(BudgetExceeded) as err:
-        run.letters(4)
-    assert (err.value.step, run.produced) == (4, 3)
+        run.letters(2)
+    assert (err.value.step, run.produced) == (4, 1)
     assert run_sst(s, w, budget=4).letters(50) == ["a"] * 50
     for budget in (3, 4):
         assert_reads_like_one_step_at_a_time(s, w, budget, [3, 4, 50, 2])
+
+
+def test_a_general_run_pads_only_once_its_whole_finite_limit_is_out():
+    # the limit is aa: the simple form prints its letters at steps 1 and 7,
+    # so a budget of 3 stalls between them, and a budget of 6 after them,
+    # where 6 silent steps come before the first PAD
+    s = Sst({0}, 0, AB, AB, ("y",), {(0, "a"): 0, (0, "b"): 0},
+            {(0, "a"): Substitution({"y": (Reg("y"), "a")}), (0, "b"): Substitution({"y": (Reg("y"),)})},
+            {frozenset({0}): ("y",)})
+    w = lasso("abbbbba", "b")
+    run = run_sst(s, w, budget=3)
+    with pytest.raises(BudgetExceeded) as err:
+        run.letters(2)
+    assert (err.value.step, run.produced) == (4, 1)
+    run = run_sst(s, w, budget=6)
+    assert run.letters(4) == ["a", "a", PAD, PAD]
+    assert run._engine.step_count == 7 + 6 + 2
+    for budget in (3, 6):
+        assert_reads_like_one_step_at_a_time(s, w, budget, [2, 4, 1, 9])
 
 
 @st.composite
@@ -1179,6 +1209,21 @@ def assert_sst_records_hold_the_filled_loops(s):
     assert table.loops == want
 
 
+@st.composite
+def copies_next_to_silent_loops(draw):
+    """A copying machine (copying_machines) whose state 0 also starts right
+    and copies one letter and crosses another silently, both to the right,
+    on a short lasso mostly of those two letters: its copying loops step
+    next to silent ones that earlier steps filled."""
+    t = draw(copying_machines())
+    x, y = draw(st.permutations(MARKED.letters))[:2]
+    tr = dict(t.transitions)
+    tr.update({(0, ENDMARKER): ((), RIGHT, 0), (0, x): ((x,), RIGHT, 0), (0, y): ((), RIGHT, 0)})
+    runs = st.text(x * 4 + y * 4 + "ab#", max_size=12)
+    w = draw(st.builds(lasso, runs, runs.filter(bool), st.just(MARKED)))
+    return TwoWayTransducer(t.states, 0, MARKED, MARKED, tr), w
+
+
 def copier_of_a():
     """Copies a and crosses b silently, both to the right: copying loops
     next to silent ones."""
@@ -1192,7 +1237,8 @@ def copier_of_a():
     st.tuples(st.one_of(sweeping_machines(), copying_machines(),
                         copying_machines().map(lambda t: with_counting_lookbehind(t, 3)),
                         copying_machines(max_states=2).map(lambda t: with_counting_lookbehind(t, WIDE))),
-              run_lassos)),
+              run_lassos),
+    copies_next_to_silent_loops()),
        walked=st.integers(0, 300), budget=loop_budgets, reads=reads)
 @example((mirror_blocks_2wft(AB), lasso("", "a" * 70 + "b#")), 0, DEFAULT_BUDGET, [100])  # copies onto an unfilled cell
 @example((copier_of_a(), lasso("", "ab" * 40 + "#")), 0, DEFAULT_BUDGET, [100])
@@ -1229,12 +1275,13 @@ def test_two_way_loop_records_hold_exactly_the_filled_loops(case, walked, budget
        walked=st.integers(0, 300), budget=loop_budgets, reads=reads)
 @example((leaving_loop(), lasso("", "aabb")), 0, DEFAULT_BUDGET, [30])
 def test_sst_loop_records_hold_exactly_the_filled_loops(case, walked, budget, reads):
-    # after a one-step walk and after each batch read on the same table
+    # after a walk of unit batches and after each batch read on the same table
     s, w = case
-    walk = _walk_sst(s, w, [], _Registers(s.registers), s.out, s.initial, 0)
+    walk = _walk_sst(s, w, [], _Registers(s.registers), s.out)
     try:
-        for _ in islice(walk, walked + 1):
-            pass
+        next(walk)
+        for _ in range(walked):
+            walk.send((0, 1))
     except UndefinedTransition:
         pass
     assert_sst_records_hold_the_filled_loops(s)

@@ -574,17 +574,19 @@ def test_an_sst_compiles_its_table_once_however_many_runs_it_has(monkeypatch):
         run.letters(5)
         run.try_letters(40)
         assert run_sst(simple, source).word.letter(20) == run.letters(21)[20]
+    forms = []  # a general run steps its simple form, whose table is built once for that run
     for source in (lasso("a", "bc"), lasso("a", "cbb")):
         run = run_sst(general, source)
+        forms.append(run._engine.simple)
         run.letters(5)
         run.try_letters(40)
         simplify_to_simple_sst(general, source)
-    assert built == [simple, general]
+    assert built == [simple, general] + forms
 
 
 def test_register_loops_are_recorded_as_their_entries_fill():
     # filling a register loop's entry adds its letter to the loop's set, in
-    # one-step walks too; batch reads over the same letters add nothing
+    # walks of unit batches too; batch reads over the same letters add nothing
     from advicebench import sst
 
     x, y, out = Reg("x"), Reg("y"), Reg("out")
@@ -595,12 +597,13 @@ def test_register_loops_are_recorded_as_their_entries_fill():
                       ("q", "b"): Substitution({"x": (x,), "y": (y, "b"), "out": (out,)}),
                       ("q", "a"): Substitution({"x": ("a",), "y": (), "out": (out, y)})})
     w = lasso("", "a" * 300 + "b" * 300)
-    walk = sst._walk_sst(flip, w, [], sst._Registers(flip.registers), "out", "p", 0)
-    for _ in range(200):
-        next(walk)
+    walk = sst._walk_sst(flip, w, [], sst._Registers(flip.registers), "out")
+    next(walk)
+    for _ in range(199):
+        walk.send((0, 1))
     assert flip.table.loops == {("p", 2, 0, True): {"a"}}
     for _ in range(800):
-        next(walk)
+        walk.send((0, 1))
     assert flip.table.loops == {("p", 2, 0, True): {"a"}, ("q", 2, 1, False): {"b"}}
     for _ in range(2):
         assert run_sst(flip, w).prefix_str(1200) == ("a" * 300 + "b" * 300) * 2

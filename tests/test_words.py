@@ -153,6 +153,44 @@ def test_duplicate_index_arithmetic():
         assert d.letter(i) == w.letter(i // 3)
 
 
+def _run_word():
+    from advicebench.transducers import mirror_blocks_2wft, run_2wft
+
+    return run_2wft(mirror_blocks_2wft(Alphabet.of("ab")), lasso("ab", "a#b#")).word
+
+
+NEGATIVE_INDEX_WORDS = {
+    "lasso": lambda: lasso("a", "b"),
+    "lasso, no preperiod": lambda: lasso("", "ab"),
+    "constant": lambda: ConstantWord("a"),
+    "shift": lambda: shift(lasso("ab", "c"), 1),
+    "duplicate": lambda: duplicate(lasso("a", "b"), 2),
+    "convolution": lambda: convolve([word("ab"), lasso("", "ab")]),
+    "pi": lambda: pi_word(1),
+    "pi^3": lambda: pi_word(3),
+    "block mirror": lambda: block_mirror(lasso("", "ab#")),
+    "run": _run_word,
+}
+
+
+@pytest.mark.parametrize("make", NEGATIVE_INDEX_WORDS.values(), ids=NEGATIVE_INDEX_WORDS)
+def test_every_word_refuses_a_negative_letter_index(make):
+    w = make()
+    w.prefix_str(4)  # negative indexes must not wrap around letters already at hand
+    for n in (-1, -3):
+        for read in (w.letter, w.letters_from):
+            with pytest.raises(IndexError, match="letter index must be nonnegative"):
+                read(n)
+
+
+def test_a_run_refuses_a_negative_letter_count():
+    run = _run_word().outcome
+    for read in (run.letters, run.try_letters, run.prefix_str):
+        with pytest.raises(ValueError):
+            read(-2)
+    assert run.letters(0) == []
+
+
 def test_block_mirror_examples():
     assert block_mirror(lasso("", "ab#baa#")).prefix_str(14) == "ba#aab#ba#aab#"
     assert block_mirror(lasso("", "#")).prefix_str(5) == "#####"
