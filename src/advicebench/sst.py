@@ -43,6 +43,7 @@ from .transducers import (
     RunOutcome,
     TwoWayTransducer,
     _Engine,
+    _Halted,
     _cut_image,
     _oracle_cycle,
     _walk_to_image,
@@ -416,7 +417,10 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name):
     want, gap = yield state, pos
     start, stop = pos, pos + gap if len(out) < want else pos + 1
     while True:
-        chunk = more(pos)
+        try:
+            chunk = more(pos)
+        except Exception as exc:  # the run's halt (see _produce)
+            raise _Halted(pos - start, exc) from None
         letters, at, end = iter(chunk), pos, pos + len(chunk)
         for a in letters:
             try:

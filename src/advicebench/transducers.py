@@ -14,7 +14,9 @@ and yields the configuration, as the constructions walk. The register
 machines' kernel (sst._walk_sst) batches only, and ``send((0, 1))`` takes
 exactly one step there. A two-way batch crosses a run of self-loops that
 emit nothing, or their cell's letter, at once, and codes tape cells
-through byte tables (see _walk).
+through byte tables (see _walk). An exception of a kernel's source word
+ends it as _Halted, with the batch's steps. A 1wft run on a fresh 1wft
+run's word adopts that run (see _reader): one kernel steps both.
 
 The kernels step through a machine's ``table``, made on its first run and
 kept for every later one. A table row belongs to a state and maps what
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from inspect import getgeneratorlocals
 from itertools import islice
 
 from .errors import (
@@ -328,6 +331,16 @@ class LookbehindTransducer(_Transducer):
                 raise ValueError(f"lookbehind state {key[2]!r} not in the oracle")
 
 
+class _Halted(Exception):
+    """A batch that ended in the run's halt ``halt`` after ``steps`` steps,
+    raised by a kernel whose source word raised ``halt``, or yielded by a
+    chain's kernel (see _walk_chain)."""
+
+    def __init__(self, steps, halt):
+        super().__init__(steps, halt)
+        self.steps, self.halt = steps, halt
+
+
 class RunOutcome:
     """Demand-driven output stream of a machine run, plus diagnostics."""
 
@@ -353,7 +366,8 @@ class RunOutcome:
         the halt condition, or BudgetExceeded, if the machine stops first.
         A halting step's letters count: they are output before its move fails.
         An exception from the source word (an inner run's BudgetExceeded,
-        say) ends the kernel, so it becomes the run's halt as well.
+        say) ends the kernel, so it becomes the run's halt as well, the same
+        object, while ``step_count`` keeps counting the run's own steps.
         """
         engine = self._engine
         out = engine.out
@@ -368,7 +382,11 @@ class RunOutcome:
                 if len(out) >= n:
                     return out
                 raise
-            except Exception as exc:  # from the source word: the kernel is finished
+            except _Halted as halted:  # from the source word, or a chain's inner run
+                engine.step_count += halted.steps
+                self._halt = halted.halt
+                raise halted.halt from None
+            except Exception as exc:  # the kernel is finished
                 self._halt = exc
                 raise
             if len(out) < n:
@@ -410,7 +428,9 @@ class RunOutcome:
 
 class _OutcomeWord(InfiniteWord):
     """View of a run's output as a word; letters come from the outcome's
-    own output list, so the view shares the outcome's single consumer."""
+    own output list, so the view shares the outcome's single consumer.
+    run_1wft adopts a fresh one-way run instead of reading its view, with
+    the same steps, stalls and halts (see _reader)."""
 
     def __init__(self, outcome: RunOutcome):
         super().__init__(outcome._engine.output_alphabet)
@@ -467,17 +487,22 @@ def _walk_one_way(t, source, out):
     _OneWayTable.fill, which adds the transition's entry or raises
     UndefinedTransition(pos, pos, (state, letter)). It steps through one
     ``letters_from`` chunk at a time, asking for the next only when a step
-    needs its first letter, and keeps no tape."""
+    needs its first letter, and keeps no tape; what that asking raises ends
+    the walk as _Halted (see _produce)."""
     table = t.table
     more, emit, fill = source.letters_from, out.extend, table.fill
     row, state, pos = table.start, t.initial, 0
-    want = gap = stop = 0  # one-step mode: stop <= pos, so every step yields
+    want = gap = stop = start = 0  # one-step mode: stop <= pos, so every step yields
     ask = yield state, pos
     if ask is not None:
         want, gap = ask
         start, stop = pos, pos + gap if len(out) < want else pos + 1
     while True:
-        for a in more(pos):
+        try:
+            chunk = more(pos)
+        except Exception as exc:  # the run's halt (see _produce)
+            raise _Halted(pos - start, exc) from None
+        for a in chunk:
             try:
                 emitted, row, state = row[a]
             except KeyError:
@@ -493,6 +518,114 @@ def _walk_one_way(t, source, out):
                 else:
                     want, gap = ask
                     start, stop = pos, pos + gap if len(out) < want else pos + 1
+
+
+class _ChainKernel:
+    """A run's handle on the kernel its chain shares, in its engine's place
+    of a kernel: ``send`` passes a batch on and gives its steps, or raises
+    what ended it. The reader's handle also sends the inner run's budget
+    and writes the inner step count and halt back."""
+
+    __slots__ = ("walk", "inner")
+
+    def __init__(self, walk, inner=None):
+        self.walk, self.inner = walk, inner
+
+    def send(self, ask):
+        inner = self.inner
+        if inner is None:
+            steps = self.walk.send(ask)
+        else:
+            steps, inner._engine.step_count, halt = self.walk.send(ask + (inner.budget,))
+            if halt is not None:
+                inner._halt = halt
+        if type(steps) is int:
+            return steps
+        raise steps
+
+
+def _walk_chain(t, out, inner, source, iout):
+    """The batch-only kernel of a 1wft t reading a fresh run of the 1wft
+    ``inner`` on ``source``, whose letters go to ``iout``. One loop steps
+    both tables' rows as _walk_one_way does, the inner's only when t needs
+    letter len(iout), as a batch of the inner run for that letter would.
+
+    The reader's batch ``(want, budget, inner budget)`` is answered with
+    (steps, inner step count, inner halt or None); the inner run's own
+    ``(want, budget)`` steps only the inner rows. What would end a kernel
+    is yielded in place of the steps, so the other run stays readable: the
+    reader's halt, or _Halted(steps, halt) when the inner run halts (the
+    reader's halt is then the same object) or stalls (the reader halts with
+    BudgetExceeded at the inner step count; the inner run does not)."""
+    table, itable = t.table, inner.table
+    emit, fill, iemit, ifill = out.extend, table.fill, iout.extend, itable.fill
+    more = source.letters_from
+    row, state, pos = table.start, t.initial, 0
+    irow, istate, ipos = itable.start, inner.initial, 0
+    letters, ihalt = iter(()), None  # letters: the inner's source letters from ipos on
+    ask = yield
+    while True:
+        reader = len(ask) == 3
+        if reader:
+            want, gap, igap = ask
+            start, stop, ahead = pos, pos + gap, iout[pos:]
+        else:
+            (iwant, igap), ahead = ask, ()
+            istart, istop = ipos, ipos + igap
+        while True:
+            for a in ahead:  # t steps through the inner letters out, iout[pos:]
+                try:
+                    emitted, row, state = row[a]
+                except KeyError:
+                    try:
+                        emitted, row, state = fill(row, state, a, pos)
+                    except UndefinedTransition as halt:
+                        steps = halt
+                        break
+                pos += 1
+                if emitted:
+                    emit(emitted)
+                    stop = pos + gap if len(out) < want else pos
+                if pos >= stop:
+                    steps = pos - start
+                    break
+            else:
+                if reader:  # t needs letter len(iout): the inner budget counts from here
+                    istop, iemitted = ipos + igap, ()
+                while ihalt is None and igap > 0:  # inner steps, to a letter t needs (or iwant) or igap silent ones
+                    for a in letters:
+                        try:
+                            iemitted, irow, istate = irow[a]
+                        except KeyError:
+                            try:
+                                iemitted, irow, istate = ifill(irow, istate, a, ipos)
+                            except UndefinedTransition as halt:
+                                ihalt = halt
+                                break
+                        ipos += 1
+                        if iemitted:
+                            iemit(iemitted)
+                            if reader or len(iout) >= iwant:
+                                break
+                            istop = ipos + igap
+                        if ipos >= istop:
+                            break
+                    else:
+                        try:
+                            letters = iter(more(ipos))
+                        except Exception as exc:  # the inner run's halt
+                            ihalt = exc
+                        continue
+                    break
+                if not reader:
+                    steps = ipos - istart if ihalt is None else _Halted(ipos - istart, ihalt)
+                elif iemitted:  # the inner step's letters: t has read every letter before them
+                    ahead = iemitted
+                    continue
+                else:
+                    steps = _Halted(pos - start, BudgetExceeded(ipos) if ihalt is None else ihalt)
+            break
+        ask = yield (steps, ipos, ihalt) if reader else steps
 
 
 def _walk(t, source, out):
@@ -544,7 +677,7 @@ def _walk(t, source, out):
     row, state, pos, step = table.start, t.initial, 0, 0
     tape, codes, z = [ENDMARKER], [table.first, sentinel], table.zstart
     hit = row[table.first]
-    want = gap = budget = stop = 0  # one-step mode: stop <= step, so every step yields
+    want = gap = budget = stop = start = 0  # one-step mode: stop <= step, so every step yields
     ask = None
     while True:
         if step >= stop:
@@ -563,7 +696,10 @@ def _walk(t, source, out):
                     stop = step + 1
         if hit is None:
             if pos == len(tape):
-                tape += more(pos - 1)
+                try:
+                    tape += more(pos - 1)
+                except Exception as exc:  # the run's halt (see _produce)
+                    raise _Halted(step - start, exc) from None
             if pos == len(codes) - 1:  # the sentinel: encode the next slice
                 codes[pos:], z = encode(tape[pos:pos + SLICE + pos // 2], z)
                 codes.append(sentinel)
@@ -602,7 +738,30 @@ class _TwoWayEngine(_Engine):
 
 
 def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
+    """Run a 1wft. On a run's word the run may be adopted (see _reader)."""
+    if type(source) is _OutcomeWord:
+        return RunOutcome(_reader(t, source), budget)
     return RunOutcome(_OneWayEngine(t, source), budget)
+
+
+def _reader(t, word):
+    """The engine of a 1wft t reading ``word``. A fresh one-way run (no
+    step, no halt, in no chain) is adopted: both engines get handles on one
+    _walk_chain made from the machine and source of the run's own walk,
+    which is dropped. Any other run is read through ``word``."""
+    inner = word.outcome
+    engine = inner._engine
+    if (type(engine) is not _OneWayEngine or type(engine._kernel) is _ChainKernel
+            or engine.step_count or inner._halt is not None):
+        return _OneWayEngine(t, word)
+    walk = getgeneratorlocals(engine._kernel)
+    out: list = []
+    chain = _walk_chain(t, out, walk["t"], walk["source"], engine.out)
+    next(chain)
+    engine._kernel = _ChainKernel(chain)
+    reader = _OneWayEngine.__new__(_OneWayEngine)
+    _Engine.__init__(reader, t, out, _ChainKernel(chain, inner), steps=0)  # the chain is started
+    return reader
 
 
 def run_2wft(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:

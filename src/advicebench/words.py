@@ -188,7 +188,10 @@ class InfiniteWord:
         return [self.letter(n)]
 
     def take(self, n: int) -> list:
-        """The first n letters, gathered chunk by chunk."""
+        """The first n letters, gathered chunk by chunk; ValueError for
+        n < 0, here and in ``prefix`` and ``prefix_str``."""
+        if n < 0:
+            raise ValueError("letter count must be nonnegative")
         out: list = []
         while len(out) < n:
             out += self.letters_from(len(out))

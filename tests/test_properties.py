@@ -476,6 +476,124 @@ def test_a_composed_machine_runs_like_the_two_machines_in_sequence(outer, inner,
         assert got == want
 
 
+class NaiveRun:
+    """Reference for a RunOutcome of a 1wft or 2wft on ``source``, a word or
+    another NaiveRun, that uses no kernel: a step is one tuple-keyed lookup
+    on ``transitions``. A letter of a run source is that run's ``produce``
+    of one letter more; what that raises is this run's halt, the same
+    object, and its own steps stay as they are. ``produce(n)`` spends at
+    most ``budget`` silent steps in a row from its start, as a read does."""
+
+    def __init__(self, t, source, budget):
+        self.t, self.source, self.budget = t, source, budget
+        self.two_way = not isinstance(t, OneWayTransducer)
+        self.state, self.pos, self.steps, self.out, self.halt = t.initial, 0, 0, [], None
+        self.tape = [ENDMARKER]
+
+    def source_letter(self, n):
+        try:
+            if isinstance(self.source, NaiveRun):
+                self.source.produce(n + 1)
+                return self.source.out[n]
+            return self.source.letter(n)
+        except AdviceBenchError as exc:
+            self.halt = exc
+            raise
+
+    def step(self):
+        """One step, giving its letters; a halt is raised, after the letters
+        of a step off the endmarker."""
+        if not self.two_way:
+            a = self.source_letter(self.pos)
+        else:
+            if self.pos == len(self.tape):
+                self.tape.append(self.source_letter(self.pos - 1))
+            a = self.tape[self.pos]
+        key = (self.state, a)
+        if key not in self.t.transitions:
+            self.halt = UndefinedTransition(self.pos, self.steps, key)
+            raise self.halt
+        emitted, *move, self.state = self.t.transitions[key]
+        self.out.extend(emitted)
+        if move == [LEFT] and self.pos == 0:
+            self.halt = MovedLeftOfEndmarker(self.steps)
+            raise self.halt
+        self.pos += -1 if move == [LEFT] else 1
+        self.steps += 1
+        return emitted
+
+    def produce(self, n):
+        if len(self.out) >= n:
+            return
+        if self.halt is not None:
+            raise self.halt
+        silent = 0
+        while len(self.out) < n:
+            if silent >= self.budget:
+                raise BudgetExceeded(self.steps)
+            try:
+                silent = 0 if self.step() else silent + 1
+            except MovedLeftOfEndmarker:
+                if len(self.out) < n:
+                    raise
+
+    def try_letters(self, n):
+        try:
+            self.produce(n)
+            return self.out[:n], None
+        except AdviceBenchError as exc:
+            return self.out[:n], exc
+
+
+def halt_view(halts):
+    """Each halt's kind and arguments, and which halts are one object."""
+    return ([(halt_kind(h), None if h is None else h.args) for h in halts],
+            [[a is not None and a is b for b in halts] for a in halts])
+
+
+@settings(PROPERTY, max_examples=400)
+@given(inner=one_way_machines(), middle=one_way_machines(),
+       reader=st.one_of(one_way_machines(), two_way_machines()), w=lassos,
+       shape=st.sampled_from(["pair", "chain", "fan"]),
+       budgets=st.lists(st.integers(1, 6), min_size=3, max_size=3), early=st.integers(0, 3),
+       reads=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40)), min_size=1, max_size=6))
+def test_runs_on_runs_read_like_the_dict_stepped_reference(inner, middle, reader, w, shape, budgets, early, reads):
+    """A 1wft reading a fresh 1wft run adopts it, and one kernel steps both
+    (pair, and the first two runs of chain and fan); a 2wft reader, a
+    reader of a chain's reader (chain) and a second reader of an adopted run
+    (fan) read through the pull path; the inner run is read ``early`` letters
+    before the first reader is made, so that one adopts no run. Reads of 0
+    to 40 letters go to any run in turn, through letters and try_letters:
+    letters, halts (their fields, and which are one object), steps and
+    letters out are the reference's."""
+    run = run_1wft if isinstance(reader, OneWayTransducer) else run_2wft
+    runs = [run_1wft(inner, w, budgets[0])]
+    naive = [NaiveRun(inner, w, budgets[0])]
+    if early:
+        (got, halt), (want, want_halt) = runs[0].try_letters(early), naive[0].try_letters(early)
+        assert got == want and halt_kind(halt) is halt_kind(want_halt)
+    machines = [reader] if shape == "pair" else [middle, reader]
+    for machine, budget in zip(machines, budgets[1:]):
+        source = len(runs) - 1 if shape == "chain" else 0
+        make = run if machine is reader else run_1wft
+        runs.append(make(machine, runs[source].word, budget))
+        naive.append(NaiveRun(machine, naive[source], budget))
+    for i, (which, n) in enumerate(reads):
+        which %= len(runs)
+        want, want_halt = naive[which].try_letters(n)
+        if i % 2:
+            got, halt = runs[which].try_letters(n)
+        else:
+            try:
+                got, halt = runs[which].letters(n), None
+            except AdviceBenchError as exc:
+                got, halt = runs[which]._engine.out[:n], exc
+        assert got == want
+        assert halt_view([halt])[0] == halt_view([want_halt])[0]
+        assert [(r._engine.step_count, r.produced) for r in runs] == [(r.steps, len(r.out)) for r in naive]
+        assert halt_view([r._halt for r in runs]) == halt_view([r.halt for r in naive])
+
+
 @st.composite
 def endmarker_bouncers(draw):
     """A random 2wft entered through up to three bounces off the endmarker,

@@ -16,6 +16,7 @@ from advicebench.errors import (
     UndefinedTransition,
 )
 from advicebench.advice import Dfa
+from advicebench.sst import run_sst
 from advicebench.transducers import (
     ENDMARKER,
     LEFT,
@@ -563,6 +564,41 @@ def test_a_failed_source_word_is_the_runs_halt():
     assert got == ["a", "a"] and isinstance(halt, BudgetExceeded)
     assert outer.status is halt
     assert outer.letters(2) == ["a", "a"]
+
+
+@pytest.mark.parametrize("run, machine, steps", [(run_1wft, letter_copier(AB), 5),
+                                                  (run_2wft, two_way_copier(AB), 6),
+                                                  (run_sst, corpus.identity_sst(AB), 5)])
+def test_a_halt_of_the_source_run_keeps_the_readers_own_step_count(run, machine, steps):
+    # the inner run puts out one a per two a's and halts on the b at 10: the
+    # reader halts with the same object after its own 5 letter steps (and,
+    # two-way, its step off the endmarker), not at the inner run's step 10
+    halver = OneWayTransducer({0, 1}, 0, AB, AB, {(0, "a"): ((), 1), (1, "a"): (("a",), 0)})
+    inner = run_1wft(halver, lasso("a" * 10, "b"))
+    outer = run(machine, inner.word)
+    got, halt = outer.try_letters(8)
+    assert got == ["a"] * 5
+    assert outer.status is inner.status is halt
+    assert halt_fields(halt) == (UndefinedTransition, 10, 10, (0, "b"))
+    assert inner._engine.step_count == 10
+    assert outer._engine.step_count == steps
+
+
+def test_a_run_adopted_by_a_one_way_reader_stays_readable_past_its_stall():
+    # the copier adopts the fresh inner run; the inner run's stall halts the
+    # copier, while the inner run goes on from the same state when read again
+    inner = run_1wft(copies_then_stalls(2), lasso("", "ab"), budget=5)
+    outer = run_1wft(letter_copier(AB), inner.word)
+    assert type(outer._engine) is type(inner._engine) is transducers._OneWayEngine
+    with pytest.raises(BudgetExceeded) as err:
+        outer.letters(3)
+    assert err.value.step == inner._engine.step_count == 7
+    assert outer._engine.step_count == 2 and outer.status is err.value
+    assert inner.status == "producing" and inner.produced == 2
+    with pytest.raises(BudgetExceeded) as again:
+        inner.letters(3)
+    assert again.value.step == inner._engine.step_count == 12
+    assert outer.try_letters(3) == (["a", "b"], err.value)
 
 
 def test_a_lookbehind_run_halts_where_its_oracle_reads_pad():

@@ -183,6 +183,16 @@ def test_every_word_refuses_a_negative_letter_index(make):
                 read(n)
 
 
+@pytest.mark.parametrize("make", NEGATIVE_INDEX_WORDS.values(), ids=NEGATIVE_INDEX_WORDS)
+def test_every_word_refuses_a_negative_letter_count(make):
+    w = make()
+    for read in (w.take, w.prefix, w.prefix_str):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="letter count must be nonnegative"):
+                read(n)
+    assert w.take(0) == [] and w.prefix_str(0) == ""
+
+
 def test_a_run_refuses_a_negative_letter_count():
     run = _run_word().outcome
     for read in (run.letters, run.try_letters, run.prefix_str):
