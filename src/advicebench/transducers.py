@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from inspect import getgeneratorlocals
 from itertools import islice
 
 from .errors import (
@@ -474,8 +473,11 @@ class _Engine:
 
 
 class _OneWayEngine(_Engine):
+    _args = None  # (machine, source word) of a run _reader may still adopt
+
     def __init__(self, t: OneWayTransducer, source: InfiniteWord):
         out: list = []
+        self._args = t, source
         super().__init__(t, out, _walk_one_way(t, source, out))
 
 
@@ -747,18 +749,17 @@ def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -
 def _reader(t, word):
     """The engine of a 1wft t reading ``word``. A fresh one-way run (no
     step, no halt, in no chain) is adopted: both engines get handles on one
-    _walk_chain made from the machine and source of the run's own walk,
-    which is dropped. Any other run is read through ``word``."""
+    _walk_chain made from the run's machine and source, and the run's own
+    walk is dropped. Any other run is read through ``word``."""
     inner = word.outcome
     engine = inner._engine
-    if (type(engine) is not _OneWayEngine or type(engine._kernel) is _ChainKernel
+    if (type(engine) is not _OneWayEngine or engine._args is None
             or engine.step_count or inner._halt is not None):
         return _OneWayEngine(t, word)
-    walk = getgeneratorlocals(engine._kernel)
     out: list = []
-    chain = _walk_chain(t, out, walk["t"], walk["source"], engine.out)
+    chain = _walk_chain(t, out, *engine._args, engine.out)
     next(chain)
-    engine._kernel = _ChainKernel(chain)
+    engine._kernel, engine._args = _ChainKernel(chain), None
     reader = _OneWayEngine.__new__(_OneWayEngine)
     _Engine.__init__(reader, t, out, _ChainKernel(chain, inner), steps=0)  # the chain is started
     return reader

@@ -601,6 +601,20 @@ def test_a_run_adopted_by_a_one_way_reader_stays_readable_past_its_stall():
     assert outer.try_letters(3) == (["a", "b"], err.value)
 
 
+def test_two_one_way_readers_of_one_run_read_its_letters_once():
+    # the first copier adopts the inner run and the second reads it through
+    # its word; either one reading past the other must not step the inner
+    # run again from its start
+    w = lasso("ab", "ba")
+    inner = run_1wft(letter_copier(AB), w)
+    first = run_1wft(letter_copier(AB), inner.word)
+    second = run_1wft(letter_copier(AB), inner.word)
+    assert first.letters(3) == w.take(3)
+    assert second.letters(7) == w.take(7)
+    assert first.letters(9) == inner.letters(9) == w.take(9)
+    assert inner.produced == inner._engine.step_count == 9
+
+
 def test_a_lookbehind_run_halts_where_its_oracle_reads_pad():
     # the oracle is total on the input alphabet only: the step after the
     # PAD needs the oracle state past it, which is undefined

@@ -1,33 +1,35 @@
 """A/B comparer: the benchmark at a parent revision against the working tree.
 
     python3 tools/ab.py --parent HEAD --sets stream:1,3 construct:1 \
-        --pairs 10 --seconds 25 --aa --out BENCH_name.json
+        --pairs 10 --seconds 25 --out BENCH_name.json
 
-Run from anywhere inside the repository. Both sides are exported with
+Run from anywhere inside the repository. Three sides are exported with
 ``git archive`` into sibling directories of a scratch directory, at paths of
 equal length (a checkout's path alone moves ``peak_rss_mb``): the parent
-revision, and the working tree through a scratch index, so uncommitted and
-untracked files count and the real index is left alone. Each side runs
-``perfbench/run.py`` from its own checkout.
+revision; the working tree, through a scratch index, so uncommitted and
+untracked files count and the real index is left alone; and a second copy
+of the parent, the A/A control. Each side runs ``perfbench/run.py`` from its
+own checkout.
 
-Every workload and seed of ``--sets`` runs ``--pairs`` pairs in alternating
-order, parent first in even pairs. With ``--aa`` a second export of the parent, the copy,
-runs in every pair as well, an A/A control: the three runs of a pair go in
-the orders of a cycle through all six permutations. ``--probe SCRIPT`` runs
-``python3 SCRIPT PARENT_SRC CHANGE_SRC`` once and keeps the JSON object it
-prints last.
+Every workload and seed of ``--sets`` runs ``--pairs`` rounds of one run per
+side, the three in the orders of a cycle through all six permutations.
+``--probe SCRIPT`` runs ``python3 SCRIPT PARENT_SRC CHANGE_SRC`` once and
+keeps the JSON object it prints last.
 
-The output file (schema ``advicebench-ab/1``) holds, per workload and seed
-(``sets``), the order of each pair and, per end-to-end metric of
+The output file (schema ``advicebench-ab/2``) holds, per workload and seed
+(``sets``), the order of each round and, per end-to-end metric of
 BENCHMARK.json:
 
-- ``parent``, ``change`` (and ``copy`` with --aa): ``runs``, ``median``,
-  ``q1``, ``q3``;
-- ``change_won``: the pairs in which the change read better, of ``pairs``;
+- ``parent``, ``change``, ``copy``: ``runs``, ``median``, ``q1``, ``q3``;
+- ``change_won``, ``copy_won``: the rounds in which that side read better
+  than the parent, of ``pairs``;
 - ``median_delta``: (change median - parent median) / parent median;
-- ``aa_spread``: the largest |copy / parent - 1| of one pair, or null;
-- ``verdict``: ``better`` or ``worse`` when |median_delta| exceeds
-  aa_spread, ``within A/A spread`` otherwise, null without --aa.
+- ``aa_spread``: |copy median - parent median| / parent median;
+- ``verdict``, ``aa_verdict``: the gain rule on the change, and on the copy:
+  ``better`` when the side won at least 9 in 10 rounds and its median is
+  better by more than the parent's q3 - q1, ``worse`` when the parent won
+  that way, ``no clear difference`` otherwise. An ``aa_verdict`` other than
+  that last one shows drift between runs of one tree.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-SCHEMA = "advicebench-ab/1"
+SCHEMA = "advicebench-ab/2"
 SIDES = {"P": "parent", "B": "change", "C": "copy"}
 TRIPLES = ("PBC", "BCP", "CPB", "PCB", "BPC", "CBP")
 
@@ -86,28 +88,35 @@ def summary(runs: list) -> dict:
     return {"runs": runs, "median": statistics.median(runs), "q1": q1, "q3": q3}
 
 
-def compare(spec: dict, values: dict, aa: bool) -> dict:
-    """Per metric, the two (or three) sides' summaries, the pairs won, the
-    median delta, the A/A spread and the verdict."""
+def gain_rule(sign: int, parent: dict, other: dict) -> tuple:
+    """The rounds ``other`` won against ``parent`` (two summaries), and its
+    verdict: a side wins when it won 9 in 10 rounds and its median differs
+    by more than the parent's q3 - q1."""
+    won = sum(sign * (o - p) > 0 for p, o in zip(parent["runs"], other["runs"]))
+    lost = sum(sign * (o - p) < 0 for p, o in zip(parent["runs"], other["runs"]))
+    gap = sign * (other["median"] - parent["median"])
+    rounds, iqr = len(parent["runs"]), parent["q3"] - parent["q1"]
+    if 10 * won >= 9 * rounds and gap > iqr:
+        return won, "better"
+    if 10 * lost >= 9 * rounds and -gap > iqr:
+        return won, "worse"
+    return won, "no clear difference"
+
+
+def compare(spec: dict, values: dict) -> dict:
+    """Per metric, the three sides' summaries, the rounds won, the median
+    deltas and the verdicts."""
     out = {}
     for name, better in spec.items():
-        runs = {side: [v[name] for v in values[side]] for side in values}
+        entry = {side: summary([v[name] for v in values[side]]) for side in values}
         sign = 1 if better == "higher" else -1
-        parent, change = runs["parent"], runs["change"]
-        entry = {side: summary(r) for side, r in runs.items()}
-        entry["better"] = better
-        entry["pairs"] = len(parent)
-        entry["change_won"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         base = entry["parent"]["median"]
+        entry["better"] = better
+        entry["pairs"] = len(entry["parent"]["runs"])
+        entry["change_won"], entry["verdict"] = gain_rule(sign, entry["parent"], entry["change"])
+        entry["copy_won"], entry["aa_verdict"] = gain_rule(sign, entry["parent"], entry["copy"])
         entry["median_delta"] = (entry["change"]["median"] - base) / base if base else None
-        entry["aa_spread"] = entry["verdict"] = None
-        if aa:
-            entry["aa_spread"] = max(abs(c / p - 1) if p else 0.0 for p, c in zip(parent, runs["copy"]))
-            delta = entry["median_delta"] or 0.0
-            if abs(delta) <= entry["aa_spread"]:
-                entry["verdict"] = "within A/A spread"
-            else:
-                entry["verdict"] = "better" if sign * delta > 0 else "worse"
+        entry["aa_spread"] = abs(entry["copy"]["median"] - base) / base if base else None
         out[name] = entry
     return out
 
@@ -119,7 +128,6 @@ def main(argv=None) -> int:
                         help="a workload and its comma-separated seeds, e.g. stream:1,3")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--aa", action="store_true", help="run an A/A copy of the parent in every pair")
     parser.add_argument("--probe", help="a script run once as SCRIPT PARENT_SRC CHANGE_SRC")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -143,25 +151,24 @@ def main(argv=None) -> int:
     try:
         export(parent, dirs["P"])
         export(tree, dirs["B"])
-        if args.aa:
-            export(parent, dirs["C"])
+        export(parent, dirs["C"])
         bench = json.loads((dirs["B"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         spec = {m["name"]: m["better"] for m in bench["end_to_end"]}
         sets = []
         for workload, seed in runs:
-            values: dict = {SIDES[s]: [] for s in ("PBC" if args.aa else "PB")}
+            values: dict = {side: [] for side in SIDES.values()}
             orders = []
             for i in range(args.pairs):
-                order = TRIPLES[i % len(TRIPLES)] if args.aa else ("PB", "BP")[i % 2]
+                order = TRIPLES[i % len(TRIPLES)]
                 orders.append(",".join(SIDES[s] for s in order))
                 got = {s: run_bench(dirs[s], workload, seed, args.seconds) for s in order}
                 for s in order:
                     values[SIDES[s]].append(got[s])
-                print(f"# {workload} seed {seed} pair {i + 1}/{args.pairs} ({orders[-1]}): "
+                print(f"# {workload} seed {seed} round {i + 1}/{args.pairs} ({orders[-1]}): "
                       + ", ".join(f"{SIDES[s]} {got[s]['ops_per_s']:.1f} ops/s" for s in order),
                       file=sys.stderr, flush=True)
             sets.append({"workload": workload, "seed": seed, "orders": orders,
-                         "metrics": compare(spec, values, args.aa)})
+                         "metrics": compare(spec, values)})
         probe = None
         if probe_script:
             done = subprocess.run([sys.executable, probe_script, str(dirs["P"] / "src"), str(dirs["B"] / "src")],
@@ -178,7 +185,6 @@ def main(argv=None) -> int:
         "change": f"working tree {tree}",
         "seconds": args.seconds,
         "pairs": args.pairs,
-        "aa": args.aa,
         "sets": sets,
         "probe": probe,
     }
@@ -187,7 +193,8 @@ def main(argv=None) -> int:
         for name, m in s["metrics"].items():
             print(f"{s['workload']:9s} seed {s['seed']} {name:14s} parent {m['parent']['median']:12.6g}"
                   f"  change {m['change']['median']:12.6g}  won {m['change_won']}/{m['pairs']}"
-                  f"  delta {m['median_delta'] or 0:+.3f}  verdict {m['verdict']}")
+                  f"  delta {m['median_delta'] or 0:+.3f}  A/A {m['aa_spread'] or 0:.3f}  {m['verdict']}"
+                  f" (A/A: {m['aa_verdict']})")
     return 0
 
 
