@@ -6,17 +6,18 @@ machine that stalls (for instance by emitting nothing forever) surfaces a
 status instead of hanging. Two-way machines read a tape holding the
 endmarker followed by the input word.
 
-Each machine shape has one stepping kernel, a generator whose first yield
-is the initial configuration. ``send((want, budget))`` takes a batch of
-steps, as a RunOutcome reads, and yields their number. The kernels here
-have a second mode on the same loop (see _walk): ``next`` takes one step
-and yields the configuration, as the constructions walk. The register
-machines' kernel (sst._walk_sst) batches only, and ``send((0, 1))`` takes
-exactly one step there. A two-way batch crosses a run of self-loops that
-emit nothing, or their cell's letter, at once, and codes tape cells
-through byte tables (see _walk). An exception of a kernel's source word
-ends it as _Halted, with the batch's steps. A 1wft run on a fresh 1wft
-run's word adopts that run (see _reader): one kernel steps both.
+Each machine shape has one stepping kernel, a generator started by one
+``next``. ``send((want, budget))`` takes a batch of steps, as a RunOutcome
+reads, and yields their number. Only the two-way kernel has a second mode
+on the same loop (see _walk): ``next`` takes one step and yields the
+configuration, as the lasso and π walks step. The one-way kernel
+(_walk_one_way) and the register machines' (sst._walk_sst) batch only, and
+``send((0, 1))`` takes exactly one step there. A two-way batch crosses a
+run of self-loops that emit nothing, or their cell's letter, at once, and
+codes tape cells through byte tables (see _walk). An exception of a
+kernel's source word ends a two-way or SST kernel as _Halted, with the
+batch's steps; the one-way kernel yields its halts. A 1wft run on a 1wft
+run's word steps in that run's kernel (see _reader): one loop steps both.
 
 The kernels step through a machine's ``table``, made on its first run and
 kept for every later one. A table row belongs to a state and maps what
@@ -331,9 +332,9 @@ class LookbehindTransducer(_Transducer):
 
 
 class _Halted(Exception):
-    """A batch that ended in the run's halt ``halt`` after ``steps`` steps,
-    raised by a kernel whose source word raised ``halt``, or yielded by a
-    chain's kernel (see _walk_chain)."""
+    """A batch that ended in the run's halt ``halt`` after ``steps`` steps:
+    raised by a two-way or SST kernel whose source word raised ``halt``, and
+    yielded by the one-way kernel for every halt (see _walk_one_way)."""
 
     def __init__(self, steps, halt):
         super().__init__(steps, halt)
@@ -381,7 +382,7 @@ class RunOutcome:
                 if len(out) >= n:
                     return out
                 raise
-            except _Halted as halted:  # from the source word, or a chain's inner run
+            except _Halted as halted:  # a source word's, or any one-way halt
                 engine.step_count += halted.steps
                 self._halt = halted.halt
                 raise halted.halt from None
@@ -427,9 +428,9 @@ class RunOutcome:
 
 class _OutcomeWord(InfiniteWord):
     """View of a run's output as a word; letters come from the outcome's
-    own output list, so the view shares the outcome's single consumer.
-    run_1wft adopts a fresh one-way run instead of reading its view, with
-    the same steps, stalls and halts (see _reader)."""
+    own output list, so the view shares the outcome's single consumer. The
+    first 1wft reader of a one-way run steps in the run's kernel instead of
+    reading its view, with the same steps, stalls and halts (see _reader)."""
 
     def __init__(self, outcome: RunOutcome):
         super().__init__(outcome._engine.output_alphabet)
@@ -450,9 +451,8 @@ class _OutcomeWord(InfiniteWord):
 class _Engine:
     """A run resumed a batch of steps at a time: ``kernel`` is a stepping
     kernel like _walk, which appends each step's letters to ``out``. A
-    fresh kernel's first yield, the initial configuration, is taken here;
-    one that ``next`` has already stepped ``steps`` times goes on from there
-    (see _resume_2wft)."""
+    fresh kernel's first yield is taken here; one that has already stepped
+    ``steps`` times goes on from there (see _resume_2wft, _reader)."""
 
     oracle = None  # the lookbehind oracle, on lookbehind runs only
 
@@ -473,161 +473,123 @@ class _Engine:
 
 
 class _OneWayEngine(_Engine):
-    _args = None  # (machine, source word) of a run _reader may still adopt
+    """A 1wft run's engine. ``run`` is the run whose kernel a reader steps
+    in (see _reader); advance raises what the kernel yields in place of a
+    batch's steps, and writes the run's step count and halt back."""
+
+    run = None
 
     def __init__(self, t: OneWayTransducer, source: InfiniteWord):
         out: list = []
-        self._args = t, source
         super().__init__(t, out, _walk_one_way(t, source, out))
+
+    def advance(self, want, budget):
+        if len(self.out) < want and budget > 0:
+            run = self.run
+            if run is None:
+                steps = self._kernel.send((want, budget))
+            else:
+                steps, run._engine.step_count, halt = self._kernel.send((want, budget, run.budget))
+                if halt is not None:
+                    run._halt = halt
+            if type(steps) is not int:
+                raise steps
+            self.step_count += steps
 
 
 def _walk_one_way(t, source, out):
-    """Run the 1wft t on source in the two modes of _walk: yields (state,
-    pos) before every step, pos being the index of the letter the step
-    reads, or a batch's step count. A step looks its letter up in the
-    t.table row of its state; a letter the row lacks goes to
-    _OneWayTable.fill, which adds the transition's entry or raises
-    UndefinedTransition(pos, pos, (state, letter)). It steps through one
-    ``letters_from`` chunk at a time, asking for the next only when a step
-    needs its first letter, and keeps no tape; what that asking raises ends
-    the walk as _Halted (see _produce)."""
-    table = t.table
-    more, emit, fill = source.letters_from, out.extend, table.fill
-    row, state, pos = table.start, t.initial, 0
-    want = gap = stop = start = 0  # one-step mode: stop <= pos, so every step yields
-    ask = yield state, pos
-    if ask is not None:
-        want, gap = ask
-        start, stop = pos, pos + gap if len(out) < want else pos + 1
-    while True:
-        try:
-            chunk = more(pos)
-        except Exception as exc:  # the run's halt (see _produce)
-            raise _Halted(pos - start, exc) from None
-        for a in chunk:
-            try:
-                emitted, row, state = row[a]
-            except KeyError:
-                emitted, row, state = fill(row, state, a, pos)
-            pos += 1
-            if emitted:
-                emit(emitted)
-                stop = pos + gap if len(out) < want else pos
-            if pos >= stop:
-                ask = yield (state, pos) if ask is None else pos - start
-                if ask is None:
-                    want = gap = 0
-                else:
-                    want, gap = ask
-                    start, stop = pos, pos + gap if len(out) < want else pos + 1
+    """Run the 1wft t on source in batches, appending each step's letters
+    to ``out``. A step looks its letter up in the t.table row of its state;
+    a letter the row lacks goes to _OneWayTable.fill, which adds the entry
+    or raises UndefinedTransition(pos, pos, (state, letter)). The run steps
+    through one ``letters_from`` chunk at a time and keeps no tape.
 
-
-class _ChainKernel:
-    """A run's handle on the kernel its chain shares, in its engine's place
-    of a kernel: ``send`` passes a batch on and gives its steps, or raises
-    what ended it. The reader's handle also sends the inner run's budget
-    and writes the inner step count and halt back."""
-
-    __slots__ = ("walk", "inner")
-
-    def __init__(self, walk, inner=None):
-        self.walk, self.inner = walk, inner
-
-    def send(self, ask):
-        inner = self.inner
-        if inner is None:
-            steps = self.walk.send(ask)
-        else:
-            steps, inner._engine.step_count, halt = self.walk.send(ask + (inner.budget,))
-            if halt is not None:
-                inner._halt = halt
-        if type(steps) is int:
-            return steps
-        raise steps
-
-
-def _walk_chain(t, out, inner, source, iout):
-    """The batch-only kernel of a 1wft t reading a fresh run of the 1wft
-    ``inner`` on ``source``, whose letters go to ``iout``. One loop steps
-    both tables' rows as _walk_one_way does, the inner's only when t needs
-    letter len(iout), as a batch of the inner run for that letter would.
-
-    The reader's batch ``(want, budget, inner budget)`` is answered with
-    (steps, inner step count, inner halt or None); the inner run's own
-    ``(want, budget)`` steps only the inner rows. What would end a kernel
-    is yielded in place of the steps, so the other run stays readable: the
-    reader's halt, or _Halted(steps, halt) when the inner run halts (the
-    reader's halt is then the same object) or stalls (the reader halts with
-    BudgetExceeded at the inner step count; the inner run does not)."""
-    table, itable = t.table, inner.table
-    emit, fill, iemit, ifill = out.extend, table.fill, iout.extend, itable.fill
-    more = source.letters_from
-    row, state, pos = table.start, t.initial, 0
-    irow, istate, ipos = itable.start, inner.initial, 0
-    letters, ihalt = iter(()), None  # letters: the inner's source letters from ipos on
+    ``send((want, budget))`` steps until ``out`` holds ``want`` letters or
+    ``budget`` steps in a row emitted nothing, and yields the steps taken.
+    ``send((reader, rout))`` attaches a 1wft reading ``out`` into ``rout``
+    and yields True, or False when one is attached already. Its batches
+    ``(want, budget, run budget)`` step its rows through the letters of
+    ``out`` past it, and the run's only when it needs letter len(out), as
+    the run's own batch for that letter would; they yield (steps, the run's
+    step count, the run's halt or None). Halts are yielded as
+    _Halted(steps, halt), so the other machine stays readable: the run's
+    halt (from fill or ``letters_from``) is the reader's too, the same
+    object, and a run stalled in a reader's batch halts the reader with
+    BudgetExceeded at the run's step count, not itself."""
+    more, emit, fill = source.letters_from, out.extend, t.table.fill
+    row, state, pos = t.table.start, t.initial, 0
+    letters, halt, rout = iter(()), None, None  # letters: the source's from pos on
     ask = yield
     while True:
-        reader = len(ask) == 3
-        if reader:
-            want, gap, igap = ask
-            start, stop, ahead = pos, pos + gap, iout[pos:]
+        if type(ask[1]) is list:  # a reader attaches, unless one has
+            if rout is None:
+                rout = ask[1]
+                remit, rfill = rout.extend, ask[0].table.fill
+                rrow, rstate, rpos = ask[0].table.start, ask[0].initial, 0
+            ask = yield rout is ask[1]
+            continue
+        reading = len(ask) == 3
+        if reading:  # want is the reader's; gap is always the run's budget
+            want, rgap, gap = ask
+            start, rstop = rpos, rpos + rgap
+            ahead = map(out.__getitem__, range(rpos, len(out)))  # the letters past it, read in place
         else:
-            (iwant, igap), ahead = ask, ()
-            istart, istop = ipos, ipos + igap
+            (want, gap), ahead = ask, ()
+            start, stop = pos, pos + gap if len(out) < want else pos + 1
         while True:
-            for a in ahead:  # t steps through the inner letters out, iout[pos:]
+            for a in ahead:  # the reader steps through the run's letters past it
                 try:
-                    emitted, row, state = row[a]
+                    emitted, rrow, rstate = rrow[a]
                 except KeyError:
                     try:
-                        emitted, row, state = fill(row, state, a, pos)
-                    except UndefinedTransition as halt:
-                        steps = halt
+                        emitted, rrow, rstate = rfill(rrow, rstate, a, rpos)
+                    except UndefinedTransition as exc:
+                        steps = _Halted(rpos - start, exc)
                         break
-                pos += 1
+                rpos += 1
                 if emitted:
-                    emit(emitted)
-                    stop = pos + gap if len(out) < want else pos
-                if pos >= stop:
-                    steps = pos - start
+                    remit(emitted)
+                    rstop = rpos + rgap if len(rout) < want else rpos
+                if rpos >= rstop:
+                    steps = rpos - start
                     break
             else:
-                if reader:  # t needs letter len(iout): the inner budget counts from here
-                    istop, iemitted = ipos + igap, ()
-                while ihalt is None and igap > 0:  # inner steps, to a letter t needs (or iwant) or igap silent ones
+                if reading:
+                    stop, emitted = pos + gap, ()  # the reader needs letter len(out): the run's budget counts from here
+                while halt is None and gap > 0:  # run steps, to a letter the reader needs (or want) or gap silent ones
                     for a in letters:
                         try:
-                            iemitted, irow, istate = irow[a]
+                            emitted, row, state = row[a]
                         except KeyError:
                             try:
-                                iemitted, irow, istate = ifill(irow, istate, a, ipos)
-                            except UndefinedTransition as halt:
-                                ihalt = halt
+                                emitted, row, state = fill(row, state, a, pos)
+                            except UndefinedTransition as exc:
+                                halt = exc
                                 break
-                        ipos += 1
-                        if iemitted:
-                            iemit(iemitted)
-                            if reader or len(iout) >= iwant:
+                        pos += 1
+                        if emitted:
+                            emit(emitted)
+                            if reading or len(out) >= want:
                                 break
-                            istop = ipos + igap
-                        if ipos >= istop:
+                            stop = pos + gap
+                        if pos >= stop:
                             break
                     else:
                         try:
-                            letters = iter(more(ipos))
-                        except Exception as exc:  # the inner run's halt
-                            ihalt = exc
+                            letters = iter(more(pos))
+                        except Exception as exc:  # the run's halt
+                            halt = exc
                         continue
                     break
-                if not reader:
-                    steps = ipos - istart if ihalt is None else _Halted(ipos - istart, ihalt)
-                elif iemitted:  # the inner step's letters: t has read every letter before them
-                    ahead = iemitted
+                if not reading:
+                    steps = pos - start if halt is None else _Halted(pos - start, halt)
+                elif emitted:  # the run step's letters: the reader has read every letter before them
+                    ahead = emitted
                     continue
                 else:
-                    steps = _Halted(pos - start, BudgetExceeded(ipos) if ihalt is None else ihalt)
+                    steps = _Halted(rpos - start, BudgetExceeded(pos) if halt is None else halt)
             break
-        ask = yield (steps, ipos, ihalt) if reader else steps
+        ask = yield (steps, pos, halt) if reading else steps
 
 
 def _walk(t, source, out):
@@ -740,28 +702,25 @@ class _TwoWayEngine(_Engine):
 
 
 def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
-    """Run a 1wft. On a run's word the run may be adopted (see _reader)."""
+    """Run a 1wft. On a run's word it may step in that run's kernel (see _reader)."""
     if type(source) is _OutcomeWord:
         return RunOutcome(_reader(t, source), budget)
     return RunOutcome(_OneWayEngine(t, source), budget)
 
 
 def _reader(t, word):
-    """The engine of a 1wft t reading ``word``. A fresh one-way run (no
-    step, no halt, in no chain) is adopted: both engines get handles on one
-    _walk_chain made from the run's machine and source, and the run's own
-    walk is dropped. Any other run is read through ``word``."""
-    inner = word.outcome
-    engine = inner._engine
-    if (type(engine) is not _OneWayEngine or engine._args is None
-            or engine.step_count or inner._halt is not None):
-        return _OneWayEngine(t, word)
+    """The engine of a 1wft t reading ``word``. On a one-way run whose kernel
+    has no reader yet, whatever the run has stepped, it attaches to that
+    kernel, which then steps both machines (see _walk_one_way). Any other
+    run, a reader among them, is read through ``word``."""
+    run = word.outcome
+    engine = run._engine
     out: list = []
-    chain = _walk_chain(t, out, *engine._args, engine.out)
-    next(chain)
-    engine._kernel, engine._args = _ChainKernel(chain), None
+    if type(engine) is not _OneWayEngine or not engine._kernel.send((t, out)):
+        return _OneWayEngine(t, word)
     reader = _OneWayEngine.__new__(_OneWayEngine)
-    _Engine.__init__(reader, t, out, _ChainKernel(chain, inner), steps=0)  # the chain is started
+    reader.run = run
+    _Engine.__init__(reader, t, out, engine._kernel, steps=0)  # the kernel is started
     return reader
 
 
@@ -954,6 +913,29 @@ def _loop_lasso(t, out, cut):
     )
 
 
+def _one_way_cut(t, w: LassoWord, out):
+    """Run a 1wft through t.table's rows on the lasso w, one period of w at a
+    time, until a period starts in a state an earlier period started in:
+    within |u| + |Q|·|v| letters, by pigeonhole. Return the output length
+    where that earlier period started. The letters go to ``out``; a halt is
+    raised as run_1wft raises it."""
+    table = t.table
+    row, state, pos = table.start, t.initial, 0
+    starts: dict = {}  # the state a period starts in -> len(out) there
+    letters = w.u.letters
+    while True:
+        for a in letters:
+            try:
+                emitted, row, state = row[a]
+            except KeyError:
+                emitted, row, state = table.fill(row, state, a, pos)
+            out.extend(emitted)
+            pos += 1
+        if state in starts:
+            return starts[state]
+        starts[state], letters = len(out), w.v.letters
+
+
 def _oracle_cycle(dfa, w: LassoWord):
     """(states, start, length): the run of a lookbehind oracle or SST control
     on the lasso w, states[n] (a name) after n letters, repeats
@@ -1037,20 +1019,6 @@ class FiniteImage:
 
     word: FiniteWord
     reason: Exception
-
-
-def _one_way_cut(t, w: LassoWord, out):
-    """Run a 1wft on the lasso w until its cycle closes (as in _oracle_cycle),
-    within |u| + |Q|·|v| + 1 configurations, and a longer walk raises
-    InvariantViolation; return the output length where the cycle starts.
-    The letters go to ``out``; a halt is raised as run_1wft raises it."""
-    settled = _settle_test(len(w.u), len(w.v), out)
-    bound = len(w.u) + len(t.states) * len(w.v) + 1
-    for state, pos in islice(_walk_one_way(t, w, out), bound):
-        cut = settled(state, pos)
-        if cut is not None:
-            return cut
-    raise InvariantViolation(f"a lasso walk passed its bound of {bound} configurations")
 
 
 def _cut_image(t, out, cut):

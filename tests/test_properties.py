@@ -61,6 +61,7 @@ from advicebench.transducers import (
     LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
+    _Halted,
     _oracle_cycle,
     _resume_2wft,
     _settle_test,
@@ -551,21 +552,28 @@ def halt_view(halts):
             [[a is not None and a is b for b in halts] for a in halts])
 
 
+COPIER = OneWayTransducer({"q"}, "q", AB, AB, {("q", a): ((a,), "q") for a in AB.letters})
+
+
 @settings(PROPERTY, max_examples=400)
 @given(inner=one_way_machines(), middle=one_way_machines(),
        reader=st.one_of(one_way_machines(), two_way_machines()), w=lassos,
        shape=st.sampled_from(["pair", "chain", "fan"]),
        budgets=st.lists(st.integers(1, 6), min_size=3, max_size=3), early=st.integers(0, 3),
        reads=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40)), min_size=1, max_size=6))
+@example(COPIER, COPIER, COPIER, lasso("ab", "ba"), "fan", [1, 1, 1], 0, [(1, 3), (2, 7), (1, 9)])
 def test_runs_on_runs_read_like_the_dict_stepped_reference(inner, middle, reader, w, shape, budgets, early, reads):
-    """A 1wft reading a fresh 1wft run adopts it, and one kernel steps both
-    (pair, and the first two runs of chain and fan); a 2wft reader, a
-    reader of a chain's reader (chain) and a second reader of an adopted run
-    (fan) read through the pull path; the inner run is read ``early`` letters
-    before the first reader is made, so that one adopts no run. Reads of 0
-    to 40 letters go to any run in turn, through letters and try_letters:
-    letters, halts (their fields, and which are one object), steps and
-    letters out are the reference's."""
+    """A 1wft reading a 1wft run steps in the run's kernel, and one loop
+    steps both (pair, and the first two runs of chain and fan); a 2wft
+    reader, a reader of a chain's reader (chain) and a second reader of a
+    run (fan) read through the pull path. The inner run is read ``early``
+    letters before the first reader is made, which then steps in the
+    kernel of a run that has stepped, stalled or halted. Reads of 0 to 40
+    letters go to any run in turn, through letters and try_letters, and
+    then each reader, the inner run between them, reads 3 letters past what
+    any run has produced, so that readers read past each other and past
+    the inner run's letters: letters, halts (their fields, and which are
+    one object), steps and letters out are the reference's."""
     run = run_1wft if isinstance(reader, OneWayTransducer) else run_2wft
     runs = [run_1wft(inner, w, budgets[0])]
     naive = [NaiveRun(inner, w, budgets[0])]
@@ -578,8 +586,12 @@ def test_runs_on_runs_read_like_the_dict_stepped_reference(inner, middle, reader
         make = run if machine is reader else run_1wft
         runs.append(make(machine, runs[source].word, budget))
         naive.append(NaiveRun(machine, naive[source], budget))
-    for i, (which, n) in enumerate(reads):
+    readers = list(range(1, len(runs)))
+    leapfrog = [(which, None) for which in readers + [0] + readers]
+    for i, (which, n) in enumerate(reads + leapfrog):
         which %= len(runs)
+        if n is None:
+            n = max(len(r.out) for r in naive) + 3
         want, want_halt = naive[which].try_letters(n)
         if i % 2:
             got, halt = runs[which].try_letters(n)
@@ -696,7 +708,8 @@ class OneStepDriver:
     at a time, by ``next``, or ``send((0, 1))`` on an SST kernel, which
     steps in batches only, spending at most ``budget`` steps between
     consecutive letters within one read. ``walk`` replaces the kernel, as
-    dict_walk does. A general SST steps its simple form; once that stalls
+    dict_walk does; a 1wft, whose kernel steps in batches only, always
+    steps dict_walk. A general SST steps its simple form; once that stalls
     with the whole of naive_general_sst's finite limit out, every step
     puts out a PAD."""
 
@@ -706,7 +719,7 @@ class OneStepDriver:
         if walk is not None:
             self.kernel = walk(machine, w, self.out)
         elif isinstance(machine, OneWayTransducer):
-            self.kernel = _walk_one_way(machine, w, self.out)
+            self.kernel = dict_walk(machine, w, self.out)
         elif isinstance(machine, Sst):
             simple = machine
             if not isinstance(machine, SimpleSst):
@@ -882,14 +895,18 @@ def dict_walk(t, source, out):
 
 
 def drive(kernel, out, asks):
-    """Each answer of ``kernel`` to its start and to ``asks`` (None for a
-    ``next``, else a batch to send), with the letters out held after it;
-    a halt ends the list with its fields."""
+    """Each answer of ``kernel`` to ``asks`` (None for a ``next``, else a
+    batch to send), after the ``next`` that starts it, with the letters out
+    held after it; a halt, raised or yielded as _Halted, ends the list with
+    its fields."""
     answers = []
     try:
-        answers.append((next(kernel), list(out)))
+        next(kernel)
         for ask in asks:
-            answers.append((next(kernel) if ask is None else kernel.send(ask), list(out)))
+            answer = next(kernel) if ask is None else kernel.send(ask)
+            if type(answer) is _Halted:
+                raise answer.halt
+            answers.append((answer, list(out)))
     except (UndefinedTransition, MovedLeftOfEndmarker) as halt:
         answers.append((type(halt), getattr(halt, "position", None), halt.step,
                         getattr(halt, "detail", None), list(out)))
@@ -919,8 +936,11 @@ asks = st.builds(lambda steps, mixed: [None] * steps + mixed, st.integers(0, 12)
 def test_the_compiled_kernels_step_like_a_dict_lookup_on_the_transitions(machine, w, asks, cells):
     # what each next and send gives, the letters and the halt with its
     # (pos, step, key) are those of the reference; a two-way walk encoding
-    # 1 or 3 cells at a time crosses many slice ends
-    kernel = _walk_one_way if isinstance(machine, OneWayTransducer) else _walk
+    # 1 or 3 cells at a time crosses many slice ends. The one-way kernel
+    # steps in batches only, so it takes the batches alone
+    kernel = _walk
+    if isinstance(machine, OneWayTransducer):
+        kernel, asks = _walk_one_way, [ask for ask in asks if ask is not None]
     out, want = [], []
     slice_cells, transducers.SLICE = transducers.SLICE, cells
     try:

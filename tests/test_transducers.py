@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import islice
 
@@ -27,7 +28,6 @@ from advicebench.transducers import (
     TwoWayTransducer,
     _oracle_cycle,
     _walk,
-    _walk_one_way,
     _walk_to_image,
     analyze_on_constant,
     compose_1wft,
@@ -231,12 +231,7 @@ def most_visits(configurations, window):
 
 
 def test_visit_bounds():
-    w = lasso("", "ab")
     out: list = []
-    copier = configurations_until(_walk_one_way(letter_copier(AB), w, out), out, 300)
-    assert most_visits(copier, 200) == 1
-
-    out = []
     mirror = configurations_until(_walk(mirror_blocks_2wft(AB), lasso("", "ab#"), out), out, 300)
     assert most_visits(mirror, 200) <= 3
 
@@ -613,6 +608,21 @@ def test_two_one_way_readers_of_one_run_read_its_letters_once():
     assert second.letters(7) == w.take(7)
     assert first.letters(9) == inner.letters(9) == w.take(9)
     assert inner.produced == inner._engine.step_count == 9
+
+
+def test_a_reader_reads_the_letters_its_run_has_produced_past_it_in_place():
+    # the inner run is read 200000 letters past its reader; one more letter
+    # of the reader copies none of them
+    inner = run_1wft(letter_copier(AB), lasso("aba", "bbaabab"))
+    outer = run_1wft(letter_copier(AB), inner.word)
+    assert outer.letters(10) == inner.letters(200_000)[:10]
+    tracemalloc.start()
+    try:
+        assert outer.letter(10) == inner.letter(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_a_lookbehind_run_halts_where_its_oracle_reads_pad():
