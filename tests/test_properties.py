@@ -894,14 +894,16 @@ def dict_walk(t, source, out):
         ask = yield (state, pos) if ask is None else taken
 
 
-def drive(kernel, out, asks):
-    """Each answer of ``kernel`` to ``asks`` (None for a ``next``, else a
-    batch to send), after the ``next`` that starts it, with the letters out
-    held after it; a halt, raised or yielded as _Halted, ends the list with
-    its fields."""
+def drive(kernel, out, asks, start):
+    """Each answer of ``kernel`` to its start (if ``start``) and to
+    ``asks`` (None for a ``next``, else a batch to send), with the letters
+    out held after it; a halt, raised or yielded as _Halted, ends the list
+    with its fields."""
     answers = []
     try:
-        next(kernel)
+        first = next(kernel)
+        if start:
+            answers.append((first, list(out)))
         for ask in asks:
             answer = next(kernel) if ask is None else kernel.send(ask)
             if type(answer) is _Halted:
@@ -937,17 +939,18 @@ def test_the_compiled_kernels_step_like_a_dict_lookup_on_the_transitions(machine
     # what each next and send gives, the letters and the halt with its
     # (pos, step, key) are those of the reference; a two-way walk encoding
     # 1 or 3 cells at a time crosses many slice ends. The one-way kernel
-    # steps in batches only, so it takes the batches alone
-    kernel = _walk
-    if isinstance(machine, OneWayTransducer):
+    # steps in batches only and yields no configuration at its start, so it
+    # takes the batches alone
+    kernel, two_way = _walk, not isinstance(machine, OneWayTransducer)
+    if not two_way:
         kernel, asks = _walk_one_way, [ask for ask in asks if ask is not None]
     out, want = [], []
     slice_cells, transducers.SLICE = transducers.SLICE, cells
     try:
-        got = drive(kernel(machine, w, out), out, asks)
+        got = drive(kernel(machine, w, out), out, asks, start=two_way)
     finally:
         transducers.SLICE = slice_cells
-    assert got == drive(dict_walk(machine, w, want), want, asks)
+    assert got == drive(dict_walk(machine, w, want), want, asks, start=two_way)
 
 
 @st.composite
