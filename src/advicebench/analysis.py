@@ -153,14 +153,15 @@ def prefix_equiv(a, b, n: int):
     return Equal(n)
 
 
-def _validate_prefix(result: RunOutcome, original: RunOutcome, n: int, what: str):
+def _validate_prefix(result: RunOutcome, original, n: int, what: str):
     """Refuse a construction whose run differs from the original's within n letters.
 
+    ``original`` is the original's run, or a FiniteWord of its letters.
     Lengths count. An original shorter than n raises UnstableClassification;
     it is read first, so the result then takes no step. Pass runs with the
     default budget: with a small one a run that comes back late looks stalled.
     """
-    if len(original.try_letters(n)[0]) < n:
+    if len(_pull(original, n)[0]) < n:
         raise UnstableClassification("original output too short to validate")
     verdict = prefix_equiv(result, original, n)
     if isinstance(verdict, Diverges):

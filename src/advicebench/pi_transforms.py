@@ -22,19 +22,19 @@ from .errors import (
     UnstableClassification,
 )
 from .transducers import (
+    DEFAULT_BUDGET,
     ENDMARKER,
     LEFT,
     RIGHT,
     OneWayTransducer,
     TwoWayTransducer,
-    _resume_2wft,
+    _configurations,
     _settle_test,
-    _walk,
     compose_1wft,
     run_1wft,
     run_2wft,
 )
-from .words import BINARY, _primitive_root_length, pi_word
+from .words import BINARY, FiniteWord, _primitive_root_length, pi_word
 
 
 def pi_k_expander_1wft(k: int, strict: bool = False) -> OneWayTransducer:
@@ -184,12 +184,12 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     UnstableClassification if the original emits fewer. Callers must only
     use machines whose output on the block word is not ultimately periodic.
 
-    The original is stepped once: the validation reads it from where the
-    walk above stopped, on the same kernel and output list, so only the
-    result runs from step 0. That read stalls where a fresh run_2wft read
-    would, as transducers._resume_2wft shows; a walk of DEFAULT_BUDGET
-    steps or more, which only machines of 11 states or more can take, is
-    read afresh instead.
+    The validation compares the result's run with the letters the walk
+    above put out, when there are ``probe_range`` of them and the walk took
+    fewer than DEFAULT_BUDGET steps: no stretch of so short a walk holds a
+    budget's worth of silent steps, so a fresh run_2wft read of the
+    original gives those letters too, and the original is not run again.
+    Otherwise it runs afresh.
     """
     if direction_partition(t) is not None:
         return t
@@ -200,12 +200,11 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     w_upper = k_upper * (k_upper + 1) // 2 + 1
     stop_pos = w_upper + m_bound + 4
     out: list = []
-    walk = _walk(t, pi, out)
     reached: dict = {}  # cell -> (state, len(out)) at the last right move into it
     last = pos = 0
     saved_state, saved_pos, lap, span = None, -1, 0, 1  # Brent's checkpoint
     try:
-        for step, (state, pos) in enumerate(islice(walk, n_states * stop_pos + 1)):
+        for step, (state, pos) in enumerate(islice(_configurations(t, pi, out), n_states * stop_pos + 1)):
             if pos > last:
                 reached[pos] = (state, len(out))
                 if pos == stop_pos:
@@ -313,7 +312,8 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     states = {src for (src, _a) in tr} | {q2 for (_o, _m, q2) in tr.values()}
     result = TwoWayTransducer(states, ("p", 0), t.input_alphabet, t.output_alphabet, tr)
 
-    original = _resume_2wft(t, pi, out, walk, step)
+    walked = len(out) >= probe_range and step < DEFAULT_BUDGET
+    original = FiniteWord._known(tuple(out), t.output_alphabet) if walked else run_2wft(t, pi)
     _validate_prefix(run_2wft(result, pi), original, probe_range, "direction normalization")
     return result
 
@@ -396,7 +396,7 @@ def _walk_to_repeat(t: TwoWayTransducer, period_base: int):
     ones: dict = {}  # tape position -> j, for the 1s the head has reached
     next_one = _onepos(0)
     try:
-        for step, (state, pos) in enumerate(islice(_walk(t, pi_word(1), out), bound + 1)):
+        for step, (state, pos) in enumerate(islice(_configurations(t, pi_word(1), out), bound + 1)):
             if pos == next_one:
                 ones[pos] = len(ones)
                 next_one = _onepos(len(ones))

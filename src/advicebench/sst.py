@@ -390,11 +390,11 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name):
     """Run s from its initial state on ``registers``, which start empty.
     Register ``name`` (None for none) is streamed into ``out``: its letters
     go there as the updates append them, and it is never built as a rope.
-    The first yield is the initial configuration (state, pos). Every later
-    resumption is a batch, as in transducers._walk: ``send((want, gap))``
-    steps until ``out`` holds ``want`` letters, or ``gap`` steps in a row
-    emitted nothing, and yields the number of steps; it takes its first
-    step unasked, so ``send((0, 1))`` takes exactly one.
+    Its start yields nothing. Every later resumption is a batch, as in
+    transducers._walk: ``send((want, gap))`` steps until ``out`` holds
+    ``want`` letters, or ``gap`` steps in a row emitted nothing, and yields
+    the number of steps; it takes its first step unasked, so
+    ``send((0, 1))`` takes exactly one.
 
     A step looks its letter up in the s.table row of its state and applies
     the entry: the streamed register's tail goes to ``out``, its letters as
@@ -414,7 +414,7 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name):
     row, fill = table.row(state, streamed), table.fill
     more, emit = source.letters_from, out.extend
     ropes = registers.ropes
-    want, gap = yield state, pos
+    want, gap = yield
     start, stop = pos, pos + gap if len(out) < want else pos + 1
     while True:
         try:

@@ -6,15 +6,14 @@ machine that stalls (for instance by emitting nothing forever) surfaces a
 status instead of hanging. Two-way machines read a tape holding the
 endmarker followed by the input word.
 
-Each machine shape has one stepping kernel, a generator started by one
-``next``. ``send((want, budget))`` takes a batch of steps, as a RunOutcome
-reads, and yields their number. Only the two-way kernel has a second mode
-on the same loop (see _walk): ``next`` takes one step and yields the
-configuration, as the lasso and π walks step. The one-way kernel
-(_walk_one_way) and the register machines' (sst._walk_sst) batch only, and
-``send((0, 1))`` takes exactly one step there. A two-way batch crosses a
-run of self-loops that emit nothing, or their cell's letter, at once, and
-codes tape cells through byte tables (see _walk). An exception of a
+Each machine shape has one stepping kernel (_walk_one_way, _walk and
+sst._walk_sst), a generator started by one ``next``, which yields nothing.
+Every later resumption ``send((want, budget))`` takes a batch of steps, as
+a RunOutcome reads, and yields their number; ``send((0, 1))`` takes
+exactly one step. A two-way batch crosses a run of self-loops that emit
+nothing, or their cell's letter, at once, and codes tape cells through
+byte tables (see _walk). The lasso and π walks, which look at every
+configuration, step _configurations over the same rows. An exception of a
 kernel's source word ends a two-way or SST kernel as _Halted, with the
 batch's steps; the one-way kernel yields its halts. A 1wft run on a 1wft
 run's word steps in that run's kernel (see _reader): one loop steps both.
@@ -450,18 +449,18 @@ class _OutcomeWord(InfiniteWord):
 
 class _Engine:
     """A run resumed a batch of steps at a time: ``kernel`` is a stepping
-    kernel like _walk, which appends each step's letters to ``out``. A
-    fresh kernel's first yield is taken here; one that has already stepped
-    ``steps`` times goes on from there (see _resume_2wft, _reader)."""
+    kernel like _walk, which appends each step's letters to ``out``. It is
+    started here, unless ``started`` says that it runs already, as a run's
+    kernel does when a reader attaches to it (see _reader)."""
 
     oracle = None  # the lookbehind oracle, on lookbehind runs only
 
-    def __init__(self, machine, out, kernel, steps=None):
+    def __init__(self, machine, out, kernel, started=False):
         self.output_alphabet = machine.output_alphabet
         self.out = out
-        self.step_count = steps or 0
+        self.step_count = 0
         self._kernel = kernel
-        if steps is None:
+        if not started:
             next(kernel)
 
     def advance(self, want, budget):
@@ -593,19 +592,10 @@ def _walk_one_way(t, source, out):
 
 
 def _walk(t, source, out):
-    """Run t on the tape ENDMARKER·source, appending each step's letters to
-    ``out``; the first yield is the initial configuration (state, pos).
-
-    One-step mode: each ``next`` takes one step and yields the next
-    configuration, so ``islice(_walk(...), n + 1)`` sees every configuration
-    of at most n steps and the walk takes no step past them. Batch mode:
-    ``send((want, budget))`` steps until ``out`` holds ``want`` letters, or
-    ``budget`` steps in a row emitted nothing, and yields the number of
-    steps; it takes its first step unasked. The first batch also counts the
-    steps taken one at a time since the last letter, so a walk handed to a
-    RunOutcome stalls where a fresh run would (see _resume_2wft). Both
-    modes run one loop: a step yields when it reaches ``stop``, which
-    one-step mode keeps at or below the step count.
+    """Run t on the tape ENDMARKER·source in batches, appending each step's
+    letters to ``out``. ``send((want, budget))`` steps until ``out`` holds
+    ``want`` letters, or ``budget`` steps in a row emitted nothing, and
+    yields the number of steps; it takes its first step unasked.
 
     A lookbehind machine's transitions also see its oracle's state after
     the input prefix left of the head. Raises UndefinedTransition when no
@@ -625,39 +615,28 @@ def _walk(t, source, out):
     cells, then has _TwoWayTable.fill add its entry, or raise its halt
     with the (pos, step, key) of a dict lookup on ``transitions``.
 
-    A batch sweeps loops when every code fits a byte (the first batch makes
-    ``codes`` a bytearray; one-step mode keeps a list, which indexes
-    faster): a step on a loop, when the next cell's entry is a filled loop
-    of the same kind and move, crosses the run of cells whose codes the row
-    records for such loops (_TwoWayTable.run), a silent one up to ``stop``,
-    a copying one up to the last letter wanted, emitting the run as one
-    tape slice. So steps, stalls, halts and yields are those of one cell at
-    a time. A batch codes slices with _TwoWayTable.translate, unless the
-    empty letter is in the source's alphabet (a slice could join to a
-    string as long).
+    When every code fits a byte (``codes`` is then a bytearray), a step on
+    a loop sweeps: when the next cell's entry is a filled loop of the same
+    kind and move, it crosses the run of cells whose codes the row records
+    for such loops (_TwoWayTable.run), a silent one up to ``stop``, a
+    copying one up to the last letter wanted, emitting the run as one tape
+    slice. So steps, stalls, halts and yields are those of one cell at a
+    time. Slices are coded with _TwoWayTable.translate, unless the empty
+    letter is in the source's alphabet (a slice could join to a string as
+    long).
     """
     table = t.table
-    more, emit, encode, sentinel = source.letters_from, out.extend, table.encode, table.sentinel
+    more, emit, sentinel = source.letters_from, out.extend, table.sentinel
+    encode = table.encode if "" in source.alphabet else table.translate
     row, state, pos, step = table.start, t.initial, 0, 0
-    tape, codes, z = [ENDMARKER], [table.first, sentinel], table.zstart
+    tape, codes, z = [ENDMARKER], table.cells([table.first, sentinel]), table.zstart
     hit = row[table.first]
-    want = gap = budget = stop = start = 0  # one-step mode: stop <= step, so every step yields
-    ask = None
+    want, gap = yield
+    start, stop = step, step + gap if len(out) < want else step + 1
     while True:
         if step >= stop:
-            ask = yield (state, pos) if ask is None else step - start
-            if ask is None:
-                want = gap = 0
-            else:
-                # until the first batch, stop is the step after the last letter
-                want, gap = ask
-                start, stop = step, (step if budget else stop) + gap
-                if not budget:  # batches may sweep and translate: their codes are cells
-                    codes = table.cells(codes)
-                    encode = encode if "" in source.alphabet else table.translate
-                budget = gap
-                if len(out) >= want:
-                    stop = step + 1
+            want, gap = yield step - start
+            start, stop = step, step + gap if len(out) < want else step + 1
         if hit is None:
             if pos == len(tape):
                 try:
@@ -692,13 +671,45 @@ def _walk(t, source, out):
             raise MovedLeftOfEndmarker(step - 1)
 
 
+def _configurations(t, source, out):
+    """Run t on the tape ENDMARKER·source one step at a time, appending each
+    step's letters to ``out``: yields the configuration (state, pos) before
+    each step, so ``islice(_configurations(...), n + 1)`` sees every
+    configuration of at most n steps and takes no step past them. It steps
+    t.table's rows as _walk does, coding cells with _TwoWayTable.encode,
+    never sweeps, and raises UndefinedTransition and MovedLeftOfEndmarker
+    with _walk's (pos, step, key)."""
+    table = t.table
+    more, emit, encode, sentinel = source.letters_from, out.extend, table.encode, table.sentinel
+    row, state, pos, step = table.start, t.initial, 0, 0
+    tape, codes, z = [ENDMARKER], [table.first, sentinel], table.zstart
+    while True:
+        yield state, pos
+        hit = row[codes[pos]]
+        if hit is None:
+            if pos == len(tape):
+                tape += more(pos - 1)
+            if pos == len(codes) - 1:  # the sentinel: encode the next slice
+                codes[pos:], z = encode(tape[pos:pos + SLICE + pos // 2], z)
+                codes.append(sentinel)
+            hit = row[codes[pos]] or table.fill(tape, codes, pos, step, state, row)
+        emitted, move, row, state = hit
+        if emitted:
+            emit(emitted)
+        pos += move
+        step += 1
+        if pos < 0:
+            raise MovedLeftOfEndmarker(step - 1)
+
+
 class _TwoWayEngine(_Engine):
     """Tape is ENDMARKER followed by the input word; head starts on the marker.
-    ``walk`` is a _walk(t, source, out); ``oracle`` is a lookbehind machine's."""
+    The kernel is a _walk; ``oracle`` is a lookbehind machine's."""
 
-    def __init__(self, t, out, walk, oracle=None, steps=None):
+    def __init__(self, t, source, oracle=None):
         self.oracle = oracle
-        super().__init__(t, out, walk, steps)
+        out: list = []
+        super().__init__(t, out, _walk(t, source, out))
 
 
 def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
@@ -720,34 +731,16 @@ def _reader(t, word):
         return _OneWayEngine(t, word)
     reader = _OneWayEngine.__new__(_OneWayEngine)
     reader.run = run
-    _Engine.__init__(reader, t, out, engine._kernel, steps=0)  # the kernel is started
+    _Engine.__init__(reader, t, out, engine._kernel, started=True)
     return reader
 
 
 def run_2wft(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
-    out: list = []
-    return RunOutcome(_TwoWayEngine(t, out, _walk(t, source, out)), budget)
+    return RunOutcome(_TwoWayEngine(t, source), budget)
 
 
 def run_2wft_b(t: LookbehindTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
-    out: list = []
-    return RunOutcome(_TwoWayEngine(t, out, _walk(t, source, out), t.oracle), budget)
-
-
-def _resume_2wft(t: TwoWayTransducer, source: InfiniteWord, out, walk, steps,
-                 budget=DEFAULT_BUDGET) -> RunOutcome:
-    """run_2wft(t, source, budget) for ``walk``, a _walk(t, source, out)
-    that ``next`` has stepped ``steps`` times. With fewer than ``budget``
-    steps the run goes on from there, on the same kernel and output list,
-    so the walk's steps are not taken again. Its first batch counts the
-    walk's silent steps since its last letter against the budget (see
-    _walk), and no stretch of so short a walk holds a budget's worth of
-    silent steps, so its reads give the letters, halts and stalls, at the
-    same steps, of a fresh run. A longer walk might hold one, which a fresh
-    read would stall on, so its run starts afresh."""
-    if steps >= budget:
-        return run_2wft(t, source, budget)
-    return RunOutcome(_TwoWayEngine(t, out, walk, steps=steps), budget)
+    return RunOutcome(_TwoWayEngine(t, source, t.oracle), budget)
 
 
 def compose_1wft(outer: OneWayTransducer, inner: OneWayTransducer) -> OneWayTransducer:
@@ -943,20 +936,23 @@ def _oracle_cycle(dfa, w: LassoWord):
 
     It steps ``dfa.rows`` a ``letters_from`` chunk at a time; a letter with
     no transition, a foreign one too, raises UndefinedTransition(n, n,
-    (state, letter)). A one-way run is a two-way run that never turns back,
-    so _settle_test finds its first (state, letter residue) repeat, within
-    |u| + |Q|·|v| + 1 configurations; a longer walk raises InvariantViolation."""
+    (state, letter)). From n >= |u| on, the letter after n letters is fixed
+    by (n - |u|) mod |v|, so the run repeats from the first n >= |u| whose
+    (state, residue) an earlier such n had: within |u| + |Q|·|v| + 1
+    configurations, by pigeonhole; a longer walk raises InvariantViolation."""
     names, rows = dfa.names, dfa.rows
+    low, per = len(w.u), len(w.v)
     seen: list = []  # state numbers; its length is the index of the next letter
-    settled = _settle_test(len(w.u), len(w.v), seen)
-    bound = len(w.u) + len(names) * len(w.v) + 1
+    first: dict = {}  # (state number, residue) -> the first n >= low with it
+    bound = low + len(names) * per + 1
     z, n = dfa.index[dfa.initial], 0
     while n < bound:
         for a in w.letters_from(n):
-            start = settled(z, n)
             seen.append(z)
-            if start is not None:
-                return list(map(names.__getitem__, seen)), start, n - start
+            if n >= low:
+                start = first.setdefault((z, (n - low) % per), n)
+                if start < n:
+                    return list(map(names.__getitem__, seen)), start, n - start
             z = rows[z].get(a)
             if z is None:
                 raise UndefinedTransition(n, n, (names[seen[-1]], a))
@@ -995,7 +991,7 @@ def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None, cycle=No
     memo: dict = {}  # configuration left of low -> (len(out), step) there
     handoff, marked = None, -1  # marked: the last step left of mark
     bound = 2 * len(t.states) * (low + len(t.states) * per + 1)
-    for step, cfg in enumerate(islice(_walk(t, source, out), bound + 1)):
+    for step, cfg in enumerate(islice(_configurations(t, source, out), bound + 1)):
         if marked == step - 1:
             handoff = cfg + (len(out),)
         cut = settled(*cfg)

@@ -164,17 +164,58 @@ def test_normalize_refuses_a_loop_left_of_the_stop_cell_at_its_first_repeat(monk
     machine = TwoWayTransducer({"q", "r", "s"}, "q", BINARY, Alphabet.of("a"), tr)
     assert direction_partition(machine) is None
     steps = []
-    walk = pi_transforms._walk
+    walk = pi_transforms._configurations
 
-    def counted(*args):  # one-step mode only: the walk is refused before it is resumed
+    def counted(*args):
         for config in walk(*args):
             steps.append(config)
             yield config
 
-    monkeypatch.setattr(pi_transforms, "_walk", counted)
+    monkeypatch.setattr(pi_transforms, "_configurations", counted)
     with pytest.raises(UnstableClassification, match="head never leaves the small-block region"):
         normalize_directions_on_pi(machine)
     assert len(steps) <= 16
+
+
+def normalized_with_runs(monkeypatch, machine, probe_range, budget=None):
+    """(the normalized machine, the steps of its walk, how often the original
+    was run afresh to validate it), with DEFAULT_BUDGET patched to ``budget``."""
+    walk, run, steps, runs = pi_transforms._configurations, pi_transforms.run_2wft, [], []
+
+    def counted_walk(*args):
+        for config in walk(*args):
+            steps.append(config)
+            yield config
+
+    def counted_run(t, source, *args):
+        runs.append(t is machine)
+        return run(t, source, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pi_transforms, "_configurations", counted_walk)
+        patch.setattr(pi_transforms, "run_2wft", counted_run)
+        if budget is not None:
+            patch.setattr(pi_transforms, "DEFAULT_BUDGET", budget)
+        result = normalize_directions_on_pi(machine, probe_range)
+    return result, len(steps) - 1, runs.count(True)
+
+
+@pytest.mark.parametrize("build, probe_range, fresh", [
+    (corpus.bounce_probe_2wft, 300, 0),
+    (corpus.bounce_probe_2wft, 600, 0),
+    (corpus.stutter_cross_2wft, 300, 1),
+], ids=["bounce-probe-300", "bounce-probe-600", "stutter-cross-300"])
+def test_normalize_validates_against_the_walks_letters_when_they_suffice(monkeypatch, build, probe_range, fresh):
+    # bounce_probe's walk puts out 1037 letters, so the original is not run
+    # again; stutter_cross's puts out 135, and its original runs afresh. So
+    # does bounce_probe's once its walk takes DEFAULT_BUDGET steps or more
+    machine = build()
+    result, steps, runs = normalized_with_runs(monkeypatch, machine, probe_range)
+    assert runs == fresh
+    for budget, fresh_at_budget in ((steps + 1, fresh), (steps, 1)):
+        again, _steps, runs = normalized_with_runs(monkeypatch, build(), probe_range, budget)
+        assert runs == fresh_at_budget
+        assert again.transitions == result.transitions
 
 
 def test_simulation_over_copies_reads_the_expanded_word():

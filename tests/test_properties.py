@@ -63,7 +63,7 @@ from advicebench.transducers import (
     TwoWayTransducer,
     _Halted,
     _oracle_cycle,
-    _resume_2wft,
+    _configurations,
     _settle_test,
     _walk,
     _walk_one_way,
@@ -704,14 +704,13 @@ def test_one_way_lasso_image_is_the_raw_run(machine, w):
 
 
 class OneStepDriver:
-    """Reference for a RunOutcome's reads: the run's kernel stepped one step
-    at a time, by ``next``, or ``send((0, 1))`` on an SST kernel, which
-    steps in batches only, spending at most ``budget`` steps between
-    consecutive letters within one read. ``walk`` replaces the kernel, as
-    dict_walk does; a 1wft, whose kernel steps in batches only, always
-    steps dict_walk. A general SST steps its simple form; once that stalls
-    with the whole of naive_general_sst's finite limit out, every step
-    puts out a PAD."""
+    """Reference for a RunOutcome's reads: the run stepped one step at a
+    time, spending at most ``budget`` steps between consecutive letters
+    within one read. A 2wft or 2wftb steps _configurations by ``next``, a
+    1wft dict_walk, and an SST its kernel by ``send((0, 1))``. ``walk``
+    replaces the stepping generator, as dict_walk does. A general SST steps
+    its simple form; once that stalls with the whole of
+    naive_general_sst's finite limit out, every step puts out a PAD."""
 
     def __init__(self, machine, w, budget, walk=None):
         self.out, self.budget, self.steps, self.halt = [], budget, 0, None
@@ -729,8 +728,8 @@ class OneStepDriver:
                 self.limit_out = lambda: naive_general_sst(machine, w, len(self.out) + 1, silent)[-1] is PAD
             self.kernel = _walk_sst(simple, w, self.out, _Registers(simple.registers), simple.out)
         else:
-            self.kernel = _walk(machine, w, self.out)
-        next(self.kernel)  # the initial configuration
+            self.kernel = _configurations(machine, w, self.out)
+        next(self.kernel)  # the start: the initial configuration, or nothing from an SST kernel
         unit = isinstance(machine, Sst) and walk is None
         self.step = (lambda: self.kernel.send((0, 1))) if unit else self.kernel.__next__
 
@@ -837,28 +836,26 @@ def test_lasso_builds_what_the_general_path_builds(u, v, alphabet):
 
 
 def dict_walk(t, source, out):
-    """Reference for the stepping kernels: the run of t restated over its
-    ``transitions`` dict, one tuple-keyed lookup per step, in the kernels'
-    two modes. ``next`` takes one step and yields (state, pos).
+    """Reference for the stepping kernels and _configurations: the run of t
+    restated over its ``transitions`` dict, one tuple-keyed lookup per
+    step. Its start and each ``next`` yield the configuration (state, pos)
+    before the next step, as _configurations does; ``next`` takes one step.
     ``send((want, budget))`` takes at least one step, stops once ``out``
     holds ``want`` letters or ``budget`` steps in a row emitted nothing,
-    and yields the steps taken; a two-way walk's first batch also counts
-    the silent steps taken one at a time before it. A two-way run reads
-    the tape ENDMARKER·source, and a lookbehind machine's key ends with
-    the oracle's state after the input left of the head, which the oracle
-    reads as the head first moves past it."""
+    and yields the steps taken. A two-way run reads the tape
+    ENDMARKER·source, and a lookbehind machine's key ends with the oracle's
+    state after the input left of the head, which the oracle reads as the
+    head first moves past it."""
     two_way = not isinstance(t, OneWayTransducer)
     oracle = getattr(t, "oracle", None)
-    state, pos, step, silent, batched = t.initial, 0, 0, 0, False
+    state, pos, step = t.initial, 0, 0
     tape = [ENDMARKER]
     zs = [] if oracle is None else [oracle.initial]  # the oracle's state after n input letters
     ask = yield state, pos
     while True:
         if ask is not None:
             want, budget = ask
-            if batched or not two_way:
-                silent = 0
-            batched, taken = True, 0
+            silent = taken = 0
         while True:
             if not two_way:
                 key = (state, source.letter(pos))
@@ -885,25 +882,21 @@ def dict_walk(t, source, out):
             else:
                 pos += 1
             step += 1
-            silent = 0 if emitted else silent + 1
             if ask is None:
                 break
+            silent = 0 if emitted else silent + 1
             taken += 1
             if len(out) >= want or silent >= budget:
                 break
         ask = yield (state, pos) if ask is None else taken
 
 
-def drive(kernel, out, asks, start):
-    """Each answer of ``kernel`` to its start (if ``start``) and to
-    ``asks`` (None for a ``next``, else a batch to send), with the letters
-    out held after it; a halt, raised or yielded as _Halted, ends the list
-    with its fields."""
+def drive(kernel, out, asks):
+    """Each answer of ``kernel`` to ``asks`` (None for a ``next``, else a
+    batch to send), with the letters out held after it; a halt, raised or
+    yielded as _Halted, ends the list with its fields."""
     answers = []
     try:
-        first = next(kernel)
-        if start:
-            answers.append((first, list(out)))
         for ask in asks:
             answer = next(kernel) if ask is None else kernel.send(ask)
             if type(answer) is _Halted:
@@ -927,30 +920,38 @@ odd_words = st.one_of(lassos, st.just(ConstantWord(PAD, AB)),
                                 st.just(ABC)),
                       st.builds(lasso, st.text("a_", max_size=4), st.text("ab_", min_size=1, max_size=5),
                                 st.just(AB)))
-# some steps one at a time, then steps and batches mixed
-asks = st.builds(lambda steps, mixed: [None] * steps + mixed, st.integers(0, 12),
-                 st.lists(st.none() | st.tuples(st.integers(0, 3) | st.integers(0, 80),
-                                                st.integers(1, 4) | st.integers(1, 50)), max_size=8))
+batches = st.lists(st.tuples(st.integers(0, 3) | st.integers(0, 80), st.integers(1, 4) | st.integers(1, 50)),
+                  max_size=8)
 
 
 @settings(PROPERTY, max_examples=400)
-@given(machine=pad_reading_machines, w=odd_words, asks=asks, cells=st.sampled_from((1, 3, transducers.SLICE)))
-def test_the_compiled_kernels_step_like_a_dict_lookup_on_the_transitions(machine, w, asks, cells):
-    # what each next and send gives, the letters and the halt with its
-    # (pos, step, key) are those of the reference; a two-way walk encoding
-    # 1 or 3 cells at a time crosses many slice ends. The one-way kernel
-    # steps in batches only and yields no configuration at its start, so it
-    # takes the batches alone
-    kernel, two_way = _walk, not isinstance(machine, OneWayTransducer)
-    if not two_way:
-        kernel, asks = _walk_one_way, [ask for ask in asks if ask is not None]
-    out, want = [], []
+@given(machine=pad_reading_machines, w=odd_words, batches=batches, steps=st.integers(0, 60),
+       cells=st.sampled_from((1, 3, transducers.SLICE)))
+def test_the_compiled_kernels_step_like_a_dict_lookup_on_the_transitions(machine, w, batches, steps, cells):
+    # what each batch gives, the letters and the halt with its (pos, step,
+    # key) are those of the reference, and so are the configurations of a
+    # two-way run's first steps, the initial one included; a two-way walk
+    # encoding 1 or 3 cells at a time crosses many slice ends. A kernel's
+    # start yields nothing
+    two_way = not isinstance(machine, OneWayTransducer)
     slice_cells, transducers.SLICE = transducers.SLICE, cells
     try:
-        got = drive(kernel(machine, w, out), out, asks, start=two_way)
+        out = []
+        kernel = (_walk if two_way else _walk_one_way)(machine, w, out)
+        assert next(kernel) is None
+        got = drive(kernel, out, batches)
+        if two_way:
+            seen = []
+            configurations = drive(_configurations(machine, w, seen), seen, [None] * (steps + 1))
     finally:
         transducers.SLICE = slice_cells
-    assert got == drive(dict_walk(machine, w, want), want, asks, start=two_way)
+    want = []
+    reference = dict_walk(machine, w, want)
+    next(reference)
+    assert got == drive(reference, want, batches)
+    if two_way:
+        want = []
+        assert configurations == drive(dict_walk(machine, w, want), want, [None] * (steps + 1))
 
 
 @st.composite
@@ -1113,32 +1114,6 @@ def test_a_translated_slice_codes_as_letter_by_letter(letters, case):
     fast = all(type(a) is str and a in "ab#·é" and a in table.code for a in letters) and table.cells is bytearray
     if fast and (table.zrows is None or table.znames[z] == "closed"):
         assert type(codes) is bytes  # in one C-level pass
-
-
-@settings(PROPERTY, max_examples=300)
-@given(machine=two_way_machines(), w=lassos, walked=st.integers(0, 40),
-       budget=st.one_of(st.integers(1, 60), st.just(DEFAULT_BUDGET)), n=st.integers(0, 80))
-def test_a_resumed_walk_reads_like_a_fresh_run(machine, w, walked, budget, n):
-    # a walk stepped one at a time, then read on as a RunOutcome: letters,
-    # halt and stall (at the same step) are a fresh run's, and so is the
-    # step count once the read has stepped past the walk
-    out = []
-    walk = _walk(machine, w, out)
-    try:
-        for step, _cfg in enumerate(islice(walk, walked + 1)):
-            pass
-    except (UndefinedTransition, MovedLeftOfEndmarker):
-        return  # a walk that halts is not read on
-    heard = len(out)
-    run = _resume_2wft(machine, w, out, walk, step, budget)
-    fresh = run_2wft(machine, w, budget=budget)
-    want, want_halt = fresh.try_letters(n)
-    got, halt = run.try_letters(n)
-    assert got == want
-    assert halt_kind(halt) is halt_kind(want_halt)
-    assert halt is None or halt.args == want_halt.args
-    if heard < n:
-        assert run._engine.step_count == fresh._engine.step_count
 
 
 def test_a_general_sst_run_meets_a_small_budget_between_letters():
@@ -1384,7 +1359,7 @@ def copier_of_a():
 @example((mirror_blocks_2wft(AB), lasso("", "a" * 70 + "b#")), 0, DEFAULT_BUDGET, [100])  # copies onto an unfilled cell
 @example((copier_of_a(), lasso("", "ab" * 40 + "#")), 0, DEFAULT_BUDGET, [100])
 def test_two_way_loop_records_hold_exactly_the_filled_loops(case, walked, budget, reads):
-    # after a one-step walk and after each batch read on the same table;
+    # after a walk of _configurations and after each batch read on the same table;
     # and every sweep that the reads start crosses at least one cell
     machine, w = case
     crossings = []
@@ -1397,7 +1372,7 @@ def test_two_way_loop_records_hold_exactly_the_filled_loops(case, walked, budget
     transducers._TwoWayTable.run = counted
     try:
         try:
-            for _ in islice(_walk(machine, w, []), walked + 1):
+            for _ in islice(_configurations(machine, w, []), walked + 1):
                 pass
         except (UndefinedTransition, MovedLeftOfEndmarker):
             pass
@@ -1455,7 +1430,7 @@ def test_a_settled_run_never_halts_and_never_returns(machine, w):
     out: list = []
     low, per = len(w.u) + 1, len(w.v)
     settled = _settle_test(low, per, out)
-    walk = _walk(machine, w, out)
+    walk = _configurations(machine, w, out)
     seen = []  # (state, pos, letters so far) of every step
     try:
         for state, pos in islice(walk, 500):

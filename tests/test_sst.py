@@ -32,8 +32,8 @@ from advicebench.transducers import (
     LEFT,
     RIGHT,
     LookbehindTransducer,
+    _configurations,
     _oracle_cycle,
-    _walk,
     mirror_blocks_2wft,
     run_2wft,
     run_2wft_b,
@@ -360,7 +360,7 @@ def test_compiled_walk_back_positions():
     assert "".join(letters) == "baa"
     out: list = []
     positions = []
-    for _state, pos in _walk(compiled, source, out):
+    for _state, pos in _configurations(compiled, source, out):
         if len(out) >= 3:
             break
         positions.append(pos)

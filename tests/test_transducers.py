@@ -26,8 +26,8 @@ from advicebench.transducers import (
     LookbehindTransducer,
     OneWayTransducer,
     TwoWayTransducer,
+    _configurations,
     _oracle_cycle,
-    _walk,
     _walk_to_image,
     analyze_on_constant,
     compose_1wft,
@@ -196,7 +196,7 @@ def test_run_2wft_deterministic_replay():
     traces = []
     for _ in range(2):
         out: list = []
-        traces.append([cfg + (len(out),) for cfg in islice(_walk(machine, w, out), 200)])
+        traces.append([cfg + (len(out),) for cfg in islice(_configurations(machine, w, out), 200)])
     assert traces[0] == traces[1]
     assert Counter(pos for _q, pos, _n in traces[0]) == Counter(pos for _q, pos, _n in traces[1])
 
@@ -232,7 +232,7 @@ def most_visits(configurations, window):
 
 def test_visit_bounds():
     out: list = []
-    mirror = configurations_until(_walk(mirror_blocks_2wft(AB), lasso("", "ab#"), out), out, 300)
+    mirror = configurations_until(_configurations(mirror_blocks_2wft(AB), lasso("", "ab#"), out), out, 300)
     assert most_visits(mirror, 200) <= 3
 
 
@@ -241,7 +241,7 @@ def test_visit_bound_overflow_means_loop():
     w = lasso("", "ab")
     letters = run_2wft(machine, w, budget=10_000).letters(40)
     out: list = []
-    configurations = configurations_until(_walk(machine, w, out), out, 40)
+    configurations = configurations_until(_configurations(machine, w, out), out, 40)
     assert most_visits(configurations, 10) > len(machine.states)
     # the run shows a configuration repeat and the output is periodic
     assert len(set(configurations)) < len(configurations)
@@ -402,11 +402,11 @@ def test_remove_endmarker_stops_a_shuttle_inside_the_preperiod(monkeypatch):
     configurations = []
 
     def counted(*args):
-        for cfg in _walk(*args):
+        for cfg in _configurations(*args):
             configurations.append(cfg)
             yield cfg
 
-    monkeypatch.setattr(transducers, "_walk", counted)
+    monkeypatch.setattr(transducers, "_configurations", counted)
     assert _walk_to_image(machine, w, [], mark=1) == (1, ("r", 1, 1))  # a·(b)^ω, handed off at cell 1
     assert len(configurations) <= 49
     monkeypatch.undo()
@@ -683,7 +683,7 @@ def test_a_one_step_walk_records_the_loops_it_fills():
     # in one-step walks too; a read over the same cells records nothing more
     mirror = mirror_blocks_2wft(AB)
     w = lasso("", "a" * 100 + "#")
-    for _ in islice(_walk(mirror, w, []), 300):
+    for _ in islice(_configurations(mirror, w, []), 300):
         pass
     rows, code = mirror.table.rows, mirror.table.code
     assert mirror.table.cells is bytearray
