@@ -185,11 +185,12 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     use machines whose output on the block word is not ultimately periodic.
 
     The validation compares the result's run with the letters the walk
-    above put out, when there are ``probe_range`` of them and the walk took
-    fewer than DEFAULT_BUDGET steps: no stretch of so short a walk holds a
-    budget's worth of silent steps, so a fresh run_2wft read of the
-    original gives those letters too, and the original is not run again.
-    Otherwise it runs afresh.
+    above put out, stepped on past its end until there are ``probe_range``
+    of them or it halts, while it takes fewer than DEFAULT_BUDGET steps: no
+    stretch of so short a walk holds a budget's worth of silent steps, so a
+    fresh run_2wft read of the original gives those letters too, or halts
+    where the walk does, and the original is not run again. Otherwise it
+    runs afresh.
     """
     if direction_partition(t) is not None:
         return t
@@ -203,8 +204,9 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     reached: dict = {}  # cell -> (state, len(out)) at the last right move into it
     last = pos = 0
     saved_state, saved_pos, lap, span = None, -1, 0, 1  # Brent's checkpoint
+    walk = _configurations(t, pi, out)
     try:
-        for step, (state, pos) in enumerate(islice(_configurations(t, pi, out), n_states * stop_pos + 1)):
+        for step, (state, pos) in enumerate(islice(walk, n_states * stop_pos + 1)):
             if pos > last:
                 reached[pos] = (state, len(out))
                 if pos == stop_pos:
@@ -312,7 +314,13 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
     states = {src for (src, _a) in tr} | {q2 for (_o, _m, q2) in tr.values()}
     result = TwoWayTransducer(states, ("p", 0), t.input_alphabet, t.output_alphabet, tr)
 
-    walked = len(out) >= probe_range and step < DEFAULT_BUDGET
+    try:
+        while len(out) < probe_range and step < DEFAULT_BUDGET:
+            next(walk)
+            step += 1
+    except (UndefinedTransition, MovedLeftOfEndmarker):
+        pass  # a fresh read halts here too, with these letters
+    walked = step < DEFAULT_BUDGET
     original = FiniteWord._known(tuple(out), t.output_alphabet) if walked else run_2wft(t, pi)
     _validate_prefix(run_2wft(result, pi), original, probe_range, "direction normalization")
     return result

@@ -402,7 +402,7 @@ def _walk_sst(s: Sst, source: InfiniteWord, out, registers: _Registers, name):
     in place or into one copy of the rope list (see _SstTable). A letter
     the row lacks goes to _SstTable.fill, which adds the entry or raises
     UndefinedTransition(pos, pos, (state, letter)). It reads its input a
-    ``letters_from`` chunk at a time, as _walk_one_way does.
+    ``letters_from`` chunk at a time.
 
     A batch sweeps loops (see _SstTable): when the next letter loops
     alike, the run of such letters up to ``stop`` or the chunk's end goes

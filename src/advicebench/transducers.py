@@ -14,9 +14,8 @@ exactly one step. A two-way batch crosses a run of self-loops that emit
 nothing, or their cell's letter, at once, and codes tape cells through
 byte tables (see _walk). The lasso and π walks, which look at every
 configuration, step _configurations over the same rows. An exception of a
-kernel's source word ends a two-way or SST kernel as _Halted, with the
-batch's steps; the one-way kernel yields its halts. A 1wft run on a 1wft
-run's word steps in that run's kernel (see _reader): one loop steps both.
+kernel's source word ends the kernel as _Halted, with the batch's steps.
+A one-way run crosses a periodic word by whole cycles (see _walk_one_way).
 
 The kernels step through a machine's ``table``, made on its first run and
 kept for every later one. A table row belongs to a state and maps what
@@ -332,8 +331,7 @@ class LookbehindTransducer(_Transducer):
 
 class _Halted(Exception):
     """A batch that ended in the run's halt ``halt`` after ``steps`` steps:
-    raised by a two-way or SST kernel whose source word raised ``halt``, and
-    yielded by the one-way kernel for every halt (see _walk_one_way)."""
+    raised by a kernel whose source word raised ``halt``."""
 
     def __init__(self, steps, halt):
         super().__init__(steps, halt)
@@ -381,7 +379,7 @@ class RunOutcome:
                 if len(out) >= n:
                     return out
                 raise
-            except _Halted as halted:  # a source word's, or any one-way halt
+            except _Halted as halted:  # a source word's
                 engine.step_count += halted.steps
                 self._halt = halted.halt
                 raise halted.halt from None
@@ -427,9 +425,7 @@ class RunOutcome:
 
 class _OutcomeWord(InfiniteWord):
     """View of a run's output as a word; letters come from the outcome's
-    own output list, so the view shares the outcome's single consumer. The
-    first 1wft reader of a one-way run steps in the run's kernel instead of
-    reading its view, with the same steps, stalls and halts (see _reader)."""
+    own output list, so the view shares the outcome's single consumer."""
 
     def __init__(self, outcome: RunOutcome):
         super().__init__(outcome._engine.output_alphabet)
@@ -446,22 +442,30 @@ class _OutcomeWord(InfiniteWord):
             self.outcome.letter(n)
         return out[n:n + CHUNK]
 
+    def periodic(self):
+        """(cut, out[cut:end]) once a one-way run has proved that its output
+        repeats out[cut:end] from cut on, if that cycle emits and its silent
+        stretch is below the run's budget, so that it never stalls."""
+        run = self.outcome
+        cycle = run._engine.cycle
+        if cycle and cycle[2] < run.budget:
+            return cycle[0], run._engine.out[cycle[0]:cycle[1]]
+        return None
+
 
 class _Engine:
-    """A run resumed a batch of steps at a time: ``kernel`` is a stepping
-    kernel like _walk, which appends each step's letters to ``out``. It is
-    started here, unless ``started`` says that it runs already, as a run's
-    kernel does when a reader attaches to it (see _reader)."""
+    """A run resumed a batch of steps at a time: ``kernel``, started here, is
+    a stepping kernel like _walk, which appends each step's letters to ``out``."""
 
     oracle = None  # the lookbehind oracle, on lookbehind runs only
+    cycle = ()  # a one-way run's proved output cycle (see _OutcomeWord.periodic)
 
-    def __init__(self, machine, out, kernel, started=False):
+    def __init__(self, machine, out, kernel):
         self.output_alphabet = machine.output_alphabet
         self.out = out
         self.step_count = 0
         self._kernel = kernel
-        if not started:
-            next(kernel)
+        next(kernel)
 
     def advance(self, want, budget):
         """Step until ``out`` holds ``want`` letters or ``budget`` steps in a
@@ -472,123 +476,90 @@ class _Engine:
 
 
 class _OneWayEngine(_Engine):
-    """A 1wft run's engine. ``run`` is the run whose kernel a reader steps
-    in (see _reader); advance raises what the kernel yields in place of a
-    batch's steps, and writes the run's step count and halt back."""
-
-    run = None
+    """A 1wft run's engine; its kernel fills ``cycle`` once proved."""
 
     def __init__(self, t: OneWayTransducer, source: InfiniteWord):
         out: list = []
-        super().__init__(t, out, _walk_one_way(t, source, out))
-
-    def advance(self, want, budget):
-        if len(self.out) < want and budget > 0:
-            run = self.run
-            if run is None:
-                steps = self._kernel.send((want, budget))
-            else:
-                steps, run._engine.step_count, halt = self._kernel.send((want, budget, run.budget))
-                if halt is not None:
-                    run._halt = halt
-            if type(steps) is not int:
-                raise steps
-            self.step_count += steps
+        self.cycle: list = []
+        super().__init__(t, out, _walk_one_way(t, source, out, self.cycle))
 
 
-def _walk_one_way(t, source, out):
+def _walk_one_way(t, source, out, cycle):
     """Run the 1wft t on source in batches, appending each step's letters
     to ``out``. A step looks its letter up in the t.table row of its state;
     a letter the row lacks goes to _OneWayTable.fill, which adds the entry
     or raises UndefinedTransition(pos, pos, (state, letter)). The run steps
     through one ``letters_from`` chunk at a time and keeps no tape.
-
     ``send((want, budget))`` steps until ``out`` holds ``want`` letters or
     ``budget`` steps in a row emitted nothing, and yields the steps taken.
-    ``send((reader, rout))`` attaches a 1wft reading ``out`` into ``rout``
-    and yields True, or False when one is attached already. Its batches
-    ``(want, budget, run budget)`` step its rows through the letters of
-    ``out`` past it, and the run's only when it needs letter len(out), as
-    the run's own batch for that letter would; they yield (steps, the run's
-    step count, the run's halt or None). Halts are yielded as
-    _Halted(steps, halt), so the other machine stays readable: the run's
-    halt (from fill or ``letters_from``) is the reader's too, the same
-    object, and a run stalled in a reader's batch halts the reader with
-    BudgetExceeded at the run's step count, not itself."""
-    more, emit, fill = source.letters_from, out.extend, t.table.fill
-    row, state, pos = t.table.start, t.initial, 0
-    letters, halt, rout = iter(()), None, None  # letters: the source's from pos on
+
+    On a source periodic from k with period x (see InfiniteWord.periodic),
+    chunks end where periods start, and each start probes a dict of the
+    states periods started in. The first repeat closes a cycle (see _rho).
+    If it emits, ``cycle`` gets [cut, end, stretch], out[cut:end] being its
+    letters, and chunks end where cycles start. There a batch extends
+    ``out`` by the whole cycles that end before ``want`` is met, if the
+    cycle's silent stretch is below the budget and the source still says
+    it is periodic, and steps the rest. A whole cycle was stepped right
+    before, so the silent steps since the batch's last letter, and those
+    after the cycles, join the next ones into at most the wrap-around. So
+    steps, stalls and halts are those of stepping, and the source is asked
+    next for the letter after the cycles."""
+    table = t.table
+    more, emit, fill, periodic = source.letters_from, out.extend, table.fill, source.periodic
+    row, state, pos = table.start, t.initial, 0
+    letters = iter(())  # the source's letters from pos on, up to mark
+    mark = None  # the next period (then cycle) start at or after pos, on a periodic source
+    starts: dict = {}  # the state a period started in -> (pos, len(out)) there
+    loop = None  # the cycle's letters, once found
     ask = yield
     while True:
-        if type(ask[1]) is list:  # a reader attaches, unless one has
-            if rout is None:
-                rout = ask[1]
-                remit, rfill = rout.extend, ask[0].table.fill
-                rrow, rstate, rpos = ask[0].table.start, ask[0].initial, 0
-            ask = yield rout is ask[1]
-            continue
-        reading = len(ask) == 3
-        if reading:  # want is the reader's; gap is always the run's budget
-            want, rgap, gap = ask
-            start, rstop = rpos, rpos + rgap
-            ahead = map(out.__getitem__, range(rpos, len(out)))  # the letters past it, read in place
-        else:
-            (want, gap), ahead = ask, ()
-            start, stop = pos, pos + gap if len(out) < want else pos + 1
+        want, gap = ask
+        start, stop = pos, pos + gap if len(out) < want else pos + 1
         while True:
-            for a in ahead:  # the reader steps through the run's letters past it
+            for a in letters:
                 try:
-                    emitted, rrow, rstate = rrow[a]
+                    emitted, row, state = row[a]
                 except KeyError:
-                    try:
-                        emitted, rrow, rstate = rfill(rrow, rstate, a, rpos)
-                    except UndefinedTransition as exc:
-                        steps = _Halted(rpos - start, exc)
-                        break
-                rpos += 1
+                    emitted, row, state = fill(row, state, a, pos)
+                pos += 1
                 if emitted:
-                    remit(emitted)
-                    rstop = rpos + rgap if len(rout) < want else rpos
-                if rpos >= rstop:
-                    steps = rpos - start
+                    emit(emitted)
+                    if len(out) >= want:
+                        break
+                    stop = pos + gap
+                if pos >= stop:
                     break
             else:
-                if reading:
-                    stop, emitted = pos + gap, ()  # the reader needs letter len(out): the run's budget counts from here
-                while halt is None and gap > 0:  # run steps, to a letter the reader needs (or want) or gap silent ones
-                    for a in letters:
-                        try:
-                            emitted, row, state = row[a]
-                        except KeyError:
-                            try:
-                                emitted, row, state = fill(row, state, a, pos)
-                            except UndefinedTransition as exc:
-                                halt = exc
-                                break
-                        pos += 1
-                        if emitted:
-                            emit(emitted)
-                            if reading or len(out) >= want:
-                                break
+                if mark is None and periodic is not None and (said := periodic()):
+                    k, x = said
+                    size = len(x)
+                    mark = k if pos <= k else pos + (k - pos) % size
+                if pos == mark:
+                    if loop is None:
+                        first, cut = starts.setdefault(state, (pos, len(out)))
+                        if first < pos:  # a cycle of pos - first steps
+                            loop, size = out[cut:], pos - first
+                            stretch = _rho(table, row, state, x, [], pos)[1]
+                            if not loop:
+                                periodic = None
+                            else:
+                                cycle += (cut, len(out), stretch)
+                    if loop:
+                        whole = (want - len(out) - 1) // len(loop)  # cycles that end before want is met
+                        if whole > 0 and stretch < gap and periodic():
+                            emit(loop * whole)
+                            pos += whole * size
                             stop = pos + gap
-                        if pos >= stop:
-                            break
-                    else:
-                        try:
-                            letters = iter(more(pos))
-                        except Exception as exc:  # the run's halt
-                            halt = exc
-                        continue
-                    break
-                if not reading:
-                    steps = pos - start if halt is None else _Halted(pos - start, halt)
-                elif emitted:  # the run step's letters: the reader has read every letter before them
-                    ahead = emitted
-                    continue
-                else:
-                    steps = _Halted(rpos - start, BudgetExceeded(pos) if halt is None else halt)
+                    mark = None if loop == [] else pos + size
+                try:
+                    chunk = more(pos)
+                except Exception as exc:  # the run's halt (see _produce)
+                    raise _Halted(pos - start, exc) from None
+                letters = iter(chunk if mark is None else chunk[:mark - pos])
+                continue
             break
-        ask = yield (steps, pos, halt) if reading else steps
+        ask = yield pos - start
 
 
 def _walk(t, source, out):
@@ -713,26 +684,7 @@ class _TwoWayEngine(_Engine):
 
 
 def run_1wft(t: OneWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
-    """Run a 1wft. On a run's word it may step in that run's kernel (see _reader)."""
-    if type(source) is _OutcomeWord:
-        return RunOutcome(_reader(t, source), budget)
     return RunOutcome(_OneWayEngine(t, source), budget)
-
-
-def _reader(t, word):
-    """The engine of a 1wft t reading ``word``. On a one-way run whose kernel
-    has no reader yet, whatever the run has stepped, it attaches to that
-    kernel, which then steps both machines (see _walk_one_way). Any other
-    run, a reader among them, is read through ``word``."""
-    run = word.outcome
-    engine = run._engine
-    out: list = []
-    if type(engine) is not _OneWayEngine or not engine._kernel.send((t, out)):
-        return _OneWayEngine(t, word)
-    reader = _OneWayEngine.__new__(_OneWayEngine)
-    reader.run = run
-    _Engine.__init__(reader, t, out, engine._kernel, started=True)
-    return reader
 
 
 def run_2wft(t: TwoWayTransducer, source: InfiniteWord, budget=DEFAULT_BUDGET) -> RunOutcome:
@@ -906,27 +858,46 @@ def _loop_lasso(t, out, cut):
     )
 
 
-def _one_way_cut(t, w: LassoWord, out):
-    """Run a 1wft through t.table's rows on the lasso w, one period of w at a
-    time, until a period starts in a state an earlier period started in:
-    within |u| + |Q|·|v| letters, by pigeonhole. Return the output length
-    where that earlier period started. The letters go to ``out``; a halt is
-    raised as run_1wft raises it."""
-    table = t.table
-    row, state, pos = table.start, t.initial, 0
-    starts: dict = {}  # the state a period starts in -> len(out) there
-    letters = w.u.letters
-    while True:
-        for a in letters:
+def _rho(table, row, state, x, out, pos):
+    """The rho of a one-way state under a repeated word x: steps ``table``'s
+    rows from (row, state) through x, x, ..., putting the letters on
+    ``out``, until a period starts in a state an earlier one started in,
+    within |Q| periods by pigeonhole. Returns (cut, stretch): out[cut:] are
+    the letters of the cycle from that earlier period on, and stretch its
+    longest run of silent steps, the wrap-around counted. A halt raises
+    UndefinedTransition(p, p, key), p being ``pos`` plus the steps before."""
+    starts: dict = {}  # the state a period starts in -> len(out), len(lit) and pos there
+    lit: list = []  # the positions of the steps that emitted
+    while state not in starts:
+        starts[state] = len(out), len(lit), pos
+        for a in x:
             try:
                 emitted, row, state = row[a]
             except KeyError:
                 emitted, row, state = table.fill(row, state, a, pos)
-            out.extend(emitted)
+            if emitted:
+                out.extend(emitted)
+                lit.append(pos)
             pos += 1
-        if state in starts:
-            return starts[state]
-        starts[state], letters = len(out), w.v.letters
+    cut, first, begin = starts[state]
+    lit, length = lit[first:], pos - begin
+    return cut, max([b - a - 1 for a, b in zip(lit, lit[1:] + [lit[0] + length])] if lit else [length])
+
+
+def _one_way_cut(t, w: LassoWord, out):
+    """Run a 1wft through t.table's rows on the lasso w: u, then the rho of
+    the state after u under v (see _rho), within |u| + |Q|·|v| letters.
+    Return the output length where the cycle starts. The letters go to
+    ``out``; a halt is raised as run_1wft raises it."""
+    table = t.table
+    row, state = table.start, t.initial
+    for pos, a in enumerate(w.u.letters):
+        try:
+            emitted, row, state = row[a]
+        except KeyError:
+            emitted, row, state = table.fill(row, state, a, pos)
+        out.extend(emitted)
+    return _rho(table, row, state, w.v.letters, out, len(w.u))[0]
 
 
 def _oracle_cycle(dfa, w: LassoWord):

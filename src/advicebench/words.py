@@ -169,7 +169,14 @@ _NEGATIVE = "letter index must be nonnegative"
 
 
 class InfiniteWord:
-    """Base class: a subclass computes ``letter(n)`` from its parts."""
+    """Base class: a subclass computes ``letter(n)`` from its parts.
+
+    ``periodic``, the periodicity hook, is None on a word that never says
+    it is periodic, or a method: (k, x) when letter n + |x| is letter n for
+    every n >= k, x being letters k onward, or None while the word cannot
+    say so yet. One-way runs cross such words by whole cycles."""
+
+    periodic = None
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -253,6 +260,9 @@ class LassoWord(InfiniteWord):
         r = (n - len(pre)) % len(per)
         return list(per[r:] + per[:r]) * max(1, CHUNK // len(per))
 
+    def periodic(self):
+        return len(self._pre), self._per
+
     def canonical(self) -> "LassoWord":
         return canonical_lasso(self.u, self.v)
 
@@ -316,6 +326,16 @@ class ShiftWord(InfiniteWord):
         super().__init__(base.alphabet)
         self.base = base
         self.n = n
+        if base.periodic is None:
+            self.periodic = None
+
+    def periodic(self):
+        said = self.base.periodic()
+        if said is not None:
+            k, x = said
+            r = max(self.n - k, 0) % len(x)  # the letters of x the shift skips
+            return max(k - self.n, 0), x[r:] + x[:r]
+        return None
 
     def letter(self, k: int):
         if k < 0:

@@ -555,25 +555,15 @@ def halt_view(halts):
 COPIER = OneWayTransducer({"q"}, "q", AB, AB, {("q", a): ((a,), "q") for a in AB.letters})
 
 
-@settings(PROPERTY, max_examples=400)
-@given(inner=one_way_machines(), middle=one_way_machines(),
-       reader=st.one_of(one_way_machines(), two_way_machines()), w=lassos,
-       shape=st.sampled_from(["pair", "chain", "fan"]),
-       budgets=st.lists(st.integers(1, 6), min_size=3, max_size=3), early=st.integers(0, 3),
-       reads=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40)), min_size=1, max_size=6))
-@example(COPIER, COPIER, COPIER, lasso("ab", "ba"), "fan", [1, 1, 1], 0, [(1, 3), (2, 7), (1, 9)])
-def test_runs_on_runs_read_like_the_dict_stepped_reference(inner, middle, reader, w, shape, budgets, early, reads):
-    """A 1wft reading a 1wft run steps in the run's kernel, and one loop
-    steps both (pair, and the first two runs of chain and fan); a 2wft
-    reader, a reader of a chain's reader (chain) and a second reader of a
-    run (fan) read through the pull path. The inner run is read ``early``
-    letters before the first reader is made, which then steps in the
-    kernel of a run that has stepped, stalled or halted. Reads of 0 to 40
-    letters go to any run in turn, through letters and try_letters, and
-    then each reader, the inner run between them, reads 3 letters past what
-    any run has produced, so that readers read past each other and past
-    the inner run's letters: letters, halts (their fields, and which are
-    one object), steps and letters out are the reference's."""
+def assert_runs_on_runs_read_like_the_reference(inner, middle, reader, w, shape, budgets, early, reads):
+    """The inner run of ``inner`` on w is read ``early`` letters before its
+    readers are made: ``reader`` on it (pair), or ``middle`` on it and
+    ``reader`` on middle's run (chain) or on it (fan). Reads of ``reads``
+    go to any run in turn, through letters and try_letters, and then each
+    reader, the inner run between them, reads 3 letters past what any run
+    has produced, so that readers read past each other and past the inner
+    run's letters: letters, halts (their fields, and which are one object),
+    every run's steps and letters out are the NaiveRun reference's."""
     run = run_1wft if isinstance(reader, OneWayTransducer) else run_2wft
     runs = [run_1wft(inner, w, budgets[0])]
     naive = [NaiveRun(inner, w, budgets[0])]
@@ -604,6 +594,46 @@ def test_runs_on_runs_read_like_the_dict_stepped_reference(inner, middle, reader
         assert halt_view([halt])[0] == halt_view([want_halt])[0]
         assert [(r._engine.step_count, r.produced) for r in runs] == [(r.steps, len(r.out)) for r in naive]
         assert halt_view([r._halt for r in runs]) == halt_view([r.halt for r in naive])
+
+
+@settings(PROPERTY, max_examples=400)
+@given(inner=one_way_machines(), middle=one_way_machines(),
+       reader=st.one_of(one_way_machines(), two_way_machines()), w=lassos,
+       shape=st.sampled_from(["pair", "chain", "fan"]),
+       budgets=st.lists(st.integers(1, 6), min_size=3, max_size=3), early=st.integers(0, 3),
+       reads=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40)), min_size=1, max_size=6))
+@example(COPIER, COPIER, COPIER, lasso("ab", "ba"), "fan", [1, 1, 1], 0, [(1, 3), (2, 7), (1, 9)])
+def test_runs_on_runs_read_like_the_dict_stepped_reference(inner, middle, reader, w, shape, budgets, early, reads):
+    """Runs of 1wfts read by 1wfts and 2wfts, the inner run read ``early``
+    letters before its readers are made, so that they read a run that has
+    stepped, stalled or halted (see assert_runs_on_runs_read_like_the_reference)."""
+    assert_runs_on_runs_read_like_the_reference(inner, middle, reader, w, shape, budgets, early, reads)
+
+
+def b_marker():
+    """Emits b on each b and nothing on a: on (aba)^ω its cycle is silent
+    for one step before its letter and one after, two across the wrap-around."""
+    return OneWayTransducer({"q"}, "q", AB, AB, {("q", "a"): ((), "q"), ("q", "b"): (("b",), "q")})
+
+
+@settings(PROPERTY, max_examples=400)
+@given(inner=one_way_machines(), middle=one_way_machines(), reader=one_way_machines(), w=lassos,
+       skip=st.integers(0, 6), shape=st.sampled_from(["pair", "chain", "fan"]),
+       budgets=st.lists(st.integers(1, 6), min_size=3, max_size=3), early=st.integers(0, 3),
+       reads=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 300)), min_size=1, max_size=4))
+@example(COPIER, COPIER, COPIER, lasso("a", "ab"), 0, "pair", [6, 6, 6], 0, [(0, 22), (1, 22)])  # ends at want - 1
+@example(b_marker(), COPIER, COPIER, lasso("", "aba"), 0, "pair", [2, 6, 6], 0,
+         [(0, 1), (0, 2), (0, 2), (0, 2), (1, 30)])  # the inner run stalls across each wrap-around
+@example(COPIER, COPIER, COPIER, lasso("abb", "ab"), 1, "chain", [6, 6, 6], 0, [(2, 40)])  # periodic from 2 on
+def test_one_way_runs_on_periodic_words_replay_like_the_dict_stepped_reference(
+        inner, middle, reader, w, skip, shape, budgets, early, reads):
+    """One-way runs on a lasso or a shift of one, and one-way readers of
+    their words, read over at least 20 periods of the input, with budgets
+    of 1 to 6 steps: whatever whole cycles they replay, their letters,
+    steps and halts are the reference's, which steps every letter."""
+    source = shift(w, skip)
+    reads = reads + [(which, 40 * len(w.v) + len(w.u)) for which in range(3)]  # 2 letters a step at most
+    assert_runs_on_runs_read_like_the_reference(inner, middle, reader, source, shape, budgets, early, reads)
 
 
 @st.composite
@@ -937,7 +967,7 @@ def test_the_compiled_kernels_step_like_a_dict_lookup_on_the_transitions(machine
     slice_cells, transducers.SLICE = transducers.SLICE, cells
     try:
         out = []
-        kernel = (_walk if two_way else _walk_one_way)(machine, w, out)
+        kernel = _walk(machine, w, out) if two_way else _walk_one_way(machine, w, out, [])
         assert next(kernel) is None
         got = drive(kernel, out, batches)
         if two_way:

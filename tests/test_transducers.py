@@ -50,6 +50,7 @@ from advicebench.words import (
     duplicate,
     lasso,
     pi_word,
+    shift,
     word,
 )
 
@@ -579,9 +580,9 @@ def test_a_halt_of_the_source_run_keeps_the_readers_own_step_count(run, machine,
     assert outer._engine.step_count == steps
 
 
-def test_a_run_adopted_by_a_one_way_reader_stays_readable_past_its_stall():
-    # the copier adopts the fresh inner run; the inner run's stall halts the
-    # copier, while the inner run goes on from the same state when read again
+def test_a_run_read_by_a_one_way_reader_stays_readable_past_its_stall():
+    # the copier reads the fresh inner run's word; the inner run's stall halts
+    # the copier, while the inner run goes on from the same state when read again
     inner = run_1wft(copies_then_stalls(2), lasso("", "ab"), budget=5)
     outer = run_1wft(letter_copier(AB), inner.word)
     assert type(outer._engine) is type(inner._engine) is transducers._OneWayEngine
@@ -597,9 +598,8 @@ def test_a_run_adopted_by_a_one_way_reader_stays_readable_past_its_stall():
 
 
 def test_two_one_way_readers_of_one_run_read_its_letters_once():
-    # the first copier adopts the inner run and the second reads it through
-    # its word; either one reading past the other must not step the inner
-    # run again from its start
+    # two copiers read the inner run through its word; either one reading
+    # past the other must not step the inner run again from its start
     w = lasso("ab", "ba")
     inner = run_1wft(letter_copier(AB), w)
     first = run_1wft(letter_copier(AB), inner.word)
@@ -623,6 +623,43 @@ def test_a_reader_reads_the_letters_its_run_has_produced_past_it_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_a_runs_word_says_it_is_periodic_once_its_run_proves_an_emitting_cycle():
+    # the copier on a·(ab)^ω proves its cycle at the second start of ab, as
+    # it steps for its 4th letter; a run whose cycle emits nothing, or whose cycle's silent
+    # stretch (here 2, across the wrap-around) reaches its budget, never says so
+    run = run_1wft(letter_copier(AB), lasso("a", "ab"))
+    run.letters(3)
+    assert run.word.periodic() is None
+    run.letters(4)
+    assert run.word.periodic() == (1, ["a", "b"])
+    silent = run_1wft(copies_then_stalls(2), lasso("", "ab"), budget=9)
+    assert silent.try_letters(3)[0] == ["a", "b"] and silent._engine.cycle == []
+    assert silent.word.periodic() is None
+    b_marker = OneWayTransducer({"q"}, "q", AB, AB, {("q", "a"): ((), "q"), ("q", "b"): (("b",), "q")})
+    for budget, says in ((2, None), (3, (0, ["b"]))):
+        run = run_1wft(b_marker, lasso("", "aba"), budget=budget)
+        for _ in range(3):
+            run.try_letters(3)
+        assert run._engine.cycle[2] == 2 and run.word.periodic() == says
+    assert shift(lasso("abc", "de"), 4).periodic() == (0, ("e", "d"))
+    assert shift(lasso("abc", "de"), 2).periodic() == (1, ("d", "e"))
+    assert shift(pi_word(1), 2).periodic is None
+
+
+def test_a_reader_stops_replaying_once_its_source_runs_budget_falls_to_the_cycles_stretch():
+    # the b marker's cycle on (aba)^ω is silent for 2 steps across its
+    # wrap-around: at budget 3 its word says it is periodic, at budget 2 the
+    # run stalls there, and the copier reading it halts on its 10th letter
+    inner = run_1wft(OneWayTransducer({"q"}, "q", AB, AB, {("q", "a"): ((), "q"), ("q", "b"): (("b",), "q")}),
+                     lasso("", "aba"), budget=3)
+    outer = run_1wft(letter_copier(AB), inner.word, budget=6)
+    assert outer.letters(10) == ["b"] * 10
+    inner.budget = 2
+    got, halt = outer.try_letters(40)
+    assert len(got) == 10 and isinstance(halt, BudgetExceeded) and halt.step == 31
+    assert (outer._engine.step_count, inner._engine.step_count) == (10, 31)
 
 
 def test_a_lookbehind_run_halts_where_its_oracle_reads_pad():

@@ -15,22 +15,11 @@ ratio.
 """
 from __future__ import annotations
 
-import importlib
 import json
-import pkgutil
 import sys
 import time
 
 from mu_chain_probe import load
-
-
-def modules(ab):
-    """The package's modules, every one imported. The constructions import
-    some of them at call time, so a side's are put back into sys.modules
-    before each of its calls."""
-    for info in pkgutil.iter_modules(ab.__path__):
-        importlib.import_module(f"advicebench.{info.name}")
-    return {n: m for n, m in sys.modules.items() if n == "advicebench" or n.startswith("advicebench.")}
 
 
 def calls(ab):
@@ -52,8 +41,8 @@ def calls(ab):
     }
 
 
-def timed(side, build, call):
-    sys.modules.update(side)
+def timed(src, build, call):
+    load(src)  # the constructions import some modules at call time
     machine = build()
     start = time.perf_counter()
     call(machine)
@@ -61,17 +50,15 @@ def timed(side, build, call):
 
 
 def main(argv) -> int:
-    sides = {}
-    for side, src in (("parent", argv[1]), ("change", argv[2])):
-        ab = load(src)
-        sides[side] = modules(ab), calls(ab)
+    srcs = {"parent": argv[1], "change": argv[2]}
+    sides = {side: calls(load(src)) for side, src in srcs.items()}
     reads = int(argv[3]) if len(argv) > 3 else 50
     result = {"what": "two-way walks, min of interleaved fresh calls, ms", "reads": reads, "calls": {}}
-    for name in sides["parent"][1]:
+    for name in sides["parent"]:
         best = {"parent": float("inf"), "change": float("inf")}
         for i in range(reads):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                best[side] = min(best[side], timed(sides[side][0], *sides[side][1][name]))
+                best[side] = min(best[side], timed(srcs[side], *sides[side][name]))
         result["calls"][name] = {f"{k}_ms": round(v * 1e3, 4) for k, v in best.items()}
         result["calls"][name]["speedup"] = round(best["parent"] / best["change"], 3)
     print(json.dumps(result))
