@@ -29,7 +29,6 @@ from .transducers import (
     OneWayTransducer,
     TwoWayTransducer,
     _configurations,
-    _settle_test,
     compose_1wft,
     run_1wft,
     run_2wft,
@@ -115,29 +114,33 @@ def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
 
     Returns _Return (comes back out the entry side), _Cross (drifts through:
     first-arrival states and output chunks per cell, eventually periodic),
-    or _Stuck (parks inside forever). Every cell reads '0', so the settle
-    test with period 1 ends the walk within |Q| cells of depth: a repeat at
-    the same depth parks, and one deeper repeats its stretch deeper forever,
-    so no return comes after it and the cells up to ``want`` come in time.
+    or _Stuck (parks inside forever). Every cell reads '0', so the run has
+    settled once it repeats a state without having been shallower than that
+    state's earlier depth in between: a stack of those (depth, state), one
+    per state, ends the walk within |Q| cells of depth. A repeat at the same
+    depth parks, and one deeper repeats its stretch deeper forever, so no
+    return comes after it and the cells up to ``want`` come in time.
     """
     inward = RIGHT if side == "L" else LEFT
     state, depth = entry_state, 0
     out: list = []
-    depths: list = []  # depth before each step, until the run settles
-    settled = _settle_test(0, 1, depths)
+    stack: list = []  # (depth, state); the head has not been shallower since, depths nondecreasing
+    pushed: dict = {}  # state on the stack -> its depth there
     arrivals = [(entry_state, 0)]  # (state, len(out)) at the first arrival in each cell
     want = None  # cells to record once the run has settled
     while want is None or len(arrivals) <= want:
         if want is None:
-            cut = settled(state, depth)
-            if cut is not None:
-                drift = depth - depths[cut]
+            while stack and stack[-1][0] > depth:
+                del pushed[stack.pop()[1]]
+            if state in pushed:
+                drift = depth - pushed[state]
                 if drift == 0:
                     return _Stuck()
                 ramp = len(arrivals)
                 want = ramp + 2 * drift
                 continue
-            depths.append(depth)
+            stack.append((depth, state))
+            pushed[state] = depth
         hit = t.transitions.get((state, "0"))
         if hit is None:
             return _Stuck()  # the original would die here; fold leaves it undefined
@@ -261,7 +264,7 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
             raise UnstableClassification("machine parks inside a block")
 
     # The prologue cutoff depends on which bounded excursions end up used.
-    # The states on the settle test's stack in _classify_excursion are
+    # The states on _classify_excursion's stack of (depth, state) are
     # distinct, so a return reaches depth < |Q|: n_min grows each round and
     # stays <= |Q|, and w <= w_upper < stop_pos, so the walk has reached w.
     n_min = 1
@@ -386,7 +389,7 @@ def _walk_to_repeat(t: TwoWayTransducer, period_base: int):
     every 1 below n2 has had its last visit among ``visits``.
 
     Stacks the visits at 1s the head has stayed strictly right of since, at
-    most one per (state, j mod period_base), as _settle_test does for
+    most one per (state, j mod period_base), as _walk_to_image does for
     lassos. Refuses a run that halts or that revisits a 1 in the same state
     (it loops there forever). The stack holds the last visit of each 1 from
     |Q| to the rightmost 1 reached, so the head never passes 1 number

@@ -813,44 +813,6 @@ def analyze_on_constant(t: TwoWayTransducer, c) -> LassoWord:
     return image
 
 
-def _settle_test(low, per, out):
-    """Settle test for a two-way run on a tape periodic from ``low`` on.
-
-    The tape letter (and any lookbehind state) at a position p >= low is
-    that at p + per. Feed it every (state, pos) of the run, in order; it
-    returns None until the run has settled, then ``cut``, the length ``out``
-    had at the configuration that the current one repeats. Settled means:
-    the run went from (q, p) to (q, p') with p' ≡ p (mod per), p >= low
-    and no position below p in between. From there the run repeats that
-    stretch shifted by p' - p forever, each time emitting the letters out
-    gained since cut: it never halts and never returns below p.
-
-    Keeps the stack of configurations whose position the run has not gone
-    below since; positions along it never decrease, and it holds at most
-    one configuration per (state, residue), since a second would have
-    matched the first.
-    """
-    stack: list = []  # (pos, key), positions nondecreasing
-    pushed: dict = {}  # key -> len(out) when it was pushed
-
-    def settled(state, pos):
-        if pos < low:
-            if stack:
-                stack.clear()
-                pushed.clear()
-            return None
-        while stack and stack[-1][0] > pos:
-            del pushed[stack.pop()[1]]
-        key = (state, (pos - low) % per)
-        cut = pushed.get(key)
-        if cut is None:
-            stack.append((pos, key))
-            pushed[key] = len(out)
-        return cut
-
-    return settled
-
-
 def _loop_lasso(t, out, cut):
     return canonical_lasso(
         FiniteWord(tuple(out[:cut]), t.output_alphabet),
@@ -939,14 +901,23 @@ def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None, cycle=No
     On a lasso u·v^ω the tape (and lookbehind state) repeats every ``per``
     from position ``low`` on: |v| and |u| + 1, or the oracle's cycle
     (``cycle``, _oracle_cycle(t.oracle, source), if the caller has it). So the
-    run halts (raised), repeats a configuration left of low, or settles (see
-    _settle_test). Returns (cut, handoff): the output is out[:cut]·out[cut:]^ω
-    and handoff is (state, pos, len(out)) after the last configuration left
-    of ``mark`` (default low). With ``revisits``, a cycle that visits a cell
-    left of mark raises BudgetExceeded with that message and the loop.
+    run halts (raised), repeats a configuration left of low, or settles: it
+    goes from (q, p) to (q, p') with p' ≡ p (mod per), p >= low and no
+    position below p in between, and from there repeats that stretch
+    shifted by p' - p forever, each time emitting the letters out gained
+    since (q, p): it never halts and never returns below p. Returns (cut,
+    handoff): the output is out[:cut]·out[cut:]^ω and handoff is (state,
+    pos, len(out)) after the last configuration left of ``mark`` (default
+    low). With ``revisits``, a cycle that visits a cell left of mark raises
+    BudgetExceeded with that message and the loop.
 
-    Before a verdict the settle stack holds the last visit of each cell from
-    low to the head, one per (state, residue), so the head stays left of
+    Both verdicts read one dict, from (state, node) to (len(out), step) at
+    its first visit; the node of a position p is p left of low and
+    low + (p - low) mod per from low on. A key from low on stays in it only
+    while its configuration is on the stack of those the head has not gone
+    below since, so a repeated key there is a settle. Positions along the
+    stack never decrease, and it holds the last visit of each cell from low
+    to the head, one per (state, residue), so the head stays left of
     low + |Q|·per; a cycle then closes on its leftmost configuration within
     one more cycle. So 2·|Q|·(low + |Q|·per + 1) steps suffice, and a
     longer walk raises InvariantViolation.
@@ -957,26 +928,27 @@ def _walk_to_image(t, source: LassoWord, out, mark=None, revisits=None, cycle=No
     else:
         _states, ell, per = cycle or _oracle_cycle(oracle, source)
         low = ell + 1
-    settled = _settle_test(low, per, out)
     mark = low if mark is None else mark
-    memo: dict = {}  # configuration left of low -> (len(out), step) there
+    seen: dict = {}  # (state, node) -> (len(out), step) at its first visit
+    stack: list = []  # (pos, key) of the configurations from low on, positions nondecreasing
     handoff, marked = None, -1  # marked: the last step left of mark
     bound = 2 * len(t.states) * (low + len(t.states) * per + 1)
-    for step, cfg in enumerate(islice(_configurations(t, source, out), bound + 1)):
+    for step, (state, pos) in enumerate(islice(_configurations(t, source, out), bound + 1)):
         if marked == step - 1:
-            handoff = cfg + (len(out),)
-        cut = settled(*cfg)
-        if cfg[1] < low:
-            cut, first = memo.setdefault(cfg, (len(out), step))
-            if first == step:
-                cut = None
-            elif revisits and marked >= first:
+            handoff = state, pos, len(out)
+        while stack and stack[-1][0] > pos:
+            del seen[stack.pop()[1]]
+        key = (state, pos if pos < low else low + (pos - low) % per)
+        cut, first = seen.setdefault(key, (len(out), step))
+        if first < step:
+            if revisits and marked >= first:
                 loop = _loop_lasso(t, out, cut) if len(out) > cut else None
                 raise BudgetExceeded(step, loop=loop, message=revisits)
-        if cfg[1] < mark:
-            marked = step
-        if cut is not None:
             return cut, handoff
+        if pos >= low:
+            stack.append((pos, key))
+        if pos < mark:
+            marked = step
     raise InvariantViolation(f"a lasso walk passed its bound of {bound} steps")
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -18,16 +19,19 @@ from advicebench.documents import (
     word_to_doc,
 )
 from advicebench.errors import (
+    AdviceBenchError,
     InvariantViolation,
     NotDeterministic,
     ParseError,
     UnresolvedReference,
 )
 from advicebench.mealy import MealyMachine, delay_mealy, run_mealy
-from advicebench.sst import compile_sst_to_2wftb, run_sst
+from advicebench.pi_transforms import normalize_directions_on_pi, one_way_simulation_on_pi
+from advicebench.sst import compile_sst_to_2wftb, eliminate_lookbehind_lasso, run_sst
 from advicebench.transducers import (
     mirror_blocks_2wft,
     mu_transducers,
+    remove_endmarker,
     run_1wft,
     run_2wft,
     run_2wft_b,
@@ -240,3 +244,48 @@ def test_load_document_reports_json_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_document(str(path))
     assert err.value.line == 2
+
+
+# The first 16 hex digits of the sha256 of each conversion's documents, in
+# the order below, a refusal written as its exception's type name. They pin
+# the constructions' output byte for byte across rewrites of the walks.
+CONSTRUCTION_DIGESTS = {
+    "normalize-pi": "aec92bcc516af3ec",
+    "oneway-pi": "ff24a95f9e6335c1",
+    "remove-endmarker": "07a8f157b2493ed3",
+    "unlookbehind": "e585e8288b52f12a",
+}
+BLOCKS = Alphabet.of("ab#")
+BLOCK_LASSOS = [("", "ab#"), ("a", "ab#"), ("#", "a#"), ("ab", "b#a#"), ("", "#"), ("b", "a"),
+                ("aab#b", "ba#"), ("#", "aab#")]
+BIT_LASSOS = [("", "01"), ("1", "0"), ("", "1"), ("00", "10"), ("101", "0"), ("", "0110"), ("1", "011"),
+              ("0110", "1")]
+
+
+def test_construction_documents_are_pinned():
+    documents = {kind: [] for kind in CONSTRUCTION_DIGESTS}
+
+    def record(kind, convert, *args):
+        try:
+            machine = convert(*args)
+        except AdviceBenchError as refusal:
+            documents[kind].append(type(refusal).__name__)
+            return None
+        documents[kind].append(dumps(machine_to_doc(machine)))
+        return machine
+
+    for name in ("bounce_probe", "stutter_cross", "revisit_probe", "alternating_cross"):
+        normalized = record("normalize-pi", normalize_directions_on_pi, corpus.BUILTIN_MACHINES[name]())
+        if normalized is not None:
+            record("oneway-pi", lambda m: one_way_simulation_on_pi(m, c_max=4).transducer, normalized)
+    for build in (corpus.BUILTIN_MACHINES["mirror2wft"], lambda: corpus.endmarker_toucher_2wft(BLOCKS),
+                  lambda: corpus.endmarker_bouncer_2wft(BLOCKS), corpus.zigzag_2wft, corpus.drifter_2wft):
+        for u, v in BLOCK_LASSOS:
+            record("remove-endmarker", remove_endmarker, build(), lasso(u, v))
+    for sst, lassos in ((corpus.mirror_sst, BLOCK_LASSOS), (corpus.interleave_sst, BLOCK_LASSOS),
+                        (corpus.identity_sst, BIT_LASSOS)):
+        for u, v in lassos:
+            record("unlookbehind", eliminate_lookbehind_lasso, compile_sst_to_2wftb(sst()), lasso(u, v))
+    digests = {kind: hashlib.sha256("\n\n".join(texts).encode()).hexdigest()[:16]
+               for kind, texts in documents.items()}
+    assert digests == CONSTRUCTION_DIGESTS

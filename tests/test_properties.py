@@ -64,9 +64,9 @@ from advicebench.transducers import (
     _Halted,
     _oracle_cycle,
     _configurations,
-    _settle_test,
     _walk,
     _walk_one_way,
+    _walk_to_image,
     compose_1wft,
     lasso_image,
     mirror_blocks_2wft,
@@ -1454,37 +1454,56 @@ def test_mealy_image_lasso_is_canonical(machine, w):
     assert_image_is_the_run(image, run_mealy(machine, w))
 
 
+def first_verdict(seen, low, per):
+    """(j, i): the first configuration j of ``seen``, (state, pos, len(out))
+    before each step of a two-way run on a lasso, that repeats configuration
+    i left of low exactly, or settles from it: the same state at a position
+    congruent to its p >= low mod per, and no position below p in between.
+    None if no configuration does."""
+    for j, (state, pos, _n) in enumerate(seen):
+        floor = pos  # the leftmost position after configuration i
+        for i in range(j - 1, -1, -1):
+            q, p, _m = seen[i]
+            if q == state and (p == pos < low or low <= p <= floor and (pos - p) % per == 0):
+                return j, i
+            floor = min(floor, p)
+    return None
+
+
 @settings(PROPERTY, max_examples=300)
 @given(machine=two_way_machines(marker_moves=(RIGHT,)), w=lassos)  # more runs get past the marker
-def test_a_settled_run_never_halts_and_never_returns(machine, w):
+def test_a_lasso_walk_stops_at_its_first_repeat_or_settle(machine, w):
     out: list = []
     low, per = len(w.u) + 1, len(w.v)
-    settled = _settle_test(low, per, out)
-    walk = _configurations(machine, w, out)
-    seen = []  # (state, pos, letters so far) of every step
-    try:
-        for state, pos in islice(walk, 500):
-            seen.append((state, pos, len(out)))
-            cut = settled(state, pos)
-            if cut is not None:
-                break
-        else:
+    seen = []  # (state, pos, len(out)) before each step of the walk
+
+    def recorded(t, source, letters):
+        for state, pos in _configurations(t, source, letters):
+            seen.append((state, pos, len(letters)))
+            yield state, pos
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transducers, "_configurations", recorded)
+        try:
+            cut, _handoff = _walk_to_image(machine, w, out)
+        except (UndefinedTransition, MovedLeftOfEndmarker):
+            assert first_verdict(seen, low, per) is None
             return
-    except (UndefinedTransition, MovedLeftOfEndmarker):
-        return
-    # the loop closed is one of the definition: from (state, p) with p >= low
-    # to (state, pos), pos ≡ p (mod per), and no position below p in between
-    assert any(q == state and p >= low and (pos - p) % per == 0 and n == cut
-               and all(later >= p for _q, later, _n in seen[i + 1:])
-               for i, (q, p, n) in enumerate(seen[:-1]))
-    # from here on the run repeats that loop, shifted
-    loop = out[cut:]
-    for _state, pos in islice(walk, 3000):
-        assert pos >= low
+    verdict = first_verdict(seen, low, per)
+    assert verdict is not None
+    last, first = verdict
+    _q, p, first_len = seen[first]
+    assert last == len(seen) - 1 and cut == first_len
+    # from there on the run repeats that stretch forever, and after a settle
+    # it never returns below p
+    loop, again = out[cut:], []
+    for step, (_state, pos) in enumerate(islice(_configurations(machine, w, again), len(seen) + 3000)):
+        assert step < first or p < low or pos >= p
+    assert again[:len(out)] == out
     if loop:
-        assert out[cut:] == (loop * (len(out) // len(loop) + 1))[:len(out) - cut]
+        assert again[cut:] == (loop * (len(again) // len(loop) + 1))[:len(again) - cut]
     else:
-        assert len(out) == cut
+        assert len(again) == cut
 
 
 def naive_cycle(dfa, w):

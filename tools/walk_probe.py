@@ -5,9 +5,9 @@
 Loads both packages into one process and times fresh calls of the
 constructions that walk a two-way run configuration by configuration:
 lasso_image of the block mirror on a·(a^100 b^100 #)^ω and of the compiled
-interleave SST on (aab#)^ω, remove_endmarker of the block mirror on
-a·(a^100 b^100 #)^ω, and normalize_directions_on_pi of bounce_probe and
-stutter_cross. Each call gets a machine built just before it, outside the
+interleave SST on (aab#)^ω, remove_endmarker of the block mirror and
+eliminate_lookbehind_lasso of the compiled mirror SST on a·(a^100 b^100 #)^ω,
+and normalize_directions_on_pi of bounce_probe and stutter_cross. Each call gets a machine built just before it, outside the
 timing, so it pays its table fills as a construction does. The two sides
 alternate, parent first in even rounds. Prints one JSON object: per call,
 each side's minimum over READS (default 50) calls and the parent/change
@@ -36,6 +36,8 @@ def calls(ab):
                                          lambda t: ab.lasso_image(t, interleave_word)),
         "remove_endmarker_mirror": (lambda: ab.mirror_blocks_2wft(blocks),
                                     lambda t: ab.remove_endmarker(t, mirror_word)),
+        "unlookbehind_mirror_2wftb": (lambda: ab.compile_sst_to_2wftb(corpus.mirror_sst()),
+                                      lambda t: ab.eliminate_lookbehind_lasso(t, mirror_word)),
         "normalize_bounce_probe": (corpus.bounce_probe_2wft, ab.normalize_directions_on_pi),
         "normalize_stutter_cross": (corpus.stutter_cross_2wft, ab.normalize_directions_on_pi),
     }
