@@ -119,10 +119,13 @@ def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
     state's earlier depth in between: a stack of those (depth, state), one
     per state, ends the walk within |Q| cells of depth. A repeat at the same
     depth parks, and one deeper repeats its stretch deeper forever, so no
-    return comes after it and the cells up to ``want`` come in time.
+    return comes after it and the cells up to ``want`` come in time. So
+    depths stay below n = |Q|, the walk settles by step 2n², and the want
+    cells take n + 2 more stretches at most: 2n²·(n + 3) steps bound it.
     """
     inward = RIGHT if side == "L" else LEFT
-    state, depth = entry_state, 0
+    bound = 2 * len(t.states) ** 2 * (len(t.states) + 3)
+    state, depth, steps = entry_state, 0, 0
     out: list = []
     stack: list = []  # (depth, state); the head has not been shallower since, depths nondecreasing
     pushed: dict = {}  # state on the stack -> its depth there
@@ -141,6 +144,9 @@ def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
                 continue
             stack.append((depth, state))
             pushed[state] = depth
+        if steps == bound:
+            raise InvariantViolation(f"an excursion walk passed its bound of {bound} steps")
+        steps += 1
         hit = t.transitions.get((state, "0"))
         if hit is None:
             return _Stuck()  # the original would die here; fold leaves it undefined

@@ -15,7 +15,7 @@ nothing, or their cell's letter, at once, and codes tape cells through
 byte tables (see _walk). The lasso and π walks, which look at every
 configuration, step _configurations over the same rows. An exception of a
 kernel's source word ends the kernel as _Halted, with the batch's steps.
-A one-way run crosses a periodic word by whole cycles (see _walk_one_way).
+A one-way run crosses periodic stretches by whole cycles (see _walk_one_way).
 
 The kernels step through a machine's ``table``, made on its first run and
 kept for every later one. A table row belongs to a state and maps what
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import sub
 
 from .errors import (
     AdviceNotLasso,
@@ -83,6 +84,14 @@ DEFAULT_BUDGET = 10 ** 5
 #: the encoded ones, plus half the cells encoded before: a short walk
 #: encodes little more than it reads, and a long one does so in few slices.
 SLICE = 32
+
+#: The end of a periodic stretch that never ends, to a one-way run.
+_FOREVER = 1 << 62
+
+#: The fewest letters of the periodic stretches a one-way run asks its
+#: source for (``least``; see InfiniteWord.periodic): a crossing costs about
+#: what stepping 30 letters does, so a run steps shorter stretches.
+CROSS_MIN = 32
 
 #: The emitted letters of a silent loop's row entry, told apart by identity;
 #: a copying loop's are a list of its cell's letter (see _walk's sweeps).
@@ -442,15 +451,12 @@ class _OutcomeWord(InfiniteWord):
             self.outcome.letter(n)
         return out[n:n + CHUNK]
 
-    def periodic(self):
-        """(cut, out[cut:end]) once a one-way run has proved that its output
-        repeats out[cut:end] from cut on, if that cycle emits and its silent
-        stretch is below the run's budget, so that it never stalls."""
-        run = self.outcome
-        cycle = run._engine.cycle
-        if cycle and cycle[2] < run.budget:
-            return cycle[0], run._engine.out[cycle[0]:cycle[1]]
-        return None
+    def periodic(self, n, least=1):
+        """(cut, out[cut:end], None) once the run's output is proved to repeat
+        out[cut:end] from cut on, never stalling within its budget; else None."""
+        cycle, out = self.outcome._engine.cycle, self.outcome._engine.out
+        if cycle and cycle[2] < self.outcome.budget:
+            return cycle[0], tuple(out[cycle[0]:cycle[1]]), None
 
 
 class _Engine:
@@ -486,32 +492,30 @@ class _OneWayEngine(_Engine):
 
 def _walk_one_way(t, source, out, cycle):
     """Run the 1wft t on source in batches, appending each step's letters
-    to ``out``. A step looks its letter up in the t.table row of its state;
-    a letter the row lacks goes to _OneWayTable.fill, which adds the entry
-    or raises UndefinedTransition(pos, pos, (state, letter)). The run steps
-    through one ``letters_from`` chunk at a time and keeps no tape.
-    ``send((want, budget))`` steps until ``out`` holds ``want`` letters or
-    ``budget`` steps in a row emitted nothing, and yields the steps taken.
+    to ``out``: ``send((want, budget))`` steps until ``out`` holds ``want``
+    letters or ``budget`` steps in a row emitted nothing, and yields the
+    steps taken. A step looks its letter up in its state's t.table row; a
+    miss goes to _OneWayTable.fill, which adds the entry or raises
+    UndefinedTransition(pos, pos, (state, letter)). No tape is kept.
 
-    On a source periodic from k with period x (see InfiniteWord.periodic),
-    chunks end where periods start, and each start probes a dict of the
-    states periods started in. The first repeat closes a cycle (see _rho).
-    If it emits, ``cycle`` gets [cut, end, stretch], out[cut:end] being its
-    letters, and chunks end where cycles start. There a batch extends
-    ``out`` by the whole cycles that end before ``want`` is met, if the
-    cycle's silent stretch is below the budget and the source still says
-    it is periodic, and steps the rest. A whole cycle was stepped right
-    before, so the silent steps since the batch's last letter, and those
-    after the cycles, join the next ones into at most the wrap-around. So
-    steps, stalls and halts are those of stepping, and the source is asked
-    next for the letter after the cycles."""
+    Where the source repeats x up to ``end`` (see InfiniteWord.periodic;
+    the run asks for stretches of CROSS_MIN letters or more), the run
+    steps the tail of its state's rho under x (see _rho, kept per state
+    and x), then crosses the m periods of the cycles before ``want``,
+    cut to ``end``, at once, if m spans a cycle, its first letter comes
+    before the stop and its silent stretch is below the budget. The rho
+    gives the letters, state and silent steps after them, so steps, stalls
+    and halts are those of stepping. Without an end the source is asked
+    again before each crossing, and ``cycle`` gets [cut, end, stretch] once
+    ``out`` holds a whole cycle from the cycle's first start, cut, on (at a
+    crossing, or a stepped cycle later). A stretch that ends at or behind
+    the run raises InvariantViolation."""
     table = t.table
     more, emit, fill, periodic = source.letters_from, out.extend, table.fill, source.periodic
     row, state, pos = table.start, t.initial, 0
-    letters = iter(())  # the source's letters from pos on, up to mark
-    mark = None  # the next period (then cycle) start at or after pos, on a periodic source
-    starts: dict = {}  # the state a period started in -> (pos, len(out)) there
-    loop = None  # the cycle's letters, once found
+    chunk, at, letters = [], 0, iter(())  # the source's letters from at on; letters: from pos up to mark
+    end = mark = lap = None  # the stretch's end, its next period start or end, len(out) at the cycle's first start
+    rhos: dict = {}  # (state, x) -> its rho (see _rho), with no cycle if it halts
     ask = yield
     while True:
         want, gap = ask
@@ -531,32 +535,46 @@ def _walk_one_way(t, source, out, cycle):
                 if pos >= stop:
                     break
             else:
-                if mark is None and periodic is not None and (said := periodic()):
-                    k, x = said
-                    size = len(x)
-                    mark = k if pos <= k else pos + (k - pos) % size
                 if pos == mark:
-                    if loop is None:
-                        first, cut = starts.setdefault(state, (pos, len(out)))
-                        if first < pos:  # a cycle of pos - first steps
-                            loop, size = out[cut:], pos - first
-                            stretch = _rho(table, row, state, x, [], pos)[1]
-                            if not loop:
-                                periodic = None
-                            else:
-                                cycle += (cut, len(out), stretch)
-                    if loop:
-                        whole = (want - len(out) - 1) // len(loop)  # cycles that end before want is met
-                        if whole > 0 and stretch < gap and periodic():
-                            emit(loop * whole)
-                            pos += whole * size
-                            stop = pos + gap
-                    mark = None if loop == [] else pos + size
-                try:
-                    chunk = more(pos)
-                except Exception as exc:  # the run's halt (see _produce)
-                    raise _Halted(pos - start, exc) from None
-                letters = iter(chunk if mark is None else chunk[:mark - pos])
+                    if mark != end:  # a period start in the stretch
+                        if (rho := rhos.get((state, x))) is None:
+                            try:
+                                rho = rhos[state, x] = _rho(table, row, state, x, [], pos)
+                            except UndefinedTransition:  # a halt ahead: step to it
+                                rho = rhos[state, x] = 0, 0, [], 0, 0, ()
+                        tail, span, loop, stretch, lead, path = rho
+                        if tail or not loop:  # step the tail, or to the end if no cycle emits
+                            mark = min(pos + tail * size, end) if loop else end
+                        else:
+                            if end == _FOREVER and lap is None:  # the cycle's first start
+                                lap = len(out)
+                            m = (want - len(out) - 1) // len(loop) * span  # the periods of the cycles before want
+                            if end - pos < m * size:
+                                m = (end - pos) // size
+                            if (m >= span and stretch < gap and pos + lead < stop
+                                    and (end < _FOREVER or periodic(pos))):
+                                o, trail, row, state = path[m % span]
+                                emit(loop * (m // span))
+                                emit(loop[:o])
+                                pos += m * size
+                                stop = pos - trail + gap
+                            if lap is not None and not cycle and len(out) >= lap + len(loop):  # a whole cycle is out
+                                cycle += (lap, lap + len(loop), stretch)
+                            mark = min(pos + span * size, end)
+                    if pos == end:  # the stretch is over: ask the source again
+                        mark = None
+                if mark is None and periodic is not None and (said := periodic(pos, CROSS_MIN)):
+                    k, x, end = said
+                    end, size, lap = _FOREVER if end is None else end, len(x), None
+                    mark = k if pos <= k else min(pos + (k - pos) % size, end)
+                if mark is not None and not pos <= mark <= end > pos:  # no progress: a stretch behind the run
+                    raise InvariantViolation(f"a one-way run at {pos} is not inside its periodic stretch up to {end}")
+                if mark is None or pos >= at + len(chunk):
+                    try:
+                        chunk, at = more(pos), pos
+                    except Exception as exc:  # the run's halt (see _produce)
+                        raise _Halted(pos - start, exc) from None
+                letters = iter(chunk if mark is None else chunk[pos - at:mark - at])
                 continue
             break
         ask = yield pos - start
@@ -824,14 +842,17 @@ def _rho(table, row, state, x, out, pos):
     """The rho of a one-way state under a repeated word x: steps ``table``'s
     rows from (row, state) through x, x, ..., putting the letters on
     ``out``, until a period starts in a state an earlier one started in,
-    within |Q| periods by pigeonhole. Returns (cut, stretch): out[cut:] are
-    the letters of the cycle from that earlier period on, and stretch its
-    longest run of silent steps, the wrap-around counted. A halt raises
-    UndefinedTransition(p, p, key), p being ``pos`` plus the steps before."""
-    starts: dict = {}  # the state a period starts in -> len(out), len(lit) and pos there
+    within |Q| periods. Returns (tail, span, loop, stretch, lead, path): a
+    cycle of ``span`` periods after ``tail``; its letters (out's last); its
+    most silent steps in a row, wrap-around counted; those before its first
+    letter; per period, (len(loop) so far, silent steps since the last
+    letter, row, state). A halt raises UndefinedTransition(p, p, key)."""
+    starts: dict = {}  # the state a period starts in -> its period
+    path: list = []  # per period: len(out), len(lit), row, state and pos at its start
     lit: list = []  # the positions of the steps that emitted
     while state not in starts:
-        starts[state] = len(out), len(lit), pos
+        starts[state] = len(path)
+        path.append((len(out), len(lit), row, state, pos))
         for a in x:
             try:
                 emitted, row, state = row[a]
@@ -841,9 +862,14 @@ def _rho(table, row, state, x, out, pos):
                 out.extend(emitted)
                 lit.append(pos)
             pos += 1
-    cut, first, begin = starts[state]
+    tail = starts[state]
+    (cut, first, _, _, begin), span = path[tail], len(path) - tail
     lit, length = lit[first:], pos - begin
-    return cut, max([b - a - 1 for a, b in zip(lit, lit[1:] + [lit[0] + length])] if lit else [length])
+    if not lit:
+        return tail, span, [], length, length, ()
+    before = [lit[-1] - length] + lit  # the letter before each one, the last lap's last first
+    return (tail, span, out[cut:], max(map(sub, lit, before)) - 1, lit[0] - begin,
+            [(o - cut, p - 1 - before[j - first], r, q) for o, j, r, q, p in path[tail:]])
 
 
 def _one_way_cut(t, w: LassoWord, out):
@@ -859,7 +885,8 @@ def _one_way_cut(t, w: LassoWord, out):
         except KeyError:
             emitted, row, state = table.fill(row, state, a, pos)
         out.extend(emitted)
-    return _rho(table, row, state, w.v.letters, out, len(w.u))[0]
+    loop = _rho(table, row, state, w.v.letters, out, len(w.u))[2]
+    return len(out) - len(loop)
 
 
 def _oracle_cycle(dfa, w: LassoWord):

@@ -172,9 +172,12 @@ class InfiniteWord:
     """Base class: a subclass computes ``letter(n)`` from its parts.
 
     ``periodic``, the periodicity hook, is None on a word that never says
-    it is periodic, or a method: (k, x) when letter n + |x| is letter n for
-    every n >= k, x being letters k onward, or None while the word cannot
-    say so yet. One-way runs cross such words by whole cycles."""
+    it is periodic, or a method: ``periodic(n, least=1)`` is (k, x, end),
+    x a tuple, when the letters from k up to ``end`` > k (None: forever)
+    repeat x, for the stretch it names at n or the next one it names (it
+    need not name all, and may pass over those of fewer than ``least``
+    letters); None while it cannot say so yet. Only an answer without an
+    end may change, to None."""
 
     periodic = None
 
@@ -260,8 +263,8 @@ class LassoWord(InfiniteWord):
         r = (n - len(pre)) % len(per)
         return list(per[r:] + per[:r]) * max(1, CHUNK // len(per))
 
-    def periodic(self):
-        return len(self._pre), self._per
+    def periodic(self, n, least=1):
+        return len(self._pre), self._per, None
 
     def canonical(self) -> "LassoWord":
         return canonical_lasso(self.u, self.v)
@@ -329,13 +332,11 @@ class ShiftWord(InfiniteWord):
         if base.periodic is None:
             self.periodic = None
 
-    def periodic(self):
-        said = self.base.periodic()
-        if said is not None:
-            k, x = said
+    def periodic(self, n, least=1):
+        if (said := self.base.periodic(self.n + n, least)) is not None:
+            k, x, end = said
             r = max(self.n - k, 0) % len(x)  # the letters of x the shift skips
-            return max(k - self.n, 0), x[r:] + x[:r]
-        return None
+            return max(k - self.n, 0), x[r:] + x[:r], None if end is None else end - self.n
 
     def letter(self, k: int):
         if k < 0:
@@ -477,9 +478,22 @@ class PiWord(InfiniteWord):
         return "1" if r % (b + 1) == b else "0"
 
     def letters_from(self, n: int) -> list:
-        """The rest of the current block, ((0^b 1)^k)[r:]."""
+        """The rest of the current block, ((0^b 1)^k)[r:], but a 1 alone: a
+        reader that crosses the run of 0s after it needs none of its letters."""
         b, r = self._place(n)
+        if r % (b + 1) == b:
+            return ["1"]
         return list((("0" * b + "1") * self.k)[r:])
+
+    def periodic(self, n, least=1):
+        """The run of 0s at n, or at a 1 the next one (after a block, the next
+        block's), of ``least`` 0s or more: before block ``least``, its first."""
+        b, r = self._place(n)
+        if b < least:
+            b, r, n = least, 0, self.k * least * (least + 1) // 2
+        if (c := r % (b + 1)) < b:
+            return n - c, ("0",), n - c + b
+        return n + 1, ("0",), n + 2 + b - (r < self.k * (b + 1) - 1)
 
     def __repr__(self):
         return "π" if self.k == 1 else f"π^{self.k}"

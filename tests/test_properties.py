@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from itertools import islice
 
 import pytest
@@ -343,14 +344,14 @@ def test_general_sst_runs_like_naive_regrounding(s, w):
 
 
 @st.composite
-def one_way_machines(draw, reads=AB.letters):
+def one_way_machines(draw, reads=AB.letters, alphabet=AB):
     states = range(draw(st.integers(1, 3)))
     tr = {}
     for q in states:
         for a in reads:
             if defined(draw):
                 tr[(q, a)] = (tuple(draw(outputs)), draw(st.sampled_from(states)))
-    return OneWayTransducer(states, 0, AB, AB, tr)
+    return OneWayTransducer(states, 0, alphabet, AB, tr)
 
 
 @st.composite
@@ -555,15 +556,17 @@ def halt_view(halts):
 COPIER = OneWayTransducer({"q"}, "q", AB, AB, {("q", a): ((a,), "q") for a in AB.letters})
 
 
-def assert_runs_on_runs_read_like_the_reference(inner, middle, reader, w, shape, budgets, early, reads):
+def assert_runs_on_runs_read_like_the_reference(inner, middle, reader, w, shape, budgets, early, reads,
+                                                most=float("inf")):
     """The inner run of ``inner`` on w is read ``early`` letters before its
     readers are made: ``reader`` on it (pair), or ``middle`` on it and
     ``reader`` on middle's run (chain) or on it (fan). Reads of ``reads``
     go to any run in turn, through letters and try_letters, and then each
     reader, the inner run between them, reads 3 letters past what any run
-    has produced, so that readers read past each other and past the inner
-    run's letters: letters, halts (their fields, and which are one object),
-    every run's steps and letters out are the NaiveRun reference's."""
+    has produced, or past ``most`` letters if fewer, so that readers read
+    past each other and past the inner run's letters: letters, halts (their
+    fields, and which are one object), every run's steps and letters out
+    are the NaiveRun reference's."""
     run = run_1wft if isinstance(reader, OneWayTransducer) else run_2wft
     runs = [run_1wft(inner, w, budgets[0])]
     naive = [NaiveRun(inner, w, budgets[0])]
@@ -581,7 +584,7 @@ def assert_runs_on_runs_read_like_the_reference(inner, middle, reader, w, shape,
     for i, (which, n) in enumerate(reads + leapfrog):
         which %= len(runs)
         if n is None:
-            n = max(len(r.out) for r in naive) + 3
+            n = min(max(len(r.out) for r in naive), most) + 3
         want, want_halt = naive[which].try_letters(n)
         if i % 2:
             got, halt = runs[which].try_letters(n)
@@ -634,6 +637,61 @@ def test_one_way_runs_on_periodic_words_replay_like_the_dict_stepped_reference(
     source = shift(w, skip)
     reads = reads + [(which, 40 * len(w.v) + len(w.u)) for which in range(3)]  # 2 letters a step at most
     assert_runs_on_runs_read_like_the_reference(inner, middle, reader, source, shape, budgets, early, reads)
+
+
+def pi_counter(period, undefined=(), one=("b",)):
+    """Reads π: emits a when its count of 0s in a row wraps mod ``period``,
+    and ``one`` on a 1, which resets the count; no move on a 0 from the
+    counts in ``undefined``. Its cycle under 0 is silent for period - 1 steps."""
+    tr = {(q, "0"): (("a",) if q == period - 1 else (), (q + 1) % period) for q in range(period) if q not in undefined}
+    tr.update({(q, "1"): (one, 0) for q in range(period)})
+    return OneWayTransducer(range(period), 0, BINARY, AB, tr)
+
+
+@contextmanager
+def crossing(least):
+    """One-way runs cross periodic stretches of ``least`` letters or more
+    (CROSS_MIN by default), so that short reads cross runs too."""
+    saved, transducers.CROSS_MIN = transducers.CROSS_MIN, least
+    try:
+        yield
+    finally:
+        transducers.CROSS_MIN = saved
+
+
+@settings(PROPERTY, max_examples=300)
+@given(inner=one_way_machines(reads=BINARY.letters, alphabet=BINARY), middle=one_way_machines(),
+       reader=one_way_machines(), k=st.integers(1, 3), skip=st.integers(0, 40),
+       shape=st.sampled_from(["pair", "chain", "fan"]),
+       budgets=st.tuples(st.sampled_from([1, 2, 3, 4, 5, 6, DEFAULT_BUDGET]), st.integers(1, 6),
+                         st.integers(1, 6)).map(list),
+       early=st.integers(0, 3),
+       reads=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 300)), min_size=1, max_size=4),
+       least=st.sampled_from([1, 2, 5, transducers.CROSS_MIN]))
+@example(pi_counter(3), COPIER, COPIER, 1, 0, "pair", [2, 6, 6], 0, [(0, 3)], 1)  # silent stretch = budget
+@example(pi_counter(3), COPIER, COPIER, 1, 0, "pair", [3, 6, 6], 0, [(0, 60), (0, 61)], 1)  # reads end in 0-runs
+@example(pi_counter(2, one=()), COPIER, COPIER, 1, 0, "pair", [3, 6, 6], 0, [(0, 10)], 1)  # block 3's run ends
+# mid-cycle, one step past its last letter, and the 1 and block 4's first 0 are silent: a stall
+@example(pi_counter(4, undefined=(2,)), COPIER, COPIER, 1, 0, "pair", [5, 6, 6], 0, [(0, 10)], 1)  # a halt in block 3
+@example(pi_counter(2), COPIER, COPIER, 3, 0, "pair", [6, 6, 6], 0, [(0, 2), (0, 40)], 1)  # block 0: no 0-run
+@example(pi_counter(2), COPIER, COPIER, 2, 5, "chain", [6, 6, DEFAULT_BUDGET], 0, [(2, 80)], 1)  # readers of a run on π
+@example(pi_counter(3), COPIER, COPIER, 1, 0, "pair", [3, 6, 6], 0, [(0, 300)], transducers.CROSS_MIN)  # steps blocks 0-31,
+# then crosses the runs of 0s named
+def test_one_way_runs_on_pi_cross_its_runs_of_0s_like_the_dict_stepped_reference(
+        inner, middle, reader, k, skip, shape, budgets, early, reads, least):
+    """One-way runs on π^k or a shift of it, which cross its runs of 0s of
+    ``least`` 0s or more by whole cycles and step the rest, and one-way
+    readers of their words, with budgets of 1 to 6 steps and the default:
+    their letters, steps and halts are the reference's, which steps every
+    letter. Readers get the default budget in hand examples only: a silent
+    reader of a run that emits once a block would read the run's first 10^5
+    letters, about 10^9 letters of π."""
+    reads = reads + [(which, 600) for which in range(3)]
+    # a run that emits once a block needs quadratically many steps per letter,
+    # so the readers read at most 3 letters past 600
+    with crossing(least):
+        assert_runs_on_runs_read_like_the_reference(inner, middle, reader, shift(pi_word(k), skip), shape, budgets,
+                                                    early, reads, most=600)
 
 
 @st.composite
@@ -1742,6 +1800,31 @@ def test_an_excursion_is_classified_as_a_direct_run_on_a_long_block_behaves(mach
                     assert tuple(out[arrivals[m][1]:arrivals[m + 1][1]]) == cls.chunks[k]
             else:
                 assert exit_ is None
+
+
+class CountedGets(dict):
+    """A transitions dict that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+@PROPERTY
+@given(machine=two_way_machines(alphabet=BINARY, max_states=5))
+def test_an_excursion_walk_stays_within_its_step_bound(machine):
+    # the bound of _classify_excursion's docstring, 2n²(n + 3) steps for n
+    # states: each step looks up one transition on '0', and a walk past
+    # the bound would raise InvariantViolation
+    n = len(machine.states)
+    machine.transitions = counted = CountedGets(machine.transitions)
+    for q in machine.states:
+        for side in "LR":
+            counted.gets = 0
+            _classify_excursion(machine, q, side)
+            assert counted.gets <= 2 * n * n * (n + 3)
 
 
 def naive_canonical_lasso(u, v):

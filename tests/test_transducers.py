@@ -12,6 +12,7 @@ from advicebench import corpus, transducers
 from advicebench.errors import (
     AdviceNotLasso,
     BudgetExceeded,
+    InvariantViolation,
     MovedLeftOfEndmarker,
     NonProductive,
     UndefinedTransition,
@@ -45,6 +46,7 @@ from advicebench.words import (
     Alphabet,
     ConstantWord,
     FiniteWord,
+    InfiniteWord,
     LassoWord,
     block_mirror,
     duplicate,
@@ -631,21 +633,75 @@ def test_a_runs_word_says_it_is_periodic_once_its_run_proves_an_emitting_cycle()
     # stretch (here 2, across the wrap-around) reaches its budget, never says so
     run = run_1wft(letter_copier(AB), lasso("a", "ab"))
     run.letters(3)
-    assert run.word.periodic() is None
+    assert run.word.periodic(0) is None
     run.letters(4)
-    assert run.word.periodic() == (1, ["a", "b"])
+    assert run.word.periodic(0) == (1, ("a", "b"), None)
     silent = run_1wft(copies_then_stalls(2), lasso("", "ab"), budget=9)
     assert silent.try_letters(3)[0] == ["a", "b"] and silent._engine.cycle == []
-    assert silent.word.periodic() is None
+    assert silent.word.periodic(0) is None
     b_marker = OneWayTransducer({"q"}, "q", AB, AB, {("q", "a"): ((), "q"), ("q", "b"): (("b",), "q")})
-    for budget, says in ((2, None), (3, (0, ["b"]))):
+    for budget, says in ((2, None), (3, (0, ("b",), None))):
         run = run_1wft(b_marker, lasso("", "aba"), budget=budget)
         for _ in range(3):
             run.try_letters(3)
-        assert run._engine.cycle[2] == 2 and run.word.periodic() == says
-    assert shift(lasso("abc", "de"), 4).periodic() == (0, ("e", "d"))
-    assert shift(lasso("abc", "de"), 2).periodic() == (1, ("d", "e"))
-    assert shift(pi_word(1), 2).periodic is None
+        assert run._engine.cycle[2] == 2 and run.word.periodic(0) == says
+    assert shift(lasso("abc", "de"), 4).periodic(0) == (0, ("e", "d"), None)
+    assert shift(lasso("abc", "de"), 2).periodic(0) == (1, ("d", "e"), None)
+    # π = 1 01 001 ...: letter 2 is block 1's last 1, so the stretch is block 2's
+    # 0-run; the first run of 32 0s or more is block 32's, letters 528 to 560
+    assert shift(pi_word(1), 2).periodic(0) == (1, ("0",), 3)
+    assert shift(pi_word(1), 2).periodic(0, 32) == (526, ("0",), 558)
+
+
+class RunsOfTwoPeriods(InfiniteWord):
+    """(a^10 (ab)^10)^ω, which says where its runs of a and of ab are: a
+    word whose stretches repeat different periods."""
+
+    def __init__(self):
+        super().__init__(AB)
+
+    def letter(self, n):
+        r = n % 30
+        return "a" if r < 10 or r % 2 == 0 else "b"
+
+    def periodic(self, n, least=1):
+        base, r = n - n % 30, n % 30
+        return (base, ("a",), base + 10) if r < 10 else (base + 10, ("a", "b"), base + 30)
+
+
+class Unsaid(RunsOfTwoPeriods):
+    periodic = None
+
+
+def test_a_run_crosses_stretches_of_different_periods_like_one_that_steps_them():
+    # a b-marker that counts a's mod 3: its rho under a (a cycle of three
+    # periods, emitting a) is not its rho under ab (one period, emitting b),
+    # so a rho kept for its state alone would cross the ab runs wrongly
+    counter = OneWayTransducer(range(3), 0, AB, AB, {
+        **{(q, "a"): (("a",) if q == 2 else (), (q + 1) % 3) for q in range(3)},
+        **{(q, "b"): (("b",), 0) for q in range(3)}})
+    for budget in (2, 3, 4, 10 ** 5):
+        for n in (1, 7, 40, 500):
+            said, unsaid = run_1wft(counter, RunsOfTwoPeriods(), budget), run_1wft(counter, Unsaid(), budget)
+            (got, halt), (want, want_halt) = said.try_letters(n), unsaid.try_letters(n)
+            assert got == want and repr(halt) == repr(want_halt)
+            assert said._engine.step_count == unsaid._engine.step_count
+
+
+class StaleStretch(RunsOfTwoPeriods):
+    """Says a^10 (its true start) for every n: past letter 10 the stretch
+    it names lies behind the asking run."""
+
+    def periodic(self, n, least=1):
+        return 0, ("a",), 10
+
+
+def test_a_run_raises_on_a_stretch_behind_it_instead_of_spinning():
+    for budget in (1, 10 ** 5):
+        run = run_1wft(letter_copier(AB), StaleStretch(), budget)
+        assert run.letters(10) == ["a"] * 10
+        with pytest.raises(InvariantViolation, match="not inside its periodic stretch up to 10"):
+            run.letters(11)
 
 
 def test_a_reader_stops_replaying_once_its_source_runs_budget_falls_to_the_cycles_stretch():

@@ -132,6 +132,24 @@ def test_pi_k_prefixes():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("skip", [0, 1, 2, 5, 40])
+@pytest.mark.parametrize("least", [1, 2, 32])
+def test_pi_says_where_its_runs_of_0s_are(k, skip, least):
+    # periodic(n, least) is the whole run of 0s at n, or after n the first
+    # one, of `least` 0s or more: only 0s from start up to end, a 1 (or the
+    # word's start) on either side, and no such run from n up to start
+    w = shift(pi_word(k), skip)
+    text = "".join(w.take(6000))
+    assert text == expand_pi(k, 6000 + skip)[skip:]
+    for n in range(3000):
+        start, x, end = w.periodic(n, least)
+        assert x == ("0",) and start < end and (end - start >= least or start == 0 < skip)  # a shift cuts a run
+        assert set(text[start:end]) == {"0"} and text[end] == "1"
+        assert start == 0 or text[start - 1] == "1"
+        assert start <= n < end if start <= n else "0" * least not in text[n:start]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_pi_k_has_no_adjacent_ones_past_start(k):
     w = pi_word(k)
     letters = w.prefix_str(2000)

@@ -11,8 +11,9 @@ alternating, parent first in even rounds:
   machine, run_1wft(compose_1wft(bwd, fwd), w), is the floor;
 - ``delay_mealy``: 4000 and 8000 letters of the delay machine on
   shift(abc·(bacabbc)^ω, 1);
-- ``pi_expander``: 8000 letters of the 2-expander on π, a source that is
-  not periodic.
+- ``pi_expander``, ``pi_expander3``: 4000 and 8000 letters of the 2- and
+  3-expander on π, whose runs of 0s are periodic stretches;
+- ``pi_shift``: 4000 and 8000 letters of the 2-expander on shift(π, 5).
 
 Machines are built outside the timing, once per side. Prints one JSON
 object: per read, each side's minimum over READS (default 200) fresh reads
@@ -58,11 +59,13 @@ def reads(ab):
     mu_word = ab.lasso("aba", "bbaabab")
     delay_word = ab.lasso("abc", "bacabbc")
     delay = ab.delay_mealy(delay_word.letter(0), delay_word.alphabet)
-    expander = ab.pi_k_expander_1wft(2)
+    expander, expander3 = ab.pi_k_expander_1wft(2), ab.pi_k_expander_1wft(3)
     return {
         "mu_chain": ((1600, 3200), lambda n: ab.run_1wft(bwd, ab.run_1wft(fwd, mu_word).word).letters(n)),
         "delay_mealy": ((4000, 8000), lambda n: ab.run_mealy(delay, ab.shift(delay_word, 1)).letters(n)),
-        "pi_expander": ((8000,), lambda n: ab.run_1wft(expander, ab.pi_word(1)).letters(n)),
+        "pi_expander": ((4000, 8000), lambda n: ab.run_1wft(expander, ab.pi_word(1)).letters(n)),
+        "pi_expander3": ((4000, 8000), lambda n: ab.run_1wft(expander3, ab.pi_word(1)).letters(n)),
+        "pi_shift": ((4000, 8000), lambda n: ab.run_1wft(expander, ab.shift(ab.pi_word(1), 5)).letters(n)),
     }
 
 
