@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapTooSmall, UnstableClassification, ValidationFailed
-from .ltl import GEliminationReport, _lasso_table, _least_witnesses, _node, eliminate_g_subformulas, nnf, size
+from .ltl import _prefix_rows
 from .transducers import RunOutcome, lasso_image
 from .words import FiniteWord, InfiniteWord, LassoWord
 
@@ -202,24 +202,15 @@ def padding_check(phi, advice: LassoWord, n_range: int = 30, n_cap: int | None =
     The witness search uses the Globally-free rewriting of the formula on
     the fixed advice word.
     """
-    normal = nnf(phi)
-    report: GEliminationReport = eliminate_g_subformulas(normal, advice)
-    if n_cap is None:
-        n_cap = 3 * (len(advice.u) + len(advice.v)) + size(phi)
-    positions = range(n_range + 1)
+    report, n_cap, rows = _prefix_rows(phi, advice, n_range + 1, n_cap, 0)
     entries = []
-    if positions:  # an empty range evaluates nothing, so foreign atoms raise nothing
-        table = _lasso_table(phi, advice)
-        witnesses = _least_witnesses(report.formula, advice, 0, n_range, n_cap)
-    for n in positions:
-        if not table[_node(advice, n)]:
+    for n, holds, witness in rows:
+        if not holds:
             entries.append(NO_ENTRY)
-            continue
-        witness = witnesses[n]
-        if witness is None:
-            if n >= report.stabilization:
-                raise CapTooSmall(n, n_cap)
-            entries.append("cap")
-        else:
+        elif witness is not None:
             entries.append(witness)
+        elif n >= report.stabilization:
+            raise CapTooSmall(n, n_cap)
+        else:
+            entries.append("cap")
     return PaddingTable(entries, n_cap, report.stabilization)

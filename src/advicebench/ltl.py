@@ -418,22 +418,27 @@ def check_finite_prefix_theorem(
 ) -> FinitePrefixReport:
     """Check that from the stabilization index on, truth on a suffix equals
     having a finite prefix satisfying the rewritten formula."""
-    normal = nnf(f)
-    report = eliminate_g_subformulas(normal, w)
+    report, n_cap, rows = _prefix_rows(f, w, m_range + 1, n_cap)
+    verdicts = [PrefixVerdict(m, holds, witness, holds == (witness is not None), holds and witness is None)
+                for m, holds, witness in rows]
+    return FinitePrefixReport(f, report.formula, report.stabilization, n_cap, verdicts)
+
+
+def _prefix_rows(f: Formula, w: LassoWord, count: int, n_cap: int | None, first: int | None = None):
+    """(G-elimination report of f's NNF on w, witness cap, rows): the cap is
+    3·|uv| + |f| unless given, and for ``count`` positions m from ``first``,
+    the stabilization index unless given, a row (m, truth of f at m, least
+    witness of the rewritten formula up to the cap or None)."""
+    report = eliminate_g_subformulas(nnf(f), w)
     if n_cap is None:
         n_cap = 3 * (len(w.u) + len(w.v)) + size(f)
-    positions = range(report.stabilization, report.stabilization + m_range + 1)
-    verdicts = []
-    if positions:  # an empty range evaluates nothing, so foreign atoms raise nothing
-        table = _lasso_table(f, w)
-        witnesses = _least_witnesses(report.formula, w, positions[0], positions[-1], n_cap)
-        for m, witness in zip(positions, witnesses):
-            holds = table[_node(w, m)]
-            if holds and witness is None:
-                verdicts.append(PrefixVerdict(m, holds, None, False, cap_too_small=True))
-            else:
-                verdicts.append(PrefixVerdict(m, holds, witness, holds == (witness is not None)))
-    return FinitePrefixReport(f, report.formula, report.stabilization, n_cap, verdicts)
+    if first is None:
+        first = report.stabilization
+    if count < 1:  # an empty range evaluates nothing, so foreign atoms raise nothing
+        return report, n_cap, []
+    table = _lasso_table(f, w)
+    witnesses = _least_witnesses(report.formula, w, first, first + count - 1, n_cap)
+    return report, n_cap, [(m, table[_node(w, m)], k) for m, k in enumerate(witnesses, first)]
 
 
 OPERATOR_CHARS = set("!&|XUGFT()_ ")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 
 from .analysis import _validate_prefix
@@ -74,14 +75,7 @@ def direction_partition(t: TwoWayTransducer):
         if a == "0" and cls.setdefault(q, move) != move:
             return None
     for q in t.states:
-        if q not in cls:
-            hit = t.transitions.get((q, "0"))
-            cls[q] = hit[1] if hit else RIGHT
-    for (q, a), (_out, move, q2) in t.transitions.items():
-        if cls[q2] != move:
-            return None
-        if a == "0" and cls[q] != move:
-            return None
+        cls.setdefault(q, RIGHT)  # no move enters q and q reads no '0'
     return cls
 
 
@@ -99,22 +93,13 @@ class _Cross:
     ramp: int
     drift: int
 
-    def cell_state(self, m):
-        if m < self.ramp:
-            return self.states[m]
-        return self.states[self.ramp + (m - self.ramp) % self.drift]
-
-
-class _Stuck:
-    pass
-
 
 def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
     """Behavior of an excursion into an all-0 block entered from one side.
 
     Returns _Return (comes back out the entry side), _Cross (drifts through:
     first-arrival states and output chunks per cell, eventually periodic),
-    or _Stuck (parks inside forever). Every cell reads '0', so the run has
+    or None (parks inside forever). Every cell reads '0', so the run has
     settled once it repeats a state without having been shallower than that
     state's earlier depth in between: a stack of those (depth, state), one
     per state, ends the walk within |Q| cells of depth. A repeat at the same
@@ -138,7 +123,7 @@ def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
             if state in pushed:
                 drift = depth - pushed[state]
                 if drift == 0:
-                    return _Stuck()
+                    return None
                 ramp = len(arrivals)
                 want = ramp + 2 * drift
                 continue
@@ -149,7 +134,7 @@ def _classify_excursion(t: TwoWayTransducer, entry_state, side: str):
         steps += 1
         hit = t.transitions.get((state, "0"))
         if hit is None:
-            return _Stuck()  # the original would die here; fold leaves it undefined
+            return None  # the original would die here; fold leaves it undefined
         emitted, move, state = hit
         out.extend(emitted)
         depth += 1 if move == inward else -1
@@ -240,11 +225,8 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
             classifications[key] = _classify_excursion(t, q, side)
         return classifications[key]
 
-    folds: dict = {}
-
+    @cache
     def fold(q):
-        if q in folds:
-            return folds[q]
         acc: list = []
         state = q
         seen = set()
@@ -254,7 +236,6 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
             seen.add(state)
             hit = t.transitions.get((state, "1"))
             if hit is None:
-                folds[q] = None
                 return None
             emitted, move, q2 = hit
             acc.extend(emitted)
@@ -265,8 +246,7 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
                 state = cls.exit_state
                 continue
             if isinstance(cls, _Cross):
-                folds[q] = (tuple(acc), move, (q2, side))
-                return folds[q]
+                return tuple(acc), move, (q2, side)
             raise UnstableClassification("machine parks inside a block")
 
     # The prologue cutoff depends on which bounded excursions end up used.
@@ -315,7 +295,7 @@ def normalize_directions_on_pi(t: TwoWayTransducer, probe_range: int = 300) -> T
             src = ("x", entry_state, side, m)
             nm = m + 1 if m + 1 < width else cls.ramp
             tr[(src, "0")] = (cls.chunks[m], move, ("x", entry_state, side, nm))
-            f = fold(cls.cell_state(m))
+            f = fold(cls.states[m])
             if f is not None:
                 emitted, fmove, (q2, side2) = f
                 tr[(src, "1")] = (emitted, fmove, ("x", q2, side2, 0))
@@ -520,21 +500,16 @@ def one_way_simulation_on_pi(t: TwoWayTransducer, c_max: int = 4, probe_range: i
             emitted.extend(chunk)
         return tuple(emitted), q
 
-    tr: dict = {}
-    start = ("pre", 0)
-    for i in range(pre_ones):
-        tr[(("pre", i), "0")] = ((), ("pre", i))
-        nxt = ("run", 0, 0, None) if i + 1 == pre_ones else ("pre", i + 1)
-        tr[(("pre", i), "1")] = (pre_out if i == 0 else (), nxt)
-
     # traversal-entry states are recomputed at build time from the machine
     def run_state(phi, i):
         return ("run", phi, i, programs[phi].traversals[i].entry)
 
-    if pre_ones:
-        src = ("pre", pre_ones - 1)
-        emitted, _ = tr[(src, "1")]
-        tr[(src, "1")] = (emitted, run_state(0, 0))
+    tr: dict = {}
+    start = ("pre", 0)
+    for i in range(pre_ones):  # n1 >= 1 and copies >= 1: the last '1' starts the run
+        tr[(("pre", i), "0")] = ((), ("pre", i))
+        nxt = run_state(0, 0) if i + 1 == pre_ones else ("pre", i + 1)
+        tr[(("pre", i), "1")] = (pre_out if i == 0 else (), nxt)
 
     frontier = [run_state(0, 0)]
     built = set(frontier)

@@ -729,22 +729,19 @@ def compose_1wft(outer: OneWayTransducer, inner: OneWayTransducer) -> OneWayTran
                 continue
             chunk, qi2 = hit
             emitted = []
-            qcur = hit2 = qo
-            ok = True
+            qcur = qo
             for c in chunk:
                 step = outer.transitions.get((qcur, c))
                 if step is None:
-                    ok = False
                     break
                 out, qcur = step
                 emitted.extend(out)
-            if not ok:
-                continue
-            nxt = (qi2, qcur)
-            transitions[((qi, qo), a)] = (tuple(emitted), nxt)
-            if nxt not in states:
-                states.add(nxt)
-                frontier.append(nxt)
+            else:
+                nxt = (qi2, qcur)
+                transitions[((qi, qo), a)] = (tuple(emitted), nxt)
+                if nxt not in states:
+                    states.add(nxt)
+                    frontier.append(nxt)
     return OneWayTransducer(states, initial, inner.input_alphabet, outer.output_alphabet, transitions)
 
 

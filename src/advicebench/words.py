@@ -466,11 +466,9 @@ class PiWord(InfiniteWord):
         if n < 0:
             raise IndexError(_NEGATIVE)
         k = self.k
-        # block b starts at k*b*(b+1)/2 and has k copies of 0^b 1; the
-        # estimate has b(b+1)/2 <= n // k, so it is never past n's block
+        # block b starts at k*b*(b+1)/2 and has k copies of 0^b 1; b is the
+        # largest with b(b+1)/2 <= n // k, so block b + 1 starts past n
         b = (math.isqrt(8 * (n // k) + 1) - 1) // 2
-        while k * (b + 1) * (b + 2) // 2 <= n:
-            b += 1
         return b, n - k * b * (b + 1) // 2
 
     def letter(self, n: int):

@@ -8,16 +8,26 @@ from advicebench.analysis import (
     Diverges,
     Equal,
     Inconclusive,
+    _validate_image,
     _validate_prefix,
     check_subword_bound,
     padding_check,
     prefix_equiv,
     subword_complexity,
 )
-from advicebench.errors import BudgetExceeded, UnstableClassification
+from advicebench.errors import BudgetExceeded, NonProductive, UnstableClassification, ValidationFailed
 from advicebench.ltl import parse_formula
 from advicebench.mealy import MealyMachine, mealy_image_lasso
-from advicebench.transducers import ENDMARKER, RIGHT, TwoWayTransducer, run_2wft
+from advicebench.transducers import (
+    ENDMARKER,
+    RIGHT,
+    FiniteImage,
+    OneWayTransducer,
+    TwoWayTransducer,
+    lasso_image,
+    run_1wft,
+    run_2wft,
+)
 from advicebench.words import PAD, Alphabet, convolve_lassos, duplicate, lasso, pi_word, shift, word
 
 AB = Alphabet.of("ab")
@@ -221,3 +231,37 @@ def test_a_short_original_is_refused_before_the_result_takes_a_step():
     with pytest.raises(UnstableClassification, match="original output too short to validate"):
         _validate_prefix(result, run_2wft(quiet, w, budget=50), 5, "a construction")
     assert result.produced == 0
+
+
+def one_way(tr):
+    """A one-state 1wft over ab: tr maps a letter to the letters it emits,
+    and a letter missing from tr halts the run."""
+    return OneWayTransducer({"q"}, "q", AB, AB, {("q", a): (tuple(out), "q") for a, out in tr.items()})
+
+
+COPIER = one_way({"a": "a", "b": "b"})
+
+
+@pytest.mark.parametrize("machine, original, index, message", [
+    (COPIER, "abba", 2, "a construction changed the output"),  # (ab)^ω differs at letter 2
+    (one_way({"a": "a"}), "abab", 1, "a construction changed the output length"),  # halts on the first b
+])
+def test_a_result_that_diverges_or_stops_early_is_refused_at_the_first_difference(machine, original, index,
+                                                                                   message):
+    with pytest.raises(ValidationFailed, match=f"^{message}$") as err:
+        _validate_prefix(run_1wft(machine, lasso("", "ab")), word(original, AB), 4, "a construction")
+    assert err.value.position == index
+
+
+@pytest.mark.parametrize("machine, image, index", [
+    (COPIER, lasso("", "abb", AB), 2),  # another lasso: (ab)^ω and (abb)^ω differ at letter 2
+    (COPIER, FiniteImage(word("ab", AB), NonProductive(("a", "b"))), 2),  # a lasso against a finite image
+    # the same letter a, but the result halts where the original loops silently
+    (one_way({"a": "a"}), FiniteImage(word("a", AB), NonProductive(("a",))), 1),
+])
+def test_a_result_with_another_image_is_refused_at_the_first_difference(machine, image, index):
+    w = lasso("", "ab")
+    _validate_image(machine, lasso_image(machine, w), w, "a construction")
+    with pytest.raises(ValidationFailed, match="^a construction changed the output$") as err:
+        _validate_image(machine, image, w, "a construction")
+    assert err.value.position == index

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advicebench.analysis import padding_check
-from advicebench.errors import CapTooSmall, NotGFree, NotInNnf, ParseError
+from advicebench.errors import AlphabetMismatch, CapTooSmall, NotGFree, NotInNnf, ParseError
 from advicebench.ltl import (
     And,
     Atom,
@@ -338,3 +338,15 @@ def test_padding_check_equals_the_prefix_rebuild_loop(f, w, n_range, n_cap):
 def test_check_finite_prefix_theorem_equals_the_prefix_rebuild_loop(f, w, m_range, n_cap):
     got = check_finite_prefix_theorem(f, w, m_range=m_range, n_cap=n_cap)
     assert got == theorem_by_rebuilding(f, w, m_range, n_cap)
+
+
+def test_an_empty_range_evaluates_nothing():
+    # the atom c is not a letter of the word, so building its table raises;
+    # an empty range of positions builds none
+    f, w = parse_formula("c"), lasso("", "ab")
+    assert padding_check(f, w, n_range=-1).entries == []
+    assert check_finite_prefix_theorem(f, w, m_range=-1).verdicts == []
+    with pytest.raises(AlphabetMismatch):
+        padding_check(f, w, n_range=0)
+    with pytest.raises(AlphabetMismatch):
+        check_finite_prefix_theorem(f, w, m_range=0)

@@ -120,6 +120,20 @@ def test_extract_identity_from_equal_tracks():
     assert run_mealy(machine, advice).prefix_str(10) == advice.prefix_str(10)
 
 
+def test_extract_trims_an_accepting_state_with_no_accepting_continuation():
+    # ("b", "a") leads to an accepting state whose every letter leads out of
+    # the accepting states: trimmed, it no longer conflicts with ("a", "a")
+    advice = lasso("", "ab")
+    product = Alphabet.product(AB, AB, pad=False)
+    tr = {("q", (a, a)): "q" for a in AB.letters}
+    tr[("q", ("b", "a"))] = "end"
+    tr.update({(q, letter): "sink" for q in ("end", "sink") for letter in product.letters})
+    dfa = Dfa({"q", "end", "sink"}, "q", {"q", "end"}, product, tr)
+    machine = extract_mealy_from_pref_dfa(dfa, advice)
+    assert machine.states == {"q"}
+    assert run_mealy(machine, advice).prefix_str(10) == advice.prefix_str(10)
+
+
 def test_extract_relabel():
     advice = lasso("", "01")
     product = Alphabet.product(AB, BIN, pad=False)

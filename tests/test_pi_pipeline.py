@@ -16,7 +16,7 @@ from advicebench.pi_transforms import (
     one_way_simulation_on_pi,
     pi_k_expander_1wft,
 )
-from advicebench.transducers import ENDMARKER, LEFT, RIGHT, TwoWayTransducer, run_1wft, run_2wft
+from advicebench.transducers import DEFAULT_BUDGET, ENDMARKER, LEFT, RIGHT, TwoWayTransducer, run_1wft, run_2wft
 from advicebench.words import BINARY, Alphabet, lasso, pi_word
 
 PI = pi_word(1)
@@ -152,6 +152,39 @@ def test_normalize_refuses_a_run_that_halts(build, halt):
     machine = build()
     assert direction_partition(machine) is None
     with pytest.raises(UnstableClassification, match=f"the run halts on the block word: {halt}"):
+        normalize_directions_on_pi(machine)
+
+
+def late_halt_2wft():
+    """Crosses every block counting its 0s in one of four phases, of
+    periods 7, 5, 4 and 3: phase one passes block j on to phase two when
+    j ≡ 1 (mod 7), emitting a, and each later phase passes the next block
+    on when its length has the phase's residue (1, 2, 1), else it turns
+    back into the block's last 0 and restarts phase one. The last phase
+    has no move on its 1, so by the Chinese remainder theorem the run
+    halts at the end of block 403 (j = 400, the first solution mod 420),
+    past the cell where normalization stops its walk (block 383 for 19
+    states) and within the default budget of steps."""
+    phases = [("a", 7, 1), ("b", 5, 1), ("c", 4, 2), ("d", 3, 1)]
+    tr = {(("a", 0), ENDMARKER): ((), RIGHT, ("a", 0))}
+    for i, (name, period, residue) in enumerate(phases):
+        for r in range(period):
+            tr[((name, r), "0")] = ((), RIGHT, (name, (r + 1) % period))
+            if r == residue and i + 1 < len(phases):
+                tr[((name, r), "1")] = (("a",) if i == 0 else (), RIGHT, (phases[i + 1][0], 0))
+            elif r != residue:
+                tr[((name, r), "1")] = ((), RIGHT, ("a", 0)) if i == 0 else ((), LEFT, ("a", 6))
+    states = {(name, r) for name, period, _residue in phases for r in range(period)}
+    return TwoWayTransducer(states, ("a", 0), BINARY, Alphabet.of("a"), tr)
+
+
+def test_normalize_refuses_a_run_that_halts_past_its_walk_with_too_few_letters():
+    machine = late_halt_2wft()
+    assert direction_partition(machine) is None
+    letters, halt = run_2wft(machine, PI).try_letters(300)
+    assert len(letters) == 58
+    assert isinstance(halt, UndefinedTransition) and halt.position == 81810 and halt.step < DEFAULT_BUDGET
+    with pytest.raises(UnstableClassification, match="original output too short to validate"):
         normalize_directions_on_pi(machine)
 
 

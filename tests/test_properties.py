@@ -694,6 +694,20 @@ def test_one_way_runs_on_pi_cross_its_runs_of_0s_like_the_dict_stepped_reference
                                                     early, reads, most=600)
 
 
+def test_a_shift_of_a_word_that_names_no_periods_names_none_and_is_stepped():
+    # block_mirror has no periodicity hook, so its shift has none either,
+    # and a one-way run on the shift steps every letter; the doubler emits
+    # nothing on b, so budget 1 stalls on the first b and 2 reads on
+    w = shift(block_mirror(lasso("", "ab#", MARKED)), 1)
+    assert w.periodic is None
+    doubler = OneWayTransducer({"q"}, "q", MARKED, MARKED,
+                               {("q", a): ({"a": ("a", "a"), "b": (), "#": ("#",)}[a], "q") for a in MARKED.letters})
+    for budget in (1, 2):
+        got, halt = run_1wft(doubler, w, budget).try_letters(300)
+        want, want_halt = NaiveRun(doubler, w, budget).try_letters(300)
+        assert got == want and halt_view([halt]) == halt_view([want_halt])
+
+
 @st.composite
 def endmarker_bouncers(draw):
     """A random 2wft entered through up to three bounces off the endmarker,
@@ -1755,6 +1769,35 @@ def test_normalize_directions_on_pi_refuses_or_runs_like_the_machine(machine):
     assert halt_kind(got_halt) is halt_kind(halt)
 
 
+def four_pass_direction_partition(t):
+    """direction_partition with its two later passes written out: every
+    state left unclassified takes its '0' move's direction, or RIGHT, and
+    every move is checked against the classes once more."""
+    cls: dict = {}
+    for (_, _a), (_out, move, q2) in t.transitions.items():
+        if cls.setdefault(q2, move) != move:
+            return None
+    for (q, a), (_out, move, _q2) in t.transitions.items():
+        if a == "0" and cls.setdefault(q, move) != move:
+            return None
+    for q in t.states:
+        if q not in cls:
+            hit = t.transitions.get((q, "0"))
+            cls[q] = hit[1] if hit else RIGHT
+    for (q, a), (_out, move, q2) in t.transitions.items():
+        if cls[q2] != move:
+            return None
+        if a == "0" and cls[q] != move:
+            return None
+    return cls
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(machine=two_way_machines(alphabet=BINARY, max_states=4))
+def test_direction_partition_equals_the_four_pass_reference(machine):
+    assert direction_partition(machine) == four_pass_direction_partition(machine)
+
+
 def direct_excursion(machine, q, side, length, steps):
     """Run machine from state q on the cell of a block of ``length`` 0s next
     to the 1 on ``side``, with a 1 on each side of the block, for at most
@@ -1796,7 +1839,7 @@ def test_an_excursion_is_classified_as_a_direct_run_on_a_long_block_behaves(mach
                 assert exit_ is not None and exit_[1] != side
                 for m in range(length - 1):
                     k = m if m < cls.ramp else cls.ramp + (m - cls.ramp) % cls.drift
-                    assert arrivals[m][0] == cls.cell_state(m)
+                    assert arrivals[m][0] == cls.states[k]
                     assert tuple(out[arrivals[m][1]:arrivals[m + 1][1]]) == cls.chunks[k]
             else:
                 assert exit_ is None

@@ -16,7 +16,7 @@ side, the three in the orders of a cycle through all six permutations.
 ``--probe SCRIPT`` runs ``python3 SCRIPT PARENT_SRC CHANGE_SRC`` once and
 keeps the JSON object it prints last.
 
-The output file (schema ``advicebench-ab/2``) holds, per workload and seed
+The output file (schema ``advicebench-ab/3``) holds, per workload and seed
 (``sets``), the order of each round and, per end-to-end metric of
 BENCHMARK.json:
 
@@ -30,6 +30,12 @@ BENCHMARK.json:
   better by more than the parent's q3 - q1, ``worse`` when the parent won
   that way, ``no clear difference`` otherwise. An ``aa_verdict`` other than
   that last one shows drift between runs of one tree.
+
+and, in ``groups``, per op group of the ``# <group> <count> ops  median
+<ms> ms`` lines that perfbench prints (an op kind at one input size, such
+as ``pi_expander/n``), per side: ``ops`` and ``runs`` (its op count and
+median ms in each round, None in a round that did not print it) and
+``median``, the median of those medians.
 """
 from __future__ import annotations
 
@@ -38,6 +44,7 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -46,7 +53,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-SCHEMA = "advicebench-ab/2"
+SCHEMA = "advicebench-ab/3"
+GROUP_LINE = re.compile(r"# (\S+) +(\d+) ops  median +(\S+) ms")
 SIDES = {"P": "parent", "B": "change", "C": "copy"}
 TRIPLES = ("PBC", "BCP", "CPB", "PCB", "BPC", "CBP")
 
@@ -71,16 +79,19 @@ def export(treeish: str, where: Path):
         tar.extractall(where, filter="data")
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The end-to-end metric values of one perfbench run in ``checkout``."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> tuple:
+    """The end-to-end metric values of one perfbench run in ``checkout``,
+    and its op groups' (count, median ms)."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)], cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: perfbench failed in {checkout.name}: {done.stderr.strip()}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     if not result["correct"]:
         raise SystemExit(f"error: {result['failed']} failed ops in {checkout.name} ({workload}, seed {seed})")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    groups = {m[1]: (int(m[2]), float(m[3])) for m in map(GROUP_LINE.fullmatch, lines) if m}
+    return {name: metric["value"] for name, metric in result["metrics"].items()}, groups
 
 
 def summary(runs: list) -> dict:
@@ -121,6 +132,20 @@ def compare(spec: dict, values: dict) -> dict:
     return out
 
 
+def group_medians(rounds: dict) -> dict:
+    """Per op group, per side, the op count and median ms of each round
+    (``rounds`` holds each side's per-round groups), and their median."""
+    out: dict = {}
+    for name in sorted({name for side in rounds.values() for got in side for name in got}):
+        out[name] = {}
+        for side, runs in rounds.items():
+            ops, ms = zip(*(got.get(name, (None, None)) for got in runs))
+            present = [x for x in ms if x is not None]
+            out[name][side] = {"ops": list(ops), "runs": list(ms),
+                               "median": statistics.median(present) if present else None}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent revision, e.g. HEAD")
@@ -157,18 +182,20 @@ def main(argv=None) -> int:
         sets = []
         for workload, seed in runs:
             values: dict = {side: [] for side in SIDES.values()}
+            groups: dict = {side: [] for side in SIDES.values()}
             orders = []
             for i in range(args.pairs):
                 order = TRIPLES[i % len(TRIPLES)]
                 orders.append(",".join(SIDES[s] for s in order))
                 got = {s: run_bench(dirs[s], workload, seed, args.seconds) for s in order}
                 for s in order:
-                    values[SIDES[s]].append(got[s])
+                    values[SIDES[s]].append(got[s][0])
+                    groups[SIDES[s]].append(got[s][1])
                 print(f"# {workload} seed {seed} round {i + 1}/{args.pairs} ({orders[-1]}): "
-                      + ", ".join(f"{SIDES[s]} {got[s]['ops_per_s']:.1f} ops/s" for s in order),
+                      + ", ".join(f"{SIDES[s]} {got[s][0]['ops_per_s']:.1f} ops/s" for s in order),
                       file=sys.stderr, flush=True)
             sets.append({"workload": workload, "seed": seed, "orders": orders,
-                         "metrics": compare(spec, values)})
+                         "metrics": compare(spec, values), "groups": group_medians(groups)})
         probe = None
         if probe_script:
             done = subprocess.run([sys.executable, probe_script, str(dirs["P"] / "src"), str(dirs["B"] / "src")],
