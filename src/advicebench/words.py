@@ -4,15 +4,17 @@ Infinite words are immutable values evaluated on demand: ``letter(n)`` is
 total and pure, so every downstream check can be phrased as a comparison
 of finite prefixes. Most words compute a letter from its index; a block
 mirror, whose letters come in order, caches them. Readers that go forward
-take letters in bulk with ``letters_from(n)``, a run of letters from n on.
-Letters are single-character strings; product letters are tuples; the
-padding letter is the ``PAD`` sentinel and never belongs to an alphabet.
+take letters in bulk with ``letters_from(n)``, a list of letters from n on;
+a lasso built from text keeps it, and ``text_from(n)`` hands it out as a
+string. Letters are single-character strings; product letters are tuples;
+the padding letter is the ``PAD`` sentinel and never belongs to an alphabet.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AlphabetMismatch, BlockBudgetExceeded, EmptyPeriod
 
@@ -107,6 +109,10 @@ def infer_alphabet(letters) -> Alphabet:
     """The alphabet of ``letters`` but PAD, which belongs to none. PAD
     alone, or its text '_' alone, leaves nothing to infer from. A set of
     single characters will do, as they never tie in the sort."""
+    if isinstance(letters, str) and letters.isascii():  # a C pass per distinct letter
+        data, letters = letters.encode(), ""
+        while data:
+            letters, data = letters + chr(data[0]), data.translate(None, data[:1])
     seen = dict.fromkeys(letters)  # first-seen order, which the stable sort keeps on ties
     seen.pop(PAD, None)
     if seen.keys() <= {RESERVED_RENDER}:
@@ -197,6 +203,10 @@ class InfiniteWord:
         for. This default hands out letter n alone."""
         return [self.letter(n)]
 
+    def text_from(self, n: int) -> str | None:
+        """Letters n, n + 1, ... as a nonempty string on a word built from text, else None."""
+        return None
+
     def take(self, n: int) -> list:
         """The first n letters, gathered chunk by chunk; ValueError for
         n < 0, here and in ``prefix`` and ``prefix_str``."""
@@ -251,20 +261,30 @@ class LassoWord(InfiniteWord):
         per = self._per
         return per[(n - len(pre)) % len(per)]
 
-    def letters_from(self, n: int) -> list:
-        """Up to CHUNK letters of the rest of u, or a rotation of v repeated
-        up to about CHUNK letters."""
+    def _from(self, n: int, most: int, make):
+        """Up to ``most`` letters of the rest of u, or a rotation of v
+        repeated up to about CHUNK letters, as ``make`` makes them."""
         pre = self._pre
         if n < len(pre):
             if n < 0:
                 raise IndexError(_NEGATIVE)
-            return list(pre[n:n + CHUNK])
+            return make(pre[n:n + most])
         per = self._per
         r = (n - len(pre)) % len(per)
-        return list(per[r:] + per[:r]) * max(1, CHUNK // len(per))
+        return make(per[r:] + per[:r]) * max(1, CHUNK // len(per))
+
+    def letters_from(self, n: int) -> list:
+        return self._from(n, CHUNK, list)
+
+    def text_from(self, n: int) -> str | None:
+        return self._from(n, len(self._pre), str) if type(self._per) is str else None
+
+    # a word built from text makes u and v when first asked; LassoWord() sets them
+    u = cached_property(lambda self: FiniteWord._known(tuple(self._pre), self.alphabet))
+    v = cached_property(lambda self: FiniteWord._known(tuple(self._per), self.alphabet))
 
     def periodic(self, n, least=1):
-        return len(self._pre), self._per, None
+        return len(self._pre), self.v.letters, None
 
     def canonical(self) -> "LassoWord":
         return canonical_lasso(self.u, self.v)
@@ -274,13 +294,17 @@ class LassoWord(InfiniteWord):
 
 
 def lasso(u: str, v: str, alphabet: Alphabet | None = None) -> LassoWord:
-    """u·v^ω, a letter per character. An alphabet inferred from the set of
-    u + v holds every letter, and refuses '_' (PAD), so the words go
+    """u·v^ω, a letter per character. An alphabet inferred from u + v holds
+    every letter, and refuses '_' (PAD), so the word keeps u and v as text,
     unchecked; a given one checks them, and '_' reads as PAD there."""
     if alphabet is not None:
         return LassoWord(word(u, alphabet), word(v, alphabet))
-    alphabet = infer_alphabet(set(u + v))
-    return LassoWord(FiniteWord._known(tuple(u), alphabet), FiniteWord._known(tuple(v), alphabet))
+    alphabet = infer_alphabet(u + v)
+    if not v:
+        raise EmptyPeriod("period must be nonempty")
+    w = LassoWord.__new__(LassoWord)
+    w.alphabet, w._pre, w._per = alphabet, u, v
+    return w
 
 
 def _primitive_root_length(seq) -> int:
@@ -347,6 +371,11 @@ class ShiftWord(InfiniteWord):
         if k < 0:
             raise IndexError(_NEGATIVE)
         return self.base.letters_from(self.n + k)
+
+    def text_from(self, k: int) -> str | None:
+        if k < 0:
+            raise IndexError(_NEGATIVE)
+        return self.base.text_from(self.n + k)
 
 
 def shift(w: InfiniteWord, n: int) -> InfiniteWord:
@@ -460,16 +489,22 @@ class PiWord(InfiniteWord):
     def __init__(self, k: int = 1):
         super().__init__(BINARY)
         self.k = k
+        self._block = 0, 0  # the block _place found last, and its first letter
 
     def _place(self, n: int):
         """(b, r): letter n is letter r of block b."""
         if n < 0:
             raise IndexError(_NEGATIVE)
-        k = self.k
-        # block b starts at k*b*(b+1)/2 and has k copies of 0^b 1; b is the
-        # largest with b(b+1)/2 <= n // k, so block b + 1 starts past n
-        b = (math.isqrt(8 * (n // k) + 1) - 1) // 2
-        return b, n - k * b * (b + 1) // 2
+        # block b starts at k*b*(b+1)/2 and has k copies of 0^b 1; a forward
+        # reader stays in the block found last or goes on to the next one
+        k, (b, start) = self.k, self._block
+        if not 0 <= n - start < k * (b + 1):
+            b, start = b + 1, start + k * (b + 1)
+            if not 0 <= n - start < k * (b + 1):  # b: the largest with b(b+1)/2 <= n // k
+                b = (math.isqrt(8 * (n // k) + 1) - 1) // 2
+                start = k * b * (b + 1) // 2
+            self._block = b, start
+        return b, n - start
 
     def letter(self, n: int):
         b, r = self._place(n)
@@ -516,7 +551,7 @@ class BlockMirrorWord(InfiniteWord):
         self.base = base
         self.block_budget = block_budget
         self._scan = 0  # base index of the next block
-        self._ahead: list = []  # base letters read ahead; _ahead[_at] is letter _scan
+        self._ahead: list | str = []  # base letters read ahead; _ahead[_at] is letter _scan
         self._at = 0
         self._cache: list = []
         self._lock = threading.Lock()
@@ -550,8 +585,8 @@ class BlockMirrorWord(InfiniteWord):
         start, ahead, at = self._scan, self._ahead, self._at
         block: list = []
         while True:
-            if at == len(ahead):
-                ahead, at = base.letters_from(start + len(block)), 0
+            if at == len(ahead):  # text, where the base has it, finds marks in C
+                ahead, at = base.text_from(n := start + len(block)) or base.letters_from(n), 0
             try:
                 end = ahead.index(BLOCK_MARK, at)
             except ValueError:

@@ -78,6 +78,7 @@ from advicebench.transducers import (
 )
 from advicebench.words import (
     BINARY,
+    CHUNK,
     PAD,
     Alphabet,
     ConstantWord,
@@ -935,6 +936,90 @@ def test_lasso_builds_what_the_general_path_builds(u, v, alphabet):
     assert built(lasso, u, v, alphabet) == built(general_lasso, u, v, alphabet)
     if alphabet is not None and set(u + v) - {"_"} - set(alphabet.letters):
         assert built(lasso, u, v, alphabet)[0] is AlphabetMismatch
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` returns, or its error's type, args and attributes
+    (a BlockBudgetExceeded's position and budget)."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc), exc.args, vars(exc)
+
+
+def read_text(w, n):
+    """w.text_from(n) as letters, or its error, after checking that it is
+    None or a nonempty string."""
+    text = outcome(w.text_from, n)
+    assert text is None or isinstance(text, tuple) or isinstance(text, str) and text
+    return list(text) if isinstance(text, str) else text
+
+
+# ASCII with '#' and '_', latin-1 and beyond; and any text, with long
+# preperiods past a chunk
+text_pieces = st.text(LASSO_POOL, max_size=8) | st.text(max_size=4)
+
+
+@PROPERTY
+@given(u=text_pieces, v=text_pieces, repeat=st.integers(1, 3) | st.integers(60, 120),
+       n=st.integers(-2, 20) | st.integers(0, 1200),
+       k=st.integers(0, 30), budget=st.integers(1, 12))
+@example("", "", 1, 0, 0, 1)
+@example("a_", "b", 1, 0, 0, 1)
+@example("_", "_", 1, 0, 0, 1)
+@example("ab", "", 1, 0, 0, 1)
+@example("ab#λ", "#é", 3, 11, 1, 3)
+@example("ab#", "c", 1, 0, 0, 2)  # all of u
+@example("abc", "de", 1, 4, 0, 2)  # past u, which is no whole number of periods
+@example("ab", "c", 1, -1, 1, 3)  # a shift refuses a negative index
+def test_a_lasso_built_from_text_reads_like_one_built_from_letter_tuples(u, v, repeat, n, k, budget):
+    u *= repeat
+    assert outcome(infer_alphabet, u + v) == outcome(infer_alphabet, tuple(u + v))
+    text, letters = outcome(lasso, u, v), outcome(general_lasso, u, v)
+    if not isinstance(letters, LassoWord):
+        assert text == letters
+        return
+    assert text.alphabet.letters == letters.alphabet.letters
+    assert (text.u, text.v) == (letters.u, letters.v)
+    assert type(text.u.letters) is type(text.v.letters) is tuple
+    assert text.periodic(n) == letters.periodic(n) and type(text.periodic(n)[1]) is tuple
+    assert repr(text) == repr(letters)
+    canonical, want = text.canonical(), letters.canonical()
+    assert (canonical.u, canonical.v, canonical.alphabet) == (want.u, want.v, want.alphabet)
+    if n >= 0:  # the rest of u, or the period turned at n and repeated up to about a chunk
+        r = (n - len(u)) % len(v)
+        assert text.text_from(n) == (u[n:] if n < len(u) else (v[r:] + v[:r]) * max(1, CHUNK // len(v)))
+    for a, b in ((text, letters), (shift(text, k), shift(letters, k))):
+        assert outcome(a.letter, n) == outcome(b.letter, n)
+        chunk = outcome(a.letters_from, n)
+        assert chunk == outcome(b.letters_from, n) and (not isinstance(chunk, list) or chunk)
+        assert outcome(b.text_from, n) in (None, chunk)  # a shift refuses n < 0 before it asks its base
+        got = read_text(a, n)
+        assert got is not None
+        if isinstance(got, list):
+            assert got == [b.letter(i) for i in range(n, n + len(got))]
+        else:  # the error letters_from raises
+            assert got == chunk
+        mirrors = block_mirror(a, budget), block_mirror(b, budget)
+        assert outcome(mirrors[0].letters_from, n) == outcome(mirrors[1].letters_from, n)
+        assert outcome(mirrors[0].prefix_str, n + 5) == outcome(mirrors[1].prefix_str, n + 5)
+
+
+def closed_place(k, n):
+    """(b, r) for letter n of π^k from the block lengths k(b + 1) alone."""
+    b, start = 0, 0
+    while start + k * (b + 1) <= n:
+        b, start = b + 1, start + k * (b + 1)
+    return b, n - start
+
+
+@PROPERTY
+@given(k=st.integers(1, 4), walks=st.lists(st.tuples(st.integers(0, 3000), st.integers(-60, 60)), max_size=8))
+def test_pi_places_a_letter_like_the_closed_form_in_any_order(k, walks):
+    w = pi_word(k)  # one word: each place starts from the block found last
+    for start, steps in walks:  # forward or backward, a letter at a time
+        for n in range(start, max(start + steps, -1), 1 if steps >= 0 else -1):
+            assert w._place(n) == closed_place(k, n)
 
 
 def dict_walk(t, source, out):

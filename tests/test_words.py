@@ -345,6 +345,32 @@ def test_concurrent_readers_agree():
     assert results == [want] * len(threads)
 
 
+def test_concurrent_pi_readers_agree():
+    # one π^2 read forwards and backwards by more readers than cores,
+    # switching often: each place starts from the block some reader found
+    # last, so a torn (block, start) pair would misplace letters
+    w, want = pi_word(2), expand_pi(2, 3000)
+    results = []
+
+    def reader(forwards):
+        order = range(3000) if forwards else range(2999, -1, -1)
+        got = {n: w.letter(n) for n in order}
+        results.append("".join(got[n] for n in range(3000)))
+
+    threads = [threading.Thread(target=reader, args=(i % 2 == 0,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * len(threads)
+
+
 def pi_word_with_marks():
     # interleave block marks into a lasso so the mirror has work to do
     return lasso("", "ab#ba#aab#")
