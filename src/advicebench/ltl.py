@@ -1,10 +1,11 @@
 """Linear temporal logic over ultimately periodic words.
 
 Formulas are evaluated exactly on the finite lasso graph, one truth table
-per subformula over its |uv| nodes; Until and Globally take one backward
-pass that goes round the loop twice and then down the preperiod, so a
-formula costs time linear in |f|·|uv|. The main pipeline rewrites a
-formula into negation normal form, replaces each maximal
+per subformula, kept as an int: bit |uv|-1-i holds node i, so u·v reads as
+its binary digits. An atom's table is one translate of the lasso's text to
+0s and 1s, and Until unrolls the loop once and takes one carry, so a
+formula costs O(|f|) int operations on |uv|-bit ints. The main pipeline
+rewrites a formula into negation normal form, replaces each maximal
 Globally-subformula by its truth value on the fixed word (truth of such a
 subformula on one suffix propagates to all later suffixes), and evaluates
 the remaining formula under a strong, monotone semantics on finite
@@ -16,10 +17,11 @@ start plus the cap (``_least_witnesses``), not from rebuilding prefixes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatch, NotGFree, NotInNnf, ParseError
-from .words import FiniteWord, LassoWord
+from .errors import AdviceNotLasso, AlphabetMismatch, NotGFree, NotInNnf, ParseError
+from .words import _NEGATIVE, PAD, FiniteWord, LassoWord
 
 
 class Formula:
@@ -187,66 +189,73 @@ def is_g_free(f: Formula) -> bool:
     return False
 
 
-def _node(w: LassoWord, position: int) -> int:
-    pre = len(w.u)
-    return position if position < pre else pre + (position - pre) % len(w.v)
+def _lengths(w) -> tuple:
+    """(|u|, |v|) of the lasso w; AdviceNotLasso on any other word."""
+    if not isinstance(w, LassoWord):
+        raise AdviceNotLasso("LTL on a word is decided on lasso words only")
+    return len(w._pre), len(w._per)
 
 
-def _lasso_table(f: Formula, w: LassoWord) -> list:
-    """Truth of f at every node of the lasso graph of w: nodes 0..|uv|-1
-    are the positions of u·v, and the last node steps back to node |u|.
+def _bit(w: LassoWord, position: int) -> int:
+    """The bit of a lasso table that holds ``position``."""
+    pre, per = _lengths(w)
+    if position < pre:
+        if position < 0:
+            raise IndexError(_NEGATIVE)
+        return pre + per - 1 - position
+    return per - 1 - (position - pre) % per
 
-    Each subformula costs one pass, or one backward pass for U and G:
-    linear in |f|·|uv|.
-    """
+
+def _lasso_table(f: Formula, w: LassoWord) -> int:
+    """Truth of f at every node of the lasso graph of w, as one int: nodes
+    0..|uv|-1 are the positions of u·v, the last node steps back to node
+    |u|, and bit |uv|-1-i holds node i. A lasso of letter tuples is coded
+    to text once, a character per letter; an atom translates the text."""
+    _, p = _lengths(w)
     foreign = {a for a in atoms(f) if a not in w.alphabet}
     if foreign:
         raise AlphabetMismatch(f"atoms {sorted(foreign)} not in the word alphabet")
-    letters = w.u.letters + w.v.letters
-    pre, total = len(w.u), len(letters)
-
-    def backward(local, init):
-        """x[i] = local(i, x[succ(i)]), the least (init False) or greatest
-        (init True) solution. The first pass round the loop fixes node |u|,
-        whose value cannot depend on going round again; the second fixes
-        the rest of the loop, and one pass down the preperiod ends."""
-        x = [init] * total
-        nxt = init
-        for _ in range(2):
-            for i in range(total - 1, pre - 1, -1):
-                nxt = x[i] = local(i, nxt)
-        for i in range(pre - 1, -1, -1):
-            nxt = x[i] = local(i, nxt)
-        return x
-
+    pre, per, alphabet = w._pre, w._per, w.alphabet
+    if type(per) is str:  # a text lasso: a letter is its own code
+        text, codes = pre + per, [ord(a) for a in alphabet.letters]
+    else:  # letter k codes as chr(k), PAD as chr(len(alphabet))
+        codes = range(len(alphabet) + 1)
+        text = "".join(map(dict(zip(alphabet.letters + (PAD,), map(chr, codes))).__getitem__, pre + per))
+    full, loop = (1 << len(text)) - 1, (1 << p) - 1
     memo: dict = {}
 
-    def table(g: Formula):
-        if g in memo:
-            return memo[g]
+    def table(g: Formula) -> int:
+        if id(g) in memo:
+            return memo[id(g)]
         match g:
             case Atom(a):
-                vals = [x == a for x in letters]
+                digits = dict.fromkeys(codes, "0") | {codes[alphabet.index(a)]: "1"}
+                vals = int(text.translate(digits), 2)
             case Top():
-                vals = [True] * total
+                vals = full
             case Not(c):
-                vals = [not x for x in table(c)]
+                vals = table(c) ^ full
             case And(l, r):
-                vals = [x and y for x, y in zip(table(l), table(r))]
+                vals = table(l) & table(r)
             case Or(l, r):
-                vals = [x or y for x, y in zip(table(l), table(r))]
-            case Next(c):
-                tc = table(c)
-                vals = tc[1:] + [tc[pre]]
-            case Globally(c):
-                tc = table(c)
-                vals = backward(lambda i, nxt: tc[i] and nxt, True)
+                vals = table(l) | table(r)
+            case Next(c):  # node i reads node i + 1; the last node reads node |u|
+                x = table(c)
+                vals = ((x << 1) & full) | ((x >> (p - 1)) & 1)
+            case Globally(c):  # if the loop is all ones, true after the last false node
+                miss = table(c) ^ full
+                low = miss & -miss
+                vals = 0 if low & loop else (low - 1) & full
             case Until(l, r):
-                tl, tr = table(l), table(r)
-                vals = backward(lambda i, nxt: tr[i] or (tl[i] and nxt), False)
+                # the loop unrolled once is a line, on which a run of l-not-r
+                # nodes holds iff an r lies just after it: one carry finds it
+                x, y = table(l), table(r)
+                y = (y << p) | (y & loop)
+                a = ((x << p) | (x & loop)) & ~y
+                vals = (y | (a & ~(a + (y << 1)))) >> p
             case _:
                 raise TypeError(f"not a formula: {g!r}")
-        memo[g] = vals
+        memo[id(g)] = vals
         return vals
 
     return table(f)
@@ -254,7 +263,7 @@ def _lasso_table(f: Formula, w: LassoWord) -> list:
 
 def eval_lasso(f: Formula, w: LassoWord, position: int = 0) -> bool:
     """Exact satisfaction at a position of an ultimately periodic word."""
-    return _lasso_table(f, w)[_node(w, position)]
+    return bool(_lasso_table(f, w) >> _bit(w, position) & 1)
 
 
 @dataclass
@@ -267,6 +276,7 @@ class GEliminationReport:
 def eliminate_g_subformulas(f: Formula, w: LassoWord) -> GEliminationReport:
     """Replace each maximal Globally-subformula of an NNF formula by its
     truth value on the fixed word."""
+    total = sum(_lengths(w))
     if not is_nnf(f):
         raise NotInNnf(f"{f} is not in negation normal form")
     verdicts: dict = {}
@@ -275,8 +285,8 @@ def eliminate_g_subformulas(f: Formula, w: LassoWord) -> GEliminationReport:
         match g:
             case Globally(_):
                 if g not in verdicts:
-                    table = _lasso_table(g, w)
-                    witness = table.index(True) if True in table else None
+                    table = _lasso_table(g, w)  # its first true node is its highest bit
+                    witness = total - table.bit_length() if table else None
                     verdicts[g] = (witness is not None, witness)
                 return Top() if verdicts[g][0] else bot()
             case Atom() | Top() | Not(_):
@@ -350,7 +360,7 @@ def _least_witnesses(f: Formula, w: LassoWord, first: int, last: int, cap: int) 
     an end beyond it.
     """
     n = max(last + max(cap, 0) + 1 - first, 0)
-    letters = [w.letter(first + j) for j in range(n)]
+    letters = w.take(first + n)[first:]
     inf = math.inf
     memo: dict = {}
 
@@ -431,14 +441,14 @@ def _prefix_rows(f: Formula, w: LassoWord, count: int, n_cap: int | None, first:
     witness of the rewritten formula up to the cap or None)."""
     report = eliminate_g_subformulas(nnf(f), w)
     if n_cap is None:
-        n_cap = 3 * (len(w.u) + len(w.v)) + size(f)
+        n_cap = 3 * sum(_lengths(w)) + size(f)
     if first is None:
         first = report.stabilization
     if count < 1:  # an empty range evaluates nothing, so foreign atoms raise nothing
         return report, n_cap, []
     table = _lasso_table(f, w)
     witnesses = _least_witnesses(report.formula, w, first, first + count - 1, n_cap)
-    return report, n_cap, [(m, table[_node(w, m)], k) for m, k in enumerate(witnesses, first)]
+    return report, n_cap, [(m, bool(table >> _bit(w, m) & 1), k) for m, k in enumerate(witnesses, first)]
 
 
 OPERATOR_CHARS = set("!&|XUGFT()_ ")
@@ -524,17 +534,5 @@ def parse_formula(text: str) -> Formula:
 
 
 def _lex(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("_|_", i):
-            tokens.append("BOT")
-            i += 3
-            continue
-        tokens.append(c)
-        i += 1
-    return tokens
+    """Tokens: '_|_' as BOT, else every character but whitespace."""
+    return ["BOT" if tok == "_|_" else tok for tok in re.findall(r"_\|_|\S", text)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advicebench.analysis import padding_check
-from advicebench.errors import AlphabetMismatch, CapTooSmall, NotGFree, NotInNnf, ParseError
+from advicebench.errors import AdviceNotLasso, AlphabetMismatch, CapTooSmall, NotGFree, NotInNnf, ParseError
 from advicebench.ltl import (
     And,
     Atom,
@@ -19,6 +19,7 @@ from advicebench.ltl import (
     PrefixVerdict,
     Top,
     Until,
+    _lasso_table,
     bot,
     check_finite_prefix_theorem,
     eliminate_g_subformulas,
@@ -29,7 +30,7 @@ from advicebench.ltl import (
     parse_formula,
     size,
 )
-from advicebench.words import Alphabet, FiniteWord, lasso, word
+from advicebench.words import Alphabet, FiniteWord, lasso, pi_word, shift, word
 
 AB = Alphabet.of("ab")
 
@@ -350,3 +351,171 @@ def test_an_empty_range_evaluates_nothing():
         padding_check(f, w, n_range=0)
     with pytest.raises(AlphabetMismatch):
         check_finite_prefix_theorem(f, w, m_range=0)
+
+
+def fixpoint_table(f, w):
+    """Independent oracle: truth at every node of the lasso graph of w,
+    each Until iterated up from all false and each Globally down from all
+    true until nothing changes."""
+    pre = len(w.u)
+    letters = w.take(pre + len(w.v))
+    succ = [*range(1, len(letters)), pre]
+
+    def iterate(local, x):
+        while (y := [local(i, x[j]) for i, j in enumerate(succ)]) != x:
+            x = y
+        return x
+
+    def table(g):
+        match g:
+            case Atom(a):
+                return [x == a for x in letters]
+            case Top():
+                return [True] * len(letters)
+            case Not(c):
+                return [not x for x in table(c)]
+            case And(l, r):
+                return [x and y for x, y in zip(table(l), table(r))]
+            case Or(l, r):
+                return [x or y for x, y in zip(table(l), table(r))]
+            case Next(c):
+                t = table(c)
+                return [t[j] for j in succ]
+            case Until(l, r):
+                tl, tr = table(l), table(r)
+                return iterate(lambda i, nxt: tr[i] or (tl[i] and nxt), [False] * len(letters))
+            case Globally(c):
+                t = table(c)
+                return iterate(lambda i, nxt: t[i] and nxt, [True] * len(letters))
+        raise TypeError
+
+    return table(f)
+
+
+def as_bits(table):
+    """A table of truth values as the int whose bit |uv|-1-i holds node i."""
+    return int("".join("1" if x else "0" for x in table), 2)
+
+
+def twins(u, v):
+    """The text lasso u·v^ω and its twin of letter tuples over the same alphabet."""
+    w = lasso(u, v)
+    return w, lasso(u, v, w.alphabet)
+
+
+# text lassos, whose periods end in ab, and tuple lassos; periods of up to
+# 102 letters span several digits of a Python int
+texts = st.text("ab", max_size=6)
+periods = st.one_of(st.text("ab", min_size=1, max_size=8), st.text("ab", min_size=25, max_size=100))
+long_lassos = st.one_of(st.builds(lambda u, v: lasso(u, v + "ab"), texts, periods),
+                        st.builds(lasso, texts, periods, st.just(AB)))
+# a c in a formula is a foreign atom on a word without one
+abc_formulas = st.recursive(
+    st.sampled_from([Atom("a"), Atom("b"), Atom("c"), Top()]),
+    lambda inner: st.one_of(
+        st.builds(Not, inner), st.builds(Next, inner), st.builds(Globally, inner),
+        st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Until, inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@PROPERTY
+@given(f=formulas, w=long_lassos)
+def test_eval_lasso_is_the_fixpoint_at_every_node_of_long_lassos(f, w):
+    want = fixpoint_table(f, w)
+    assert _lasso_table(f, w) == as_bits(want)
+    pre, per = len(w.u), len(w.v)
+    for p in range(pre + 2 * per):  # every node, then once more round the loop
+        assert eval_lasso(f, w, p) == want[p if p < pre else pre + (p - pre) % per]
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome compared
+        return type(e), str(e)
+
+
+@PROPERTY
+@given(f=abc_formulas, u=st.text("abc", max_size=5), v=st.text("abc", min_size=1, max_size=70),
+       n_cap=small_caps)
+def test_text_and_tuple_twins_agree(f, u, v, n_cap):
+    text, tuples = twins(u, v)
+    assert type(text._per) is str and type(tuples._per) is tuple
+    normal = nnf(f)
+    calls = [
+        lambda w: _lasso_table(f, w),
+        lambda w: [eval_lasso(f, w, p) for p in range(-1, len(u) + len(v) + 1)],
+        lambda w: eliminate_g_subformulas(normal, w),
+        lambda w: padding_check(f, w, n_range=5, n_cap=n_cap),
+        lambda w: check_finite_prefix_theorem(f, w, m_range=5, n_cap=n_cap),
+    ]
+    for call in calls:
+        assert outcome(lambda: call(text)) == outcome(lambda: call(tuples))
+
+
+@pytest.mark.parametrize("u, per", [("a", 1), ("ba", 1), ("", 2), ("ab", 2), ("", 30), ("b", 30), ("", 31),
+                                    ("ab", 31), ("", 60), ("ba", 60), ("", 61), ("aab", 61)])
+def test_pinned_periods_at_digit_boundaries(u, per):
+    # the period a^(per-1)·b: one b per loop round, at the loop's last node;
+    # CPython keeps 30 bits per int digit
+    v = "a" * (per - 1) + "b"
+    f = parse_formula("(a U b) & X (a U b) & G F b & !X X a & X !b")
+    for w in twins(u, v):
+        assert _lasso_table(f, w) == as_bits(fixpoint_table(f, w))
+        for sub in (parse_formula("a U b"), parse_formula("X a"), parse_formula("G a"), parse_formula("G F b")):
+            assert [eval_lasso(sub, w, p) for p in range(len(u) + 2 * per)] == [
+                brute_eval(sub, w, p) for p in range(len(u) + 2 * per)]
+
+
+def test_until_whose_only_witness_lies_in_the_next_loop_round():
+    # b only at the first loop node: from every later loop node the witness
+    # is one round on, through the last node's step back to node |u|
+    f = parse_formula("a U b")
+    for w in twins("aa", "b" + "a" * 40):
+        assert all(eval_lasso(f, w, p) for p in range(90))
+    for w in twins("", "ba" + "c" * 30 + "a" * 30):  # a c blocks the way round
+        assert [eval_lasso(f, w, p) for p in range(64)] == [True, False] + [False] * 30 + [True] * 30 + [True, False]
+
+
+def test_globally_whose_one_false_letter_is_the_last_of_the_preperiod():
+    f = parse_formula("G a")
+    for w in twins("aaab", "a" * 31):
+        assert [eval_lasso(f, w, p) for p in range(40)] == [False] * 4 + [True] * 36
+        report = eliminate_g_subformulas(f, w)
+        assert report.verdicts[f] == (True, 4) and report.stabilization == 4
+    for v in ("a" * 30 + "b", "b" + "a" * 30):  # a false loop letter, last or first, makes it false everywhere
+        for w in twins("aaab", v):
+            assert not any(eval_lasso(f, w, p) for p in range(70))
+            assert eliminate_g_subformulas(f, w).verdicts[f] == (False, None)
+
+
+def test_next_wraps_from_the_last_node_to_the_first_loop_node():
+    f = parse_formula("X a")
+    for w in twins("bb", "a" + "b" * 60):
+        assert [eval_lasso(f, w, p) for p in range(64)] == [False, True] + [False] * 60 + [True, False]
+    for w in twins("", "a"):
+        assert eval_lasso(f, w, 0) and eval_lasso(parse_formula("G a"), w, 5)
+
+
+def test_a_negative_position_raises_as_a_negative_letter_index_does():
+    for w in (lasso("", "ab"), lasso("ab", "ab"), lasso("", "ab", AB)):
+        for p in (-1, -2):
+            with pytest.raises(IndexError, match="letter index must be nonnegative"):
+                eval_lasso(parse_formula("a"), w, p)
+
+
+@pytest.mark.parametrize("w", [pi_word(1), shift(lasso("", "ab"), 1)], ids=["pi", "shift"])
+def test_a_word_that_is_not_a_lasso_raises_before_any_other_check(w):
+    foreign, not_nnf = parse_formula("c"), Not(Until(Atom("a"), Atom("b")))
+    calls = [
+        lambda: eval_lasso(foreign, w, -1),
+        lambda: eliminate_g_subformulas(not_nnf, w),
+        lambda: padding_check(foreign, w, n_range=-1),
+        lambda: check_finite_prefix_theorem(foreign, w, m_range=-1),
+    ]
+    for call in calls:
+        with pytest.raises(AdviceNotLasso):
+            call()
