@@ -688,6 +688,39 @@ def test_a_run_crosses_stretches_of_different_periods_like_one_that_steps_them()
             assert said._engine.step_count == unsaid._engine.step_count
 
 
+class ShortTail(InfiniteWord):
+    """(abc)^11 ab z^ω, whose first chunk stops before letter 34, where it
+    says that its stretch of period abc from 0 ends at 35: 35 is not a whole
+    number of periods from 34, so the run's next mark there is the stretch's
+    end."""
+
+    def __init__(self):
+        super().__init__(Alphabet.of("abcz"))
+
+    def letter(self, n):
+        return "abc"[n % 3] if n < 35 else "z"
+
+    def letters_from(self, n):
+        return [self.letter(i) for i in range(n, 34 if n < 34 else n + 10)]
+
+    def periodic(self, n, least=1):
+        return (0, ("a", "b", "c"), 35) if n == 34 else None
+
+
+class UnsaidTail(ShortTail):
+    periodic = None
+
+
+def test_a_run_marks_a_stretch_end_that_is_not_a_whole_period_away():
+    copier = letter_copier(Alphabet.of("abcz"))
+    for budget in (1, 10 ** 5):
+        for n in (34, 35, 36, 60):
+            said, unsaid = run_1wft(copier, ShortTail(), budget), run_1wft(copier, UnsaidTail(), budget)
+            (got, halt), (want, want_halt) = said.try_letters(n), unsaid.try_letters(n)
+            assert got == want and repr(halt) == repr(want_halt)
+            assert said._engine.step_count == unsaid._engine.step_count
+
+
 class StaleStretch(RunsOfTwoPeriods):
     """Says a^10 (its true start) for every n: past letter 10 the stretch
     it names lies behind the asking run."""

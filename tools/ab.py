@@ -8,17 +8,15 @@ Run from anywhere inside the repository. Three sides are exported with
 equal length (a checkout's path alone moves ``peak_rss_mb``): the parent
 revision; the working tree, through a scratch index, so uncommitted and
 untracked files count and the real index is left alone; and a second copy
-of the parent, the A/A control. Each side runs ``perfbench/run.py`` from its
-own checkout.
+of the parent, the A/A control. First ``tools/probe.py`` runs on the
+parent's and the change's ``src``; if it fails, so does the comparison.
+Then each side runs ``perfbench/run.py`` from its own checkout, for every
+workload and seed of ``--sets``, in ``--pairs`` rounds of one run per side
+in the orders of a cycle through all six permutations.
 
-Every workload and seed of ``--sets`` runs ``--pairs`` rounds of one run per
-side, the three in the orders of a cycle through all six permutations.
-``--probe SCRIPT`` runs ``python3 SCRIPT PARENT_SRC CHANGE_SRC`` once and
-keeps the JSON object it prints last.
-
-The output file (schema ``advicebench-ab/3``) holds, per workload and seed
-(``sets``), the order of each round and, per end-to-end metric of
-BENCHMARK.json:
+The output file (schema ``advicebench-ab/4``) holds the probe's object
+(``probe``) and, per workload and seed (``sets``), the order of each round
+and, per end-to-end metric of BENCHMARK.json:
 
 - ``parent``, ``change``, ``copy``: ``runs``, ``median``, ``q1``, ``q3``;
 - ``change_won``, ``copy_won``: the rounds in which that side read better
@@ -28,8 +26,9 @@ BENCHMARK.json:
 - ``verdict``, ``aa_verdict``: the gain rule on the change, and on the copy:
   ``better`` when the side won at least 9 in 10 rounds and its median is
   better by more than the parent's q3 - q1, ``worse`` when the parent won
-  that way, ``no clear difference`` otherwise. An ``aa_verdict`` other than
-  that last one shows drift between runs of one tree.
+  that way, ``no clear difference`` otherwise, and ``too few pairs`` from
+  fewer than 10 pairs. An ``aa_verdict`` of ``better`` or ``worse`` shows
+  drift between runs of one tree.
 
 and, in ``groups``, per op group of the ``# <group> <count> ops  median
 <ms> ms`` lines that perfbench prints (an op kind at one input size, such
@@ -53,7 +52,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-SCHEMA = "advicebench-ab/3"
+SCHEMA = "advicebench-ab/4"
 GROUP_LINE = re.compile(r"# (\S+) +(\d+) ops  median +(\S+) ms")
 SIDES = {"P": "parent", "B": "change", "C": "copy"}
 TRIPLES = ("PBC", "BCP", "CPB", "PCB", "BPC", "CBP")
@@ -102,11 +101,13 @@ def summary(runs: list) -> dict:
 def gain_rule(sign: int, parent: dict, other: dict) -> tuple:
     """The rounds ``other`` won against ``parent`` (two summaries), and its
     verdict: a side wins when it won 9 in 10 rounds and its median differs
-    by more than the parent's q3 - q1."""
+    by more than the parent's q3 - q1, out of at least 10 pairs."""
     won = sum(sign * (o - p) > 0 for p, o in zip(parent["runs"], other["runs"]))
     lost = sum(sign * (o - p) < 0 for p, o in zip(parent["runs"], other["runs"]))
     gap = sign * (other["median"] - parent["median"])
     rounds, iqr = len(parent["runs"]), parent["q3"] - parent["q1"]
+    if rounds < 10:
+        return won, "too few pairs"
     if 10 * won >= 9 * rounds and gap > iqr:
         return won, "better"
     if 10 * lost >= 9 * rounds and -gap > iqr:
@@ -153,7 +154,6 @@ def main(argv=None) -> int:
                         help="a workload and its comma-separated seeds, e.g. stream:1,3")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--probe", help="a script run once as SCRIPT PARENT_SRC CHANGE_SRC")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds < 1:
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
             parser.error(f"--sets takes WORKLOAD:SEEDS, e.g. stream:1,3, not {item!r}")
 
     out = Path(args.out).resolve()
-    probe_script = args.probe and str(Path(args.probe).resolve())
+    probe_py = str(Path(__file__).resolve().with_name("probe.py"))
     os.chdir(git("rev-parse", "--show-toplevel").decode().strip())
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
     tree = working_tree()
@@ -177,6 +177,11 @@ def main(argv=None) -> int:
         export(parent, dirs["P"])
         export(tree, dirs["B"])
         export(parent, dirs["C"])
+        done = subprocess.run([sys.executable, probe_py, str(dirs["P"] / "src"), str(dirs["B"] / "src")],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"error: tools/probe.py failed: {done.stderr.strip()}")
+        probe = json.loads(done.stdout)
         bench = json.loads((dirs["B"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         spec = {m["name"]: m["better"] for m in bench["end_to_end"]}
         sets = []
@@ -196,11 +201,6 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             sets.append({"workload": workload, "seed": seed, "orders": orders,
                          "metrics": compare(spec, values), "groups": group_medians(groups)})
-        probe = None
-        if probe_script:
-            done = subprocess.run([sys.executable, probe_script, str(dirs["P"] / "src"), str(dirs["B"] / "src")],
-                                  check=True, capture_output=True, text=True)
-            probe = json.loads(done.stdout.strip().splitlines()[-1])
     finally:
         shutil.rmtree(work, ignore_errors=True)
     result = {
